@@ -202,7 +202,17 @@ fn malformed_edge_list_exits_four() {
     std::fs::write(&looped, "3 1\n2 2\n").unwrap();
     assert_fails(&["analyze", looped.to_str().unwrap()], 4, "self-loop");
 
-    for p in [&junk, &dup, &looped] {
+    // Bytes that are not UTF-8 are malformed input at their line, not an
+    // i/o error.
+    let not_utf8 = dir.join("not-utf8.el");
+    std::fs::write(&not_utf8, b"3 2\n0 1\n1 \xff2\n").unwrap();
+    assert_fails(
+        &["match", not_utf8.to_str().unwrap(), "--exact"],
+        4,
+        "line 3: invalid UTF-8",
+    );
+
+    for p in [&junk, &dup, &looped, &not_utf8] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -19,8 +19,7 @@
 //! paths can be differential-tested against each other.
 
 use crate::csr::CsrGraph;
-use crate::io::{parse_line_fields, validate_header, ReadError};
-use std::io::BufRead;
+use crate::io::{EdgeLines, ReadError};
 use std::path::{Path, PathBuf};
 
 /// A rescannable source of lex-sorted `u < v` edges.
@@ -70,28 +69,13 @@ impl FileEdgeSource {
     pub fn open(path: impl AsRef<Path>) -> Result<FileEdgeSource, ReadError> {
         let path = path.as_ref().to_path_buf();
         let file = std::fs::File::open(&path)?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(ReadError::Parse {
-                    line: 0,
-                    message: "empty input (missing header)".into(),
-                });
-            }
-            lineno += 1;
-            if let Some((a, b)) = parse_line_fields(&line, lineno)? {
-                let (n, m) = validate_header(a, b, lineno)?;
-                return Ok(FileEdgeSource {
-                    path,
-                    n,
-                    m,
-                    completed_scans: 0,
-                });
-            }
-        }
+        let (_, n, m) = EdgeLines::new(std::io::BufReader::new(file)).read_header()?;
+        Ok(FileEdgeSource {
+            path,
+            n,
+            m,
+            completed_scans: 0,
+        })
     }
 
     /// The file this source streams from.
@@ -111,37 +95,23 @@ impl EdgeStreamSource for FileEdgeSource {
 
     fn scan(&mut self, visit: &mut dyn FnMut(u32, u32)) -> Result<(), ReadError> {
         let file = std::fs::File::open(&self.path)?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let mut in_body = false;
+        let mut lines = EdgeLines::new(std::io::BufReader::new(file));
+        // The header must agree with what `open` recorded, or the file
+        // changed underneath us between passes.
+        let (lineno, n, m) = lines.read_header()?;
+        if (n, m) != (self.n, self.m) {
+            return Err(ReadError::Parse {
+                line: lineno,
+                message: format!(
+                    "header changed between scans: expected {} {}, found {n} {m}",
+                    self.n, self.m
+                ),
+            });
+        }
         let mut prev: Option<(u32, u32)> = None;
         let mut edges_seen = 0usize;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            lineno += 1;
-            let Some((a, b)) = parse_line_fields(&line, lineno)? else {
-                continue;
-            };
-            if !in_body {
-                // Header line: must agree with what `open` recorded, or
-                // the file changed underneath us between passes.
-                let (n, m) = validate_header(a, b, lineno)?;
-                if (n, m) != (self.n, self.m) {
-                    return Err(ReadError::Parse {
-                        line: lineno,
-                        message: format!(
-                            "header changed between scans: expected {} {}, found {n} {m}",
-                            self.n, self.m
-                        ),
-                    });
-                }
-                in_body = true;
-                continue;
-            }
+        for line in lines {
+            let (lineno, a, b) = line?;
             if a >= self.n as u64 || b >= self.n as u64 {
                 return Err(ReadError::Parse {
                     line: lineno,
@@ -178,12 +148,6 @@ impl EdgeStreamSource for FileEdgeSource {
                 });
             }
             visit(edge.0, edge.1);
-        }
-        if !in_body {
-            return Err(ReadError::Parse {
-                line: 0,
-                message: "empty input (missing header)".into(),
-            });
         }
         if edges_seen != self.m {
             // A short body on the first pass is a malformed file; the

@@ -28,7 +28,7 @@
 //! malformed-input path returns a typed [`ReadError`]; none panics.
 
 use crate::csr::{from_sorted_edges, CsrGraph};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 /// Largest accepted vertex count (2²⁷ ≈ 134M: ids stay well inside `u32`
 /// and the CSR layout arrays stay addressable).
@@ -122,9 +122,8 @@ fn parse_error(line: usize, message: impl Into<String>) -> ReadError {
 
 /// Range-check untrusted header counts before anything is sized from
 /// them: `n ≤ MAX_VERTICES`, `m ≤ MAX_EDGES`, and `m ≤ n·(n−1)/2` in
-/// 128-bit arithmetic. Shared by [`read_edge_list`] and the streaming
-/// [`crate::edge_stream::FileEdgeSource`].
-pub(crate) fn validate_header(a: u64, b: u64, lineno: usize) -> Result<(usize, usize), ReadError> {
+/// 128-bit arithmetic.
+fn validate_header(a: u64, b: u64, lineno: usize) -> Result<(usize, usize), ReadError> {
     if a > MAX_VERTICES as u64 {
         return Err(ReadError::TooLarge {
             line: lineno,
@@ -153,10 +152,7 @@ pub(crate) fn validate_header(a: u64, b: u64, lineno: usize) -> Result<(usize, u
 /// comments. Returns `None` for blank/comment-only lines. Parses as
 /// `u64` so a 32-bit usize cannot make huge counts wrap into "valid"
 /// small ones; callers range-check before narrowing.
-pub(crate) fn parse_line_fields(
-    line: &str,
-    lineno: usize,
-) -> Result<Option<(u64, u64)>, ReadError> {
+fn parse_line_fields(line: &str, lineno: usize) -> Result<Option<(u64, u64)>, ReadError> {
     let content = line.split('#').next().unwrap_or("").trim();
     if content.is_empty() {
         return Ok(None);
@@ -178,6 +174,120 @@ pub(crate) fn parse_line_fields(
     Ok(Some((a, b)))
 }
 
+/// Parse the line at the start of `window` if it has the form
+/// `digits [ \t]+ digits [ \t\r]* \n` with at most 19 digits per field, so
+/// that neither field can overflow `u64`. Returns both fields and the
+/// line's length including its newline; `None` for any other line and for
+/// a line whose newline lies beyond the window. [`parse_line_fields`]
+/// gives the same two values for every line this accepts.
+#[inline]
+fn parse_plain_line(window: &[u8]) -> Option<(u64, u64, usize)> {
+    let (a, sep) = parse_digits(window, 0)?;
+    let mut i = sep;
+    while matches!(window.get(i), Some(b' ' | b'\t')) {
+        i += 1;
+    }
+    if i == sep {
+        return None;
+    }
+    let (b, mut i) = parse_digits(window, i)?;
+    while matches!(window.get(i), Some(b' ' | b'\t' | b'\r')) {
+        i += 1;
+    }
+    (window.get(i) == Some(&b'\n')).then_some((a, b, i + 1))
+}
+
+/// Parse 1 to 19 ASCII digits starting at `window[start]`. Returns the
+/// value and the index after the last digit; `None` for no digit or a
+/// 20th one.
+#[inline]
+fn parse_digits(window: &[u8], start: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut i = start;
+    while let Some(&byte) = window.get(i) {
+        if !byte.is_ascii_digit() {
+            break;
+        }
+        if i - start == 19 {
+            return None;
+        }
+        value = value * 10 + u64::from(byte - b'0');
+        i += 1;
+    }
+    (i > start).then_some((value, i))
+}
+
+/// The data lines of edge-list text: yields `(lineno, a, b)` for every
+/// line that is neither blank nor comment-only, `lineno` counting every
+/// line from 1. The one line reader behind [`read_edge_list`] and
+/// [`crate::edge_stream::FileEdgeSource`].
+///
+/// A plain line (see [`parse_plain_line`]) is parsed in place from the
+/// reader's buffer and consumed. Any other line (a comment, a blank, a
+/// sign, a longer field, Unicode whitespace, junk, a line crossing the
+/// buffer's end, a last line without a newline) is copied into one reused
+/// buffer and handed to [`parse_line_fields`], so what is accepted and
+/// every error returned do not depend on which path a line takes. A line
+/// that is not UTF-8 is a [`ReadError::Parse`] with its line number.
+pub(crate) struct EdgeLines<R> {
+    reader: R,
+    lineno: usize,
+    line: Vec<u8>,
+}
+
+impl<R: BufRead> EdgeLines<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        EdgeLines {
+            reader,
+            lineno: 0,
+            line: Vec::new(),
+        }
+    }
+
+    /// Read the header, the first data line, and range-check it. Returns
+    /// its line number and the validated `(n, m)`.
+    pub(crate) fn read_header(&mut self) -> Result<(usize, usize, usize), ReadError> {
+        let Some((lineno, a, b)) = self.next_fields()? else {
+            return Err(parse_error(0, "empty input (missing header)"));
+        };
+        let (n, m) = validate_header(a, b, lineno)?;
+        Ok((lineno, n, m))
+    }
+
+    fn next_fields(&mut self) -> Result<Option<(usize, u64, u64)>, ReadError> {
+        loop {
+            let window = match self.reader.fill_buf() {
+                Ok(window) => window,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            if window.is_empty() {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            if let Some((a, b, len)) = parse_plain_line(window) {
+                self.reader.consume(len);
+                return Ok(Some((self.lineno, a, b)));
+            }
+            self.line.clear();
+            self.reader.read_until(b'\n', &mut self.line)?;
+            let line = std::str::from_utf8(&self.line)
+                .map_err(|_| parse_error(self.lineno, "invalid UTF-8"))?;
+            if let Some((a, b)) = parse_line_fields(line, self.lineno)? {
+                return Ok(Some((self.lineno, a, b)));
+            }
+        }
+    }
+}
+
+impl<R: BufRead> Iterator for EdgeLines<R> {
+    type Item = Result<(usize, u64, u64), ReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_fields().transpose()
+    }
+}
+
 /// Read a graph from edge-list text.
 ///
 /// Safe on untrusted input: header counts are validated against
@@ -191,58 +301,43 @@ pub(crate) fn parse_line_fields(
 /// surviving duplicate is reported as [`ReadError::DuplicateEdge`] with
 /// `line: 0` (position unknown).
 pub fn read_edge_list(reader: impl BufRead) -> Result<CsrGraph, ReadError> {
-    let mut header: Option<(usize, usize)> = None;
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut lines = EdgeLines::new(reader);
+    let (_, n, m) = lines.read_header()?;
+    // Cap the reserve: the header is untrusted, so it may promise far more
+    // edges than the file contains.
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.min(PREALLOC_EDGES));
     let mut sorted = true;
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
-        let Some((a, b)) = parse_line_fields(&line, lineno)? else {
-            continue;
-        };
-        match header {
-            None => {
-                let (n, m) = validate_header(a, b, lineno)?;
-                header = Some((n, m));
-                // Cap the reserve: the header is untrusted, so it may
-                // promise far more edges than the file contains.
-                edges.reserve(m.min(PREALLOC_EDGES));
-            }
-            Some((n, m)) => {
-                if a >= n as u64 || b >= n as u64 {
-                    return Err(parse_error(
-                        lineno,
-                        format!("vertex out of range (n = {n})"),
-                    ));
+    for line in lines {
+        let (lineno, a, b) = line?;
+        if a >= n as u64 || b >= n as u64 {
+            return Err(parse_error(
+                lineno,
+                format!("vertex out of range (n = {n})"),
+            ));
+        }
+        if a == b {
+            return Err(ReadError::SelfLoop { line: lineno });
+        }
+        // In range => fits u32 (n ≤ MAX_VERTICES < 2^32).
+        let edge = (a.min(b) as u32, a.max(b) as u32);
+        if sorted {
+            if let Some(&prev) = edges.last() {
+                if edge == prev {
+                    return Err(ReadError::DuplicateEdge { line: lineno });
                 }
-                if a == b {
-                    return Err(ReadError::SelfLoop { line: lineno });
+                if edge < prev {
+                    sorted = false;
                 }
-                // In range => fits u32 (n ≤ MAX_VERTICES < 2^32).
-                let edge = (a.min(b) as u32, a.max(b) as u32);
-                if sorted {
-                    if let Some(&prev) = edges.last() {
-                        if edge == prev {
-                            return Err(ReadError::DuplicateEdge { line: lineno });
-                        }
-                        if edge < prev {
-                            sorted = false;
-                        }
-                    }
-                }
-                if edges.len() == m {
-                    return Err(parse_error(
-                        lineno,
-                        format!("more than the declared {m} edges"),
-                    ));
-                }
-                edges.push(edge);
             }
         }
+        if edges.len() == m {
+            return Err(parse_error(
+                lineno,
+                format!("more than the declared {m} edges"),
+            ));
+        }
+        edges.push(edge);
     }
-    let Some((n, m)) = header else {
-        return Err(parse_error(0, "empty input (missing header)"));
-    };
     if edges.len() != m {
         return Err(parse_error(
             0,
@@ -273,10 +368,13 @@ pub fn read_edge_list_file(path: &std::path::Path) -> Result<CsrGraph, ReadError
     read_edge_list(std::io::BufReader::new(file))
 }
 
-/// Convenience: write to a file path.
+/// Convenience: write to a file path. A failed write, the final flush
+/// included, is returned.
 pub fn write_edge_list_file(g: &CsrGraph, path: &std::path::Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_edge_list(g, std::io::BufWriter::new(file))
+    let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write_edge_list(g, &mut writer)?;
+    // Dropping a `BufWriter` writes its last bytes but discards the error.
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -428,5 +526,18 @@ mod tests {
         let h = read_edge_list_file(&path).unwrap();
         assert_eq!(h.num_edges(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_writer_reports_a_failed_final_flush() {
+        // A device that is always full, where the system has one. Two
+        // edges fit in the write buffer, so the final flush is the only
+        // write that reaches it.
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let g = from_edges(3, [(0, 1), (1, 2)]);
+        assert!(write_edge_list_file(&g, full).is_err());
     }
 }

@@ -1,9 +1,12 @@
 //! Property tests for edge-list I/O: write→read round-trips exactly, and
-//! reading adversarial bytes never panics — every failure is a typed
-//! [`ReadError`] (ISSUE 3 satellite: untrusted-input hardening).
+//! reading arbitrary bytes never panics. Every failure on a readable input
+//! is a typed [`ReadError`] about its content, never an I/O error, and
+//! whatever the streaming [`FileEdgeSource`] accepts, [`read_edge_list`]
+//! accepts with the same edges.
 
 use proptest::prelude::*;
 use sparsimatch_graph::csr::from_edges;
+use sparsimatch_graph::edge_stream::{EdgeStreamSource, FileEdgeSource};
 use sparsimatch_graph::io::{read_edge_list, write_edge_list, ReadError};
 
 const N: usize = 24;
@@ -40,6 +43,52 @@ fn arb_hostile_text() -> impl Strategy<Value = String> {
     proptest::collection::vec(token, 0..12).prop_map(|lines| lines.join("\n"))
 }
 
+/// `text` with up to three arbitrary bytes written over it or inserted
+/// into it, at arbitrary positions.
+fn with_byte_edits(text: impl Strategy<Value = Vec<u8>>) -> impl Strategy<Value = Vec<u8>> {
+    let edit = (any::<usize>(), any::<u8>(), any::<bool>());
+    (text, proptest::collection::vec(edit, 0..4)).prop_map(|(mut text, edits)| {
+        for (at, byte, insert) in edits {
+            let at = at % (text.len() + 1);
+            if insert || at == text.len() {
+                text.insert(at, byte);
+            } else {
+                text[at] = byte;
+            }
+        }
+        text
+    })
+}
+
+/// Arbitrary byte strings; the adversarial alphabet and valid edge lists,
+/// each with arbitrary bytes edited in. The last two get past the header
+/// often, and edited valid lists are sometimes still accepted.
+fn arb_hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let valid = arb_edges().prop_map(|edges| {
+        let mut text = Vec::new();
+        write_edge_list(&from_edges(N, edges), &mut text).expect("write to Vec cannot fail");
+        text
+    });
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..64),
+        with_byte_edits(arb_hostile_text().prop_map(String::into_bytes)),
+        with_byte_edits(valid),
+    ]
+}
+
+/// One `FileEdgeSource` open and scan of `bytes`, through a file.
+fn stream_file(bytes: &[u8]) -> Result<(usize, Vec<(u32, u32)>), ReadError> {
+    let path = std::env::temp_dir().join(format!("sparsimatch-prop-io-{}.el", std::process::id()));
+    std::fs::write(&path, bytes).expect("write the test input");
+    let scanned = FileEdgeSource::open(&path).and_then(|mut src| {
+        let mut edges = Vec::new();
+        src.scan(&mut |u, v| edges.push((u, v)))?;
+        Ok((src.num_vertices(), edges))
+    });
+    std::fs::remove_file(&path).ok();
+    scanned
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -57,17 +106,6 @@ proptest! {
     }
 
     #[test]
-    fn hostile_input_never_panics(text in arb_hostile_text()) {
-        // The assertion is the absence of a panic/abort: any outcome must
-        // be a normal return. Errors must also render (Display is part of
-        // the CLI contract).
-        match read_edge_list(std::io::Cursor::new(text)) {
-            Ok(g) => prop_assert!(g.num_vertices() <= sparsimatch_graph::io::MAX_VERTICES),
-            Err(e) => prop_assert!(!e.to_string().is_empty()),
-        }
-    }
-
-    #[test]
     fn oversized_headers_are_rejected_without_allocation(
         n in 134_217_729u64..u64::MAX / 4,
         m in 268_435_457u64..u64::MAX / 4,
@@ -78,6 +116,34 @@ proptest! {
         match read_edge_list(std::io::Cursor::new(text)) {
             Err(ReadError::TooLarge { line: 1, .. }) => {}
             other => prop_assert!(false, "expected TooLarge, got {:?}", other.map(|g| g.num_vertices())),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_input_never_panics(bytes in arb_hostile_bytes()) {
+        // The first assertion is the absence of a panic: every outcome is
+        // a normal return. Errors must render (Display is part of the CLI
+        // contract), and no input of readable bytes is an I/O error.
+        let read = read_edge_list(std::io::Cursor::new(&bytes));
+        let streamed = stream_file(&bytes);
+        for err in [read.as_ref().err(), streamed.as_ref().err()].into_iter().flatten() {
+            prop_assert!(!matches!(err, ReadError::Io(_)), "i/o error on readable bytes: {err}");
+            prop_assert!(!err.to_string().is_empty());
+        }
+        if let Ok(g) = &read {
+            prop_assert!(g.num_vertices() <= sparsimatch_graph::io::MAX_VERTICES);
+        }
+        // The stream's contract is the stricter one (sorted, `u < v`), so
+        // anything it accepts the in-memory reader accepts as-is.
+        if let Ok((n, edges)) = streamed {
+            let g = read.map_err(|e| TestCaseError::fail(format!("stream accepted, read_edge_list: {e}")))?;
+            prop_assert_eq!(g.num_vertices(), n);
+            let read_edges: Vec<_> = g.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+            prop_assert_eq!(read_edges, edges);
         }
     }
 }
