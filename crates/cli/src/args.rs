@@ -33,9 +33,9 @@ Graphs are plain-text edge lists: a `n m` header line followed by one
 `u v` line per edge (0-based ids, `#` comments allowed). Omitting --out
 writes the graph to stdout.
 
---threads <T> (1..=64, default 1) sets the worker count for every
-pipeline stage — marking, sparsifier CSR extraction, and greedy
-matching. Marking draws from deterministic per-vertex RNG streams, so
+--threads <T> (1..=64, default 1) sets the worker count of the
+marking stage; sparsifier CSR extraction and greedy matching run on
+one thread. Marking draws from deterministic per-vertex RNG streams, so
 the output depends only on --seed and is byte-identical for every
 thread count. --metrics-json writes the unified work counters (probes,
 RNG draws, overlay writes, ...) as JSON; the file is byte-stable for a
@@ -168,9 +168,9 @@ pub struct MatchArgs {
     pub seed: u64,
     /// Print the matched pairs, not just the size.
     pub pairs: bool,
-    /// Worker threads (1..=64) for every stage of the sparsify-and-match
-    /// pipeline (only meaningful with the sparsify algo); the matching is
-    /// identical for every accepted value.
+    /// Worker threads (1..=64) for the marking stage of the
+    /// sparsify-and-match pipeline (only meaningful with the sparsify
+    /// algo); the matching is identical for every accepted value.
     pub threads: usize,
     /// Write work-counter metrics as JSON to this path.
     pub metrics_json: Option<PathBuf>,

@@ -10,48 +10,38 @@
 //! two `(1+·)` factors so the end-to-end guarantee is `1 + ε`:
 //! `(1 + ε/2.5)² ≤ 1 + ε` for `ε ≤ 1`.
 //!
-//! All three stages honor the requested thread count and are deterministic
-//! for a fixed seed: the output is byte-identical for any accepted thread
-//! count (marking uses per-vertex seeded RNG streams, extraction produces
-//! the sequential CSR layout, and the parallel greedy computes the
-//! lexicographically-first maximal matching).
+//! Marking fans out over the requested thread count; extraction and
+//! matching run on the calling thread, over an `O(n·Δ)`-sized
+//! sparsifier. The output is deterministic for a fixed seed and
+//! byte-identical for any accepted thread count: every vertex marks from
+//! its own seeded RNG stream, and the workers' sorted marks merge into
+//! one sorted edge list.
 
 use crate::params::SparsifierParams;
 use crate::scratch::PipelineScratch;
-use crate::sparsifier::{
-    mark_edges_parallel, mark_edges_sequential_into, SparsifierStats, ThreadCountError, MAX_THREADS,
-};
+use crate::sparsifier::{SparsifierStats, ThreadCountError, MAX_THREADS};
 use rand::Rng;
 use sparsimatch_graph::adjacency::ProbeCounts;
-use sparsimatch_graph::csr::{from_marked_edges, CsrGraph};
+use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_matching::bounded_aug::{
     approx_maximum_matching_from, eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
     AugStats,
 };
-use sparsimatch_matching::greedy::{
-    greedy_maximal_matching, greedy_maximal_matching_into, greedy_maximal_matching_parallel,
-};
+use sparsimatch_matching::greedy::{greedy_maximal_matching, greedy_maximal_matching_into};
 use sparsimatch_matching::Matching;
 use sparsimatch_obs::{keys, WorkMeter};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Below this many *input* edges the mark stage ignores the requested
-/// thread count and runs sequentially: worker spawn plus shard merge
-/// overhead exceeds the marking work itself.
+/// thread count and runs one worker: thread spawns and the merge cost
+/// more than the marking work itself.
 const MARK_PARALLEL_CUTOFF: usize = 1 << 17;
 
-/// Below this many *sparsifier* edges the match stage runs sequentially.
-/// The committed bench baseline showed the parallel greedy's local-minima
-/// rounds an order of magnitude slower than the sequential scan on an
-/// `O(n·Δ)`-sized sparsifier (clique family: 235µs at one thread vs 2.6ms
-/// at two), so small extracted graphs always take the sequential path.
-const MATCH_PARALLEL_CUTOFF: usize = 1 << 17;
-
 /// Whether this host can run more than one worker at once (cached). On a
-/// single-core host every stage takes its sequential path regardless of
-/// the requested thread count — the output is byte-identical either way,
-/// so this is purely a latency decision.
+/// single-core host marking runs one worker regardless of the requested
+/// thread count — the output is byte-identical either way, so this is
+/// purely a latency decision.
 fn host_has_parallelism() -> bool {
     static CACHE: OnceLock<bool> = OnceLock::new();
     *CACHE.get_or_init(|| {
@@ -61,12 +51,12 @@ fn host_has_parallelism() -> bool {
     })
 }
 
-/// Adaptive dispatch: the worker count a stage should actually use for
-/// `work_items` units of work, given the caller asked for `requested`
-/// threads. Every stage is thread-count invariant, so falling back to one
-/// worker never changes the output — only the wall clock.
-fn stage_threads(requested: usize, work_items: usize, cutoff: usize) -> usize {
-    if requested == 1 || !host_has_parallelism() || work_items < cutoff {
+/// The worker count the mark stage uses on `input_edges` edges when the
+/// caller asked for `requested` threads. Marking is worker-count
+/// invariant, so falling back to one worker never changes the output —
+/// only the wall clock.
+fn mark_threads(requested: usize, input_edges: usize) -> usize {
+    if input_edges < MARK_PARALLEL_CUTOFF || !host_has_parallelism() {
         1
     } else {
         requested
@@ -110,8 +100,8 @@ pub fn stage_params(params: &SparsifierParams) -> SparsifierParams {
 ///
 /// Marking draws from deterministically seeded per-vertex RNG streams, so
 /// the result depends only on `seed` — never on `threads`, which sets the
-/// worker count for *every* stage (marking, CSR extraction, and greedy
-/// matching). Rejects `threads` outside
+/// mark stage's worker count (extraction and matching run on the calling
+/// thread). Rejects `threads` outside
 /// `1..=`[`crate::sparsifier::MAX_THREADS`] with a [`ThreadCountError`].
 ///
 /// # Examples
@@ -146,8 +136,9 @@ pub fn approx_mcm_via_sparsifier(
 /// [`PipelineScratch`]: identical output (the one-shot entry points are
 /// thin wrappers over this very path with a fresh arena), but every
 /// buffer the run needs is reused from `scratch`. After a warm-up call on
-/// a given input size, repeat calls perform zero heap allocations on the
-/// sequential path. The returned reference points at
+/// a given input size, repeat calls perform zero heap allocations with
+/// one mark worker, and only the thread spawns allocate with more. The
+/// returned reference points at
 /// [`PipelineScratch::result`], which stays valid until the next run
 /// through the same arena.
 pub fn approx_mcm_via_sparsifier_with_scratch<'s>(
@@ -209,8 +200,6 @@ fn approx_mcm_via_sparsifier_impl(
     meter: Option<&mut WorkMeter>,
     scratch: &mut PipelineScratch,
 ) -> Result<(), ThreadCountError> {
-    // The sequential fallbacks below bypass `mark_edges_parallel`'s
-    // validation, so reject bad thread counts up front.
     if threads == 0 || threads > MAX_THREADS {
         return Err(ThreadCountError { requested: threads });
     }
@@ -219,44 +208,28 @@ fn approx_mcm_via_sparsifier_impl(
     let stage_params = stage_params(params);
 
     let PipelineScratch {
-        sampler,
-        indices,
-        keep,
-        ids,
+        marks,
         csr,
         searcher,
         result,
         ..
     } = scratch;
 
-    // Stage 1: mark edges. Small inputs take the sequential in-place path
-    // (same marks — per-vertex RNG streams don't care who draws them).
+    // Stage 1: each worker marks its vertex range and sorts its marks,
+    // then one merge writes the sorted endpoint pairs straight into the
+    // sparsifier's edge list. Stage 2 lays that list out as the CSR, with
+    // no read of the parent's edge list.
     let mark_start = Instant::now();
-    let (mark_stats, rng_draws, overlay_writes) =
-        if stage_threads(threads, g.num_edges(), MARK_PARALLEL_CUTOFF) == 1 {
-            let summary =
-                mark_edges_sequential_into(g, &stage_params, seed, sampler, indices, keep, ids);
-            (summary.stats, summary.rng_draws, summary.overlay_writes)
-        } else {
-            let marks = mark_edges_parallel(g, &stage_params, seed, threads)?;
-            *ids = marks.ids;
-            (marks.stats, marks.rng_draws, marks.overlay_writes)
-        };
-    let mark_nanos = mark_start.elapsed().as_nanos();
-
-    // Stage 2: extract the sparsifier CSR (byte-identical to the
-    // sequential layout for any thread count). The in-place rebuild *is*
-    // the sequential layout; the parallel builder is only worth spawning
-    // when the host can actually run the workers.
-    let extract_start = Instant::now();
-    let sparse: &CsrGraph = if !host_has_parallelism() || threads == 1 {
-        csr.rebuild_from_marked(g, ids)
-    } else {
-        csr.replace(from_marked_edges(g, ids, threads))
-    };
+    let summary = marks.mark(g, &stage_params, seed, mark_threads(threads, g.num_edges()));
+    let mut extract_start = mark_start;
+    let sparse: &CsrGraph = csr.rebuild_with(g.num_vertices(), |edges| {
+        marks.merge_into(edges);
+        extract_start = Instant::now();
+    });
+    let mark_nanos = (extract_start - mark_start).as_nanos();
     let extract_nanos = extract_start.elapsed().as_nanos();
 
-    result.sparsifier = mark_stats;
+    result.sparsifier = summary.stats;
     result.sparsifier.edges = sparse.num_edges();
     // The CSR fast path reads the graph directly, so probes are accounted
     // analytically: two degree reads per vertex (the low-degree check and
@@ -266,16 +239,9 @@ fn approx_mcm_via_sparsifier_impl(
         neighbor_probes: result.sparsifier.marks_placed as u64,
     };
 
-    // Stage 3: greedy init + bounded augmentation on the sparsifier. The
-    // parallel greedy computes the lexicographically-first maximal
-    // matching — exactly the sequential scan's output — so the dispatch
-    // only picks the cheaper route for the extracted size.
+    // Stage 3: greedy init + bounded augmentation on the sparsifier.
     let match_start = Instant::now();
-    if stage_threads(threads, sparse.num_edges(), MATCH_PARALLEL_CUTOFF) == 1 {
-        greedy_maximal_matching_into(sparse, &mut result.matching);
-    } else {
-        result.matching = greedy_maximal_matching_parallel(sparse, threads);
-    }
+    greedy_maximal_matching_into(sparse, &mut result.matching);
     result.aug = eliminate_augmenting_paths_up_to_with(
         sparse,
         &mut result.matching,
@@ -292,8 +258,8 @@ fn approx_mcm_via_sparsifier_impl(
         meter.add(keys::DEGREE_PROBES, result.probes.degree_probes);
         meter.add(keys::NEIGHBOR_PROBES, result.probes.neighbor_probes);
         meter.add(keys::SPARSIFIER_EDGES, result.sparsifier.edges as u64);
-        meter.add(keys::RNG_DRAWS, rng_draws);
-        meter.add(keys::OVERLAY_WRITES, overlay_writes);
+        meter.add(keys::RNG_DRAWS, summary.rng_draws);
+        meter.add(keys::OVERLAY_WRITES, summary.overlay_writes);
         meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
         meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
         meter.add(keys::AUGMENTATIONS, result.aug.augmentations as u64);
@@ -457,25 +423,30 @@ mod tests {
 
     #[test]
     fn pipeline_is_thread_count_invariant() {
-        let g = clique(150);
+        // clique(520) is above MARK_PARALLEL_CUTOFF, so on a multi-core
+        // host its marking fans out and the workers' pairs are merged.
+        let big = clique(520);
+        assert!(big.num_edges() >= MARK_PARALLEL_CUTOFF);
         let p = SparsifierParams::practical(1, 0.4);
-        let reference = approx_mcm_via_sparsifier(&g, &p, 13, 1).unwrap();
-        let e1: Vec<_> = reference.matching.pairs().collect();
-        let mut m1 = WorkMeter::new();
-        approx_mcm_via_sparsifier_metered(&g, &p, 13, 1, &mut m1).unwrap();
-        let c1: Vec<_> = m1.counters().map(|(k, v)| (k.to_string(), v)).collect();
-        for threads in [2usize, 4, 8] {
-            let mut m = WorkMeter::new();
-            let r = approx_mcm_via_sparsifier_metered(&g, &p, 13, threads, &mut m).unwrap();
-            let e: Vec<_> = r.matching.pairs().collect();
-            assert_eq!(e1, e, "threads = {threads}");
-            assert_eq!(reference.probes, r.probes);
-            let c: Vec<_> = m.counters().map(|(k, v)| (k.to_string(), v)).collect();
-            assert_eq!(c1, c, "metered totals, threads = {threads}");
+        for g in [clique(150), big] {
+            let reference = approx_mcm_via_sparsifier(&g, &p, 13, 1).unwrap();
+            let e1: Vec<_> = reference.matching.pairs().collect();
+            let mut m1 = WorkMeter::new();
+            approx_mcm_via_sparsifier_metered(&g, &p, 13, 1, &mut m1).unwrap();
+            let c1: Vec<_> = m1.counters().map(|(k, v)| (k.to_string(), v)).collect();
+            for threads in [2usize, 4, 8] {
+                let mut m = WorkMeter::new();
+                let r = approx_mcm_via_sparsifier_metered(&g, &p, 13, threads, &mut m).unwrap();
+                let e: Vec<_> = r.matching.pairs().collect();
+                assert_eq!(e1, e, "threads = {threads}");
+                assert_eq!(reference.probes, r.probes);
+                let c: Vec<_> = m.counters().map(|(k, v)| (k.to_string(), v)).collect();
+                assert_eq!(c1, c, "metered totals, threads = {threads}");
+            }
+            assert!(reference.matching.is_valid_for(&g));
+            assert!(approx_mcm_via_sparsifier(&g, &p, 13, 0).is_err());
+            assert!(approx_mcm_via_sparsifier(&g, &p, 13, 65).is_err());
         }
-        assert!(reference.matching.is_valid_for(&g));
-        assert!(approx_mcm_via_sparsifier(&g, &p, 13, 0).is_err());
-        assert!(approx_mcm_via_sparsifier(&g, &p, 13, 65).is_err());
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Reusable scratch arenas for the repeat-solve hot paths.
 //!
-//! Every buffer the pipeline touches per run — the sampler overlay, the
-//! mark/index buffers, the sparsifier CSR arrays, the blossom searcher,
-//! and the result matching itself — lives here with *clear-not-drop*
-//! semantics: a buffer is logically emptied between runs but its heap
-//! capacity is retained. Callers that solve repeatedly (the dynamic
-//! matcher, the check harness's seed sweeps, the benchmark loops) hold one
-//! arena and hand it to
+//! Every buffer the pipeline touches per run — each mark worker's sampler
+//! overlay, index and mark-key buffers, the sparsifier CSR arrays, the
+//! blossom searcher, and the result matching itself — lives here with
+//! *clear-not-drop* semantics: a buffer is logically emptied between runs
+//! but its heap capacity is retained. Callers that solve repeatedly (the
+//! dynamic matcher, the check harness's seed sweeps, the benchmark loops)
+//! hold one arena and hand it to
 //! [`crate::pipeline::approx_mcm_via_sparsifier_with_scratch`]; after the
 //! first (cold) call on a given input size, subsequent warm calls perform
-//! **zero** heap allocations on the sequential path (pinned by the
-//! `alloc-count`-gated test suite).
+//! **zero** heap allocations with one mark worker, and with more only the
+//! thread spawns allocate (pinned by the `alloc-count`-gated test suite).
 //!
 //! The one-shot entry points are thin wrappers that build a fresh arena
 //! per call, so warm and cold runs execute the *same* code path and are
@@ -18,6 +18,7 @@
 
 use crate::pipeline::PipelineResult;
 use crate::sampler::PosArraySampler;
+use crate::sparsifier::MarkScratch;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::csr::CsrScratch;
 use sparsimatch_graph::ids::{EdgeId, VertexId};
@@ -46,13 +47,10 @@ use sparsimatch_matching::Matching;
 /// assert!(scratch.high_water_bytes() > 0);
 /// ```
 pub struct PipelineScratch {
-    /// Mark stage: the Δ-out-of-deg sampling overlay.
-    pub(crate) sampler: PosArraySampler,
-    /// Mark stage: per-vertex sampled adjacency indices.
-    pub(crate) indices: Vec<u32>,
-    /// Mark stage: raw marked edge ids before sort/dedup.
-    pub(crate) keep: Vec<u32>,
-    /// Mark stage output: sorted, deduplicated marked edge ids.
+    /// Mark stage: one sampler overlay, index buffer and sorted mark-key
+    /// buffer per worker.
+    pub(crate) marks: MarkScratch,
+    /// EDCS backend: sorted, deduplicated member edge ids.
     pub(crate) ids: Vec<EdgeId>,
     /// Extract stage: sparsifier CSR arrays plus degree-count and
     /// scatter-cursor buffers.
@@ -76,9 +74,7 @@ impl PipelineScratch {
     /// one-element offsets array.
     pub fn new() -> Self {
         PipelineScratch {
-            sampler: PosArraySampler::new(0),
-            indices: Vec::new(),
-            keep: Vec::new(),
+            marks: MarkScratch::new(),
             ids: Vec::new(),
             csr: CsrScratch::new(),
             searcher: BlossomSearcher::new(&Matching::new(0)),
@@ -99,8 +95,7 @@ impl PipelineScratch {
     /// the state it reads — but it lets a long-lived holder drop stale
     /// *contents* (e.g. the previous result) without giving up warmth.
     pub fn clear(&mut self) {
-        self.indices.clear();
-        self.keep.clear();
+        self.marks.clear();
         self.ids.clear();
         self.csr.clear();
         self.edcs_in.clear();
@@ -126,13 +121,13 @@ impl PipelineScratch {
     /// (an estimate — element sizes, not allocator overhead).
     pub fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.sampler.capacity_bytes()
-            + (self.indices.capacity() + self.keep.capacity()) * size_of::<u32>()
+        self.marks.capacity_bytes()
             + self.ids.capacity() * size_of::<EdgeId>()
             + self.csr.capacity_bytes()
             + self.searcher.capacity_bytes()
             + self.edcs_in.capacity()
             + self.edcs_deg.capacity() * size_of::<u32>()
+            + self.result.matching.capacity_bytes()
     }
 
     /// Largest [`PipelineScratch::capacity_bytes`] observed at the end of
@@ -207,6 +202,24 @@ mod tests {
         assert!(s.capacity_bytes() <= 64);
         assert_eq!(s.high_water_bytes(), 0);
         assert_eq!(s.result().matching.len(), 0);
+    }
+
+    #[test]
+    fn footprint_counts_the_result_matching() {
+        use crate::params::SparsifierParams;
+        use crate::pipeline::approx_mcm_via_sparsifier_with_scratch;
+        // Mostly isolated vertices: the mate array (4 bytes per vertex)
+        // is a large share of what a solve on `n` vertices keeps.
+        let n = 10_000;
+        let g = sparsimatch_graph::csr::from_edges(n, (0..20).map(|v| (v, v + 1)));
+        let p = SparsifierParams::practical(1, 0.5);
+        let mut s = PipelineScratch::new();
+        approx_mcm_via_sparsifier_with_scratch(&g, &p, 3, 1, &mut s).unwrap();
+        let mate = s.result.matching.capacity_bytes();
+        assert!(mate >= 4 * n, "mate array holds {mate} bytes for n = {n}");
+        let footprint = s.capacity_bytes();
+        s.result.matching = Matching::new(0);
+        assert_eq!(footprint - s.capacity_bytes(), mate);
     }
 
     #[test]

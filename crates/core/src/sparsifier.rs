@@ -10,7 +10,7 @@ use crate::params::SparsifierParams;
 use crate::sampler::{mark_indices_for_vertex, PosArraySampler};
 use rand::Rng;
 use sparsimatch_graph::adjacency::AdjacencyOracle;
-use sparsimatch_graph::csr::CsrGraph;
+use sparsimatch_graph::csr::{from_marked_edges, from_sorted_edges, CsrGraph};
 use sparsimatch_graph::ids::{EdgeId, VertexId};
 use sparsimatch_obs::{keys, WorkMeter};
 
@@ -143,7 +143,7 @@ fn build_sparsifier_impl(
     // construction linear in the *output* as Theorem 3.1 promises.
     keep.sort_unstable();
     keep.dedup();
-    let graph = sparsimatch_graph::csr::from_marked_edges(g, &keep, 1);
+    let graph = from_marked_edges(g, &keep);
     stats.edges = graph.num_edges();
     if let Some(meter) = meter {
         // The CSR fast path reads the graph directly, so probes are
@@ -188,278 +188,247 @@ pub fn build_sparsifier_parallel_metered(
     build_sparsifier_parallel_impl(g, params, seed, threads, Some(meter))
 }
 
-struct ShardResult {
-    /// Edge ids marked by this worker's vertex range, sorted and deduped
-    /// locally (an edge can still appear in two different shards when its
-    /// endpoints land in different ranges).
-    keep: Vec<u32>,
-    marks_placed: usize,
-    low_degree: usize,
-    rng_draws: u64,
-    overlay_writes: u64,
+/// The lexicographic key of edge `{v, x}`: `(min << 32) | max`, so keys
+/// sort exactly as `(u, v)` pairs with `u < v` do.
+#[inline(always)]
+fn edge_key(v: u32, x: u32) -> u64 {
+    let (a, b) = if v < x { (v, x) } else { (x, v) };
+    (u64::from(a) << 32) | u64::from(b)
 }
 
-/// The sorted, deduplicated marked-edge list plus marking statistics —
-/// stage 1 of the pipeline, before any CSR is materialized. Exposed to the
-/// pipeline so stage timings can bracket marking and extraction separately.
-pub(crate) struct ParallelMarks {
-    /// Globally sorted, strictly increasing marked edge ids.
-    pub ids: Vec<EdgeId>,
-    /// Marking statistics; `edges` is already set to `ids.len()`.
-    pub stats: SparsifierStats,
-    /// Total RNG draws across workers (thread-count invariant).
-    pub rng_draws: u64,
-    /// Total sampler-overlay writes across workers (thread-count invariant).
-    pub overlay_writes: u64,
+/// The `(u, v)` pair with `u < v` of an [`edge_key`].
+#[inline(always)]
+fn key_edge(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
 }
 
-/// Run the marking stage across `threads` workers over disjoint vertex
-/// ranges, then merge the per-worker mark buffers into one sorted,
-/// deduplicated edge-id list. Deterministic for a fixed `seed` regardless
-/// of `threads`.
-pub(crate) fn mark_edges_parallel(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-) -> Result<ParallelMarks, ThreadCountError> {
-    use rand::SeedableRng;
-    if threads == 0 || threads > MAX_THREADS {
-        return Err(ThreadCountError { requested: threads });
-    }
-    let n = g.num_vertices();
-    let chunk = n.div_ceil(threads).max(1);
-    let shards: Vec<ShardResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                let hi = (lo + chunk).min(n);
-                s.spawn(move || {
-                    // Size the sampler overlay to this worker's own range,
-                    // not the global max degree: a star hub inflates one
-                    // worker's overlay, not all of them. The same pass
-                    // bounds the mark count (≤ min(deg, mark_cap) per
-                    // vertex) so `keep` is reserved once, up front.
-                    let mut local_max_deg = 0usize;
-                    let mut mark_bound = 0usize;
-                    for v in lo..hi {
-                        let deg = g.degree(VertexId::new(v));
-                        local_max_deg = local_max_deg.max(deg);
-                        mark_bound += deg.min(params.mark_cap());
-                    }
-                    let mut sampler = PosArraySampler::new(local_max_deg.max(1));
-                    let mut indices = Vec::with_capacity(params.mark_cap().max(1));
-                    let mut keep: Vec<u32> = Vec::with_capacity(mark_bound);
-                    let mut marks_placed = 0usize;
-                    let mut low_degree = 0usize;
-                    for v in lo..hi {
-                        let vid = VertexId::new(v);
-                        let deg = g.degree(vid);
-                        if deg <= params.mark_cap() {
-                            low_degree += 1;
-                        }
-                        let mut rng = rand::rngs::StdRng::seed_from_u64(
-                            seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        );
-                        mark_indices_for_vertex(
-                            g,
-                            vid,
-                            params.delta,
-                            params.mark_cap(),
-                            &mut sampler,
-                            &mut rng,
-                            &mut indices,
-                        );
-                        marks_placed += indices.len();
-                        for &i in &indices {
-                            keep.push(g.incident_edge(vid, i as usize).0);
-                        }
-                    }
-                    keep.sort_unstable();
-                    keep.dedup();
-                    ShardResult {
-                        keep,
-                        marks_placed,
-                        low_degree,
-                        rng_draws: sampler.rng_draws(),
-                        overlay_writes: sampler.overlay_writes(),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: join() only errs if the worker panicked; propagating
-            // that as a panic here is the intended failure mode.
-            .map(|h| h.join().expect("sparsifier worker panicked"))
-            .collect()
-    });
-    let mut stats = SparsifierStats {
-        delta: params.delta,
-        mark_cap: params.mark_cap(),
-        ..Default::default()
-    };
-    let mut rng_draws = 0u64;
-    let mut overlay_writes = 0u64;
-    for shard in &shards {
-        stats.marks_placed += shard.marks_placed;
-        stats.low_degree_vertices += shard.low_degree;
-        rng_draws += shard.rng_draws;
-        overlay_writes += shard.overlay_writes;
-    }
-    let shard_bufs: Vec<Vec<u32>> = shards.into_iter().map(|s| s.keep).collect();
-    let ids = merge_mark_shards(&shard_bufs, g.num_edges(), threads);
-    stats.edges = ids.len();
-    Ok(ParallelMarks {
-        ids,
-        stats,
-        rng_draws,
-        overlay_writes,
-    })
-}
-
-/// Merge per-worker sorted mark buffers into one globally sorted,
-/// deduplicated edge-id list with a two-pass count/prefix-sum: pass one
-/// merges each edge-id *bucket* independently in parallel (every worker's
-/// contribution to a bucket is a contiguous subrange found by binary
-/// search), the count/prefix-sum over bucket lengths fixes each bucket's
-/// output offset, and pass two scatters the buckets into place in parallel.
-fn merge_mark_shards(shards: &[Vec<u32>], num_edges: usize, threads: usize) -> Vec<EdgeId> {
-    if num_edges == 0 || shards.is_empty() {
-        return Vec::new();
-    }
-    if shards.len() == 1 {
-        // Already sorted and deduplicated by the lone worker.
-        return shards[0].iter().map(|&e| EdgeId(e)).collect();
-    }
-    let bucket_width = num_edges.div_ceil(threads).max(1);
-    let buckets: Vec<Vec<u32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|b| {
-                let lo = (b * bucket_width).min(num_edges) as u32;
-                let hi = ((b + 1) * bucket_width).min(num_edges) as u32;
-                s.spawn(move || {
-                    // Locate each shard's contribution first so `merged`
-                    // is reserved once instead of grown per shard.
-                    let mut spans = [(0usize, 0usize); MAX_THREADS];
-                    let mut total = 0usize;
-                    for (shard, span) in shards.iter().zip(spans.iter_mut()) {
-                        let start = shard.partition_point(|&e| e < lo);
-                        let end = shard.partition_point(|&e| e < hi);
-                        *span = (start, end);
-                        total += end - start;
-                    }
-                    let mut merged: Vec<u32> = Vec::with_capacity(total);
-                    for (shard, &(start, end)) in shards.iter().zip(spans.iter()) {
-                        merged.extend_from_slice(&shard[start..end]);
-                    }
-                    merged.sort_unstable();
-                    merged.dedup();
-                    merged
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: as above — a join error means the worker panicked.
-            .map(|h| h.join().expect("mark-merge worker panicked"))
-            .collect()
-    });
-    let total: usize = buckets.iter().map(Vec::len).sum();
-    let mut out: Vec<EdgeId> = Vec::with_capacity(total);
-    {
-        // Scatter pass: each bucket owns a disjoint window of the output,
-        // handed out by `split_at_mut` in prefix-sum order.
-        let mut rest = out.spare_capacity_mut();
-        std::thread::scope(|s| {
-            for bucket in &buckets {
-                let (window, tail) = rest.split_at_mut(bucket.len());
-                rest = tail;
-                s.spawn(move || {
-                    for (slot, &e) in window.iter_mut().zip(bucket) {
-                        slot.write(EdgeId(e));
-                    }
-                });
-            }
-        });
-    }
-    // SAFETY: `total` slots were reserved and every one of them was
-    // initialized by exactly one scatter worker above.
-    unsafe { out.set_len(total) };
-    out
-}
-
-/// Work summary of a scratch-path marking run (the stats plus the work
-/// counters [`ParallelMarks`] reports alongside its ids).
+/// Work counters of a marking run, summed over its workers, so they do
+/// not depend on the worker count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct MarkSummary {
-    /// Marking-stage statistics (`edges` set to the deduplicated count).
+    /// Marking-stage statistics; `edges` is left 0 for the caller, who
+    /// counts the merged pairs.
     pub stats: SparsifierStats,
-    /// RNG draws taken during this run (delta, not the sampler lifetime
-    /// total, so it matches the fresh-sampler parallel path).
+    /// RNG draws taken during this run.
     pub rng_draws: u64,
-    /// Overlay writes during this run (delta, as above).
+    /// Sampler-overlay writes during this run.
     pub overlay_writes: u64,
 }
 
-/// The marking stage of [`mark_edges_parallel`] run sequentially into
-/// caller-owned buffers: byte-identical output and stats to
-/// `mark_edges_parallel(g, params, seed, 1)` (pinned by test), but the
-/// sampler overlay, index buffer, mark buffer, and output id list are all
-/// reused — allocation-free once they have capacity. This is the pipeline
-/// scratch path's stage 1.
-pub(crate) fn mark_edges_sequential_into(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    sampler: &mut PosArraySampler,
-    indices: &mut Vec<u32>,
-    keep: &mut Vec<u32>,
-    ids: &mut Vec<EdgeId>,
-) -> MarkSummary {
-    use rand::SeedableRng;
-    let n = g.num_vertices();
-    sampler.ensure_capacity(g.max_degree().max(1));
-    let draws_before = sampler.rng_draws();
-    let writes_before = sampler.overlay_writes();
-    let mut stats = SparsifierStats {
-        delta: params.delta,
-        mark_cap: params.mark_cap(),
-        ..Default::default()
-    };
-    keep.clear();
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        if deg <= params.mark_cap() {
-            stats.low_degree_vertices += 1;
-        }
-        // Same per-vertex seeding as the parallel workers — the marks must
-        // not depend on which path ran.
-        let mut rng =
-            rand::rngs::StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        mark_indices_for_vertex(
-            g,
-            vid,
-            params.delta,
-            params.mark_cap(),
-            sampler,
-            &mut rng,
-            indices,
-        );
-        stats.marks_placed += indices.len();
-        for &i in indices.iter() {
-            keep.push(g.incident_edge(vid, i as usize).0);
+/// One marking worker's reusable buffers and the counters of its last
+/// run.
+struct MarkWorker {
+    sampler: PosArraySampler,
+    indices: Vec<u32>,
+    /// Sorted, distinct [`edge_key`]s of the edges this worker's vertex
+    /// range marked.
+    keys: Vec<u64>,
+    summary: MarkSummary,
+}
+
+impl MarkWorker {
+    fn new() -> Self {
+        MarkWorker {
+            sampler: PosArraySampler::new(0),
+            indices: Vec::new(),
+            keys: Vec::new(),
+            summary: MarkSummary::default(),
         }
     }
-    keep.sort_unstable();
-    keep.dedup();
-    ids.clear();
-    ids.extend(keep.iter().map(|&e| EdgeId(e)));
-    stats.edges = ids.len();
-    MarkSummary {
-        stats,
-        rng_draws: sampler.rng_draws() - draws_before,
-        overlay_writes: sampler.overlay_writes() - writes_before,
+
+    /// Mark the edges of the vertices in `range`: each vertex reads every
+    /// marked neighbour from the adjacency array and pushes the edge's
+    /// key, then the keys are sorted and deduplicated. Allocation-free
+    /// once the buffers have capacity.
+    fn mark_range(
+        &mut self,
+        g: &CsrGraph,
+        params: &SparsifierParams,
+        seed: u64,
+        range: std::ops::Range<usize>,
+    ) {
+        use rand::SeedableRng;
+        let cap = params.mark_cap();
+        // Size the overlay to this range's own largest degree (a star hub
+        // inflates one worker's overlay, not all of them), and count the
+        // marks exactly so `keys` is reserved once.
+        let mut max_deg = 0usize;
+        let mut marks = 0usize;
+        for v in range.clone() {
+            let deg = g.degree(VertexId::new(v));
+            max_deg = max_deg.max(deg);
+            marks += if deg <= cap { deg } else { params.delta };
+        }
+        self.sampler.ensure_capacity(max_deg.max(1));
+        self.keys.clear();
+        self.keys.reserve(marks);
+        let draws_before = self.sampler.rng_draws();
+        let writes_before = self.sampler.overlay_writes();
+        let mut stats = SparsifierStats {
+            delta: params.delta,
+            mark_cap: cap,
+            ..Default::default()
+        };
+        for v in range {
+            let vid = VertexId::new(v);
+            if g.degree(vid) <= cap {
+                stats.low_degree_vertices += 1;
+            }
+            // Every vertex samples from its own stream, so the marks do
+            // not depend on which worker (or which build: distributed,
+            // out-of-core) draws them.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(
+                seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15),
+            );
+            mark_indices_for_vertex(
+                g,
+                vid,
+                params.delta,
+                cap,
+                &mut self.sampler,
+                &mut rng,
+                &mut self.indices,
+            );
+            stats.marks_placed += self.indices.len();
+            for &i in &self.indices {
+                self.keys
+                    .push(edge_key(vid.0, g.neighbor(vid, i as usize).0));
+            }
+        }
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        self.summary = MarkSummary {
+            stats,
+            rng_draws: self.sampler.rng_draws() - draws_before,
+            overlay_writes: self.sampler.overlay_writes() - writes_before,
+        };
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.sampler.capacity_bytes()
+            + self.indices.capacity() * size_of::<u32>()
+            + self.keys.capacity() * size_of::<u64>()
+    }
+}
+
+/// The marking stage's reusable state: one worker per thread, kept
+/// across runs so a warm run allocates nothing but the thread spawns.
+pub(crate) struct MarkScratch {
+    workers: Vec<MarkWorker>,
+    /// How many workers the last run used (a prefix of `workers`).
+    active: usize,
+}
+
+impl MarkScratch {
+    /// No workers yet; they are created on first use.
+    pub(crate) fn new() -> Self {
+        MarkScratch {
+            workers: Vec::new(),
+            active: 0,
+        }
+    }
+
+    /// Mark `G_Δ`'s edges with up to `threads` workers over contiguous,
+    /// non-empty vertex ranges. The first worker runs on the calling
+    /// thread, so one worker never enters `thread::scope`. Per-vertex
+    /// seeding makes the marks, and the summed counters, independent of
+    /// the worker count; [`MarkScratch::merge_into`] writes out the marked
+    /// edges.
+    pub(crate) fn mark(
+        &mut self,
+        g: &CsrGraph,
+        params: &SparsifierParams,
+        seed: u64,
+        threads: usize,
+    ) -> MarkSummary {
+        let n = g.num_vertices();
+        let t = threads.clamp(1, n.max(1));
+        if self.workers.len() < t {
+            self.workers.resize_with(t, MarkWorker::new);
+        }
+        self.active = t;
+        let bound = |i: usize| i * n / t;
+        match &mut self.workers[..t] {
+            [only] => only.mark_range(g, params, seed, 0..n),
+            [first, rest @ ..] => std::thread::scope(|s| {
+                for (i, worker) in rest.iter_mut().enumerate() {
+                    let range = bound(i + 1)..bound(i + 2);
+                    s.spawn(move || worker.mark_range(g, params, seed, range));
+                }
+                first.mark_range(g, params, seed, 0..bound(1));
+            }),
+            [] => unreachable!("at least one worker"),
+        }
+        let mut total = MarkSummary {
+            stats: SparsifierStats {
+                delta: params.delta,
+                mark_cap: params.mark_cap(),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for w in &self.workers[..t] {
+            total.stats.marks_placed += w.summary.stats.marks_placed;
+            total.stats.low_degree_vertices += w.summary.stats.low_degree_vertices;
+            total.rng_draws += w.summary.rng_draws;
+            total.overlay_writes += w.summary.overlay_writes;
+        }
+        total
+    }
+
+    /// Append the edges the last [`MarkScratch::mark`] marked to `out`,
+    /// as strictly lex-sorted `(u, v)` pairs with `u < v` — exactly the
+    /// sorted, distinct marked edge ids mapped to their endpoints. One
+    /// linear merge of the workers' sorted keys; an edge marked from two
+    /// ranges comes out once.
+    pub(crate) fn merge_into(&self, out: &mut Vec<(u32, u32)>) {
+        let workers = &self.workers[..self.active];
+        if let [only] = workers {
+            // A lone worker's keys are already sorted and distinct.
+            out.extend(only.keys.iter().map(|&key| key_edge(key)));
+            return;
+        }
+        let mut rest: [&[u64]; MAX_THREADS] = [&[]; MAX_THREADS];
+        for (keys, w) in rest.iter_mut().zip(workers) {
+            *keys = &w.keys;
+        }
+        let rest = &mut rest[..workers.len()];
+        out.reserve(rest.iter().map(|keys| keys.len()).sum());
+        // `u64::MAX` stands for an exhausted worker: no edge key reaches
+        // it, because `u < v`.
+        let head = |keys: &[u64]| keys.first().copied().unwrap_or(u64::MAX);
+        loop {
+            let min = rest.iter().map(|keys| head(keys)).min().unwrap_or(u64::MAX);
+            if min == u64::MAX {
+                return;
+            }
+            // Advance every worker holding the minimum without branching
+            // on the comparison, which a merge of interleaved keys
+            // mispredicts.
+            for keys in rest.iter_mut() {
+                *keys = &keys[usize::from(head(keys) == min)..];
+            }
+            out.push(key_edge(min));
+        }
+    }
+
+    /// Heap bytes of buffer capacity held across all workers.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.workers
+            .iter()
+            .map(MarkWorker::capacity_bytes)
+            .sum::<usize>()
+            + self.workers.capacity() * std::mem::size_of::<MarkWorker>()
+    }
+
+    /// Forget the last run's marks, keeping every buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        for w in &mut self.workers {
+            w.indices.clear();
+            w.keys.clear();
+        }
+        self.active = 0;
     }
 }
 
@@ -470,9 +439,15 @@ fn build_sparsifier_parallel_impl(
     threads: usize,
     meter: Option<&mut WorkMeter>,
 ) -> Result<Sparsifier, ThreadCountError> {
-    let marks = mark_edges_parallel(g, params, seed, threads)?;
-    let graph = sparsimatch_graph::csr::from_marked_edges(g, &marks.ids, threads);
-    let mut stats = marks.stats;
+    if threads == 0 || threads > MAX_THREADS {
+        return Err(ThreadCountError { requested: threads });
+    }
+    let mut marks = MarkScratch::new();
+    let summary = marks.mark(g, params, seed, threads);
+    let mut edges = Vec::new();
+    marks.merge_into(&mut edges);
+    let graph = from_sorted_edges(g.num_vertices(), edges);
+    let mut stats = summary.stats;
     stats.edges = graph.num_edges();
     if let Some(meter) = meter {
         // Same analytic probe accounting as the sequential CSR path:
@@ -480,8 +455,8 @@ fn build_sparsifier_parallel_impl(
         meter.add(keys::DEGREE_PROBES, 2 * g.num_vertices() as u64);
         meter.add(keys::NEIGHBOR_PROBES, stats.marks_placed as u64);
         meter.add(keys::SPARSIFIER_EDGES, stats.edges as u64);
-        meter.add(keys::RNG_DRAWS, marks.rng_draws);
-        meter.add(keys::OVERLAY_WRITES, marks.overlay_writes);
+        meter.add(keys::RNG_DRAWS, summary.rng_draws);
+        meter.add(keys::OVERLAY_WRITES, summary.overlay_writes);
     }
     Ok(Sparsifier { graph, stats })
 }
@@ -567,11 +542,50 @@ mod tests {
         SparsifierParams::with_delta(beta, eps, delta)
     }
 
+    /// The edge-id form of the marking: every vertex's marked incident
+    /// edge ids from its own seeded stream, sorted and deduplicated, then
+    /// mapped to their endpoints.
+    fn marked_by_id(g: &CsrGraph, p: &SparsifierParams, seed: u64) -> Vec<(u32, u32)> {
+        let mut sampler = PosArraySampler::new(g.max_degree());
+        let mut indices = Vec::new();
+        let mut ids = Vec::new();
+        for v in 0..g.num_vertices() {
+            let vid = VertexId::new(v);
+            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let (delta, cap) = (p.delta, p.mark_cap());
+            mark_indices_for_vertex(g, vid, delta, cap, &mut sampler, &mut rng, &mut indices);
+            ids.extend(indices.iter().map(|&i| g.incident_edge(vid, i as usize)));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter()
+            .map(|e| {
+                let (u, v) = g.edge_endpoints(e);
+                (u.0, v.0)
+            })
+            .collect()
+    }
+
+    /// One marking run: the merged pairs and the summed counters.
+    fn marked(
+        marks: &mut MarkScratch,
+        g: &CsrGraph,
+        p: &SparsifierParams,
+        seed: u64,
+        threads: usize,
+    ) -> (Vec<(u32, u32)>, MarkSummary) {
+        let summary = marks.mark(g, p, seed, threads);
+        let mut pairs = Vec::new();
+        marks.merge_into(&mut pairs);
+        (pairs, summary)
+    }
+
     #[test]
-    fn sequential_mark_equals_parallel_single_shard() {
-        // The scratch path's stage 1 must be byte-identical to the
-        // parallel marker — ids, stats, and work counters — including on
-        // a reused (dirty, oversized) buffer set.
+    fn marking_is_worker_count_invariant_on_reused_scratch() {
+        // One scratch dragged across graphs, seeds and worker counts —
+        // including more workers than vertices — must reproduce a fresh
+        // one-worker run exactly: pairs and every counter. The pairs are
+        // the sorted, distinct marked edge ids mapped to their endpoints.
         let mut rng = StdRng::seed_from_u64(40);
         let graphs = [
             clique(90),
@@ -581,31 +595,19 @@ mod tests {
             sparsimatch_graph::csr::from_edges(5, []),
         ];
         let p = params(2, 0.4, 3);
-        let mut sampler = PosArraySampler::new(1);
-        let mut indices = vec![9u32; 7]; // deliberately dirty
-        let mut keep = vec![3u32; 11];
-        let mut ids = vec![EdgeId(5); 13];
+        let mut reused = MarkScratch::new();
         for (i, g) in graphs.iter().enumerate() {
             for seed in [0u64, 17, 99] {
-                let par = mark_edges_parallel(g, &p, seed, 1).unwrap();
-                let summary = mark_edges_sequential_into(
-                    g,
-                    &p,
-                    seed,
-                    &mut sampler,
-                    &mut indices,
-                    &mut keep,
-                    &mut ids,
-                );
-                assert_eq!(par.ids, ids, "graph {i} seed {seed}");
-                assert_eq!(par.stats.marks_placed, summary.stats.marks_placed);
-                assert_eq!(
-                    par.stats.low_degree_vertices,
-                    summary.stats.low_degree_vertices
-                );
-                assert_eq!(par.stats.edges, summary.stats.edges);
-                assert_eq!(par.rng_draws, summary.rng_draws, "graph {i} seed {seed}");
-                assert_eq!(par.overlay_writes, summary.overlay_writes);
+                let (pairs, summary) = marked(&mut MarkScratch::new(), g, &p, seed, 1);
+                assert_eq!(pairs, marked_by_id(g, &p, seed), "graph {i} seed {seed}");
+                for threads in [1usize, 2, 3, 8, MAX_THREADS] {
+                    let got = marked(&mut reused, g, &p, seed, threads);
+                    assert_eq!(
+                        got,
+                        (pairs.clone(), summary),
+                        "graph {i} seed {seed} t {threads}"
+                    );
+                }
             }
         }
     }

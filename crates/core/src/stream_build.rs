@@ -10,7 +10,7 @@
 //! The trick is that the marking scheme is replayable from degrees
 //! alone. Each vertex `v` samples with its own RNG seeded as
 //! `seed ^ (v·0x9E3779B97F4A7C15)` — exactly the per-vertex streams of
-//! the in-memory marking path (`sparsifier::mark_edges_parallel`) — and
+//! the in-memory marking workers (`sparsifier::MarkScratch`) — and
 //! [`PosArraySampler::sample_indices`] consumes randomness as a function
 //! of `deg(v)` only. So:
 //!
@@ -27,7 +27,7 @@
 //! 4. Kept edges arrive lex-sorted and feed
 //!    [`sparsimatch_graph::csr::from_sorted_edges`] directly, which is
 //!    the same layout the in-memory path runs — the resulting CSR is
-//!    byte-identical to `from_marked_edges(parent, sorted_ids, 1)`
+//!    byte-identical to `from_marked_edges(parent, sorted_ids)`
 //!    (pinned by differential test and a check-harness oracle).
 //!
 //! Resident-memory accounting is analytic — the maximum over the phase
@@ -426,9 +426,9 @@ pub fn build_sparsifier_streamed_with_retry_metered(
     drop(keep_all);
 
     // Layout: kept edges are a lex-sorted subsequence of the stream, so
-    // they feed the sequential sorted layout directly — the same code
-    // path `from_marked_edges(parent, ids, 1)` bottoms out in, hence the
-    // byte identity. The layout holds the kept buffer (becomes the
+    // they feed the sorted layout directly — the same code path
+    // `from_marked_edges(parent, ids)` and the in-memory pipeline bottom
+    // out in, hence the byte identity. The layout holds the kept buffer (becomes the
     // endpoint array), a 4n-byte degree/cursor array, and the finished
     // offset/target/half-edge arrays.
     let m_sparse = kept.len();

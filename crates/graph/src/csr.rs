@@ -16,8 +16,8 @@ use crate::ids::{EdgeId, VertexId};
 /// halving the dominant per-vertex cost of the old `Vec<usize>` layout.
 /// Graphs with `2m >= 2^32` fall back to full-width offsets
 /// automatically. The repr is a pure function of `m`, so two builds of
-/// the same graph (sequential, parallel, scratch-reuse, or streamed)
-/// always agree byte-for-byte.
+/// the same graph (fresh, scratch-reuse, or streamed) always agree
+/// byte-for-byte.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Offsets {
     /// `2m < 2^32`: 4 bytes per vertex.
@@ -33,27 +33,6 @@ fn fits_narrow(two_m: usize) -> bool {
 }
 
 impl Offsets {
-    /// Exclusive prefix sums of `degree`, in the repr `two_m` dictates.
-    fn from_degrees(degree: &[u32], two_m: usize) -> Offsets {
-        let mut out = if fits_narrow(two_m) {
-            Offsets::Narrow(Vec::new())
-        } else {
-            Offsets::Wide(Vec::new())
-        };
-        out.rebuild_from_degrees(degree, two_m);
-        out
-    }
-
-    /// Convert a full-width offset array (as the parallel layout builds)
-    /// into the canonical repr for `two_m` half-edges.
-    fn from_wide(offsets: Vec<usize>, two_m: usize) -> Offsets {
-        if fits_narrow(two_m) {
-            Offsets::Narrow(offsets.into_iter().map(|o| o as u32).collect())
-        } else {
-            Offsets::Wide(offsets)
-        }
-    }
-
     /// Refill with exclusive prefix sums of `degree`, reusing the held
     /// buffer when the repr for `two_m` matches (allocation-free when
     /// warm); switches repr otherwise.
@@ -387,292 +366,105 @@ impl GraphBuilder {
     pub fn build(mut self) -> CsrGraph {
         self.edges.sort_unstable();
         self.edges.dedup();
-        layout_sorted(self.num_vertices, self.edges)
-    }
-
-    /// Finalize into a [`CsrGraph`] using up to `threads` workers for the
-    /// CSR layout (degree counting, offset prefix sums, and the half-edge
-    /// scatter). The output is byte-identical to [`GraphBuilder::build`]
-    /// for any thread count; `threads == 1` (or a small edge list) takes
-    /// the sequential path.
-    pub fn build_parallel(mut self, threads: usize) -> CsrGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        layout_sorted_parallel(self.num_vertices, self.edges, threads)
+        from_sorted_edges(self.num_vertices, self.edges)
     }
 }
 
-/// Lay out CSR arrays from a lex-sorted, deduplicated edge list with
-/// `u < v` per edge. Because the list is globally sorted, scattering the
-/// half-edges in edge order leaves every adjacency window already sorted
-/// by neighbor id: for a vertex `v`, all edges `(a, v)` with `a < v`
-/// precede all edges `(v, b)` with `b > v`, each group in ascending order.
-fn layout_sorted(n: usize, edges: Vec<(u32, u32)>) -> CsrGraph {
-    let m = edges.len();
-    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges not sorted");
+impl CsrGraph {
+    /// Lay out the offset and half-edge arrays on `n` vertices from
+    /// `endpoints`, which must be lex-sorted and distinct with `u < v`.
+    /// Because the list is globally sorted, scattering the half-edges in
+    /// edge order leaves every adjacency window already sorted by
+    /// neighbor id: for a vertex `v`, all edges `(a, v)` with `a < v`
+    /// precede all edges `(v, b)` with `b > v`, each group in ascending
+    /// order. Every array is refilled in place, so a warm graph lays out
+    /// allocation-free; `degree` and `cursor` are working space kept by
+    /// the caller for the same reason.
+    fn layout(&mut self, n: usize, degree: &mut Vec<u32>, cursor: &mut Vec<usize>) {
+        let CsrGraph {
+            offsets,
+            targets,
+            half_edge_ids,
+            endpoints,
+        } = self;
+        let m = endpoints.len();
+        debug_assert!(
+            endpoints.windows(2).all(|w| w[0] < w[1]),
+            "edges not sorted"
+        );
 
-    let mut degree = vec![0u32; n];
-    for &(u, v) in &edges {
-        degree[u as usize] += 1;
-        degree[v as usize] += 1;
-    }
-    let offsets = Offsets::from_degrees(&degree, 2 * m);
-
-    let mut targets = vec![0u32; 2 * m];
-    let mut half_edge_ids = vec![0u32; 2 * m];
-    match &offsets {
-        Offsets::Narrow(offs) => {
-            // Cursors fit in the degree array: reuse it instead of
-            // allocating a usize cursor vector (the narrow layout keeps
-            // the whole build at 4 bytes per vertex of working state).
-            degree.copy_from_slice(&offs[..n]);
-            for (eid, &(u, v)) in edges.iter().enumerate() {
-                let eid = eid as u32;
-                targets[degree[u as usize] as usize] = v;
-                half_edge_ids[degree[u as usize] as usize] = eid;
-                degree[u as usize] += 1;
-                targets[degree[v as usize] as usize] = u;
-                half_edge_ids[degree[v as usize] as usize] = eid;
-                degree[v as usize] += 1;
-            }
+        degree.clear();
+        degree.resize(n, 0);
+        for &(u, v) in endpoints.iter() {
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
         }
-        Offsets::Wide(offs) => {
-            let mut cursor = offs[..n].to_vec();
-            for (eid, &(u, v)) in edges.iter().enumerate() {
-                let eid = eid as u32;
-                targets[cursor[u as usize]] = v;
-                half_edge_ids[cursor[u as usize]] = eid;
-                cursor[u as usize] += 1;
-                targets[cursor[v as usize]] = u;
-                half_edge_ids[cursor[v as usize]] = eid;
-                cursor[v as usize] += 1;
-            }
-        }
-    }
+        offsets.rebuild_from_degrees(degree, 2 * m);
 
-    CsrGraph {
-        offsets,
-        targets,
-        half_edge_ids,
-        endpoints: edges,
-    }
-}
-
-/// A `&[T]` that hands out raw write access across threads. Safety rests
-/// entirely on the caller writing disjoint index sets from each thread.
-struct SharedSlots<T>(*mut T);
-unsafe impl<T: Send> Send for SharedSlots<T> {}
-unsafe impl<T: Send> Sync for SharedSlots<T> {}
-
-impl<T> SharedSlots<T> {
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may read or write it
-    /// concurrently.
-    #[inline(always)]
-    unsafe fn write(&self, idx: usize, val: T) {
-        unsafe { *self.0.add(idx) = val };
-    }
-}
-
-/// Parallel CSR layout below this edge count is not worth the thread
-/// spawns; take the sequential path instead.
-const PARALLEL_LAYOUT_CUTOFF: usize = 1 << 14;
-
-/// Parallel [`layout_sorted`]: per-thread degree counting over edge
-/// chunks, exclusive prefix sums over vertex ranges, then a scatter where
-/// each thread owns a disjoint slot range per vertex. Byte-identical to
-/// the sequential layout: thread `t` handles a contiguous chunk of the
-/// sorted edge list, so within each adjacency window the per-thread slot
-/// groups concatenate in exactly the sequential scatter order.
-fn layout_sorted_parallel(n: usize, edges: Vec<(u32, u32)>, threads: usize) -> CsrGraph {
-    let m = edges.len();
-    let threads = threads.clamp(1, m.max(1));
-    if threads == 1 || m < PARALLEL_LAYOUT_CUTOFF {
-        return layout_sorted(n, edges);
-    }
-    debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges not sorted");
-
-    let edge_chunk = m.div_ceil(threads);
-    // Per-thread degree counts over that thread's edge chunk.
-    let mut per_thread_degree: Vec<Vec<u32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = edges
-            .chunks(edge_chunk)
-            .map(|chunk| {
-                s.spawn(move || {
-                    let mut deg = vec![0u32; n];
-                    for &(u, v) in chunk {
-                        deg[u as usize] += 1;
-                        deg[v as usize] += 1;
-                    }
-                    deg
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: join() only errs on a worker panic — propagate it.
-            .map(|h| h.join().expect("degree-count worker panicked"))
-            .collect()
-    });
-    let t_actual = per_thread_degree.len();
-
-    // Exclusive prefix sums over vertex ranges: per-range totals first,
-    // then a short sequential prefix over ranges, then a parallel fill of
-    // `offsets` and of the per-thread start cursors. The cursor for
-    // thread t at vertex v is offsets[v] plus what threads 0..t write
-    // there, mirroring the sequential edge-order scatter.
-    let vertex_chunk = n.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(vertex_chunk.max(1))
-        .map(|lo| (lo, (lo + vertex_chunk).min(n)))
-        .collect();
-    let range_totals: Vec<usize> = std::thread::scope(|s| {
-        let per_thread_degree = &per_thread_degree;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    let mut total = 0usize;
-                    for deg in per_thread_degree {
-                        total += deg[lo..hi].iter().map(|&d| d as usize).sum::<usize>();
-                    }
-                    total
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // Safety: join() only errs on a worker panic — propagate it.
-            .map(|h| h.join().expect("range-total worker panicked"))
-            .collect()
-    });
-    let mut range_starts = Vec::with_capacity(ranges.len() + 1);
-    range_starts.push(0usize);
-    for (i, &t) in range_totals.iter().enumerate() {
-        range_starts.push(range_starts[i] + t);
-    }
-
-    let mut offsets = vec![0usize; n + 1];
-    offsets[n] = 2 * m;
-    // Reuse the per-thread degree arrays as scatter start cursors in
-    // place: after this pass, per_thread_degree[t][v] holds the first
-    // slot thread t writes for vertex v.
-    std::thread::scope(|s| {
-        let mut offsets_rest: &mut [usize] = &mut offsets[..n];
-        let mut degree_rest: Vec<&mut [u32]> = per_thread_degree
-            .iter_mut()
-            .map(|d| d.as_mut_slice())
-            .collect();
-        for (r, &(lo, hi)) in ranges.iter().enumerate() {
-            let (offsets_here, rest) = offsets_rest.split_at_mut(hi - lo);
-            offsets_rest = rest;
-            let mut degree_here = Vec::with_capacity(t_actual);
-            degree_rest = degree_rest
-                .into_iter()
-                .map(|d| {
-                    let (here, rest) = d.split_at_mut(hi - lo);
-                    degree_here.push(here);
-                    rest
-                })
-                .collect();
-            let start = range_starts[r];
-            s.spawn(move || {
-                let mut running = start;
-                for (i, slot) in offsets_here.iter_mut().enumerate() {
-                    *slot = running;
-                    for deg in degree_here.iter_mut() {
-                        let d = deg[i];
-                        deg[i] = running as u32;
-                        running += d as usize;
-                    }
+        scatter_target(targets, 2 * m);
+        scatter_target(half_edge_ids, 2 * m);
+        match offsets {
+            Offsets::Narrow(offs) => {
+                // Cursors fit in the degree array: reuse it instead of a
+                // usize cursor vector (the narrow layout keeps the whole
+                // build at 4 bytes per vertex of working state).
+                degree.copy_from_slice(&offs[..n]);
+                for (eid, &(u, v)) in endpoints.iter().enumerate() {
+                    let eid = eid as u32;
+                    targets[degree[u as usize] as usize] = v;
+                    half_edge_ids[degree[u as usize] as usize] = eid;
+                    degree[u as usize] += 1;
+                    targets[degree[v as usize] as usize] = u;
+                    half_edge_ids[degree[v as usize] as usize] = eid;
+                    degree[v as usize] += 1;
                 }
-            });
-        }
-    });
-
-    // Scatter: thread t writes exactly the slots its cursors span, which
-    // are disjoint from every other thread's by construction.
-    let mut targets = vec![0u32; 2 * m];
-    let mut half_edge_ids = vec![0u32; 2 * m];
-    {
-        let target_slots = SharedSlots(targets.as_mut_ptr());
-        let half_edge_slots = SharedSlots(half_edge_ids.as_mut_ptr());
-        std::thread::scope(|s| {
-            for (t, chunk) in edges.chunks(edge_chunk).enumerate() {
-                let mut cursor = std::mem::take(&mut per_thread_degree[t]);
-                let base_eid = (t * edge_chunk) as u32;
-                let target_slots = &target_slots;
-                let half_edge_slots = &half_edge_slots;
-                s.spawn(move || {
-                    for (i, &(u, v)) in chunk.iter().enumerate() {
-                        let eid = base_eid + i as u32;
-                        // SAFETY: cursor[u]/cursor[v] walk slot ranges
-                        // owned exclusively by this thread (see the
-                        // prefix-sum pass above) and stay within 2m.
-                        unsafe {
-                            target_slots.write(cursor[u as usize] as usize, v);
-                            half_edge_slots.write(cursor[u as usize] as usize, eid);
-                            cursor[u as usize] += 1;
-                            target_slots.write(cursor[v as usize] as usize, u);
-                            half_edge_slots.write(cursor[v as usize] as usize, eid);
-                            cursor[v as usize] += 1;
-                        }
-                    }
-                });
             }
-        });
-    }
-
-    CsrGraph {
-        // The worker fill needs full-width slots; canonicalize after so
-        // the result is byte-identical to the sequential layout.
-        offsets: Offsets::from_wide(offsets, 2 * m),
-        targets,
-        half_edge_ids,
-        endpoints: edges,
+            Offsets::Wide(offs) => {
+                cursor.clear();
+                cursor.extend_from_slice(&offs[..n]);
+                for (eid, &(u, v)) in endpoints.iter().enumerate() {
+                    let eid = eid as u32;
+                    targets[cursor[u as usize]] = v;
+                    half_edge_ids[cursor[u as usize]] = eid;
+                    cursor[u as usize] += 1;
+                    targets[cursor[v as usize]] = u;
+                    half_edge_ids[cursor[v as usize]] = eid;
+                    cursor[v as usize] += 1;
+                }
+            }
+        }
     }
 }
 
-/// Build the subgraph of `parent` consisting of the given marked edges,
-/// in parallel. `sorted_ids` must be strictly increasing (sorted and
-/// deduplicated) — exactly what the sharded sparsifier merge produces.
+/// Size a half-edge array to `len` slots for the scatter, which writes
+/// every slot: a buffer with room keeps its stale contents, and one
+/// without is replaced by fresh zeroed memory rather than grown, so
+/// stale contents are never copied.
+fn scatter_target(buf: &mut Vec<u32>, len: usize) {
+    if buf.capacity() < len {
+        *buf = vec![0; len];
+    } else {
+        buf.truncate(len);
+        buf.resize(len, 0);
+    }
+}
+
+/// Build the subgraph of `parent` consisting of the given marked edges.
+/// `sorted_ids` must be strictly increasing (sorted and deduplicated).
 /// Because [`EdgeId`]s are dense in lexicographic endpoint order, the
 /// mapped endpoint list is already lex-sorted and feeds straight into the
-/// parallel layout; the result is byte-identical to
+/// layout; the result is byte-identical to
 /// `parent.edge_subgraph(sorted_ids.iter().copied())`.
-pub fn from_marked_edges(parent: &CsrGraph, sorted_ids: &[EdgeId], threads: usize) -> CsrGraph {
+pub fn from_marked_edges(parent: &CsrGraph, sorted_ids: &[EdgeId]) -> CsrGraph {
     debug_assert!(
         sorted_ids.windows(2).all(|w| w[0].index() < w[1].index()),
         "marked edge ids must be sorted and distinct"
     );
-    let m = sorted_ids.len();
-    let threads = threads.clamp(1, m.max(1));
-    let edges: Vec<(u32, u32)> = if threads == 1 || m < PARALLEL_LAYOUT_CUTOFF {
-        sorted_ids
-            .iter()
-            .map(|&e| parent.endpoints[e.index()])
-            .collect()
-    } else {
-        let chunk = m.div_ceil(threads);
-        let mut edges = Vec::with_capacity(m);
-        std::thread::scope(|s| {
-            let mut out_rest = edges.spare_capacity_mut();
-            for ids in sorted_ids.chunks(chunk) {
-                let (out_here, rest) = out_rest.split_at_mut(ids.len());
-                out_rest = rest;
-                s.spawn(move || {
-                    for (slot, &e) in out_here.iter_mut().zip(ids) {
-                        slot.write(parent.endpoints[e.index()]);
-                    }
-                });
-            }
-        });
-        // SAFETY: every one of the m spare slots was initialized by
-        // exactly one worker above.
-        unsafe { edges.set_len(m) };
-        edges
-    };
-    layout_sorted_parallel(parent.num_vertices(), edges, threads)
+    let edges = sorted_ids
+        .iter()
+        .map(|&e| parent.endpoints[e.index()])
+        .collect();
+    from_sorted_edges(parent.num_vertices(), edges)
 }
 
 /// Reusable buffers for rebuilding marked-edge subgraphs in place.
@@ -680,10 +472,10 @@ pub fn from_marked_edges(parent: &CsrGraph, sorted_ids: &[EdgeId], threads: usiz
 /// Repeated pipeline runs extract a fresh sparsifier CSR every time; with
 /// a scratch the four graph arrays plus the degree/cursor layout buffers
 /// are allocated once and reused with `clear()`-not-drop semantics, so a
-/// warm [`CsrScratch::rebuild_from_marked`] performs zero heap
-/// allocations when capacities suffice. The rebuilt graph is
-/// byte-identical to [`from_marked_edges`] on the same inputs (pinned by
-/// test).
+/// warm rebuild performs zero heap allocations when capacities suffice.
+/// Both entry points fill the endpoint array and share one in-place
+/// layout, which is the one [`from_sorted_edges`] runs, so a rebuilt
+/// graph is byte-identical to a freshly built one (pinned by test).
 #[derive(Clone, Debug)]
 pub struct CsrScratch {
     graph: CsrGraph,
@@ -738,56 +530,33 @@ impl CsrScratch {
         self.cursor.clear();
     }
 
-    /// Store a graph built elsewhere (the parallel extraction path, which
-    /// allocates its own arrays) so [`CsrScratch::graph`] is uniform.
-    pub fn replace(&mut self, g: CsrGraph) -> &CsrGraph {
-        self.graph = g;
-        &self.graph
-    }
-
-    /// Sequential in-place equivalent of [`from_marked_edges`]: rebuild
-    /// the subgraph of `parent` given by the strictly increasing
-    /// `sorted_ids` into this scratch's buffers, reusing their capacity.
+    /// In-place equivalent of [`from_marked_edges`]: rebuild the subgraph
+    /// of `parent` given by the strictly increasing `sorted_ids` into this
+    /// scratch's buffers, reusing their capacity.
     pub fn rebuild_from_marked(&mut self, parent: &CsrGraph, sorted_ids: &[EdgeId]) -> &CsrGraph {
         debug_assert!(
             sorted_ids.windows(2).all(|w| w[0].index() < w[1].index()),
             "marked edge ids must be sorted and distinct"
         );
-        let n = parent.num_vertices();
-        let m = sorted_ids.len();
-        let CsrGraph {
-            offsets,
-            targets,
-            half_edge_ids,
-            endpoints,
-        } = &mut self.graph;
+        self.rebuild_with(parent.num_vertices(), |edges| {
+            edges.extend(sorted_ids.iter().map(|&e| parent.endpoints[e.index()]));
+        })
+    }
 
+    /// In-place equivalent of [`from_sorted_edges`]: `fill` pushes the
+    /// edges, strictly lex-sorted with `u < v`, into the graph's cleared
+    /// endpoint list, and the graph on `n` vertices is laid out from it,
+    /// reusing every buffer's capacity. Filling in place spares a
+    /// producer that writes the edges anyway a copy of them.
+    pub fn rebuild_with(&mut self, n: usize, fill: impl FnOnce(&mut Vec<(u32, u32)>)) -> &CsrGraph {
+        let endpoints = &mut self.graph.endpoints;
         endpoints.clear();
-        endpoints.extend(sorted_ids.iter().map(|&e| parent.endpoints[e.index()]));
-
-        self.degree.clear();
-        self.degree.resize(n, 0);
-        for &(u, v) in endpoints.iter() {
-            self.degree[u as usize] += 1;
-            self.degree[v as usize] += 1;
-        }
-        offsets.rebuild_from_degrees(&self.degree, 2 * m);
-
-        targets.clear();
-        targets.resize(2 * m, 0);
-        half_edge_ids.clear();
-        half_edge_ids.resize(2 * m, 0);
-        self.cursor.clear();
-        self.cursor.extend((0..n).map(|v| offsets.get(v)));
-        for (eid, &(u, v)) in endpoints.iter().enumerate() {
-            let eid = eid as u32;
-            targets[self.cursor[u as usize]] = v;
-            half_edge_ids[self.cursor[u as usize]] = eid;
-            self.cursor[u as usize] += 1;
-            targets[self.cursor[v as usize]] = u;
-            half_edge_ids[self.cursor[v as usize]] = eid;
-            self.cursor[v as usize] += 1;
-        }
+        fill(endpoints);
+        debug_assert!(
+            endpoints.iter().all(|&(u, v)| u < v && (v as usize) < n),
+            "edges must satisfy u < v with endpoints below n"
+        );
+        self.graph.layout(n, &mut self.degree, &mut self.cursor);
         &self.graph
     }
 }
@@ -809,7 +578,14 @@ pub fn from_sorted_edges(n: usize, edges: Vec<(u32, u32)>) -> CsrGraph {
         edges.iter().all(|&(u, v)| u < v && (v as usize) < n),
         "edges must satisfy u < v with endpoints below n"
     );
-    layout_sorted(n, edges)
+    let mut graph = CsrGraph {
+        offsets: Offsets::Narrow(Vec::new()),
+        targets: Vec::new(),
+        half_edge_ids: Vec::new(),
+        endpoints: edges,
+    };
+    graph.layout(n, &mut Vec::new(), &mut Vec::new());
+    graph
 }
 
 /// Build a graph directly from an iterator of `(u, v)` index pairs.
@@ -932,8 +708,7 @@ mod tests {
         assert_eq!(a.endpoints, b.endpoints);
     }
 
-    /// All-pairs edge list on `n` vertices — big enough to push the
-    /// parallel layout past [`PARALLEL_LAYOUT_CUTOFF`].
+    /// All-pairs edge list on `n` vertices.
     fn dense_edges(n: usize) -> Vec<(usize, usize)> {
         let mut edges = Vec::new();
         for u in 0..n {
@@ -944,100 +719,41 @@ mod tests {
         edges
     }
 
-    #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        let n = 200; // C(200, 2) = 19 900 > PARALLEL_LAYOUT_CUTOFF
-        let edges = dense_edges(n);
-        assert!(edges.len() >= PARALLEL_LAYOUT_CUTOFF);
-        let mut seq = GraphBuilder::new(n);
-        seq.extend_edges(edges.iter().copied());
-        let seq = seq.build();
-        for threads in [1usize, 2, 3, 4, 8] {
-            let mut par = GraphBuilder::new(n);
-            // Insert in a scrambled order with duplicates to exercise the
-            // sort + dedup path too.
-            par.extend_edges(edges.iter().rev().copied());
-            par.extend_edges(edges.iter().skip(7).step_by(13).copied());
-            let par = par.build_parallel(threads);
-            assert_byte_identical(&seq, &par);
-        }
-    }
-
-    #[test]
-    fn parallel_build_handles_tiny_and_empty_graphs() {
-        for threads in [1usize, 2, 8] {
-            let empty = GraphBuilder::new(0).build_parallel(threads);
-            assert_eq!(empty.num_vertices(), 0);
-            assert_eq!(empty.num_edges(), 0);
-            let singleton = GraphBuilder::new(1).build_parallel(threads);
-            assert_eq!(singleton.num_vertices(), 1);
-            assert_eq!(singleton.degree(VertexId(0)), 0);
-            let mut b = GraphBuilder::new(4);
-            b.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)]);
-            assert_byte_identical(&triangle_plus_pendant(), &b.build_parallel(threads));
-        }
-    }
-
-    #[test]
-    fn parallel_build_on_star_hub() {
-        // One huge-degree hub: the degenerate load-balance case for
-        // per-vertex-range prefix sums.
-        let n = 20_000;
-        let edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
-        let mut seq = GraphBuilder::new(n);
-        seq.extend_edges(edges.iter().copied());
-        let seq = seq.build();
-        for threads in [2usize, 5, 8] {
-            let mut par = GraphBuilder::new(n);
-            par.extend_edges(edges.iter().copied());
-            let par = par.build_parallel(threads);
-            assert_byte_identical(&seq, &par);
-        }
-        assert_eq!(seq.degree(VertexId(0)), n - 1);
-    }
-
-    #[test]
-    fn from_marked_edges_matches_edge_subgraph() {
+    /// The dense graph on 220 vertices and a deterministic pseudo-random
+    /// sorted subset of its edge ids.
+    fn dense_graph_and_marks() -> (CsrGraph, Vec<EdgeId>) {
         let n = 220;
         let mut b = GraphBuilder::new(n);
         b.extend_edges(dense_edges(n));
         let g = b.build();
-        // Keep a deterministic pseudo-random subset of edge ids (sorted).
         let keep: Vec<EdgeId> = (0..g.num_edges())
             .filter(|e| (e * 2_654_435_761) % 7 < 5)
             .map(EdgeId::new)
             .collect();
-        assert!(keep.len() >= PARALLEL_LAYOUT_CUTOFF);
+        (g, keep)
+    }
+
+    #[test]
+    fn from_marked_edges_matches_edge_subgraph() {
+        let (g, keep) = dense_graph_and_marks();
         let reference = g.edge_subgraph(keep.iter().copied());
-        for threads in [1usize, 2, 4, 8] {
-            let sub = from_marked_edges(&g, &keep, threads);
-            assert_byte_identical(&reference, &sub);
-        }
+        assert_byte_identical(&reference, &from_marked_edges(&g, &keep));
     }
 
     #[test]
     fn from_marked_edges_empty_and_full() {
         let g = triangle_plus_pendant();
-        for threads in [1usize, 4] {
-            let none = from_marked_edges(&g, &[], threads);
-            assert_eq!(none.num_edges(), 0);
-            assert_eq!(none.num_vertices(), 4);
-            let all: Vec<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
-            assert_byte_identical(&g, &from_marked_edges(&g, &all, threads));
-        }
+        let none = from_marked_edges(&g, &[]);
+        assert_eq!(none.num_edges(), 0);
+        assert_eq!(none.num_vertices(), 4);
+        let all: Vec<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
+        assert_byte_identical(&g, &from_marked_edges(&g, &all));
     }
 
     #[test]
     fn scratch_rebuild_matches_from_marked_edges() {
-        let n = 220;
-        let mut b = GraphBuilder::new(n);
-        b.extend_edges(dense_edges(n));
-        let g = b.build();
-        let keep: Vec<EdgeId> = (0..g.num_edges())
-            .filter(|e| (e * 2_654_435_761) % 7 < 5)
-            .map(EdgeId::new)
-            .collect();
-        let reference = from_marked_edges(&g, &keep, 1);
+        let (g, keep) = dense_graph_and_marks();
+        let reference = from_marked_edges(&g, &keep);
         let mut scratch = CsrScratch::new();
         // Warm reuse: rebuild repeatedly (and on different subsets) into
         // the same scratch; every rebuild must match the fresh build.
@@ -1046,12 +762,42 @@ mod tests {
         }
         let smaller: Vec<EdgeId> = keep.iter().copied().step_by(3).collect();
         assert_byte_identical(
-            &from_marked_edges(&g, &smaller, 1),
+            &from_marked_edges(&g, &smaller),
             scratch.rebuild_from_marked(&g, &smaller),
         );
         // And back up to the larger subset after the smaller one.
         assert_byte_identical(&reference, scratch.rebuild_from_marked(&g, &keep));
         assert!(scratch.capacity_bytes() > 0);
+    }
+
+    #[test]
+    fn scratch_rebuild_with_matches_fresh_builds() {
+        // The fill entry point shares the marked-id one's layout: either
+        // may follow the other in one scratch, at any size, and leave
+        // exactly the freshly built graph (stale half-edge slots from a
+        // larger predecessor must all be overwritten).
+        let (g, keep) = dense_graph_and_marks();
+        let pairs = |ids: &[EdgeId]| -> Vec<(u32, u32)> {
+            ids.iter()
+                .map(|&e| {
+                    let (u, v) = g.edge_endpoints(e);
+                    (u.0, v.0)
+                })
+                .collect()
+        };
+        let smaller: Vec<EdgeId> = keep.iter().copied().step_by(5).collect();
+        let mut scratch = CsrScratch::new();
+        for ids in [&keep, &smaller, &keep, &smaller] {
+            let fresh = from_sorted_edges(g.num_vertices(), pairs(ids));
+            let rebuilt = scratch.rebuild_with(g.num_vertices(), |e| e.extend(pairs(ids)));
+            assert_byte_identical(&fresh, rebuilt);
+            assert_byte_identical(&fresh, scratch.rebuild_from_marked(&g, ids));
+        }
+        // A smaller vertex set after a larger one.
+        let tri = triangle_plus_pendant();
+        let tri_pairs = tri.edges().map(|(_, u, v)| (u.0, v.0));
+        assert_byte_identical(&tri, scratch.rebuild_with(4, |e| e.extend(tri_pairs)));
+        assert_eq!(scratch.rebuild_with(3, |_| {}).num_vertices(), 3);
     }
 
     #[test]
@@ -1066,9 +812,6 @@ mod tests {
         scratch.clear();
         assert_eq!(scratch.graph().num_vertices(), 0);
         assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all));
-        // `replace` stores an externally built graph verbatim.
-        let h = from_marked_edges(&g, &all, 1);
-        assert_byte_identical(&g, scratch.replace(h));
     }
 
     #[test]
@@ -1096,29 +839,30 @@ mod tests {
         assert_eq!(g.memory_bytes(), CsrGraph::projected_memory_bytes(n, m));
     }
 
+    /// Offsets for `degree` in the repr `two_m` half-edges dictate.
+    fn offsets_for(degree: &[u32], two_m: usize) -> Offsets {
+        let mut offs = Offsets::Narrow(Vec::new());
+        offs.rebuild_from_degrees(degree, two_m);
+        offs
+    }
+
     #[test]
     fn offsets_repr_is_a_function_of_half_edge_count() {
         let degree = [2u32, 1, 1];
-        assert!(matches!(
-            Offsets::from_degrees(&degree, 4),
-            Offsets::Narrow(_)
-        ));
+        assert!(matches!(offsets_for(&degree, 4), Offsets::Narrow(_)));
         // Past the u32 boundary the same degrees take the wide repr.
-        let wide = Offsets::from_degrees(&degree, usize::MAX);
+        let wide = offsets_for(&degree, usize::MAX);
         assert!(matches!(wide, Offsets::Wide(_)));
         assert_eq!(
             (0..4).map(|i| wide.get(i)).collect::<Vec<_>>(),
             vec![0, 2, 3, 4]
         );
-        // from_wide canonicalizes parallel-layout output to narrow.
-        let canon = Offsets::from_wide(vec![0, 2, 3, 4], 4);
-        assert_eq!(canon, Offsets::from_degrees(&degree, 4));
     }
 
     #[test]
     fn offsets_rebuild_is_allocation_free_when_warm() {
         let degree = [2u32, 1, 1];
-        let mut offs = Offsets::from_degrees(&degree, 4);
+        let mut offs = offsets_for(&degree, 4);
         let cap = offs.capacity_bytes();
         for _ in 0..3 {
             offs.rebuild_from_degrees(&degree, 4);

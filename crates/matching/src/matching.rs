@@ -58,6 +58,12 @@ impl Matching {
         m
     }
 
+    /// Heap bytes of mate-array capacity held (an estimate — element
+    /// sizes, not allocator overhead).
+    pub fn capacity_bytes(&self) -> usize {
+        self.mate.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Number of vertices the matching is defined over.
     pub fn num_vertices(&self) -> usize {
         self.mate.len()
