@@ -13,9 +13,10 @@
 //!   plus validity of the served matching at every audit and the
 //!   per-update work cap.
 //! * **distsim** — the Theorem 3.2/3.3 distributed pipeline vs the
-//!   sequential pipeline on the same seed, zero-fault transparency of the
-//!   faulty network (byte-identical outcome), and validity under a seeded
-//!   fault plan.
+//!   sequential pipeline on the same seed, zero-fault transparency (the
+//!   faulty exchange loop under a plan that never fires reproduces the
+//!   perfect loop's outcome byte for byte), identical outcomes at two and
+//!   four round workers, and validity under a seeded fault plan.
 //! * **scratch** — the warm-scratch pipeline
 //!   ([`approx_mcm_via_sparsifier_with_scratch`]) vs the one-shot
 //!   cold path, byte-for-byte across matching pairs, sparsifier stats,
@@ -386,6 +387,21 @@ fn stress_plan(inst: &CheckInstance) -> FaultPlan {
     .with_crash_period(4)
 }
 
+/// A plan that could fault at any rate but never does (zero horizon):
+/// it sends every exchange through the faulty loop with nothing to inject.
+fn silent_plan(inst: &CheckInstance) -> FaultPlan {
+    FaultPlan::new(
+        inst.algo_seed ^ 0x51_1E47,
+        FaultRates {
+            drop: 0.5,
+            duplicate: 0.5,
+            reorder: 0.5,
+            crash: 0.5,
+        },
+    )
+    .with_horizon(0)
+}
+
 /// Everything a distsim run must keep bit-identical across replays:
 /// matching pairs, round/message/bit totals, and per-phase round counts.
 type OutcomeFingerprint = (Vec<(u32, u32)>, u64, u64, u64, (u64, u64, u64));
@@ -439,22 +455,24 @@ fn check_distsim(
         ));
     }
 
-    // Zero-fault transparency: a FaultyNetwork with the empty plan must be
-    // indistinguishable from the perfect network, metrics included.
+    // Zero-fault transparency: the faulty exchange loop under a plan that
+    // never fires must be indistinguishable from the perfect loop,
+    // metrics included.
     let zero = distributed_approx_mcm_faulty(
         &g,
         &params,
         inst.algo_seed,
-        &FaultPlan::none(),
+        &silent_plan(inst),
         ResilienceParams::off(),
     );
     if outcome_fingerprint(&zero) != outcome_fingerprint(&perfect)
+        || zero.metrics != perfect.metrics
         || zero.faults != Default::default()
     {
         return Some(Violation::new(
             "zero-fault-transparency",
             format!(
-                "zero-fault run diverged from the perfect network: {} vs {} matched, {}/{} rounds",
+                "never-firing plan diverged from the perfect loop: {} vs {} matched, {}/{} rounds",
                 zero.matching.len(),
                 perfect.matching.len(),
                 zero.metrics.rounds,
@@ -478,9 +496,9 @@ fn check_distsim(
         ));
     }
 
-    // Sharded engine: at every worker count the sharded run must be
-    // byte-identical to the sequential transport — perfect and faulty
-    // (stress plan + retry) alike, fault counters included.
+    // Worker count: at t ∈ {2, 4} every run must be byte-identical to the
+    // one-worker run — perfect and faulty (stress plan + retry) alike,
+    // fault counters included.
     let plan = stress_plan(inst);
     for threads in [2usize, 4] {
         let sharded = distributed_approx_mcm_sharded(&g, &params, inst.algo_seed, None, threads);
@@ -488,7 +506,7 @@ fn check_distsim(
             return Some(Violation::new(
                 "sharded-identity",
                 format!(
-                    "t={threads} sharded run diverged from the perfect network: \
+                    "t={threads} run diverged from the one-worker perfect run: \
                      {} vs {} matched, {}/{} rounds",
                     sharded.matching.len(),
                     perfect.matching.len(),
@@ -510,7 +528,7 @@ fn check_distsim(
             return Some(Violation::new(
                 "sharded-faulty-identity",
                 format!(
-                    "t={threads} sharded faulty run diverged from FaultyNetwork: \
+                    "t={threads} faulty run diverged from the one-worker faulty run: \
                      {} vs {} matched, {}/{} rounds, faults {} vs {}",
                     sharded_faulty.matching.len(),
                     faulty.matching.len(),

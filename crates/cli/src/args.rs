@@ -55,11 +55,10 @@ two backends.
 
 distsim runs the synchronous message-passing pipeline on one machine
 and reports rounds/messages/bits. --threads <T> (1..=64, default 1)
-selects the execution engine: 1 runs the historical sequential
-simulator, 2 and above runs the sharded engine (contiguous vertex
-shards, one round worker each, deterministic batched message router);
-the matching, round/message/bit counts, and fault counters are
-byte-identical at every thread count. The --drop/--duplicate/--reorder/
+sets the simulator's round workers (contiguous vertex shards, one
+worker each, deterministic batched message router); the matching,
+round/message/bit counts, and fault counters are byte-identical at
+every thread count. The --drop/--duplicate/--reorder/
 --crash probabilities (each in [0, 1], default 0) inject seeded,
 reproducible transport faults; --retries <K> arms a per-message
 ack/retry layer that re-sends up to K times. Fault counters
@@ -219,8 +218,8 @@ pub struct DistsimArgs {
     pub fault_horizon: Option<u64>,
     /// Ack/retry resend budget (0 = resilience layer off).
     pub retries: u32,
-    /// Round-worker threads (1 = historical sequential simulator,
-    /// 2..=64 = sharded execution engine; byte-identical output).
+    /// Round-worker threads of the simulated network (1..=64;
+    /// byte-identical output at every count).
     pub threads: usize,
     /// Write work-counter + fault-counter metrics as JSON to this path.
     pub metrics_json: Option<PathBuf>,

@@ -683,6 +683,57 @@ fn distsim_sharded_output_is_byte_identical() {
     std::fs::remove_file(&file).ok();
 }
 
+/// The largest `--retries` runs every attempt a smaller budget would: 15
+/// retries already outlast a 30-round fault horizon, so `u32::MAX` must
+/// print exactly what 64 prints.
+#[test]
+fn distsim_max_retries_match_a_sufficient_budget() {
+    let dir = std::env::temp_dir().join(format!("sparsimatch-bin-retry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("retry.el");
+
+    let out = bin()
+        .args([
+            "generate",
+            "clique-union:2:20",
+            "--n",
+            "80",
+            "--seed",
+            "4",
+            "--out",
+            file.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    let run = |retries: &str| {
+        let out = bin()
+            .args([
+                "distsim",
+                file.to_str().unwrap(),
+                "--algo",
+                "randomized",
+                "--pairs",
+                "--drop",
+                "0.2",
+                "--fault-horizon",
+                "30",
+                "--retries",
+                retries,
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "--retries {retries}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let sufficient = run("64");
+    assert!(!sufficient.contains("matching size: 0\n"), "{sufficient}");
+    assert_eq!(run("4294967295"), sufficient);
+
+    std::fs::remove_file(&file).ok();
+}
+
 /// Drive `sparsimatch serve` over stdin/stdout with a scripted session
 /// covering every command plus a malformed and an over-deep request;
 /// the daemon answers typed errors for the bad lines and stays up.

@@ -8,17 +8,16 @@
 //! messages are physical rounds and messages, and the totals below are the
 //! Theorem 3.3 quantities.
 
+use crate::algorithms::israeli_itai::israeli_itai_matching;
 use crate::algorithms::matching::{bounded_degree_matching, maximal_matching_only};
 use crate::algorithms::solomon::distributed_solomon;
 use crate::algorithms::sparsify::distributed_sparsifier;
-use crate::faults::{FaultPlan, FaultStats, FaultyNetwork, ResilienceParams};
+use crate::faults::{FaultPlan, FaultStats, ResilienceParams};
 use crate::metrics::Metrics;
-use crate::network::{Incoming, Net, Network, Outgoing};
-use crate::shard::ShardedNetwork;
+use crate::network::Network;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::solomon::degree_cap_for;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::Matching;
 
 /// Outcome of the full distributed pipeline.
@@ -41,98 +40,15 @@ pub struct DistributedOutcome {
 /// counter, so one plan describes each phase's disruption window).
 pub type FaultCfg<'a> = Option<(&'a FaultPlan, ResilienceParams)>;
 
-/// Per-phase transport: a perfect [`Network`], a [`FaultyNetwork`], or
-/// the sharded engine, chosen at runtime so `run_pipeline` stays
-/// monomorphic. One thread means the historical sequential transports;
-/// two or more means [`ShardedNetwork`] (which folds the fault plan in).
-enum PhaseNet<'g> {
-    Plain(Network<'g>),
-    Faulty(FaultyNetwork<'g>),
-    Sharded(ShardedNetwork<'g>),
-}
-
-impl<'g> PhaseNet<'g> {
-    fn build(g: &'g CsrGraph, cfg: FaultCfg<'_>, threads: usize) -> Self {
-        match (threads, cfg) {
-            (2.., None) => PhaseNet::Sharded(ShardedNetwork::new(g, threads)),
-            (2.., Some((plan, res))) => {
-                PhaseNet::Sharded(ShardedNetwork::with_faults(g, threads, plan.clone(), res))
-            }
-            (_, None) => PhaseNet::Plain(Network::new(g)),
-            (_, Some((plan, res))) => {
-                PhaseNet::Faulty(FaultyNetwork::with_resilience(g, plan.clone(), res))
-            }
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        match self {
-            PhaseNet::Plain(_) => FaultStats::default(),
-            PhaseNet::Faulty(n) => n.fault_stats(),
-            PhaseNet::Sharded(n) => n.fault_stats(),
-        }
-    }
-}
-
-impl<'g> Net<'g> for PhaseNet<'g> {
-    fn graph(&self) -> &'g CsrGraph {
-        match self {
-            PhaseNet::Plain(n) => n.graph(),
-            PhaseNet::Faulty(n) => Net::graph(n),
-            PhaseNet::Sharded(n) => Net::graph(n),
-        }
-    }
-
-    fn metrics(&self) -> Metrics {
-        match self {
-            PhaseNet::Plain(n) => n.metrics(),
-            PhaseNet::Faulty(n) => Net::metrics(n),
-            PhaseNet::Sharded(n) => n.metrics(),
-        }
-    }
-
-    fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        match self {
-            PhaseNet::Plain(n) => n.exchange(outboxes),
-            PhaseNet::Faulty(n) => Net::exchange(n, outboxes),
-            PhaseNet::Sharded(n) => Net::exchange(n, outboxes),
-        }
-    }
-
-    fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        match self {
-            PhaseNet::Plain(n) => n.charge_gather(radius, bits_per_message),
-            PhaseNet::Faulty(n) => Net::charge_gather(n, radius, bits_per_message),
-            PhaseNet::Sharded(n) => Net::charge_gather(n, radius, bits_per_message),
-        }
-    }
-
-    fn record_clones(&mut self, count: u64) {
-        match self {
-            PhaseNet::Plain(n) => Net::record_clones(n, count),
-            PhaseNet::Faulty(n) => Net::record_clones(n, count),
-            PhaseNet::Sharded(n) => Net::record_clones(n, count),
-        }
-    }
-
-    fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        match self {
-            PhaseNet::Plain(n) => n.ball(v, radius),
-            PhaseNet::Faulty(n) => Net::ball(n, v, radius),
-            PhaseNet::Sharded(n) => Net::ball(n, v, radius),
-        }
-    }
-
-    fn lossless(&self) -> bool {
-        match self {
-            PhaseNet::Plain(_) => true,
-            PhaseNet::Faulty(n) => Net::lossless(n),
-            PhaseNet::Sharded(n) => Net::lossless(n),
-        }
-    }
+/// The matcher run on the composed sparsifier in phase 3.
+#[derive(Clone, Copy)]
+enum Matcher {
+    /// Coloring, maximal matching and bounded augmentation.
+    Augmenting,
+    /// Coloring and maximal matching only.
+    Maximal,
+    /// Israeli–Itai randomized maximal matching.
+    Randomized,
 }
 
 /// Theorem 3.2/3.3: distributed `(1+ε)`-approximate MCM on a graph of
@@ -142,13 +58,12 @@ pub fn distributed_approx_mcm(
     params: &SparsifierParams,
     seed: u64,
 ) -> DistributedOutcome {
-    run_pipeline(g, params, seed, true, None, 1)
+    distributed_approx_mcm_sharded(g, params, seed, None, 1)
 }
 
-/// [`distributed_approx_mcm`] on the sharded engine: every phase runs on
-/// a [`ShardedNetwork`] with `threads` round workers (1 falls back to the
-/// historical sequential transports). Outcomes are byte-identical to the
-/// sequential run at every thread count, fault configuration included.
+/// [`distributed_approx_mcm`] with a fault configuration and `threads`
+/// round workers on every phase network. Outcomes are the same at every
+/// thread count, fault configuration included.
 pub fn distributed_approx_mcm_sharded(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -156,13 +71,13 @@ pub fn distributed_approx_mcm_sharded(
     cfg: FaultCfg<'_>,
     threads: usize,
 ) -> DistributedOutcome {
-    run_pipeline(g, params, seed, true, cfg, threads)
+    run_pipeline(g, params, seed, Matcher::Augmenting, cfg, threads)
 }
 
-/// [`distributed_approx_mcm`] under fault injection: every phase runs on
-/// a [`FaultyNetwork`] instantiated from `plan` and `resilience`. The
-/// returned matching is valid for `g` under *any* plan; its size degrades
-/// gracefully with the fault rates (experiment `exp_fault_sweep`). With
+/// [`distributed_approx_mcm`] under fault injection: every phase network
+/// runs under `plan` and `resilience`. The returned matching is valid for
+/// `g` under *any* plan; its size degrades gracefully with the fault
+/// rates (experiment `exp_fault_sweep`). With
 /// [`FaultPlan::none`] and [`ResilienceParams::off`] the outcome is
 /// identical to the perfect-network pipeline, fault counters included.
 pub fn distributed_approx_mcm_faulty(
@@ -172,7 +87,7 @@ pub fn distributed_approx_mcm_faulty(
     plan: &FaultPlan,
     resilience: ResilienceParams,
 ) -> DistributedOutcome {
-    run_pipeline(g, params, seed, true, Some((plan, resilience)), 1)
+    distributed_approx_mcm_sharded(g, params, seed, Some((plan, resilience)), 1)
 }
 
 /// The `(2+ε)`-style comparator (Barenboim–Oren shape): identical
@@ -182,11 +97,11 @@ pub fn distributed_maximal_baseline(
     params: &SparsifierParams,
     seed: u64,
 ) -> DistributedOutcome {
-    run_pipeline(g, params, seed, false, None, 1)
+    distributed_maximal_baseline_sharded(g, params, seed, None, 1)
 }
 
-/// [`distributed_maximal_baseline`] on the sharded engine (see
-/// [`distributed_approx_mcm_sharded`]).
+/// [`distributed_maximal_baseline`] with a fault configuration and
+/// `threads` round workers (see [`distributed_approx_mcm_sharded`]).
 pub fn distributed_maximal_baseline_sharded(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -194,7 +109,7 @@ pub fn distributed_maximal_baseline_sharded(
     cfg: FaultCfg<'_>,
     threads: usize,
 ) -> DistributedOutcome {
-    run_pipeline(g, params, seed, false, cfg, threads)
+    run_pipeline(g, params, seed, Matcher::Maximal, cfg, threads)
 }
 
 /// [`distributed_maximal_baseline`] under fault injection (see
@@ -206,7 +121,7 @@ pub fn distributed_maximal_baseline_faulty(
     plan: &FaultPlan,
     resilience: ResilienceParams,
 ) -> DistributedOutcome {
-    run_pipeline(g, params, seed, false, Some((plan, resilience)), 1)
+    distributed_maximal_baseline_sharded(g, params, seed, Some((plan, resilience)), 1)
 }
 
 /// Randomized variant: sparsifiers as usual, then Israeli–Itai randomized
@@ -218,11 +133,11 @@ pub fn distributed_randomized_maximal(
     params: &SparsifierParams,
     seed: u64,
 ) -> DistributedOutcome {
-    run_randomized(g, params, seed, None, 1)
+    distributed_randomized_maximal_sharded(g, params, seed, None, 1)
 }
 
-/// [`distributed_randomized_maximal`] on the sharded engine (see
-/// [`distributed_approx_mcm_sharded`]).
+/// [`distributed_randomized_maximal`] with a fault configuration and
+/// `threads` round workers (see [`distributed_approx_mcm_sharded`]).
 pub fn distributed_randomized_maximal_sharded(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -230,7 +145,7 @@ pub fn distributed_randomized_maximal_sharded(
     cfg: FaultCfg<'_>,
     threads: usize,
 ) -> DistributedOutcome {
-    run_randomized(g, params, seed, cfg, threads)
+    run_pipeline(g, params, seed, Matcher::Randomized, cfg, threads)
 }
 
 /// [`distributed_randomized_maximal`] under fault injection (see
@@ -242,84 +157,55 @@ pub fn distributed_randomized_maximal_faulty(
     plan: &FaultPlan,
     resilience: ResilienceParams,
 ) -> DistributedOutcome {
-    run_randomized(g, params, seed, Some((plan, resilience)), 1)
+    distributed_randomized_maximal_sharded(g, params, seed, Some((plan, resilience)), 1)
 }
 
-fn run_randomized(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    cfg: FaultCfg<'_>,
-    threads: usize,
-) -> DistributedOutcome {
-    let mut totals = Metrics::new();
-    let mut faults = FaultStats::default();
-
-    let mut net1 = PhaseNet::build(g, cfg, threads);
-    let g_delta = distributed_sparsifier(&mut net1, params, seed);
-    let sparsify_rounds = net1.metrics().rounds;
-    totals.absorb(net1.metrics());
-    faults.absorb(net1.fault_stats());
-
-    let mut net2 = PhaseNet::build(&g_delta, cfg, threads);
-    let cap = degree_cap_for(params.arboricity_bound(), params.eps);
-    let composed = distributed_solomon(&mut net2, cap);
-    let solomon_rounds = net2.metrics().rounds;
-    totals.absorb(net2.metrics());
-    faults.absorb(net2.fault_stats());
-
-    let mut net3 = PhaseNet::build(&composed, cfg, threads);
-    let (matching, _) = crate::algorithms::israeli_itai::israeli_itai_matching(&mut net3, seed);
-    let matching_rounds = net3.metrics().rounds;
-    totals.absorb(net3.metrics());
-    faults.absorb(net3.fault_stats());
-
-    debug_assert!(matching.is_valid_for(g));
-    DistributedOutcome {
-        matching,
-        metrics: totals,
-        phase_rounds: (sparsify_rounds, solomon_rounds, matching_rounds),
-        composed_max_degree: composed.max_degree(),
-        faults,
+/// One phase's network: `cfg`'s plan, restarted with the phase's round
+/// counter, on `threads` workers.
+fn phase_net<'g>(g: &'g CsrGraph, cfg: FaultCfg<'_>, threads: usize) -> Network<'g> {
+    match cfg {
+        None => Network::new(g),
+        Some((plan, resilience)) => Network::with_resilience(g, plan.clone(), resilience),
     }
+    .with_threads(threads)
 }
 
 fn run_pipeline(
     g: &CsrGraph,
     params: &SparsifierParams,
     seed: u64,
-    augment: bool,
+    matcher: Matcher,
     cfg: FaultCfg<'_>,
     threads: usize,
 ) -> DistributedOutcome {
     let mut totals = Metrics::new();
     let mut faults = FaultStats::default();
+    // Fold a finished phase's counters into the totals; returns its rounds.
+    let mut close = |net: Network<'_>| {
+        totals.absorb(net.metrics());
+        faults.absorb(net.fault_stats());
+        net.metrics().rounds
+    };
 
     // Phase 1: one-round random sparsifier on the physical network.
-    let mut net1 = PhaseNet::build(g, cfg, threads);
-    let g_delta = distributed_sparsifier(&mut net1, params, seed);
-    let sparsify_rounds = net1.metrics().rounds;
-    totals.absorb(net1.metrics());
-    faults.absorb(net1.fault_stats());
+    let mut net = phase_net(g, cfg, threads);
+    let g_delta = distributed_sparsifier(&mut net, params, seed);
+    let sparsify_rounds = close(net);
 
     // Phase 2: one-round bounded-degree sparsifier on G_Δ.
-    let mut net2 = PhaseNet::build(&g_delta, cfg, threads);
+    let mut net = phase_net(&g_delta, cfg, threads);
     let cap = degree_cap_for(params.arboricity_bound(), params.eps);
-    let composed = distributed_solomon(&mut net2, cap);
-    let solomon_rounds = net2.metrics().rounds;
-    totals.absorb(net2.metrics());
-    faults.absorb(net2.fault_stats());
+    let composed = distributed_solomon(&mut net, cap);
+    let solomon_rounds = close(net);
 
     // Phase 3: bounded-degree matching on the composed sparsifier.
-    let mut net3 = PhaseNet::build(&composed, cfg, threads);
-    let matching = if augment {
-        bounded_degree_matching(&mut net3, params.eps).0
-    } else {
-        maximal_matching_only(&mut net3)
+    let mut net = phase_net(&composed, cfg, threads);
+    let matching = match matcher {
+        Matcher::Augmenting => bounded_degree_matching(&mut net, params.eps).0,
+        Matcher::Maximal => maximal_matching_only(&mut net),
+        Matcher::Randomized => israeli_itai_matching(&mut net, seed).0,
     };
-    let matching_rounds = net3.metrics().rounds;
-    totals.absorb(net3.metrics());
-    faults.absorb(net3.fault_stats());
+    let matching_rounds = close(net);
 
     debug_assert!(matching.is_valid_for(g), "composed sparsifier ⊆ G");
     DistributedOutcome {

@@ -5,10 +5,10 @@
 //! module exists to *test* that claim instead of assuming it. A
 //! [`FaultPlan`] is a pure function from a `u64` seed and a set of rates
 //! to per-round fault decisions: message drops, duplications, within-round
-//! inbox reorderings, and node crash/recover windows. A
-//! [`FaultyNetwork`] wraps a topology with a plan and implements the same
-//! [`Net`] interface as the perfect [`Network`], so every algorithm in
-//! [`crate::algorithms`] runs unmodified over it.
+//! inbox reorderings, and node crash/recover windows.
+//! [`Network::with_resilience`] runs a topology under a plan, behind the
+//! same [`Net`](crate::Net) interface as a fault-free [`Network`], so every algorithm
+//! in [`crate::algorithms`] runs unmodified over it.
 //!
 //! Design rules:
 //!
@@ -16,10 +16,10 @@
 //!   `(plan seed, kind, round, slot-or-node)` — two runs with the same
 //!   `(algorithm seed, plan)` pair produce identical outputs, metrics,
 //!   and fault counters. No global RNG, no iteration-order dependence.
-//! * **Zero-fault transparency.** A [`FaultPlan::none`] plan with the
-//!   default (disabled) [`ResilienceParams`] makes [`FaultyNetwork`]
-//!   byte-identical to [`Network`]: same inboxes in the same order, same
-//!   [`Metrics`], zero fault counters. Pinned by tests.
+//! * **Zero-fault transparency.** A plan whose faults never fire leaves
+//!   every inbox, every [`Metrics`](crate::Metrics) field and every fault counter as a
+//!   fault-free [`Network`] has them, though it runs the faulty exchange
+//!   loop. Pinned by tests.
 //! * **Honest accounting.** Sends are counted when the sender is up,
 //!   whether or not delivery succeeds; ack/retry traffic from the
 //!   resilience layer is charged as real rounds, messages, and bits.
@@ -27,8 +27,7 @@
 //! What the fault model does and does not promise is documented in
 //! DESIGN.md §7 ("Fault model").
 
-use crate::metrics::Metrics;
-use crate::network::{Incoming, Net, Network, Outgoing};
+use crate::network::Network;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_obs::{keys, WorkMeter};
@@ -65,9 +64,9 @@ impl FaultRates {
 /// Configuration of the per-edge ack + bounded-retry resilience layer.
 ///
 /// With `max_retries == 0` (the default) the layer is off: one physical
-/// round per logical [`Net::exchange`], losses are final. With
-/// `max_retries == k > 0`, each logical exchange runs up to `1 + k`
-/// send attempts, every attempt followed by an explicit ack round:
+/// round per logical [`Net::exchange`](crate::Net::exchange), losses are
+/// final. With `max_retries == k > 0`, each logical exchange runs up to
+/// `1 + k` send attempts, every attempt followed by an explicit ack round:
 /// receivers ack each delivery along the reverse edge, senders retransmit
 /// messages whose ack never arrived. Acks travel the same faulty links,
 /// so a lost ack causes a (counted) duplicate delivery — the classic
@@ -110,7 +109,7 @@ impl Default for ResilienceParams {
     }
 }
 
-/// Fault counters accumulated by a [`FaultyNetwork`].
+/// Fault counters accumulated by a [`Network`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages lost: link drops plus messages suppressed or discarded
@@ -207,8 +206,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, ever. [`FaultyNetwork`] under this plan
-    /// is byte-identical to [`Network`].
+    /// The empty plan: no faults, ever. With resilience off, a
+    /// [`Network`] under this plan takes the perfect exchange loop.
     pub fn none() -> Self {
         FaultPlan::new(0, FaultRates::default())
     }
@@ -327,16 +326,9 @@ impl FaultPlan {
     }
 }
 
-/// A [`Net`] transport that injects the faults of a [`FaultPlan`] and
-/// optionally runs the ack/retry resilience protocol of
-/// [`ResilienceParams`] under every logical exchange.
-pub struct FaultyNetwork<'g> {
-    inner: Network<'g>,
-    plan: FaultPlan,
-    resilience: ResilienceParams,
-    metrics: Metrics,
-    faults: FaultStats,
-}
+/// The fault-injecting transport's former name: a [`Network`] built with
+/// [`Network::with_resilience`].
+pub type FaultyNetwork<'g> = Network<'g>;
 
 pub(crate) struct Pending<M> {
     pub(crate) sender: VertexId,
@@ -365,237 +357,11 @@ impl<M: Clone> Pending<M> {
     }
 }
 
-impl<'g> FaultyNetwork<'g> {
-    /// Wrap a topology with a fault plan; resilience off.
-    pub fn new(graph: &'g CsrGraph, plan: FaultPlan) -> Self {
-        FaultyNetwork::with_resilience(graph, plan, ResilienceParams::off())
-    }
-
-    /// Wrap a topology with a fault plan and a resilience configuration.
-    pub fn with_resilience(
-        graph: &'g CsrGraph,
-        plan: FaultPlan,
-        resilience: ResilienceParams,
-    ) -> Self {
-        FaultyNetwork {
-            inner: Network::new(graph),
-            plan,
-            resilience,
-            metrics: Metrics::new(),
-            faults: FaultStats::default(),
-        }
-    }
-
-    /// The fault plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The resilience configuration in force.
-    pub fn resilience(&self) -> ResilienceParams {
-        self.resilience
-    }
-
-    /// Fault counters accumulated so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults
-    }
-
-    /// Communication metrics accumulated so far (inherent mirror of the
-    /// trait method, so concrete holders need no trait import).
-    pub fn metrics(&self) -> Metrics {
-        self.metrics
-    }
-
-    fn account_crashes(&mut self, round: u64) {
-        if !self.plan.has_crashes() {
-            return;
-        }
-        let n = self.inner.num_nodes() as u32;
-        self.faults.crashed_rounds +=
-            (0..n).filter(|&v| self.plan.is_down(v, round)).count() as u64;
-    }
-}
-
-impl<'g> Net<'g> for FaultyNetwork<'g> {
-    fn graph(&self) -> &'g CsrGraph {
-        self.inner.graph()
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.metrics
-    }
-
-    fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        let graph = self.inner.graph();
-        let n = graph.num_vertices();
-        assert_eq!(outboxes.len(), n);
-        // Flatten in (sender, outbox-order) — the order Network delivers
-        // in, so the zero-fault path is byte-identical.
-        let mut pending: Vec<Pending<M>> = Vec::new();
-        for (v, outbox) in outboxes.into_iter().enumerate() {
-            let v = VertexId::new(v);
-            for (port, payload, bits) in outbox {
-                assert!(port < graph.degree(v), "port out of range");
-                let dest = graph.neighbor(v, port);
-                let in_port = self.inner.in_port(v, port);
-                pending.push(Pending {
-                    sender: v,
-                    dest,
-                    in_port,
-                    slot: self.inner.slot_of(v, port) as u64,
-                    back_slot: self.inner.slot_of(dest, in_port) as u64,
-                    payload: Some(payload),
-                    bits,
-                    deliveries: 0,
-                    acked: false,
-                });
-            }
-        }
-
-        let logical_round = self.metrics.rounds + 1;
-        let mut inboxes: Vec<Vec<Incoming<M>>> = vec![Vec::new(); n];
-        let attempts = 1 + if self.resilience.enabled() {
-            self.resilience.max_retries
-        } else {
-            0
-        };
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let outstanding = pending.iter().filter(|m| !m.acked).count() as u64;
-                if outstanding == 0 {
-                    break;
-                }
-                self.faults.retries += outstanding;
-            }
-            // Send round.
-            self.metrics.rounds += 1;
-            let round = self.metrics.rounds;
-            self.account_crashes(round);
-            let mut delivered_now: Vec<usize> = Vec::new();
-            for (i, msg) in pending.iter_mut().enumerate() {
-                if msg.acked {
-                    continue;
-                }
-                if self.plan.is_down(msg.sender.0, round) {
-                    // A crashed node sends nothing; the message is lost
-                    // unless a later retry finds the node back up.
-                    self.faults.dropped += 1;
-                    continue;
-                }
-                self.metrics.messages += 1;
-                self.metrics.bits += msg.bits;
-                self.metrics.max_message_bits = self.metrics.max_message_bits.max(msg.bits);
-                if self.plan.is_down(msg.dest.0, round)
-                    || self.plan.message_dropped(round, msg.slot)
-                {
-                    self.faults.dropped += 1;
-                    continue;
-                }
-                let dup = self.plan.message_duplicated(round, msg.slot);
-                // Retain the payload whenever another delivery may still
-                // need it: a retransmit (resilience) or the dup below.
-                let (payload, cloned) = msg.payload_for_delivery(self.resilience.enabled() || dup);
-                self.metrics.messages_cloned += cloned as u64;
-                inboxes[msg.dest.index()].push((msg.in_port, payload));
-                if msg.deliveries > 0 {
-                    // Ack-loss retransmit: the receiver sees it twice.
-                    self.faults.duplicated += 1;
-                }
-                msg.deliveries += 1;
-                if dup {
-                    let (payload, cloned) = msg.payload_for_delivery(self.resilience.enabled());
-                    self.metrics.messages_cloned += cloned as u64;
-                    inboxes[msg.dest.index()].push((msg.in_port, payload));
-                    msg.deliveries += 1;
-                    self.faults.duplicated += 1;
-                }
-                delivered_now.push(i);
-            }
-            if !self.resilience.enabled() {
-                break;
-            }
-            // Ack round: each delivery is acked along the reverse edge;
-            // acks travel the same faulty links.
-            self.metrics.rounds += 1;
-            let ack_round = self.metrics.rounds;
-            self.account_crashes(ack_round);
-            for i in delivered_now {
-                let msg = &mut pending[i];
-                if self.plan.is_down(msg.dest.0, ack_round) {
-                    continue; // acker is down: no ack was sent at all
-                }
-                self.metrics.messages += 1;
-                self.metrics.bits += self.resilience.ack_bits;
-                self.metrics.max_message_bits =
-                    self.metrics.max_message_bits.max(self.resilience.ack_bits);
-                if self.plan.is_down(msg.sender.0, ack_round)
-                    || self.plan.message_dropped(ack_round, msg.back_slot)
-                {
-                    self.faults.dropped += 1;
-                    continue;
-                }
-                msg.acked = true;
-            }
-            if pending.iter().all(|m| m.acked) {
-                break;
-            }
-        }
-        // Within-round reordering, keyed by the logical round so retries
-        // do not change which inboxes get shuffled.
-        for (v, inbox) in inboxes.iter_mut().enumerate() {
-            self.plan.maybe_shuffle(logical_round, v as u32, inbox);
-        }
-        inboxes
-    }
-
-    fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        // Same totals as Network::charge_gather, with per-round crash
-        // accounting. Gathers are bulk transfers read off the master
-        // graph; the fault model reflects crashes by shrinking the balls
-        // (see `ball`), not by corrupting their content.
-        let m2 = 2 * self.inner.graph().num_edges() as u64;
-        for _ in 0..radius {
-            self.metrics.rounds += 1;
-            let round = self.metrics.rounds;
-            self.account_crashes(round);
-        }
-        self.metrics.messages += radius as u64 * m2;
-        self.metrics.bits += radius as u64 * m2 * bits_per_message;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits_per_message);
-    }
-
-    fn record_clones(&mut self, count: u64) {
-        self.metrics.messages_cloned += count;
-    }
-
-    fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        if !self.plan.has_crashes() {
-            return self.inner.ball(v, radius);
-        }
-        // Evaluated at the current round (the last charged gather round).
-        crash_aware_ball(
-            self.inner.graph(),
-            &self.plan,
-            self.metrics.rounds.max(1),
-            v,
-            radius,
-        )
-    }
-
-    fn lossless(&self) -> bool {
-        self.plan.is_zero_fault()
-    }
-}
-
 /// The radius-`r` ball around `v` as a crash-afflicted gather delivers it:
 /// crashed nodes neither forward nor reply, so they (and everything
 /// reachable only through them) are absent. A down origin knows only
-/// itself. Shared by [`FaultyNetwork`] and the sharded transport so the
-/// two report identical balls at identical rounds.
+/// itself. Under a plan without crashes this is the plain breadth-first
+/// ball.
 pub(crate) fn crash_aware_ball(
     g: &CsrGraph,
     plan: &FaultPlan,
@@ -633,6 +399,7 @@ pub(crate) fn crash_aware_ball(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{Net, Outgoing};
     use sparsimatch_graph::csr::from_edges;
     use sparsimatch_graph::generators::{clique, path, star};
 
@@ -645,23 +412,38 @@ mod tests {
             .collect()
     }
 
+    /// A network under `plan` with resilience off.
+    fn faulty(g: &CsrGraph, plan: FaultPlan) -> Network<'_> {
+        Network::with_resilience(g, plan, ResilienceParams::off())
+    }
+
     #[test]
     fn zero_fault_plan_is_byte_identical_to_network() {
+        // Every rate is positive, so exchanges take the faulty loop, but
+        // a zero horizon means no fault ever fires.
+        let rates = FaultRates {
+            drop: 0.5,
+            duplicate: 0.5,
+            reorder: 0.5,
+            crash: 0.5,
+        };
         let g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
         let mut perfect = Network::new(&g);
-        let mut faulty = FaultyNetwork::new(&g, FaultPlan::none());
+        let mut silent = faulty(&g, FaultPlan::new(5, rates).with_horizon(0));
         for round in 0..4 {
             let out = all_broadcast(6, &g);
             let a = perfect.exchange(out.clone());
-            let b = Net::exchange(&mut faulty, out);
+            let b = silent.exchange(out);
             assert_eq!(a, b, "round {round}: inboxes must match exactly");
-            assert_eq!(perfect.metrics(), Net::metrics(&faulty));
+            assert_eq!(perfect.metrics(), silent.metrics());
         }
         perfect.charge_gather(3, 16);
-        Net::charge_gather(&mut faulty, 3, 16);
-        assert_eq!(perfect.metrics(), Net::metrics(&faulty));
-        assert_eq!(faulty.fault_stats(), FaultStats::default());
-        assert!(Net::lossless(&faulty));
+        silent.charge_gather(3, 16);
+        assert_eq!(perfect.metrics(), silent.metrics());
+        for v in 0..6 {
+            assert_eq!(perfect.ball(VertexId(v), 2), silent.ball(VertexId(v), 2));
+        }
+        assert_eq!(silent.fault_stats(), FaultStats::default());
     }
 
     #[test]
@@ -671,35 +453,44 @@ mod tests {
             drop: 1.0,
             ..Default::default()
         };
-        let mut net = FaultyNetwork::new(&g, FaultPlan::new(3, rates));
-        let inboxes = Net::exchange(&mut net, all_broadcast(5, &g));
+        let mut net = faulty(&g, FaultPlan::new(3, rates));
+        let inboxes = net.exchange(all_broadcast(5, &g));
         assert!(inboxes.iter().all(|i| i.is_empty()));
         // Sends are still counted: the work happened, delivery failed.
-        assert_eq!(Net::metrics(&net).messages, 8);
+        assert_eq!(net.metrics().messages, 8);
         assert_eq!(net.fault_stats().dropped, 8);
-        assert!(!Net::lossless(&net));
+        assert!(!net.lossless());
     }
 
     #[test]
     fn retry_past_the_horizon_recovers_every_message() {
         // drop = 1 inside the horizon, perfect after: attempt 1 (round 1)
         // loses all 8 messages, attempt 2 (round 3) delivers and acks all.
+        // The largest retry budget stops at the same point.
         let g = star(5);
         let rates = FaultRates {
             drop: 1.0,
             ..Default::default()
         };
-        let plan = FaultPlan::new(7, rates).with_horizon(1);
-        let mut net = FaultyNetwork::with_resilience(&g, plan, ResilienceParams::retry(2));
-        let inboxes = Net::exchange(&mut net, all_broadcast(5, &g));
-        let delivered: usize = inboxes.iter().map(|i| i.len()).sum();
-        assert_eq!(delivered, 8, "all messages recovered by the retry");
-        let stats = net.fault_stats();
-        assert_eq!(stats.dropped, 8, "first attempt lost all 8");
-        assert_eq!(stats.retries, 8, "all 8 retransmitted once");
-        assert_eq!(stats.duplicated, 0);
-        // Rounds: send + ack, retry send + ack.
-        assert_eq!(Net::metrics(&net).rounds, 4);
+        for retries in [2, u32::MAX] {
+            let plan = FaultPlan::new(7, rates).with_horizon(1);
+            let mut net = Network::with_resilience(&g, plan, ResilienceParams::retry(retries));
+            let inboxes = net.exchange(all_broadcast(5, &g));
+            let delivered: usize = inboxes.iter().map(|i| i.len()).sum();
+            assert_eq!(delivered, 8, "retry({retries}): all messages recovered");
+            let stats = net.fault_stats();
+            assert_eq!(
+                stats.dropped, 8,
+                "retry({retries}): first attempt lost all 8"
+            );
+            assert_eq!(
+                stats.retries, 8,
+                "retry({retries}): all 8 retransmitted once"
+            );
+            assert_eq!(stats.duplicated, 0);
+            // Rounds: send + ack, retry send + ack.
+            assert_eq!(net.metrics().rounds, 4, "retry({retries})");
+        }
     }
 
     #[test]
@@ -709,8 +500,8 @@ mod tests {
             duplicate: 1.0,
             ..Default::default()
         };
-        let mut net = FaultyNetwork::new(&g, FaultPlan::new(1, rates));
-        let inboxes = Net::exchange(&mut net, all_broadcast(3, &g));
+        let mut net = faulty(&g, FaultPlan::new(1, rates));
+        let inboxes = net.exchange(all_broadcast(3, &g));
         let delivered: usize = inboxes.iter().map(|i| i.len()).sum();
         assert_eq!(delivered, 8, "4 half-edge messages, each doubled");
         assert_eq!(net.fault_stats().duplicated, 4);
@@ -723,8 +514,8 @@ mod tests {
     fn permanently_crashed_nodes_neither_send_nor_receive() {
         let g = star(4); // center 0, leaves 1..=3
         let plan = FaultPlan::none().with_crashed_nodes([1]);
-        let mut net = FaultyNetwork::new(&g, plan);
-        let inboxes = Net::exchange(&mut net, all_broadcast(4, &g));
+        let mut net = faulty(&g, plan);
+        let inboxes = net.exchange(all_broadcast(4, &g));
         // Leaf 1's message to the center is suppressed; the center's
         // message to leaf 1 is lost in transit.
         assert_eq!(inboxes[0].len(), 2, "center hears leaves 2 and 3 only");
@@ -739,18 +530,12 @@ mod tests {
     fn crashed_nodes_vanish_from_gathered_balls() {
         let g = path(5); // 0-1-2-3-4
         let plan = FaultPlan::none().with_crashed_nodes([2]);
-        let mut net = FaultyNetwork::new(&g, plan);
-        Net::charge_gather(&mut net, 4, 8);
-        let ball: Vec<u32> = Net::ball(&net, VertexId(0), 4)
-            .into_iter()
-            .map(|v| v.0)
-            .collect();
+        let mut net = faulty(&g, plan);
+        net.charge_gather(4, 8);
+        let ball: Vec<u32> = net.ball(VertexId(0), 4).into_iter().map(|v| v.0).collect();
         // Vertex 2 is down, so 3 and 4 are unreachable too.
         assert_eq!(ball, vec![0, 1]);
-        let own: Vec<u32> = Net::ball(&net, VertexId(2), 4)
-            .into_iter()
-            .map(|v| v.0)
-            .collect();
+        let own: Vec<u32> = net.ball(VertexId(2), 4).into_iter().map(|v| v.0).collect();
         assert_eq!(own, vec![2], "a down node knows only itself");
     }
 
@@ -762,8 +547,8 @@ mod tests {
             ..Default::default()
         };
         let run = || {
-            let mut net = FaultyNetwork::new(&g, FaultPlan::new(11, rates));
-            Net::exchange(&mut net, all_broadcast(6, &g))
+            let mut net = faulty(&g, FaultPlan::new(11, rates));
+            net.exchange(all_broadcast(6, &g))
         };
         let a = run();
         let b = run();

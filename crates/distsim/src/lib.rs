@@ -9,13 +9,17 @@
 //! quantities Theorems 3.2 and 3.3 bound: the number of communication
 //! rounds, the number of (unicast) messages, and the bits on the wire.
 //!
-//! Design: algorithms are written as straight-line Rust against a
-//! [`network::Network`]; **all** inter-vertex information flow goes through
-//! [`network::Network::exchange`] (one synchronous round, fully accounted)
-//! or through [`network::Network::charge_gather`] (the standard
-//! "collect your radius-r ball" LOCAL primitive, charged r rounds and
-//! r·2m messages; the ball content is then read off the master graph —
-//! an accounting-faithful simulation shortcut, see DESIGN.md §4.5).
+//! Design: algorithms are written as straight-line Rust against the
+//! [`Net`] trait; **all** inter-vertex information flow goes through
+//! [`Net::exchange`] (one synchronous round, fully accounted) or through
+//! [`Net::charge_gather`] (the standard "collect your radius-r ball" LOCAL
+//! primitive, charged r rounds and r·2m messages; the ball content is then
+//! read off the master graph — an accounting-faithful simulation shortcut,
+//! see DESIGN.md §4.5). One transport implements the trait: [`Network`],
+//! which runs each round on one worker by default or on `t`
+//! ([`Network::with_threads`]), and injects the faults of a [`FaultPlan`]
+//! with optional ack/retry resilience ([`Network::with_resilience`]).
+//! Outputs and accounting are the same at every worker count.
 //!
 //! Algorithms:
 //!
@@ -41,4 +45,3 @@ pub mod shard;
 pub use faults::{FaultPlan, FaultRates, FaultStats, FaultyNetwork, ResilienceParams};
 pub use metrics::Metrics;
 pub use network::{Net, Network};
-pub use shard::ShardedNetwork;

@@ -146,7 +146,7 @@ fn mark_range(
 
 /// [`mpc_approx_mcm`] with the machine-local marking phase executed by
 /// `threads` shard workers over half-edge-balanced contiguous vertex
-/// ranges (the same partitioner as [`crate::ShardedNetwork`]). The
+/// ranges (the same partitioner as [`crate::Network::with_threads`]). The
 /// outcome — marked-edge list, matching, loads — is byte-identical to
 /// the sequential run at every thread count because marking is a pure
 /// per-vertex function and shards are concatenated in range order.

@@ -1,13 +1,17 @@
-//! The simulated network: a graph of nodes exchanging port-addressed
-//! messages in synchronous rounds.
+//! The simulated network's contract: a graph of nodes exchanging
+//! port-addressed messages in synchronous rounds.
 //!
 //! Ports follow the standard distributed-computing convention: vertex `v`
 //! talks through ports `0..deg(v)`, port `i` being its `i`-th incident
 //! edge. Nodes address neighbors by port, never by id (the `KT_0`
 //! assumption the paper's sparsifier needs); ids exist only as symmetry-
 //! breaking input to the coloring algorithms, as in the LOCAL model.
+//!
+//! Algorithms are written against [`Net`]. Its one transport is
+//! [`Network`], the sharded engine of [`crate::shard`], re-exported here.
 
 use crate::metrics::Metrics;
+pub use crate::shard::Network;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
@@ -17,13 +21,14 @@ pub type Outgoing<M> = (usize, M, u64);
 /// A message received by a node: (in-port, payload).
 pub type Incoming<M> = (usize, M);
 
-/// The common interface of the perfect [`Network`] and the fault-injecting
-/// [`crate::faults::FaultyNetwork`].
+/// The interface the distributed algorithms are written against.
 ///
-/// Algorithms written against this trait run unmodified over either
-/// transport: a perfect network delivers every message exactly once per
-/// round, a faulty one may drop, duplicate, or reorder messages and take
-/// extra (accounted) rounds for ack/retry resilience. The `'g` parameter
+/// [`Network`] implements it; wrappers that observe a [`Network`] (a
+/// timing wrapper, say) implement it by delegation. Without faults a
+/// network delivers every message exactly once per round; under a
+/// [`FaultPlan`](crate::FaultPlan) it may drop, duplicate, or reorder
+/// messages and take extra (accounted) rounds for ack/retry resilience.
+/// Algorithms run unmodified either way. The `'g` parameter
 /// is the lifetime of the underlying topology, so `graph()` borrows the
 /// graph rather than the network and callers can hold topology references
 /// across accounted rounds.
@@ -49,8 +54,14 @@ pub trait Net<'g>: Sync {
         outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>>;
 
-    /// Charge the canonical LOCAL "gather your radius-`r` ball" primitive
-    /// (see [`Network::charge_gather`]).
+    /// Charge the canonical LOCAL "gather your radius-`r` ball" primitive:
+    /// `r` rounds in which every vertex forwards everything it knows on
+    /// every port. Messages: `r · 2m`; bits: caller-supplied estimate of
+    /// the per-message payload (e.g. the ball's edge count × bits/edge).
+    ///
+    /// The ball content itself is then read off the master graph with
+    /// [`Net::ball`] — an accounting-faithful shortcut (the protocol would
+    /// deliver exactly that information in `r` rounds).
     fn charge_gather(&mut self, radius: usize, bits_per_message: u64);
 
     /// Account `count` host-side payload clones against this transport's
@@ -59,8 +70,9 @@ pub trait Net<'g>: Sync {
     /// retained retransmit buffers do.
     fn record_clones(&mut self, count: u64);
 
-    /// Collect the radius-`r` ball around `v` as the transport would
-    /// deliver it (a faulty transport omits crashed nodes).
+    /// Collect the radius-`r` ball around `v` — the vertices at distance
+    /// ≤ `r` — as the transport would deliver it (crashed nodes are
+    /// omitted).
     fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId>;
 
     /// Number of nodes.
@@ -83,7 +95,23 @@ pub trait Net<'g>: Sync {
         payloads: Vec<(M, u64)>,
     ) -> Vec<Vec<Incoming<M>>> {
         let graph = self.graph();
-        let (outboxes, clones) = broadcast_outboxes(graph, payloads);
+        let mut clones = 0u64;
+        let outboxes = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(v, (payload, bits))| {
+                let deg = graph.degree(VertexId::new(v));
+                let mut out: Vec<Outgoing<M>> = Vec::with_capacity(deg);
+                for p in 0..deg.saturating_sub(1) {
+                    out.push((p, payload.clone(), bits));
+                    clones += 1;
+                }
+                if deg > 0 {
+                    out.push((deg - 1, payload, bits));
+                }
+                out
+            })
+            .collect();
         self.record_clones(clones);
         self.exchange(outboxes)
     }
@@ -94,276 +122,6 @@ pub trait Net<'g>: Sync {
     /// their safety invariants (matching validity) never depend on it.
     fn lossless(&self) -> bool {
         true
-    }
-}
-
-/// Expand per-node broadcast payloads into per-port outboxes, cloning the
-/// payload for all ports but the last (which takes it by value). Returns
-/// the outboxes and the number of clones performed, so every transport's
-/// broadcast costs the same host-side copies.
-pub(crate) fn broadcast_outboxes<M: Clone>(
-    graph: &CsrGraph,
-    payloads: Vec<(M, u64)>,
-) -> (Vec<Vec<Outgoing<M>>>, u64) {
-    let mut clones = 0u64;
-    let outboxes = payloads
-        .into_iter()
-        .enumerate()
-        .map(|(v, (payload, bits))| {
-            let deg = graph.degree(VertexId::new(v));
-            let mut out: Vec<Outgoing<M>> = Vec::with_capacity(deg);
-            for p in 0..deg.saturating_sub(1) {
-                out.push((p, payload.clone(), bits));
-                clones += 1;
-            }
-            if deg > 0 {
-                out.push((deg - 1, payload, bits));
-            }
-            out
-        })
-        .collect();
-    (outboxes, clones)
-}
-
-/// The simulated network over a fixed topology.
-///
-/// ```
-/// use sparsimatch_distsim::Network;
-/// use sparsimatch_graph::generators::path;
-///
-/// let g = path(3); // 0 - 1 - 2
-/// let mut net = Network::new(&g);
-/// // Vertex 0 sends one 8-bit message to its only neighbor.
-/// let mut out: Vec<Vec<(usize, u32, u64)>> = vec![vec![]; 3];
-/// out[0].push((0, 42, 8));
-/// let inboxes = net.exchange(out);
-/// assert_eq!(inboxes[1].iter().map(|&(_, m)| m).collect::<Vec<_>>(), vec![42]);
-/// assert_eq!(net.metrics().rounds, 1);
-/// assert_eq!(net.metrics().bits, 8);
-/// ```
-pub struct Network<'g> {
-    graph: &'g CsrGraph,
-    /// For the half-edge at global CSR slot `s` (vertex `u`, port `i`),
-    /// `peer_port[s]` is the port index of the same edge at the other
-    /// endpoint.
-    peer_port: Vec<u32>,
-    /// Global slot offset of each vertex (mirror of CSR offsets).
-    offsets: Vec<usize>,
-    metrics: Metrics,
-}
-
-impl<'g> Network<'g> {
-    /// Wrap a topology.
-    pub fn new(graph: &'g CsrGraph) -> Self {
-        let n = graph.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for v in 0..n {
-            offsets.push(offsets[v] + graph.degree(VertexId::new(v)));
-        }
-        // slot_of_edge[e] = (slot at smaller endpoint, slot at larger endpoint)
-        let mut slot_small = vec![u32::MAX; graph.num_edges()];
-        let mut slot_large = vec![u32::MAX; graph.num_edges()];
-        for v in 0..n {
-            let v = VertexId::new(v);
-            for (i, (u, e)) in graph.incident(v).enumerate() {
-                if v.0 < u.0 {
-                    slot_small[e.index()] = i as u32;
-                } else {
-                    slot_large[e.index()] = i as u32;
-                }
-            }
-        }
-        let mut peer_port = vec![0u32; 2 * graph.num_edges()];
-        for v in 0..n {
-            let v = VertexId::new(v);
-            for (i, (u, e)) in graph.incident(v).enumerate() {
-                peer_port[offsets[v.index()] + i] = if v.0 < u.0 {
-                    slot_large[e.index()]
-                } else {
-                    slot_small[e.index()]
-                };
-            }
-        }
-        Network {
-            graph,
-            peer_port,
-            offsets,
-            metrics: Metrics::new(),
-        }
-    }
-
-    /// The underlying topology. The returned reference borrows the graph
-    /// itself (lifetime `'g`), not the network, so callers can hold it
-    /// across accounted rounds.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.graph.num_vertices()
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> Metrics {
-        self.metrics
-    }
-
-    /// The neighbor reached through `(v, port)`.
-    pub fn peer(&self, v: VertexId, port: usize) -> VertexId {
-        self.graph.neighbor(v, port)
-    }
-
-    /// The port index of the edge `(v, port)` at the *other* endpoint:
-    /// a message sent on `(v, port)` arrives tagged with this in-port.
-    ///
-    /// # Panics
-    /// Panics if `port >= deg(v)`.
-    pub fn in_port(&self, v: VertexId, port: usize) -> usize {
-        assert!(port < self.graph.degree(v), "port out of range");
-        self.peer_port[self.offsets[v.index()] + port] as usize
-    }
-
-    /// Global half-edge slot of `(v, port)` — a dense id in `0..2m`, used
-    /// by the fault layer to key deterministic per-message decisions.
-    pub(crate) fn slot_of(&self, v: VertexId, port: usize) -> usize {
-        self.offsets[v.index()] + port
-    }
-
-    /// The routing tables shared with the sharded transport:
-    /// (per-vertex slot offsets, peer-port per half-edge slot).
-    pub(crate) fn tables(&self) -> (&[usize], &[u32]) {
-        (&self.offsets, &self.peer_port)
-    }
-
-    /// One synchronous round: every node's outbox is delivered to the
-    /// corresponding peer's inbox (tagged with the receiving port).
-    /// `outboxes[v]` lists `(port, payload, payload_bits)`.
-    ///
-    /// # Panics
-    /// Panics if `outboxes.len() != num_nodes()` or an entry names a port
-    /// `>= deg(v)`: outboxes are produced by the simulated algorithm, not
-    /// by the (possibly adversarial) environment, so a bad port is a
-    /// protocol bug and fails loudly instead of being dropped.
-    pub fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        assert_eq!(outboxes.len(), self.num_nodes());
-        self.metrics.rounds += 1;
-        let mut inboxes: Vec<Vec<Incoming<M>>> = vec![Vec::new(); self.num_nodes()];
-        for (v, outbox) in outboxes.into_iter().enumerate() {
-            let v = VertexId::new(v);
-            for (port, payload, bits) in outbox {
-                assert!(port < self.graph.degree(v), "port out of range");
-                let u = self.graph.neighbor(v, port);
-                let in_port = self.peer_port[self.offsets[v.index()] + port] as usize;
-                self.metrics.messages += 1;
-                self.metrics.bits += bits;
-                self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                inboxes[u.index()].push((in_port, payload));
-            }
-        }
-        inboxes
-    }
-
-    /// Broadcast convenience: every node sends the same payload on all its
-    /// ports (the broadcast transmission mode of Section 3.2). Performs
-    /// `deg(v) - 1` payload clones per speaking node, counted in
-    /// [`Metrics::messages_cloned`].
-    pub fn broadcast_exchange<M: Clone + Send>(
-        &mut self,
-        payloads: Vec<(M, u64)>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        let (outboxes, clones) = broadcast_outboxes(self.graph, payloads);
-        self.metrics.messages_cloned += clones;
-        self.exchange(outboxes)
-    }
-
-    /// Charge the canonical LOCAL "gather your radius-`r` ball" primitive:
-    /// `r` rounds in which every vertex forwards everything it knows on
-    /// every port. Messages: `r · 2m`; bits: caller-supplied estimate of
-    /// the per-message payload (e.g. the ball's edge count × bits/edge).
-    ///
-    /// The ball content itself is then read off the master graph by the
-    /// caller — an accounting-faithful shortcut (the protocol would deliver
-    /// exactly that information in `r` rounds).
-    pub fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        let m2 = 2 * self.graph.num_edges() as u64;
-        self.metrics.rounds += radius as u64;
-        self.metrics.messages += radius as u64 * m2;
-        self.metrics.bits += radius as u64 * m2 * bits_per_message;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits_per_message);
-    }
-
-    /// Collect the radius-`r` ball around `v`: vertices at distance ≤ r.
-    /// Pure topology helper (pair with [`Network::charge_gather`] for
-    /// accounting).
-    pub fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        let mut dist = std::collections::HashMap::new();
-        dist.insert(v, 0usize);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(v);
-        let mut out = vec![v];
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            if du == radius {
-                continue;
-            }
-            for w in self.graph.neighbors(u) {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                    e.insert(du + 1);
-                    out.push(w);
-                    queue.push_back(w);
-                }
-            }
-        }
-        out
-    }
-}
-
-impl<'g> Net<'g> for Network<'g> {
-    fn graph(&self) -> &'g CsrGraph {
-        Network::graph(self)
-    }
-
-    fn metrics(&self) -> Metrics {
-        Network::metrics(self)
-    }
-
-    fn exchange<M: Clone + Send>(
-        &mut self,
-        outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        Network::exchange(self, outboxes)
-    }
-
-    fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        Network::charge_gather(self, radius, bits_per_message)
-    }
-
-    fn record_clones(&mut self, count: u64) {
-        self.metrics.messages_cloned += count;
-    }
-
-    fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        Network::ball(self, v, radius)
-    }
-
-    fn num_nodes(&self) -> usize {
-        Network::num_nodes(self)
-    }
-
-    fn peer(&self, v: VertexId, port: usize) -> VertexId {
-        Network::peer(self, v, port)
-    }
-
-    fn broadcast_exchange<M: Clone + Send>(
-        &mut self,
-        payloads: Vec<(M, u64)>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        Network::broadcast_exchange(self, payloads)
     }
 }
 
@@ -381,7 +139,7 @@ mod tests {
             let v = VertexId::new(v);
             for port in 0..g.degree(v) {
                 let u = net.peer(v, port);
-                let back = net.peer_port[net.offsets[v.index()] + port] as usize;
+                let back = net.in_port(v, port);
                 assert_eq!(net.peer(u, back), v, "peer port must point back");
             }
         }

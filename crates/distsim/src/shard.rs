@@ -1,5 +1,5 @@
-//! Sharded round execution: the same simulated network, spread over
-//! `std::thread::scope` workers, byte-identical to the sequential one.
+//! The simulated network's one transport, [`Network`]: rounds executed on
+//! `t` `std::thread::scope` workers, with the same result at every `t`.
 //!
 //! The vertex set is partitioned into contiguous CSR ranges balanced by
 //! half-edge count. Each [`Net::exchange`] runs in two barriers:
@@ -7,34 +7,35 @@
 //! 1. **Send.** Worker `k` walks its senders in ascending vertex order and
 //!    routes each outgoing message into one buffer per destination shard.
 //!    Within a buffer, messages are therefore already ordered by
-//!    `(sender, outbox position)` — the exact order the sequential
-//!    [`Network`] delivers in.
+//!    `(sender, outbox position)`.
 //! 2. **Deliver.** Worker `d` owns the inboxes of its vertex range and
 //!    concatenates the buffers addressed to it in ascending *source-shard*
 //!    order. Source shards are contiguous ascending vertex ranges, so the
 //!    concatenation of per-shard `(sender, seq)` orders is the global
-//!    `(sender, seq)` order: every inbox is byte-identical to the
-//!    sequential transport's, at every shard count.
+//!    `(sender, seq)` order: every inbox is the same at every shard count.
 //!
 //! The merge order is total — `(source shard, sender, outbox position)`
 //! determines a unique position for every message, no ties — so no
 //! scheduling of the workers can change an inbox. Per-worker [`Metrics`]
 //! and [`FaultStats`] are merged in ascending shard order; every merged
-//! field is a sum or a max, so the totals equal the sequential counters.
+//! field is a sum or a max, so the totals do not depend on the shard
+//! count. One worker is the default, and a lone job runs inline, so a
+//! one-worker network never enters `thread::scope`.
 //!
-//! Faults parallelize the same way because every [`FaultPlan`] decision is
-//! a pure hash of `(seed, kind, round, slot-or-node)`: workers evaluate
-//! drop/duplicate/crash decisions independently, per-message retry state
-//! lives with the sender's shard, and the attempt loop of the resilience
-//! layer becomes a sequence of send/ack barriers with the same round
-//! numbering as [`FaultyNetwork`](crate::FaultyNetwork). Inbox
-//! reordering is keyed by
+//! An exchange takes one of two loops. With a plan that cannot fault and
+//! resilience off it takes the perfect loop above; otherwise it takes the
+//! faulty loop. Faults parallelize the same way because every
+//! [`FaultPlan`] decision is a pure hash of `(seed, kind, round,
+//! slot-or-node)`: workers evaluate drop/duplicate/crash decisions
+//! independently, per-message retry state lives with the sender's shard,
+//! and the attempt loop of the resilience layer becomes a sequence of
+//! send/ack barriers. Inbox reordering is keyed by
 //! `(logical round, destination node)` and applied by the destination
 //! shard after the merge.
 
 use crate::faults::{crash_aware_ball, FaultPlan, FaultStats, Pending, ResilienceParams};
 use crate::metrics::Metrics;
-use crate::network::{broadcast_outboxes, Incoming, Net, Network, Outgoing};
+use crate::network::{Incoming, Net, Outgoing};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
@@ -42,7 +43,7 @@ use sparsimatch_graph::ids::VertexId;
 /// results in shard order. A single job runs inline (no thread). Worker
 /// panics are re-raised with their original payload, so a protocol bug
 /// (for example an out-of-range port) reports the same message it would
-/// on the sequential transport.
+/// on one worker.
 pub(crate) fn run_jobs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -81,8 +82,8 @@ pub(crate) fn balanced_bounds(offsets: &[usize], shards: usize) -> Vec<usize> {
     bounds
 }
 
-/// CSR-style slot offsets of a graph (`n + 1` entries), for callers that
-/// shard by load without building a full [`Network`].
+/// CSR-style slot offsets of a graph (`n + 1` entries): the global
+/// half-edge slot at which each vertex's ports start.
 pub(crate) fn csr_offsets(g: &CsrGraph) -> Vec<usize> {
     let n = g.num_vertices();
     let mut offsets = Vec::with_capacity(n + 1);
@@ -111,8 +112,7 @@ fn split_ranges<'a, T>(items: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]>
     out
 }
 
-/// Crashed node-rounds charged for one physical round (the sharded mirror
-/// of the sequential transport's per-round crash accounting).
+/// Crashed node-rounds charged for one physical round.
 fn crashed_count(plan: &FaultPlan, n: u32, round: u64) -> u64 {
     if !plan.has_crashes() {
         return 0;
@@ -148,69 +148,144 @@ fn deliver<M: Send>(
     );
 }
 
-/// The sharded transport: a drop-in [`Net`] whose rounds execute on
-/// `threads` scoped workers, byte-identical to [`Network`] (and, under a
-/// [`FaultPlan`], to [`FaultyNetwork`]) at every thread count.
+/// The simulated network over a fixed topology, and the one [`Net`]
+/// transport. [`Network::new`] delivers perfectly on one worker;
+/// [`Network::with_resilience`] adds a fault plan and the ack/retry
+/// layer, and [`Network::with_threads`] sets the worker count. Outputs,
+/// [`Metrics`] and [`FaultStats`] are the same at every worker count.
 ///
 /// ```
-/// use sparsimatch_distsim::{Net, Network, ShardedNetwork};
-/// use sparsimatch_graph::generators::cycle;
+/// use sparsimatch_distsim::{Net, Network};
+/// use sparsimatch_graph::generators::path;
 ///
-/// let g = cycle(64);
-/// let mut seq = Network::new(&g);
-/// let mut par = ShardedNetwork::new(&g, 4);
-/// let payloads: Vec<(u32, u64)> = (0..64).map(|v| (v, 8)).collect();
-/// let a = seq.broadcast_exchange(payloads.clone());
-/// let b = par.broadcast_exchange(payloads);
-/// assert_eq!(a, b);
-/// assert_eq!(seq.metrics(), Net::metrics(&par));
+/// let g = path(3); // 0 - 1 - 2
+/// let mut net = Network::new(&g);
+/// // Vertex 0 sends one 8-bit message to its only neighbor.
+/// let mut out: Vec<Vec<(usize, u32, u64)>> = vec![vec![]; 3];
+/// out[0].push((0, 42, 8));
+/// let inboxes = net.exchange(out);
+/// assert_eq!(inboxes[1].iter().map(|&(_, m)| m).collect::<Vec<_>>(), vec![42]);
+/// assert_eq!(net.metrics().rounds, 1);
+/// assert_eq!(net.metrics().bits, 8);
 /// ```
-///
-/// [`FaultyNetwork`]: crate::faults::FaultyNetwork
-pub struct ShardedNetwork<'g> {
-    inner: Network<'g>,
+pub struct Network<'g> {
+    graph: &'g CsrGraph,
+    /// Global half-edge slot offset of each vertex (`n + 1` entries).
+    offsets: Vec<usize>,
+    /// For the half-edge at global slot `s` (vertex `u`, port `i`),
+    /// `peer_port[s]` is the port index of the same edge at the other
+    /// endpoint.
+    peer_port: Vec<u32>,
     plan: FaultPlan,
     resilience: ResilienceParams,
-    threads: usize,
+    /// `threads + 1` shard boundaries (see [`Network::shard_bounds`]).
     bounds: Vec<usize>,
     metrics: Metrics,
     faults: FaultStats,
 }
 
-impl<'g> ShardedNetwork<'g> {
-    /// Wrap a topology with `threads` round workers, perfect delivery.
-    pub fn new(graph: &'g CsrGraph, threads: usize) -> Self {
-        ShardedNetwork::with_faults(graph, threads, FaultPlan::none(), ResilienceParams::off())
+impl<'g> Network<'g> {
+    /// Wrap a topology: perfect delivery, one worker.
+    pub fn new(graph: &'g CsrGraph) -> Self {
+        Network::with_resilience(graph, FaultPlan::none(), ResilienceParams::off())
     }
 
-    /// Wrap a topology with `threads` round workers, a fault plan, and a
-    /// resilience configuration.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn with_faults(
+    /// Wrap a topology with a fault plan and a resilience configuration,
+    /// on one worker.
+    pub fn with_resilience(
         graph: &'g CsrGraph,
-        threads: usize,
         plan: FaultPlan,
         resilience: ResilienceParams,
     ) -> Self {
-        assert!(threads >= 1, "thread count must be at least 1");
-        let inner = Network::new(graph);
-        let bounds = balanced_bounds(inner.tables().0, threads);
-        ShardedNetwork {
-            inner,
+        let n = graph.num_vertices();
+        let offsets = csr_offsets(graph);
+        // The port of each edge at its smaller and at its larger endpoint.
+        let mut slot_small = vec![u32::MAX; graph.num_edges()];
+        let mut slot_large = vec![u32::MAX; graph.num_edges()];
+        for v in 0..n {
+            let v = VertexId::new(v);
+            for (i, (u, e)) in graph.incident(v).enumerate() {
+                if v.0 < u.0 {
+                    slot_small[e.index()] = i as u32;
+                } else {
+                    slot_large[e.index()] = i as u32;
+                }
+            }
+        }
+        let mut peer_port = vec![0u32; 2 * graph.num_edges()];
+        for v in 0..n {
+            let v = VertexId::new(v);
+            for (i, (u, e)) in graph.incident(v).enumerate() {
+                peer_port[offsets[v.index()] + i] = if v.0 < u.0 {
+                    slot_large[e.index()]
+                } else {
+                    slot_small[e.index()]
+                };
+            }
+        }
+        let bounds = balanced_bounds(&offsets, 1);
+        Network {
+            graph,
+            offsets,
+            peer_port,
             plan,
             resilience,
-            threads,
             bounds,
             metrics: Metrics::new(),
             faults: FaultStats::default(),
         }
     }
 
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// Run every round on `threads` workers.
+    ///
+    /// ```
+    /// use sparsimatch_distsim::{Net, Network};
+    /// use sparsimatch_graph::generators::cycle;
+    ///
+    /// let g = cycle(64);
+    /// let mut one = Network::new(&g);
+    /// let mut four = Network::new(&g).with_threads(4);
+    /// let payloads: Vec<(u32, u64)> = (0..64).map(|v| (v, 8)).collect();
+    /// let a = one.broadcast_exchange(payloads.clone());
+    /// let b = four.broadcast_exchange(payloads);
+    /// assert_eq!(a, b);
+    /// assert_eq!(one.metrics(), four.metrics());
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "thread count must be at least 1");
+        self.bounds = balanced_bounds(&self.offsets, threads);
+        self
+    }
+
+    /// The underlying topology. The returned reference borrows the graph
+    /// itself (lifetime `'g`), not the network, so callers can hold it
+    /// across accounted rounds.
+    pub fn graph(&self) -> &'g CsrGraph {
+        self.graph
+    }
+
+    /// Communication metrics accumulated so far (inherent mirror of the
+    /// trait method, so concrete holders need no trait import).
+    pub fn metrics(&self) -> Metrics {
+        self.metrics
+    }
+
+    /// The neighbor reached through `(v, port)`.
+    pub fn peer(&self, v: VertexId, port: usize) -> VertexId {
+        self.graph.neighbor(v, port)
+    }
+
+    /// The port index of the edge `(v, port)` at the *other* endpoint:
+    /// a message sent on `(v, port)` arrives tagged with this in-port.
+    ///
+    /// # Panics
+    /// Panics if `port >= deg(v)`.
+    pub fn in_port(&self, v: VertexId, port: usize) -> usize {
+        assert!(port < self.graph.degree(v), "port out of range");
+        self.peer_port[self.offsets[v.index()] + port] as usize
     }
 
     /// The shard boundaries: `threads + 1` nondecreasing vertex indices;
@@ -229,25 +304,9 @@ impl<'g> ShardedNetwork<'g> {
         self.resilience
     }
 
-    /// Fault counters accumulated so far.
+    /// Fault counters accumulated so far (all zero without faults).
     pub fn fault_stats(&self) -> FaultStats {
         self.faults
-    }
-
-    /// Communication metrics accumulated so far (inherent mirror of the
-    /// trait method, so concrete holders need no trait import).
-    pub fn metrics(&self) -> Metrics {
-        self.metrics
-    }
-
-    /// Broadcast convenience mirroring [`Network::broadcast_exchange`].
-    pub fn broadcast_exchange<M: Clone + Send>(
-        &mut self,
-        payloads: Vec<(M, u64)>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        let (outboxes, clones) = broadcast_outboxes(self.inner.graph(), payloads);
-        self.metrics.messages_cloned += clones;
-        Net::exchange(self, outboxes)
     }
 
     /// Fault-free exchange: send barrier, deterministic merge, deliver
@@ -256,13 +315,13 @@ impl<'g> ShardedNetwork<'g> {
         &mut self,
         mut outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>> {
-        let n = self.inner.num_nodes();
+        let n = self.graph.num_vertices();
         assert_eq!(outboxes.len(), n);
         self.metrics.rounds += 1;
-        let t = self.threads;
-        let graph = self.inner.graph();
-        let (offsets, peer_port) = self.inner.tables();
-        let bounds: &[usize] = &self.bounds;
+        let graph = self.graph;
+        let (offsets, peer_port, bounds) =
+            (&self.offsets[..], &self.peer_port[..], &self.bounds[..]);
+        let t = bounds.len() - 1;
 
         struct SendOut<M> {
             buffers: Vec<Vec<(u32, u32, M)>>,
@@ -310,30 +369,28 @@ impl<'g> ShardedNetwork<'g> {
 
         let mut inboxes: Vec<Vec<Incoming<M>>> = Vec::with_capacity(n);
         inboxes.resize_with(n, Vec::new);
-        deliver(&mut inboxes, grouped, &self.bounds);
+        deliver(&mut inboxes, grouped, bounds);
         inboxes
     }
 
-    /// Faulty exchange: the attempt loop of [`FaultyNetwork`] with each
-    /// send and ack round run as a shard barrier. Retry state lives with
-    /// the sender's shard; fault decisions are pure plan queries.
-    ///
-    /// [`FaultyNetwork`]: crate::faults::FaultyNetwork
+    /// Faulty exchange: the resilience layer's attempt loop, each send
+    /// and ack round run as a shard barrier. Retry state lives with the
+    /// sender's shard; fault decisions are pure plan queries.
     fn exchange_faulty<M: Clone + Send>(
         &mut self,
         mut outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>> {
-        let n = self.inner.num_nodes();
+        let n = self.graph.num_vertices();
         assert_eq!(outboxes.len(), n);
-        let t = self.threads;
-        let graph = self.inner.graph();
-        let (offsets, peer_port) = self.inner.tables();
-        let plan = self.plan.clone();
+        let graph = self.graph;
+        let (offsets, peer_port, bounds) =
+            (&self.offsets[..], &self.peer_port[..], &self.bounds[..]);
+        let t = bounds.len() - 1;
+        let plan = &self.plan;
         let resilience = self.resilience;
-        let bounds = self.bounds.clone();
 
         let mut pending_shards: Vec<Vec<Pending<M>>> = run_jobs(
-            split_ranges(&mut outboxes, &bounds)
+            split_ranges(&mut outboxes, bounds)
                 .into_iter()
                 .enumerate()
                 .map(|(k, slice)| {
@@ -369,10 +426,11 @@ impl<'g> ShardedNetwork<'g> {
         let logical_round = self.metrics.rounds + 1;
         let mut inboxes: Vec<Vec<Incoming<M>>> = Vec::with_capacity(n);
         inboxes.resize_with(n, Vec::new);
-        let attempts = 1 + if resilience.enabled() {
-            resilience.max_retries
+        // Counted in u64: `1 + max_retries` does not fit a u32 at u32::MAX.
+        let attempts = if resilience.enabled() {
+            1 + u64::from(resilience.max_retries)
         } else {
-            0
+            1
         };
         for attempt in 0..attempts {
             if attempt > 0 {
@@ -388,15 +446,13 @@ impl<'g> ShardedNetwork<'g> {
             // Send round.
             self.metrics.rounds += 1;
             let round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(&plan, n as u32, round);
+            self.faults.crashed_rounds += crashed_count(plan, n as u32, round);
             struct SendRes<M> {
                 buffers: Vec<Vec<(u32, u32, M)>>,
                 metrics: Metrics,
                 faults: FaultStats,
                 delivered: Vec<usize>,
             }
-            let bounds_ref: &[usize] = &bounds;
-            let plan_ref = &plan;
             let results: Vec<SendRes<M>> = run_jobs(
                 pending_shards
                     .iter_mut()
@@ -411,26 +467,34 @@ impl<'g> ShardedNetwork<'g> {
                                 if msg.acked {
                                     continue;
                                 }
-                                if plan_ref.is_down(msg.sender.0, round) {
+                                if plan.is_down(msg.sender.0, round) {
+                                    // A crashed node sends nothing; the
+                                    // message is lost unless a later retry
+                                    // finds the node back up.
                                     f.dropped += 1;
                                     continue;
                                 }
                                 m.messages += 1;
                                 m.bits += msg.bits;
                                 m.max_message_bits = m.max_message_bits.max(msg.bits);
-                                if plan_ref.is_down(msg.dest.0, round)
-                                    || plan_ref.message_dropped(round, msg.slot)
+                                if plan.is_down(msg.dest.0, round)
+                                    || plan.message_dropped(round, msg.slot)
                                 {
                                     f.dropped += 1;
                                     continue;
                                 }
-                                let dup = plan_ref.message_duplicated(round, msg.slot);
-                                let d = shard_of(bounds_ref, msg.dest.index());
+                                let dup = plan.message_duplicated(round, msg.slot);
+                                let d = shard_of(bounds, msg.dest.index());
+                                // Retain the payload whenever another
+                                // delivery may still need it: a retransmit
+                                // (resilience) or the duplicate below.
                                 let (payload, cloned) =
                                     msg.payload_for_delivery(resilience.enabled() || dup);
                                 m.messages_cloned += cloned as u64;
                                 buffers[d].push((msg.dest.0, msg.in_port as u32, payload));
                                 if msg.deliveries > 0 {
+                                    // Ack-loss retransmit: the receiver
+                                    // sees it twice.
                                     f.duplicated += 1;
                                 }
                                 msg.deliveries += 1;
@@ -465,7 +529,7 @@ impl<'g> ShardedNetwork<'g> {
                     grouped[d].push(buf);
                 }
             }
-            deliver(&mut inboxes, grouped, &bounds);
+            deliver(&mut inboxes, grouped, bounds);
             if !resilience.enabled() {
                 break;
             }
@@ -473,7 +537,7 @@ impl<'g> ShardedNetwork<'g> {
             // acks travel the same faulty links.
             self.metrics.rounds += 1;
             let ack_round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(&plan, n as u32, ack_round);
+            self.faults.crashed_rounds += crashed_count(plan, n as u32, ack_round);
             let acks: Vec<(Metrics, FaultStats)> = run_jobs(
                 pending_shards
                     .iter_mut()
@@ -484,14 +548,14 @@ impl<'g> ShardedNetwork<'g> {
                             let mut f = FaultStats::default();
                             for i in delivered {
                                 let msg = &mut shard[i];
-                                if plan_ref.is_down(msg.dest.0, ack_round) {
+                                if plan.is_down(msg.dest.0, ack_round) {
                                     continue; // acker is down: no ack sent at all
                                 }
                                 m.messages += 1;
                                 m.bits += resilience.ack_bits;
                                 m.max_message_bits = m.max_message_bits.max(resilience.ack_bits);
-                                if plan_ref.is_down(msg.sender.0, ack_round)
-                                    || plan_ref.message_dropped(ack_round, msg.back_slot)
+                                if plan.is_down(msg.sender.0, ack_round)
+                                    || plan.message_dropped(ack_round, msg.back_slot)
                                 {
                                     f.dropped += 1;
                                     continue;
@@ -514,16 +578,15 @@ impl<'g> ShardedNetwork<'g> {
         // Within-round reordering, keyed by the logical round so retries
         // do not change which inboxes get shuffled; applied by the
         // destination shard after the merge.
-        let plan_ref = &plan;
         run_jobs(
-            split_ranges(&mut inboxes, &bounds)
+            split_ranges(&mut inboxes, bounds)
                 .into_iter()
                 .enumerate()
                 .map(|(k, slice)| {
                     let base = bounds[k];
                     move || {
                         for (i, inbox) in slice.iter_mut().enumerate() {
-                            plan_ref.maybe_shuffle(logical_round, (base + i) as u32, inbox);
+                            plan.maybe_shuffle(logical_round, (base + i) as u32, inbox);
                         }
                     }
                 })
@@ -533,9 +596,9 @@ impl<'g> ShardedNetwork<'g> {
     }
 }
 
-impl<'g> Net<'g> for ShardedNetwork<'g> {
+impl<'g> Net<'g> for Network<'g> {
     fn graph(&self) -> &'g CsrGraph {
-        self.inner.graph()
+        self.graph
     }
 
     fn metrics(&self) -> Metrics {
@@ -554,10 +617,11 @@ impl<'g> Net<'g> for ShardedNetwork<'g> {
     }
 
     fn charge_gather(&mut self, radius: usize, bits_per_message: u64) {
-        // Same totals as the sequential transports; gathers are bulk
-        // transfers read off the master graph (see Network::charge_gather).
-        let m2 = 2 * self.inner.graph().num_edges() as u64;
-        let n = self.inner.num_nodes() as u32;
+        // Gathers are bulk transfers read off the master graph; the fault
+        // model reflects crashes by shrinking the balls (see `ball`), not
+        // by corrupting their content.
+        let m2 = 2 * self.graph.num_edges() as u64;
+        let n = self.graph.num_vertices() as u32;
         for _ in 0..radius {
             self.metrics.rounds += 1;
             let round = self.metrics.rounds;
@@ -573,11 +637,9 @@ impl<'g> Net<'g> for ShardedNetwork<'g> {
     }
 
     fn ball(&self, v: VertexId, radius: usize) -> Vec<VertexId> {
-        if !self.plan.has_crashes() {
-            return self.inner.ball(v, radius);
-        }
+        // Evaluated at the current round (the last charged gather round).
         crash_aware_ball(
-            self.inner.graph(),
+            self.graph,
             &self.plan,
             self.metrics.rounds.max(1),
             v,
@@ -593,7 +655,7 @@ impl<'g> Net<'g> for ShardedNetwork<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultRates, FaultyNetwork};
+    use crate::faults::FaultRates;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sparsimatch_graph::csr::from_edges;
@@ -613,7 +675,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = gnp(60, 0.1, &mut rng);
         for t in [1usize, 2, 3, 7, 8, 59, 64, 200] {
-            let net = ShardedNetwork::new(&g, t);
+            let net = Network::new(&g).with_threads(t);
             let b = net.shard_bounds();
             assert_eq!(b.len(), t + 1);
             assert_eq!(b[0], 0);
@@ -630,21 +692,21 @@ mod tests {
     fn perfect_rounds_match_sequential_at_every_thread_count() {
         let mut rng = StdRng::seed_from_u64(77);
         let g = gnp(80, 0.08, &mut rng);
-        for t in [1usize, 2, 4, 8, 13] {
+        for t in [2usize, 4, 8, 13] {
             let mut seq = Network::new(&g);
-            let mut par = ShardedNetwork::new(&g, t);
+            let mut par = Network::new(&g).with_threads(t);
             for round in 0..3 {
                 let out = all_broadcast(&g);
                 let a = seq.exchange(out.clone());
-                let b = Net::exchange(&mut par, out);
+                let b = par.exchange(out);
                 assert_eq!(a, b, "t = {t}, round {round}");
                 assert_eq!(seq.metrics(), par.metrics(), "t = {t}, round {round}");
             }
             seq.charge_gather(2, 16);
-            Net::charge_gather(&mut par, 2, 16);
+            par.charge_gather(2, 16);
             assert_eq!(seq.metrics(), par.metrics());
             assert_eq!(par.fault_stats(), FaultStats::default());
-            assert!(Net::lossless(&par));
+            assert!(par.lossless());
         }
     }
 
@@ -658,24 +720,24 @@ mod tests {
             reorder: 0.4,
             crash: 0.1,
         };
-        for t in [1usize, 2, 4, 8] {
+        for t in [2usize, 4, 8] {
             let plan = FaultPlan::new(42, rates)
                 .with_crash_period(3)
                 .with_horizon(50);
-            let mut seq =
-                FaultyNetwork::with_resilience(&g, plan.clone(), ResilienceParams::retry(2));
-            let mut par = ShardedNetwork::with_faults(&g, t, plan, ResilienceParams::retry(2));
+            let faulty = || Network::with_resilience(&g, plan.clone(), ResilienceParams::retry(2));
+            let mut seq = faulty();
+            let mut par = faulty().with_threads(t);
             for round in 0..4 {
                 let out = all_broadcast(&g);
-                let a = Net::exchange(&mut seq, out.clone());
-                let b = Net::exchange(&mut par, out);
+                let a = seq.exchange(out.clone());
+                let b = par.exchange(out);
                 assert_eq!(a, b, "t = {t}, logical round {round}");
-                assert_eq!(Net::metrics(&seq), par.metrics(), "t = {t}");
+                assert_eq!(seq.metrics(), par.metrics(), "t = {t}");
                 assert_eq!(seq.fault_stats(), par.fault_stats(), "t = {t}");
             }
-            Net::charge_gather(&mut seq, 3, 8);
-            Net::charge_gather(&mut par, 3, 8);
-            assert_eq!(Net::metrics(&seq), par.metrics());
+            seq.charge_gather(3, 8);
+            par.charge_gather(3, 8);
+            assert_eq!(seq.metrics(), par.metrics());
             assert_eq!(seq.fault_stats(), par.fault_stats());
         }
     }
@@ -684,24 +746,21 @@ mod tests {
     fn crashed_balls_match_sequential() {
         let g = path(6);
         let plan = FaultPlan::none().with_crashed_nodes([3]);
-        let mut seq = FaultyNetwork::new(&g, plan.clone());
-        let mut par = ShardedNetwork::with_faults(&g, 3, plan, ResilienceParams::off());
-        Net::charge_gather(&mut seq, 5, 8);
-        Net::charge_gather(&mut par, 5, 8);
+        let mut seq = Network::with_resilience(&g, plan.clone(), ResilienceParams::off());
+        let mut par = Network::with_resilience(&g, plan, ResilienceParams::off()).with_threads(3);
+        seq.charge_gather(5, 8);
+        par.charge_gather(5, 8);
         for v in 0..6 {
-            assert_eq!(
-                Net::ball(&seq, VertexId::new(v), 5),
-                Net::ball(&par, VertexId::new(v), 5)
-            );
+            assert_eq!(seq.ball(VertexId::new(v), 5), par.ball(VertexId::new(v), 5));
         }
-        assert!(!Net::lossless(&par));
+        assert!(!par.lossless());
     }
 
     #[test]
     fn broadcast_counts_clones_like_sequential() {
         let g = star(5);
         let mut seq = Network::new(&g);
-        let mut par = ShardedNetwork::new(&g, 4);
+        let mut par = Network::new(&g).with_threads(4);
         let payloads: Vec<(u32, u64)> = (0..5).map(|v| (v, 8)).collect();
         let a = seq.broadcast_exchange(payloads.clone());
         let b = par.broadcast_exchange(payloads);
@@ -714,9 +773,9 @@ mod tests {
     fn more_shards_than_vertices_still_deliver() {
         let g = from_edges(3, [(0, 1), (1, 2)]);
         let mut seq = Network::new(&g);
-        let mut par = ShardedNetwork::new(&g, 16);
+        let mut par = Network::new(&g).with_threads(16);
         let out = all_broadcast(&g);
-        assert_eq!(seq.exchange(out.clone()), Net::exchange(&mut par, out));
+        assert_eq!(seq.exchange(out.clone()), par.exchange(out));
         assert_eq!(seq.metrics(), par.metrics());
     }
 
@@ -724,16 +783,16 @@ mod tests {
     #[should_panic(expected = "port out of range")]
     fn port_out_of_range_panics_with_the_documented_message() {
         let g = path(3); // vertex 0 has degree 1
-        let mut net = ShardedNetwork::new(&g, 2);
+        let mut net = Network::new(&g).with_threads(2);
         let mut out: Vec<Vec<Outgoing<u8>>> = vec![vec![]; 3];
         out[0].push((1, 0u8, 8));
-        let _ = Net::exchange(&mut net, out);
+        let _ = net.exchange(out);
     }
 
     #[test]
     #[should_panic(expected = "thread count must be at least 1")]
     fn zero_threads_is_rejected() {
         let g = path(3);
-        let _ = ShardedNetwork::new(&g, 0);
+        let _ = Network::new(&g).with_threads(0);
     }
 }

@@ -3,11 +3,12 @@
 //! The contract being pinned (ISSUE 3 / DESIGN.md §7): under *any* fault
 //! schedule the algorithms terminate and return structurally sound objects
 //! — matchings valid for the input graph, colorings inside their declared
-//! palette — with identical results for identical `(seed, plan)` pairs.
-//! Under a zero-fault plan the faulty transport is byte-identical to the
-//! perfect [`Network`]. Under a permanent-crash plan (live↔live delivery
-//! is perfect), the stronger promises return on the surviving subgraph:
-//! proper colorings and maximal matchings among live nodes.
+//! palette — with identical results for identical `(seed, plan)` pairs, at
+//! every worker count. Under a plan whose faults never fire, the faulty
+//! exchange loop is byte-identical to the perfect one. Under a
+//! permanent-crash plan (live↔live delivery is perfect), the stronger
+//! promises return on the surviving subgraph: proper colorings and
+//! maximal matchings among live nodes.
 //!
 //! Three standing plan shapes, as the acceptance criteria require:
 //! drop-only, drop+dup+reorder, and a crash schedule.
@@ -18,9 +19,7 @@ use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
 use sparsimatch_distsim::algorithms::matching::{bounded_degree_matching, color_scheduled_mm};
 use sparsimatch_distsim::algorithms::solomon::distributed_solomon;
 use sparsimatch_distsim::algorithms::sparsify::distributed_sparsifier;
-use sparsimatch_distsim::{
-    FaultPlan, FaultRates, FaultStats, FaultyNetwork, Network, ResilienceParams, ShardedNetwork,
-};
+use sparsimatch_distsim::{FaultPlan, FaultRates, FaultStats, Network, ResilienceParams};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::{clique, cycle, gnp, path};
 use sparsimatch_graph::ids::VertexId;
@@ -68,12 +67,32 @@ fn crash_plan(seed: u64) -> FaultPlan {
     .with_horizon(48)
 }
 
+/// Every rate positive, so exchanges take the faulty loop, but a zero
+/// horizon: no fault ever fires.
+fn silent_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(
+        seed,
+        FaultRates {
+            drop: 0.5,
+            duplicate: 0.5,
+            reorder: 0.5,
+            crash: 0.5,
+        },
+    )
+    .with_horizon(0)
+}
+
 fn standing_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("drop", drop_plan(seed)),
         ("mixed", mixed_plan(seed)),
         ("crash", crash_plan(seed)),
     ]
+}
+
+/// A network under `plan` with resilience off.
+fn faulty(g: &CsrGraph, plan: FaultPlan) -> Network<'_> {
+    Network::with_resilience(g, plan, ResilienceParams::off())
 }
 
 fn pairs_of(m: &Matching) -> Vec<(u32, u32)> {
@@ -94,7 +113,7 @@ fn israeli_itai_stays_valid_and_deterministic_under_every_plan() {
     let g = test_graph(1);
     for (name, plan) in standing_plans(17) {
         let run = |alg_seed: u64| {
-            let mut net = FaultyNetwork::new(&g, plan.clone());
+            let mut net = faulty(&g, plan.clone());
             let (m, iters) = israeli_itai_matching(&mut net, alg_seed);
             (pairs_of(&m), iters, net.metrics(), net.fault_stats())
         };
@@ -128,7 +147,7 @@ fn coloring_stays_in_palette_and_deterministic_under_every_plan() {
     let target = g.max_degree() as u64 + 1;
     for (name, plan) in standing_plans(23) {
         let run = || {
-            let mut net = FaultyNetwork::new(&g, plan.clone());
+            let mut net = faulty(&g, plan.clone());
             let c = linial_coloring(&mut net, target.max(2));
             (c, net.metrics())
         };
@@ -152,7 +171,7 @@ fn color_scheduled_mm_stays_valid_under_every_plan() {
     let target = (g.max_degree() as u64 + 1).max(2);
     for (name, plan) in standing_plans(29) {
         let run = || {
-            let mut net = FaultyNetwork::new(&g, plan.clone());
+            let mut net = faulty(&g, plan.clone());
             let coloring = linial_coloring(&mut net, target);
             let m = color_scheduled_mm(&mut net, &coloring);
             (pairs_of(&m), net.metrics(), net.fault_stats())
@@ -180,7 +199,7 @@ fn sparsifiers_shrink_but_never_invent_edges_under_faults() {
     let full_solomon = edge_list(&distributed_solomon(&mut net0b, 5));
 
     for (name, plan) in standing_plans(31) {
-        let mut net = FaultyNetwork::new(&g, plan.clone());
+        let mut net = faulty(&g, plan.clone());
         let s = distributed_sparsifier(&mut net, &params, 9);
         // Dropped marks only remove edges; duplicated marks are idempotent
         // in the keep-set union. So faulty ⊆ fault-free, always.
@@ -191,11 +210,11 @@ fn sparsifiers_shrink_but_never_invent_edges_under_faults() {
             );
         }
         // Determinism.
-        let mut net2 = FaultyNetwork::new(&g, plan.clone());
+        let mut net2 = faulty(&g, plan.clone());
         let s2 = distributed_sparsifier(&mut net2, &params, 9);
         assert_eq!(edge_list(&s), edge_list(&s2), "{name}");
 
-        let mut net3 = FaultyNetwork::new(&g, plan.clone());
+        let mut net3 = faulty(&g, plan.clone());
         let sol = distributed_solomon(&mut net3, 5);
         assert!(sol.max_degree() <= 5, "{name}: degree cap must hold");
         for e in edge_list(&sol) {
@@ -214,7 +233,7 @@ fn bounded_degree_matching_stays_valid_under_every_plan() {
     let g = cycle(48);
     for (name, plan) in standing_plans(37) {
         let run = || {
-            let mut net = FaultyNetwork::new(&g, plan.clone());
+            let mut net = faulty(&g, plan.clone());
             let (m, _) = bounded_degree_matching(&mut net, 0.34);
             (pairs_of(&m), net.metrics(), net.fault_stats())
         };
@@ -241,7 +260,7 @@ fn permanent_crashes_preserve_guarantees_on_survivors() {
     let plan = FaultPlan::none().with_crashed_nodes(dead.iter().copied());
     let is_dead = |v: u32| dead.binary_search(&v).is_ok();
 
-    let mut net = FaultyNetwork::new(&g, plan.clone());
+    let mut net = faulty(&g, plan.clone());
     let (m, _) = israeli_itai_matching(&mut net, 13);
     assert!(m.is_valid_for(&g));
     for &d in &dead {
@@ -261,7 +280,7 @@ fn permanent_crashes_preserve_guarantees_on_survivors() {
 
     // Deterministic schedule: coloring proper on survivors, then the
     // color-scheduled matcher maximal on survivors.
-    let mut net2 = FaultyNetwork::new(&g, plan.clone());
+    let mut net2 = faulty(&g, plan.clone());
     let target = (g.max_degree() as u64 + 1).max(2);
     let coloring: Coloring = linial_coloring(&mut net2, target);
     for (_, u, v) in g.edges() {
@@ -295,48 +314,56 @@ fn permanent_crashes_preserve_guarantees_on_survivors() {
 #[test]
 fn zero_fault_transport_is_byte_identical_on_full_algorithms() {
     // The whole deterministic stack — coloring, MM, augmentation — run on
-    // Network and on FaultyNetwork(none) must agree in outputs AND in
-    // every accounted quantity (satellite: congest accounting unchanged).
+    // the perfect loop and on the faulty loop under a plan that never
+    // fires must agree in outputs AND in every accounted quantity
+    // (congest accounting unchanged), at every worker count.
     let g = test_graph(5);
-    let mut perfect = Network::new(&g);
-    let (m_p, stats_p) = bounded_degree_matching(&mut perfect, 0.34);
+    let g2 = path(33);
+    for threads in [1usize, 2, 4] {
+        let mut perfect = Network::new(&g).with_threads(threads);
+        let (m_p, stats_p) = bounded_degree_matching(&mut perfect, 0.34);
 
-    let mut faulty = FaultyNetwork::new(&g, FaultPlan::none());
-    let (m_f, stats_f) = bounded_degree_matching(&mut faulty, 0.34);
+        let mut silent = faulty(&g, silent_plan(3)).with_threads(threads);
+        let (m_f, stats_f) = bounded_degree_matching(&mut silent, 0.34);
 
-    assert_eq!(pairs_of(&m_p), pairs_of(&m_f));
-    assert_eq!(
-        (stats_p.blocks, stats_p.flips),
-        (stats_f.blocks, stats_f.flips)
-    );
-    assert_eq!(perfect.metrics(), faulty.metrics());
-    assert_eq!(faulty.fault_stats(), FaultStats::default());
-    for c in [1u64, 8, 64] {
+        assert_eq!(pairs_of(&m_p), pairs_of(&m_f), "t = {threads}");
         assert_eq!(
-            perfect.metrics().congest_compliant(g.num_vertices(), c),
-            faulty.metrics().congest_compliant(g.num_vertices(), c),
-            "congest verdict must not depend on the transport (c = {c})"
+            (stats_p.blocks, stats_p.flips),
+            (stats_f.blocks, stats_f.flips),
+            "t = {threads}"
+        );
+        assert_eq!(perfect.metrics(), silent.metrics(), "t = {threads}");
+        assert_eq!(silent.fault_stats(), FaultStats::default(), "t = {threads}");
+        for c in [1u64, 8, 64] {
+            assert_eq!(
+                perfect.metrics().congest_compliant(g.num_vertices(), c),
+                silent.metrics().congest_compliant(g.num_vertices(), c),
+                "congest verdict must not depend on the exchange loop (c = {c})"
+            );
+        }
+
+        // Randomized algorithm too: per-node RNG streams are independent
+        // of the loop, so the runs coincide exactly.
+        let mut perfect2 = Network::new(&g2).with_threads(threads);
+        let (m_p2, it_p) = israeli_itai_matching(&mut perfect2, 99);
+        let mut silent2 = faulty(&g2, silent_plan(4)).with_threads(threads);
+        let (m_f2, it_f) = israeli_itai_matching(&mut silent2, 99);
+        assert_eq!(pairs_of(&m_p2), pairs_of(&m_f2), "t = {threads}");
+        assert_eq!(it_p, it_f, "t = {threads}");
+        assert_eq!(perfect2.metrics(), silent2.metrics(), "t = {threads}");
+        assert_eq!(
+            silent2.fault_stats(),
+            FaultStats::default(),
+            "t = {threads}"
         );
     }
-
-    // Randomized algorithm too: per-node RNG streams are independent of
-    // the transport, so the zero-fault runs coincide exactly.
-    let g2 = path(33);
-    let mut perfect2 = Network::new(&g2);
-    let (m_p2, it_p) = israeli_itai_matching(&mut perfect2, 99);
-    let mut faulty2 = FaultyNetwork::new(&g2, FaultPlan::none());
-    let (m_f2, it_f) = israeli_itai_matching(&mut faulty2, 99);
-    assert_eq!(pairs_of(&m_p2), pairs_of(&m_f2));
-    assert_eq!(it_p, it_f);
-    assert_eq!(perfect2.metrics(), faulty2.metrics());
 }
 
-type SeqAlgo = Box<dyn Fn(&mut FaultyNetwork<'_>) -> Vec<(u32, u32)>>;
-type ShardAlgo = Box<dyn Fn(&mut ShardedNetwork<'_>) -> Vec<(u32, u32)>>;
+type Algo = Box<dyn Fn(&mut Network<'_>) -> Vec<(u32, u32)>>;
 
-/// Every algorithm, under every standing fault plan, on the sharded
-/// engine at t ∈ {2, 4}: the replay fingerprint — outputs, metrics, and
-/// fault counters — must equal the sequential [`FaultyNetwork`] run.
+/// Every algorithm, under every standing fault plan, at t ∈ {2, 4}: the
+/// replay fingerprint — outputs, metrics, and fault counters — must equal
+/// the one-worker run.
 #[test]
 fn sharded_engine_replays_every_algorithm_under_every_standing_plan() {
     let g = test_graph(6);
@@ -344,55 +371,34 @@ fn sharded_engine_replays_every_algorithm_under_every_standing_plan() {
     let params = SparsifierParams::with_delta(1, 0.5, 4);
 
     for (name, plan) in standing_plans(41) {
-        // Sequential references, one per algorithm.
-        let seq = |f: &dyn Fn(&mut FaultyNetwork<'_>) -> Vec<(u32, u32)>| {
-            let mut net = FaultyNetwork::new(&g, plan.clone());
-            let out = f(&mut net);
-            (out, net.metrics(), net.fault_stats())
-        };
-        let shard = |threads: usize, f: &dyn Fn(&mut ShardedNetwork<'_>) -> Vec<(u32, u32)>| {
-            let mut net =
-                ShardedNetwork::with_faults(&g, threads, plan.clone(), ResilienceParams::off());
+        let run = |threads: usize, f: &dyn Fn(&mut Network<'_>) -> Vec<(u32, u32)>| {
+            let mut net = faulty(&g, plan.clone()).with_threads(threads);
             let out = f(&mut net);
             (out, net.metrics(), net.fault_stats())
         };
 
-        let algorithms: Vec<(&str, SeqAlgo, ShardAlgo)> = vec![
+        let algorithms: Vec<(&str, Algo)> = vec![
             (
                 "israeli-itai",
-                Box::new(|net: &mut FaultyNetwork<'_>| pairs_of(&israeli_itai_matching(net, 7).0)),
-                Box::new(|net: &mut ShardedNetwork<'_>| pairs_of(&israeli_itai_matching(net, 7).0)),
+                Box::new(|net| pairs_of(&israeli_itai_matching(net, 7).0)),
             ),
             (
                 "linial-coloring",
-                Box::new(move |net: &mut FaultyNetwork<'_>| {
-                    let c = linial_coloring(net, target);
-                    c.colors.iter().map(|&x| (x as u32, 0)).collect()
-                }),
-                Box::new(move |net: &mut ShardedNetwork<'_>| {
+                Box::new(move |net| {
                     let c = linial_coloring(net, target);
                     c.colors.iter().map(|&x| (x as u32, 0)).collect()
                 }),
             ),
             (
                 "color-scheduled-mm",
-                Box::new(move |net: &mut FaultyNetwork<'_>| {
-                    let c = linial_coloring(net, target);
-                    pairs_of(&color_scheduled_mm(net, &c))
-                }),
-                Box::new(move |net: &mut ShardedNetwork<'_>| {
+                Box::new(move |net| {
                     let c = linial_coloring(net, target);
                     pairs_of(&color_scheduled_mm(net, &c))
                 }),
             ),
             (
                 "sparsifier+solomon",
-                Box::new(move |net: &mut FaultyNetwork<'_>| {
-                    let mut out = edge_list(&distributed_sparsifier(net, &params, 9));
-                    out.extend(edge_list(&distributed_solomon(net, 5)));
-                    out
-                }),
-                Box::new(move |net: &mut ShardedNetwork<'_>| {
+                Box::new(move |net| {
                     let mut out = edge_list(&distributed_sparsifier(net, &params, 9));
                     out.extend(edge_list(&distributed_solomon(net, 5)));
                     out
@@ -400,22 +406,17 @@ fn sharded_engine_replays_every_algorithm_under_every_standing_plan() {
             ),
             (
                 "bounded-degree-matching",
-                Box::new(|net: &mut FaultyNetwork<'_>| {
-                    pairs_of(&bounded_degree_matching(net, 0.34).0)
-                }),
-                Box::new(|net: &mut ShardedNetwork<'_>| {
-                    pairs_of(&bounded_degree_matching(net, 0.34).0)
-                }),
+                Box::new(|net| pairs_of(&bounded_degree_matching(net, 0.34).0)),
             ),
         ];
 
-        for (alg, seq_f, shard_f) in &algorithms {
-            let reference = seq(seq_f.as_ref());
+        for (alg, f) in &algorithms {
+            let reference = run(1, f.as_ref());
             for threads in [2usize, 4] {
-                let got = shard(threads, shard_f.as_ref());
+                let got = run(threads, f.as_ref());
                 assert_eq!(
                     got, reference,
-                    "{name}/{alg}: sharded t={threads} fingerprint diverged from sequential"
+                    "{name}/{alg}: t={threads} fingerprint diverged from one worker"
                 );
             }
         }
@@ -424,11 +425,11 @@ fn sharded_engine_replays_every_algorithm_under_every_standing_plan() {
 
 #[test]
 fn validate_coloring_accepts_faulty_net_reference() {
-    // validate_coloring is generic over the transport; a lossless faulty
-    // net validates the same coloring the perfect net produced.
+    // A network whose plan never fires validates the same coloring the
+    // perfect network produced.
     let g = cycle(30);
     let mut perfect = Network::new(&g);
     let c = linial_coloring(&mut perfect, 3);
-    let faulty = FaultyNetwork::new(&g, FaultPlan::none());
-    assert!(validate_coloring(&faulty, &c));
+    let silent = faulty(&g, silent_plan(5));
+    assert!(validate_coloring(&silent, &c));
 }

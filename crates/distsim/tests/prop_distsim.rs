@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sparsimatch_distsim::algorithms::coloring::{linial_coloring, validate_coloring};
 use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
 use sparsimatch_distsim::algorithms::matching::bounded_degree_matching;
-use sparsimatch_distsim::{FaultPlan, FaultRates, FaultyNetwork, Network, ShardedNetwork};
+use sparsimatch_distsim::{FaultPlan, FaultRates, FaultStats, Net, Network, ResilienceParams};
 use sparsimatch_graph::csr::from_edges;
 use sparsimatch_matching::blossom::maximum_matching;
 
@@ -52,7 +52,9 @@ proptest! {
 
     /// The shard count is an execution detail: any thread count, on any
     /// graph, fault-free or under a random fault plan, yields the exact
-    /// sequential fingerprint (matching, rounds, messages, bits).
+    /// one-worker fingerprint (matching, rounds, messages, bits, fault
+    /// counters). A plan whose faults never fire runs the faulty loop and
+    /// must reproduce the perfect loop's fingerprint.
     #[test]
     fn shard_count_never_changes_the_fingerprint(
         edges in arb_edges(),
@@ -63,27 +65,37 @@ proptest! {
     ) {
         let (drop, reorder) = (f64::from(drop_pct) / 100.0, f64::from(reorder_pct) / 100.0);
         let g = from_edges(N, edges);
+        let faulty = |plan: &FaultPlan| {
+            Network::with_resilience(&g, plan.clone(), ResilienceParams::off())
+        };
 
         let mut seq = Network::new(&g);
         let (m_seq, it_seq) = israeli_itai_matching(&mut seq, seed);
-        let mut sharded = ShardedNetwork::new(&g, threads);
-        let (m_sh, it_sh) = israeli_itai_matching(&mut sharded, seed);
-        prop_assert_eq!(
-            m_sh.pairs().collect::<Vec<_>>(),
-            m_seq.pairs().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(it_sh, it_seq);
-        prop_assert_eq!(sharded.metrics(), seq.metrics());
+        let silent_plan = FaultPlan::new(seed, FaultRates {
+            drop: 0.5,
+            duplicate: 0.5,
+            reorder: 0.5,
+            crash: 0.5,
+        }).with_horizon(0);
+        for mut net in [Network::new(&g).with_threads(threads), faulty(&silent_plan).with_threads(threads)] {
+            let (m, it) = israeli_itai_matching(&mut net, seed);
+            prop_assert_eq!(
+                m.pairs().collect::<Vec<_>>(),
+                m_seq.pairs().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(it, it_seq);
+            prop_assert_eq!(net.metrics(), seq.metrics());
+            prop_assert_eq!(net.fault_stats(), FaultStats::default());
+        }
 
         let plan = FaultPlan::new(seed ^ 0xFA17, FaultRates {
             drop,
             reorder,
             ..Default::default()
         }).with_horizon(30);
-        let mut seq_f = FaultyNetwork::new(&g, plan.clone());
+        let mut seq_f = faulty(&plan);
         let (mf_seq, itf_seq) = israeli_itai_matching(&mut seq_f, seed);
-        let mut sharded_f = ShardedNetwork::with_faults(
-            &g, threads, plan, sparsimatch_distsim::ResilienceParams::off());
+        let mut sharded_f = faulty(&plan).with_threads(threads);
         let (mf_sh, itf_sh) = israeli_itai_matching(&mut sharded_f, seed);
         prop_assert_eq!(
             mf_sh.pairs().collect::<Vec<_>>(),

@@ -429,7 +429,7 @@ impl IoFaultPlan {
 
 /// Wrap any [`EdgeStreamSource`] with a deterministic [`IoFaultPlan`]:
 /// the chaos half of the streaming build's resilience story, mirroring
-/// distsim's `FaultyNetwork`.
+/// the fault plans of distsim's `Network`.
 ///
 /// Each call to [`scan`](EdgeStreamSource::scan) consumes one attempt
 /// index from a monotone counter. A faulted attempt delivers exactly the
