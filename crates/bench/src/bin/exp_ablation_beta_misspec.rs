@@ -7,7 +7,7 @@
 //! misspecification factor) rather than failing catastrophically —
 //! useful guidance for users who can only estimate β.
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
 use sparsimatch_core::params::SparsifierParams;
@@ -51,7 +51,8 @@ fn main() {
         let mut worst = 1.0f64;
         let mut edges = 0usize;
         for _ in 0..trials {
-            let s = build_sparsifier(&g, &params, &mut rng);
+            let s = build_sparsifier(&g, &params, rng.next_u64(), 1, None)
+                .expect("1 is a valid thread count");
             let sm = maximum_matching(&s.graph).len().max(1);
             worst = worst.max(exact as f64 / sm as f64);
             edges = edges.max(s.stats.edges);

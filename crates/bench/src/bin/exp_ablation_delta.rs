@@ -5,7 +5,7 @@
 //! reports the realized worst approximation ratio over repeated trials,
 //! locating the practical threshold.
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::workloads::{family_clique_union, family_unit_disk};
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
@@ -46,7 +46,8 @@ fn main() {
             let mut worst = 1.0f64;
             let mut edges = 0usize;
             for _ in 0..trials {
-                let sp = build_sparsifier(&inst.graph, &params, &mut rng);
+                let sp = build_sparsifier(&inst.graph, &params, rng.next_u64(), 1, None)
+                    .expect("1 is a valid thread count");
                 let sm = maximum_matching(&sp.graph).len().max(1);
                 worst = worst.max(exact as f64 / sm as f64);
                 edges = edges.max(sp.stats.edges);

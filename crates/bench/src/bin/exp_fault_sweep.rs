@@ -21,8 +21,8 @@
 //! stream while [`RetryPolicy`] restarts failed passes. Its bound is
 //! *full recovery*: every row — at any injection rate whose horizon the
 //! retry budget covers — must be byte-identical to the fault-free
-//! streamed run, with the aborted rescans visible only in `io.retries`
-//! and the half-edge-visit counter.
+//! streamed run, with the aborted rescans visible only in the report's
+//! `io_retries` and half-edge-visit counters.
 //!
 //! Writes `results/fault_sweep.json` (schema in EXPERIMENTS.md);
 //! structurally validated by `crates/bench/tests/results_json.rs`.

@@ -5,7 +5,7 @@
 //! bounds are verified on every trial; the table reports how much slack
 //! each leaves.
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use sparsimatch_bench::table::{ratio, Table};
 use sparsimatch_bench::workloads::standard_families;
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
@@ -39,7 +39,8 @@ fn main() {
         let params = SparsifierParams::practical(inst.beta, 0.3);
         let mcm = maximum_matching(&inst.graph).len();
         for _ in 0..trials {
-            let s = build_sparsifier(&inst.graph, &params, &mut rng);
+            let s = build_sparsifier(&inst.graph, &params, rng.next_u64(), 1, None)
+                .expect("1 is a valid thread count");
             let obs_bound = params.size_bound(mcm);
             let naive = params.naive_size_bound(inst.graph.num_vertices());
             violations.check(s.stats.edges <= obs_bound, || {

@@ -5,7 +5,7 @@
 //! density via Goldberg's flow reduction sandwiches `α(G_Δ)` within a
 //! window of 1. The window's upper end must satisfy the observation.
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use sparsimatch_bench::table::Table;
 use sparsimatch_bench::workloads::standard_families;
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
@@ -36,7 +36,8 @@ fn main() {
     for inst in standard_families(n, &mut rng) {
         let params = SparsifierParams::practical(inst.beta, 0.3);
         for _ in 0..trials {
-            let s = build_sparsifier(&inst.graph, &params, &mut rng);
+            let s = build_sparsifier(&inst.graph, &params, rng.next_u64(), 1, None)
+                .expect("1 is a valid thread count");
             if s.graph.num_edges() == 0 {
                 continue;
             }

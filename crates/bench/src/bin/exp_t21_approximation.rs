@@ -5,7 +5,7 @@
 //! computed exactly (Edmonds). The theorem demands
 //! `|MCM(G)| ≤ (1+ε)·|MCM(G_Δ)|` on every trial, w.h.p.
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngCore, SeedableRng};
 use sparsimatch_bench::table::{f3, Table};
 use sparsimatch_bench::workloads::standard_families;
 use sparsimatch_bench::{scale_from_args, Scale, Violations};
@@ -45,7 +45,8 @@ fn main() {
             let mut worst = 1.0f64;
             let mut edges = 0usize;
             for _ in 0..trials {
-                let s = build_sparsifier(&inst.graph, &params, &mut rng);
+                let s = build_sparsifier(&inst.graph, &params, rng.next_u64(), 1, None)
+                    .expect("1 is a valid thread count");
                 let sparse_mcm = maximum_matching(&s.graph).len().max(1);
                 worst = worst.max(exact as f64 / sparse_mcm as f64);
                 edges = edges.max(s.stats.edges);

@@ -53,8 +53,6 @@
 //! concrete numbers so a reproducer file doubles as a witness.
 
 use crate::instance::{CheckConfig, CheckInstance};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sparsimatch_core::backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
 use sparsimatch_core::edcs::{build_edcs, build_edcs_streamed, edcs_violation, EdcsParams};
 use sparsimatch_core::pipeline::{
@@ -260,8 +258,10 @@ fn check_static(
         ));
     }
 
-    // Sparsifier invariants on an independently seeded construction.
-    let s = build_sparsifier(&g, &params, &mut StdRng::seed_from_u64(inst.algo_seed));
+    // Sparsifier invariants on the product's seeded builder, at the
+    // caller's Δ (the pipeline above marks at the stage Δ).
+    let s =
+        build_sparsifier(&g, &params, inst.algo_seed, 1, None).expect("1 is a valid thread count");
     for (_, u, v) in s.graph.edges() {
         if !g.has_edge(u, v) {
             return Some(Violation::new(

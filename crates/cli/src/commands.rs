@@ -9,11 +9,9 @@ use crate::error::CliError;
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_core::edcs::{approx_mcm_via_edcs_with_scratch_metered, EdcsParams};
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_metered;
+use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_with_scratch_metered;
 use sparsimatch_core::scratch::PipelineScratch;
-use sparsimatch_core::sparsifier::{
-    build_sparsifier_parallel_metered, ThreadCountError, MAX_THREADS,
-};
+use sparsimatch_core::sparsifier::{build_sparsifier, ThreadCountError, MAX_THREADS};
 use sparsimatch_distsim::algorithms::pipeline::{
     distributed_approx_mcm_sharded, distributed_maximal_baseline_sharded,
     distributed_randomized_maximal_sharded, FaultCfg,
@@ -244,7 +242,7 @@ pub fn sparsify(args: SparsifyArgs, out: Out<'_>) -> Result<(), CliError> {
     // so the output depends only on the seed, never on `--threads`.
     let s = meter
         .time("sparsify", |m| {
-            build_sparsifier_parallel_metered(&g, &params, args.seed, args.threads, m)
+            build_sparsifier(&g, &params, args.seed, args.threads, Some(m))
         })
         .map_err(CliError::from)?;
     emit_graph(&s.graph, &args.out, out)?;
@@ -291,9 +289,18 @@ pub fn do_match(args: MatchArgs, out: Out<'_>) -> Result<(), CliError> {
             // One seeded pipeline for every thread count: `--threads`
             // accelerates marking, extraction, and matching without
             // changing a single output byte.
+            let mut scratch = PipelineScratch::new();
             let r = meter
                 .time("match", |m| {
-                    approx_mcm_via_sparsifier_metered(&g, &params, args.seed, args.threads, m)
+                    approx_mcm_via_sparsifier_with_scratch_metered(
+                        &g,
+                        &params,
+                        args.seed,
+                        args.threads,
+                        m,
+                        &mut scratch,
+                    )
+                    .cloned()
                 })
                 .map_err(CliError::from)?;
             writeln!(out, "probes: {} (m = {})", r.probes.total(), g.num_edges())

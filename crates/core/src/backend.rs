@@ -37,7 +37,7 @@ use crate::pipeline::{
     stage_params, PipelineResult,
 };
 use crate::scratch::PipelineScratch;
-use crate::sparsifier::{build_sparsifier_parallel, ThreadCountError};
+use crate::sparsifier::{build_sparsifier, ThreadCountError};
 use crate::stream_build::{approx_mcm_streamed, StreamBuildReport};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::edge_stream::EdgeStreamSource;
@@ -184,7 +184,7 @@ impl MatchingSparsifier for DeltaBackend {
     }
 
     fn build(&self, g: &CsrGraph, seed: u64) -> CsrGraph {
-        build_sparsifier_parallel(g, &stage_params(&self.params), seed, 1)
+        build_sparsifier(g, &stage_params(&self.params), seed, 1, None)
             .expect("1 is a valid thread count")
             .graph
     }

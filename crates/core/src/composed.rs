@@ -11,7 +11,6 @@
 use crate::params::SparsifierParams;
 use crate::solomon::{degree_cap_for, solomon_sparsifier};
 use crate::sparsifier::{build_sparsifier, Sparsifier};
-use rand::Rng;
 use sparsimatch_graph::csr::CsrGraph;
 
 /// Result of the two-round composition.
@@ -32,14 +31,14 @@ impl ComposedSparsifier {
     }
 }
 
-/// Build `G̃_Δ`: random sparsifier, then Solomon's bounded-degree
-/// sparsifier sized for arboricity `2·mark_cap`.
+/// Build `G̃_Δ`: the random sparsifier under `seed`, then Solomon's
+/// bounded-degree sparsifier sized for arboricity `2·mark_cap`.
 pub fn build_composed_sparsifier(
     g: &CsrGraph,
     params: &SparsifierParams,
-    rng: &mut impl Rng,
+    seed: u64,
 ) -> ComposedSparsifier {
-    let round1 = build_sparsifier(g, params, rng);
+    let round1 = build_sparsifier(g, params, seed, 1, None).expect("1 is a valid thread count");
     let alpha_bound = params.arboricity_bound();
     let degree_cap = degree_cap_for(alpha_bound, params.eps);
     let graph = solomon_sparsifier(&round1.graph, degree_cap);
@@ -53,7 +52,7 @@ pub fn build_composed_sparsifier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
     use sparsimatch_graph::generators::{
         clique_union, unit_disk, CliqueUnionConfig, UnitDiskConfig,
     };
@@ -71,7 +70,7 @@ mod tests {
             &mut rng,
         );
         let p = SparsifierParams::practical(2, 0.4);
-        let c = build_composed_sparsifier(&g, &p, &mut rng);
+        let c = build_composed_sparsifier(&g, &p, rng.next_u64());
         assert!(c.graph.max_degree() <= c.degree_bound());
     }
 
@@ -85,7 +84,7 @@ mod tests {
         let eps = 0.4;
         let p = SparsifierParams::practical(5, eps);
         let exact = maximum_matching(&g).len();
-        let c = build_composed_sparsifier(&g, &p, &mut rng);
+        let c = build_composed_sparsifier(&g, &p, rng.next_u64());
         let composed_mcm = maximum_matching(&c.graph).len();
         assert!(
             composed_mcm as f64 * (1.0 + 3.0 * eps) >= exact as f64,
@@ -105,7 +104,7 @@ mod tests {
             &mut rng,
         );
         let p = SparsifierParams::practical(2, 0.5);
-        let c = build_composed_sparsifier(&g, &p, &mut rng);
+        let c = build_composed_sparsifier(&g, &p, rng.next_u64());
         for (_, u, v) in c.graph.edges() {
             assert!(c.round1.graph.has_edge(u, v));
         }

@@ -55,13 +55,11 @@ pub use backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
 pub use edcs::{build_edcs, EdcsParams, EdcsParamsError, EdcsStats};
 pub use params::SparsifierParams;
 pub use pipeline::{
-    approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_metered,
-    approx_mcm_via_sparsifier_with_scratch, approx_mcm_via_sparsifier_with_scratch_metered,
-    PipelineResult,
+    approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_with_scratch,
+    approx_mcm_via_sparsifier_with_scratch_metered, PipelineResult,
 };
 pub use scratch::{OracleRebuildScratch, PipelineScratch};
 pub use sparsifier::{
-    build_sparsifier, build_sparsifier_metered, build_sparsifier_parallel,
-    build_sparsifier_parallel_metered, Sparsifier, SparsifierStats, ThreadCountError, MAX_THREADS,
+    build_sparsifier, Sparsifier, SparsifierStats, ThreadCountError, MAX_THREADS,
 };
 pub use stream_build::{approx_mcm_streamed, build_sparsifier_streamed, StreamBuildReport};

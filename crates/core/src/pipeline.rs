@@ -20,7 +20,6 @@
 use crate::params::SparsifierParams;
 use crate::scratch::PipelineScratch;
 use crate::sparsifier::{SparsifierStats, ThreadCountError, MAX_THREADS};
-use rand::Rng;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_matching::bounded_aug::{
@@ -133,8 +132,8 @@ pub fn approx_mcm_via_sparsifier(
 }
 
 /// [`approx_mcm_via_sparsifier`] writing through a caller-owned
-/// [`PipelineScratch`]: identical output (the one-shot entry points are
-/// thin wrappers over this very path with a fresh arena), but every
+/// [`PipelineScratch`]: identical output (the one-shot entry point is a
+/// thin wrapper over this very path with a fresh arena), but every
 /// buffer the run needs is reused from `scratch`. After a warm-up call on
 /// a given input size, repeat calls perform zero heap allocations with
 /// one mark worker, and only the thread spawns allocate with more. The
@@ -153,9 +152,14 @@ pub fn approx_mcm_via_sparsifier_with_scratch<'s>(
 }
 
 /// [`approx_mcm_via_sparsifier_with_scratch`] with unified work
-/// accounting (see [`approx_mcm_via_sparsifier_metered`]; metering itself
-/// allocates inside the meter, so the zero-allocation guarantee applies
-/// to the unmetered scratch path).
+/// accounting: adjacency probes, sampler RNG draws and overlay writes,
+/// sparsifier size, and augmentation work are added to `meter` under the
+/// shared [`sparsimatch_obs::keys`] names, and per-stage wall-clock spans
+/// are recorded under [`keys::STAGE_MARK`], [`keys::STAGE_EXTRACT`],
+/// [`keys::STAGE_MATCH`], and [`keys::PIPELINE_TOTAL`]. The result is
+/// identical to the unmetered pipeline for the same seed and any thread
+/// count. (Metering itself allocates inside the meter, so the
+/// zero-allocation guarantee applies to the unmetered scratch path.)
 pub fn approx_mcm_via_sparsifier_with_scratch_metered<'s>(
     g: &CsrGraph,
     params: &SparsifierParams,
@@ -166,26 +170,6 @@ pub fn approx_mcm_via_sparsifier_with_scratch_metered<'s>(
 ) -> Result<&'s PipelineResult, ThreadCountError> {
     approx_mcm_via_sparsifier_impl(g, params, seed, threads, Some(meter), scratch)?;
     Ok(scratch.result())
-}
-
-/// [`approx_mcm_via_sparsifier`] with unified work accounting: adjacency
-/// probes, sampler RNG draws and overlay writes, sparsifier size, and
-/// augmentation work are mirrored into `meter` under the shared
-/// [`sparsimatch_obs::keys`] names, and per-stage wall-clock spans are
-/// recorded under [`keys::STAGE_MARK`], [`keys::STAGE_EXTRACT`],
-/// [`keys::STAGE_MATCH`], and [`keys::PIPELINE_TOTAL`]. The result is
-/// identical to the unmetered pipeline for the same seed and any thread
-/// count.
-pub fn approx_mcm_via_sparsifier_metered(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: &mut WorkMeter,
-) -> Result<PipelineResult, ThreadCountError> {
-    let mut scratch = PipelineScratch::new();
-    approx_mcm_via_sparsifier_impl(g, params, seed, threads, Some(meter), &mut scratch)?;
-    Ok(scratch.into_result())
 }
 
 /// The single pipeline body behind every entry point: runs the three
@@ -280,20 +264,6 @@ pub fn approx_mcm_on_sparsifier(sparse: &CsrGraph, eps: f64) -> (Matching, AugSt
     approx_maximum_matching_from(sparse, init, eps)
 }
 
-/// Convenience wrapper returning a [`crate::sparsifier::Sparsifier`] plus
-/// the matching (CSR path with full stats, caller-supplied RNG stream, no
-/// probe counting).
-pub fn approx_mcm_with_stats(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-) -> (crate::sparsifier::Sparsifier, Matching) {
-    let eps_stage = stage_eps(params.eps);
-    let s = crate::sparsifier::build_sparsifier(g, params, rng);
-    let (m, _) = approx_mcm_on_sparsifier(&s.graph, eps_stage);
-    (s, m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +272,20 @@ mod tests {
         clique, clique_union, line_graph, unit_disk, CliqueUnionConfig, UnitDiskConfig,
     };
     use sparsimatch_matching::blossom::maximum_matching;
+
+    /// A metered one-shot run through a fresh arena.
+    fn metered(
+        g: &CsrGraph,
+        p: &SparsifierParams,
+        seed: u64,
+        threads: usize,
+        meter: &mut WorkMeter,
+    ) -> PipelineResult {
+        let mut scratch = PipelineScratch::new();
+        approx_mcm_via_sparsifier_with_scratch_metered(g, p, seed, threads, meter, &mut scratch)
+            .unwrap()
+            .clone()
+    }
 
     #[test]
     fn stage_eps_composes() {
@@ -390,7 +374,7 @@ mod tests {
         let p = SparsifierParams::practical(1, 0.4);
         let mut meter = WorkMeter::new();
         let plain = approx_mcm_via_sparsifier(&g, &p, 7, 2).unwrap();
-        let metered = approx_mcm_via_sparsifier_metered(&g, &p, 7, 2, &mut meter).unwrap();
+        let metered = metered(&g, &p, 7, 2, &mut meter);
         let e1: Vec<_> = plain.matching.pairs().collect();
         let e2: Vec<_> = metered.matching.pairs().collect();
         assert_eq!(e1, e2, "metering must not perturb the pipeline");
@@ -432,11 +416,11 @@ mod tests {
             let reference = approx_mcm_via_sparsifier(&g, &p, 13, 1).unwrap();
             let e1: Vec<_> = reference.matching.pairs().collect();
             let mut m1 = WorkMeter::new();
-            approx_mcm_via_sparsifier_metered(&g, &p, 13, 1, &mut m1).unwrap();
+            metered(&g, &p, 13, 1, &mut m1);
             let c1: Vec<_> = m1.counters().map(|(k, v)| (k.to_string(), v)).collect();
             for threads in [2usize, 4, 8] {
                 let mut m = WorkMeter::new();
-                let r = approx_mcm_via_sparsifier_metered(&g, &p, 13, threads, &mut m).unwrap();
+                let r = metered(&g, &p, 13, threads, &mut m);
                 let e: Vec<_> = r.matching.pairs().collect();
                 assert_eq!(e1, e, "threads = {threads}");
                 assert_eq!(reference.probes, r.probes);
@@ -518,7 +502,7 @@ mod tests {
         let mut scratch = crate::scratch::PipelineScratch::new();
         let mut m_fresh = WorkMeter::new();
         let mut m_warm = WorkMeter::new();
-        let fresh = approx_mcm_via_sparsifier_metered(&g, &p, 11, 1, &mut m_fresh).unwrap();
+        let fresh = metered(&g, &p, 11, 1, &mut m_fresh);
         // Warm the arena first so the metered run below is a steady-state
         // repeat, then compare counters (spans are wall clock — skipped).
         approx_mcm_via_sparsifier_with_scratch(&g, &p, 11, 1, &mut scratch).unwrap();
@@ -549,16 +533,5 @@ mod tests {
         assert!(approx_mcm_via_sparsifier_with_scratch(&g, &p, 1, 65, &mut scratch).is_err());
         // And the arena still works after a rejected call.
         assert!(approx_mcm_via_sparsifier_with_scratch(&g, &p, 1, 1, &mut scratch).is_ok());
-    }
-
-    #[test]
-    fn with_stats_variant_agrees() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let g = clique(100);
-        let p = SparsifierParams::practical(1, 0.4);
-        let (s, m) = approx_mcm_with_stats(&g, &p, &mut rng);
-        assert!(m.is_valid_for(&g));
-        assert!(m.is_valid_for(&s.graph));
-        assert!(s.stats.edges > 0);
     }
 }

@@ -15,23 +15,37 @@
 //! One overlay is shared across all vertices and logically cleared in O(1)
 //! between vertices, so the whole sparsifier is sampled with a single
 //! allocation of size `max_degree`.
+//!
+//! Every vertex draws from its own stream, [`vertex_rng`]`(seed, v)`, so
+//! its marks depend only on `(seed, v, deg(v))`: not on the worker that
+//! marks it, nor on whether the build runs in memory or out of core.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::sparse_array::SparseArray;
-use sparsimatch_obs::{keys, WorkMeter};
 
 /// Sentinel for "identity" in the positions overlay.
 const IDENTITY: u32 = u32::MAX;
+
+/// Vertex `v`'s own random stream under `seed`: the one per-vertex
+/// seeding rule, shared by every marking path (in-memory, out-of-core,
+/// and the simulated distributed and MPC protocols) and by the
+/// distributed Israeli–Itai matcher, so vertices draw independently, as
+/// the analysis requires.
+#[inline]
+pub fn vertex_rng(seed: u64, v: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15))
+}
 
 /// A reusable sampler of uniform index subsets.
 ///
 /// Besides the overlay it keeps two cumulative work counters — RNG draws
 /// and overlay writes — across its whole lifetime (the per-vertex
-/// [`SparseArray::writes`] count resets with each logical clear). These
-/// feed the unified [`sparsimatch_obs::WorkMeter`] accounting via
-/// [`PosArraySampler::mirror_into`].
+/// [`SparseArray::writes`] count resets with each logical clear). The
+/// marking workers read them around each run and add the differences to
+/// the unified [`sparsimatch_obs::WorkMeter`] accounting.
 pub struct PosArraySampler {
     pos: SparseArray<u32>,
     rng_draws: u64,
@@ -71,12 +85,6 @@ impl PosArraySampler {
     /// Total writes into the positions overlay since construction.
     pub fn overlay_writes(&self) -> u64 {
         self.overlay_writes
-    }
-
-    /// Mirror the cumulative work counters into a [`WorkMeter`].
-    pub fn mirror_into(&self, meter: &mut WorkMeter) {
-        meter.add(keys::RNG_DRAWS, self.rng_draws);
-        meter.add(keys::OVERLAY_WRITES, self.overlay_writes);
     }
 
     /// Draw `k` distinct uniform indices from `0..deg` into `out`
@@ -249,10 +257,7 @@ mod tests {
         // The take-all path needs no randomness.
         s.sample_indices(5, 10, &mut rng, &mut out);
         assert_eq!(s.rng_draws(), 20);
-        let mut meter = WorkMeter::new();
-        s.mirror_into(&mut meter);
-        assert_eq!(meter.get(keys::RNG_DRAWS), 20);
-        assert_eq!(meter.get(keys::OVERLAY_WRITES), 20);
+        assert_eq!(s.overlay_writes(), 20);
     }
 
     #[test]

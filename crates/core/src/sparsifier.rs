@@ -7,14 +7,13 @@
 //! set, so a matching in `G_Δ` is a matching in `G` verbatim.
 
 use crate::params::SparsifierParams;
-use crate::sampler::{mark_indices_for_vertex, PosArraySampler};
-use rand::Rng;
+use crate::sampler::{mark_indices_for_vertex, vertex_rng, PosArraySampler};
 use sparsimatch_graph::adjacency::AdjacencyOracle;
-use sparsimatch_graph::csr::{from_marked_edges, from_sorted_edges, CsrGraph};
-use sparsimatch_graph::ids::{EdgeId, VertexId};
+use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
+use sparsimatch_graph::ids::VertexId;
 use sparsimatch_obs::{keys, WorkMeter};
 
-/// Maximum accepted thread count for [`build_sparsifier_parallel`].
+/// Maximum accepted thread count for [`build_sparsifier`].
 ///
 /// The cap is a sanity bound, not a memory-safety requirement: each worker
 /// allocates only a sampler overlay sized to the largest degree in its own
@@ -25,7 +24,7 @@ use sparsimatch_obs::{keys, WorkMeter};
 /// out-of-range request is almost certainly a caller bug.
 pub const MAX_THREADS: usize = 64;
 
-/// An out-of-range thread count passed to [`build_sparsifier_parallel`].
+/// An out-of-range thread count passed to [`build_sparsifier`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ThreadCountError {
     /// The rejected request.
@@ -70,122 +69,60 @@ pub struct Sparsifier {
     pub stats: SparsifierStats,
 }
 
-/// Build `G_Δ` from a CSR graph. Runs in time `O(n + |E(G_Δ)|)` —
-/// deterministically linear in the *output*, not the input (Theorem 3.1's
-/// construction bound), modulo the final CSR layout.
+/// Build `G_Δ` from a CSR graph with `threads` marking workers. Runs in
+/// time `O(n + |E(G_Δ)|)` up to sorting the marks: linear in the
+/// *output*, not the input (Theorem 3.1's construction bound).
+///
+/// Every vertex `v` marks from its own stream
+/// [`vertex_rng`]`(seed, v)`, so the output depends only on `seed`, never
+/// on `threads`, and matches the out-of-core build
+/// ([`crate::stream_build::build_sparsifier_streamed`]) edge for edge.
+/// With a `meter`, adjacency probes, sampler RNG draws and overlay writes,
+/// and the sparsifier size are added to it (see [`sparsimatch_obs::keys`]);
+/// per-worker counters are summed first, so the totals are thread-count
+/// invariant too. Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
+/// [`ThreadCountError`] (no silent clamping).
 ///
 /// ```
-/// use rand::{rngs::StdRng, SeedableRng};
 /// use sparsimatch_core::params::SparsifierParams;
 /// use sparsimatch_core::sparsifier::build_sparsifier;
 /// use sparsimatch_graph::generators::clique;
 ///
 /// let g = clique(200); // β = 1, ~20k edges
 /// let params = SparsifierParams::practical(1, 0.3);
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let s = build_sparsifier(&g, &params, &mut rng);
+/// let s = build_sparsifier(&g, &params, 7, 1, None).unwrap();
 /// assert!(s.stats.edges <= params.naive_size_bound(200));
 /// assert!(s.stats.edges < g.num_edges() / 2, "much sparser than the input");
 /// ```
-pub fn build_sparsifier(g: &CsrGraph, params: &SparsifierParams, rng: &mut impl Rng) -> Sparsifier {
-    build_sparsifier_impl(g, params, rng, None)
-}
-
-/// [`build_sparsifier`] with unified work accounting: sampler RNG draws
-/// and overlay writes, adjacency probes, and the sparsifier size are
-/// mirrored into `meter` (see [`sparsimatch_obs::keys`]). The output is
-/// identical to the unmetered build for the same RNG state.
-pub fn build_sparsifier_metered(
+pub fn build_sparsifier(
     g: &CsrGraph,
     params: &SparsifierParams,
-    rng: &mut impl Rng,
-    meter: &mut WorkMeter,
-) -> Sparsifier {
-    build_sparsifier_impl(g, params, rng, Some(meter))
-}
-
-fn build_sparsifier_impl(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
+    seed: u64,
+    threads: usize,
     meter: Option<&mut WorkMeter>,
-) -> Sparsifier {
-    let n = g.num_vertices();
-    let mut keep: Vec<EdgeId> = Vec::new();
-    let mut sampler = PosArraySampler::new(g.max_degree());
-    let mut indices: Vec<u32> = Vec::with_capacity(params.mark_cap());
-    let mut stats = SparsifierStats {
-        delta: params.delta,
-        mark_cap: params.mark_cap(),
-        ..Default::default()
-    };
-    for v in 0..n {
-        let v = VertexId::new(v);
-        let deg = g.degree(v);
-        if deg <= params.mark_cap() {
-            stats.low_degree_vertices += 1;
-        }
-        mark_indices_for_vertex(
-            g,
-            v,
-            params.delta,
-            params.mark_cap(),
-            &mut sampler,
-            rng,
-            &mut indices,
-        );
-        stats.marks_placed += indices.len();
-        for &i in &indices {
-            keep.push(g.incident_edge(v, i as usize));
-        }
+) -> Result<Sparsifier, ThreadCountError> {
+    if threads == 0 || threads > MAX_THREADS {
+        return Err(ThreadCountError { requested: threads });
     }
-    // The mark buffer holds O(marks_placed) ids, never O(|E(G)|) — keeping
-    // construction linear in the *output* as Theorem 3.1 promises.
-    keep.sort_unstable();
-    keep.dedup();
-    let graph = from_marked_edges(g, &keep);
+    let mut marks = MarkScratch::new();
+    let summary = marks.mark(g, params, seed, threads);
+    let mut edges = Vec::new();
+    marks.merge_into(&mut edges);
+    let graph = from_sorted_edges(g.num_vertices(), edges);
+    let mut stats = summary.stats;
     stats.edges = graph.num_edges();
     if let Some(meter) = meter {
         // The CSR fast path reads the graph directly, so probes are
         // accounted analytically: two degree reads per vertex (the
         // low-degree check and the one inside `mark_indices_for_vertex`)
         // and one adjacency-entry read per mark placed.
-        meter.add(keys::DEGREE_PROBES, 2 * n as u64);
+        meter.add(keys::DEGREE_PROBES, 2 * g.num_vertices() as u64);
         meter.add(keys::NEIGHBOR_PROBES, stats.marks_placed as u64);
         meter.add(keys::SPARSIFIER_EDGES, stats.edges as u64);
-        sampler.mirror_into(meter);
+        meter.add(keys::RNG_DRAWS, summary.rng_draws);
+        meter.add(keys::OVERLAY_WRITES, summary.overlay_writes);
     }
-    Sparsifier { graph, stats }
-}
-
-/// Parallel `G_Δ` construction: per-vertex marking is embarrassingly
-/// parallel once each vertex draws from its own deterministically seeded
-/// RNG (exactly the independence the analysis requires anyway, and the
-/// same seeding the distributed protocol uses). The output is identical
-/// for any thread count.
-///
-/// Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
-/// [`ThreadCountError`] (no silent clamping).
-pub fn build_sparsifier_parallel(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-) -> Result<Sparsifier, ThreadCountError> {
-    build_sparsifier_parallel_impl(g, params, seed, threads, None)
-}
-
-/// [`build_sparsifier_parallel`] with unified work accounting. Per-worker
-/// counters are summed before mirroring, so the metered totals are also
-/// thread-count invariant.
-pub fn build_sparsifier_parallel_metered(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: &mut WorkMeter,
-) -> Result<Sparsifier, ThreadCountError> {
-    build_sparsifier_parallel_impl(g, params, seed, threads, Some(meter))
+    Ok(Sparsifier { graph, stats })
 }
 
 /// The lexicographic key of edge `{v, x}`: `(min << 32) | max`, so keys
@@ -247,7 +184,6 @@ impl MarkWorker {
         seed: u64,
         range: std::ops::Range<usize>,
     ) {
-        use rand::SeedableRng;
         let cap = params.mark_cap();
         // Size the overlay to this range's own largest degree (a star hub
         // inflates one worker's overlay, not all of them), and count the
@@ -275,11 +211,11 @@ impl MarkWorker {
                 stats.low_degree_vertices += 1;
             }
             // Every vertex samples from its own stream, so the marks do
-            // not depend on which worker (or which build: distributed,
-            // out-of-core) draws them.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(
-                seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15),
-            );
+            // not depend on which worker draws them, and the out-of-core
+            // build, which runs the same sampler, places the same ones.
+            // Distsim's protocols share the seed rule but not the sampler
+            // (`rand::seq::index::sample`), so their marks differ.
+            let mut rng = vertex_rng(seed, v);
             mark_indices_for_vertex(
                 g,
                 vid,
@@ -432,66 +368,17 @@ impl MarkScratch {
     }
 }
 
-fn build_sparsifier_parallel_impl(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    threads: usize,
-    meter: Option<&mut WorkMeter>,
-) -> Result<Sparsifier, ThreadCountError> {
-    if threads == 0 || threads > MAX_THREADS {
-        return Err(ThreadCountError { requested: threads });
-    }
-    let mut marks = MarkScratch::new();
-    let summary = marks.mark(g, params, seed, threads);
-    let mut edges = Vec::new();
-    marks.merge_into(&mut edges);
-    let graph = from_sorted_edges(g.num_vertices(), edges);
-    let mut stats = summary.stats;
-    stats.edges = graph.num_edges();
-    if let Some(meter) = meter {
-        // Same analytic probe accounting as the sequential CSR path:
-        // two degree reads per vertex, one adjacency-entry read per mark.
-        meter.add(keys::DEGREE_PROBES, 2 * g.num_vertices() as u64);
-        meter.add(keys::NEIGHBOR_PROBES, stats.marks_placed as u64);
-        meter.add(keys::SPARSIFIER_EDGES, stats.edges as u64);
-        meter.add(keys::RNG_DRAWS, summary.rng_draws);
-        meter.add(keys::OVERLAY_WRITES, summary.overlay_writes);
-    }
-    Ok(Sparsifier { graph, stats })
-}
-
 /// Build the marked edge *list* from any adjacency oracle (no edge ids
-/// needed). This is the form used when the input is not materialized as a
-/// CSR graph — e.g. the probe-counting experiments and the dynamic setting.
-/// Returns endpoint pairs with possible duplicates (an edge can be marked
-/// from both sides); deduplication happens wherever a graph is built.
+/// needed), with [`build_sparsifier`]'s marking rule: vertex `v` marks
+/// from [`vertex_rng`]`(seed, v)`. This is the form used when the input is
+/// not materialized as a CSR graph, such as the dynamic naive-recompute
+/// baseline's adjacency-list graph. Returns endpoint pairs with possible
+/// duplicates (an edge can be marked from both sides); deduplication
+/// happens wherever a graph is built.
 pub fn mark_edges_oracle(
     g: &impl AdjacencyOracle,
     params: &SparsifierParams,
-    rng: &mut impl Rng,
-) -> Vec<(VertexId, VertexId)> {
-    mark_edges_oracle_impl(g, params, rng, None)
-}
-
-/// [`mark_edges_oracle`] with unified work accounting: sampler RNG draws
-/// and overlay writes are mirrored into `meter`. (Probe counts are the
-/// caller's business — wrap the oracle in a
-/// [`sparsimatch_graph::adjacency::CountingOracle`].)
-pub fn mark_edges_oracle_metered(
-    g: &impl AdjacencyOracle,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-    meter: &mut WorkMeter,
-) -> Vec<(VertexId, VertexId)> {
-    mark_edges_oracle_impl(g, params, rng, Some(meter))
-}
-
-fn mark_edges_oracle_impl(
-    g: &impl AdjacencyOracle,
-    params: &SparsifierParams,
-    rng: &mut impl Rng,
-    meter: Option<&mut WorkMeter>,
+    seed: u64,
 ) -> Vec<(VertexId, VertexId)> {
     let n = g.num_vertices();
     // One degree pass sizes both the sampler overlay and the output
@@ -508,22 +395,19 @@ fn mark_edges_oracle_impl(
     let mut indices: Vec<u32> = Vec::with_capacity(params.mark_cap().max(1));
     let mut out = Vec::with_capacity(mark_bound);
     for v in 0..n {
-        let v = VertexId::new(v);
+        let vid = VertexId::new(v);
         mark_indices_for_vertex(
             g,
-            v,
+            vid,
             params.delta,
             params.mark_cap(),
             &mut sampler,
-            rng,
+            &mut vertex_rng(seed, v),
             &mut indices,
         );
         for &i in &indices {
-            out.push((v, g.neighbor(v, i as usize)));
+            out.push((vid, g.neighbor(vid, i as usize)));
         }
-    }
-    if let Some(meter) = meter {
-        sampler.mirror_into(meter);
     }
     out
 }
@@ -531,7 +415,7 @@ fn mark_edges_oracle_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
     use sparsimatch_graph::analysis::arboricity::arboricity_bounds;
     use sparsimatch_graph::generators::{
         clique, clique_union, gnp, star, unit_disk, CliqueUnionConfig, UnitDiskConfig,
@@ -540,6 +424,15 @@ mod tests {
 
     fn params(beta: usize, eps: f64, delta: usize) -> SparsifierParams {
         SparsifierParams::with_delta(beta, eps, delta)
+    }
+
+    /// One-worker build, unmetered.
+    fn build(g: &CsrGraph, p: &SparsifierParams, seed: u64) -> Sparsifier {
+        build_sparsifier(g, p, seed, 1, None).unwrap()
+    }
+
+    fn edge_pairs(g: &CsrGraph) -> Vec<(u32, u32)> {
+        g.edges().map(|(_, u, v)| (u.0, v.0)).collect()
     }
 
     /// The edge-id form of the marking: every vertex's marked incident
@@ -551,7 +444,7 @@ mod tests {
         let mut ids = Vec::new();
         for v in 0..g.num_vertices() {
             let vid = VertexId::new(v);
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut rng = vertex_rng(seed, v);
             let (delta, cap) = (p.delta, p.mark_cap());
             mark_indices_for_vertex(g, vid, delta, cap, &mut sampler, &mut rng, &mut indices);
             ids.extend(indices.iter().map(|&i| g.incident_edge(vid, i as usize)));
@@ -613,10 +506,45 @@ mod tests {
     }
 
     #[test]
+    fn oracle_and_csr_builders_follow_one_marking_rule() {
+        // A CSR graph is also an adjacency oracle, so the oracle marker and
+        // the CSR builder see the same adjacency arrays: with one seed the
+        // deduplicated oracle marks are exactly G_Δ's edge list, at every
+        // worker count.
+        let mut rng = StdRng::seed_from_u64(41);
+        let graphs = [
+            ("clique", clique(80)),
+            ("star", star(300)),
+            ("gnp", gnp(200, 0.1, &mut rng)),
+        ];
+        for (name, g) in &graphs {
+            for p in [params(1, 0.5, 3), params(2, 0.4, 6)] {
+                for seed in [0u64, 5, 1234] {
+                    let mut oracle: Vec<(u32, u32)> = mark_edges_oracle(g, &p, seed)
+                        .into_iter()
+                        .map(|(u, v)| (u.0.min(v.0), u.0.max(v.0)))
+                        .collect();
+                    oracle.sort_unstable();
+                    oracle.dedup();
+                    for threads in [1usize, 2, 4] {
+                        let s = build_sparsifier(g, &p, seed, threads, None).unwrap();
+                        assert_eq!(
+                            edge_pairs(&s.graph),
+                            oracle,
+                            "{name} delta {} seed {seed} t {threads}",
+                            p.delta
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sparsifier_is_subgraph() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = gnp(60, 0.3, &mut rng);
-        let s = build_sparsifier(&g, &params(3, 0.5, 4), &mut rng);
+        let s = build(&g, &params(3, 0.5, 4), rng.next_u64());
         assert_eq!(s.graph.num_vertices(), g.num_vertices());
         for (_, u, v) in s.graph.edges() {
             assert!(g.has_edge(u, v), "sparsifier edge not in input");
@@ -625,10 +553,9 @@ mod tests {
 
     #[test]
     fn low_degree_vertices_keep_everything() {
-        let mut rng = StdRng::seed_from_u64(2);
         let g = star(50); // center degree 49, leaves degree 1
         let p = params(1, 0.5, 3); // mark_cap = 6 < 49
-        let s = build_sparsifier(&g, &p, &mut rng);
+        let s = build(&g, &p, 2);
         // All leaves are low degree and mark their only edge, so G_Δ = G.
         assert_eq!(s.graph.num_edges(), 49);
         assert_eq!(s.stats.low_degree_vertices, 49);
@@ -636,10 +563,9 @@ mod tests {
 
     #[test]
     fn high_degree_vertices_mark_exactly_delta() {
-        let mut rng = StdRng::seed_from_u64(3);
         let g = clique(100);
         let p = params(1, 0.5, 5);
-        let s = build_sparsifier(&g, &p, &mut rng);
+        let s = build(&g, &p, 3);
         // Every vertex has degree 99 > cap 10, so marks 5: total 500 marks,
         // edges <= 500 (collisions dedupe).
         assert_eq!(s.stats.marks_placed, 500);
@@ -654,7 +580,7 @@ mod tests {
         for _ in 0..5 {
             let g = gnp(80, 0.4, &mut rng);
             let p = params(2, 0.5, 3);
-            let s = build_sparsifier(&g, &p, &mut rng);
+            let s = build(&g, &p, rng.next_u64());
             assert!(s.stats.edges <= p.naive_size_bound(g.num_vertices()));
         }
     }
@@ -673,7 +599,7 @@ mod tests {
         let p = params(2, 0.5, 4);
         let mcm = maximum_matching(&g).len();
         for _ in 0..5 {
-            let s = build_sparsifier(&g, &p, &mut rng);
+            let s = build(&g, &p, rng.next_u64());
             assert!(
                 s.stats.edges <= p.size_bound(mcm),
                 "{} > bound {}",
@@ -685,10 +611,9 @@ mod tests {
 
     #[test]
     fn observation_2_12_arboricity_bound() {
-        let mut rng = StdRng::seed_from_u64(6);
         let g = clique(120);
         let p = params(1, 0.5, 4);
-        let s = build_sparsifier(&g, &p, &mut rng);
+        let s = build(&g, &p, 6);
         let (_, hi) = arboricity_bounds(&s.graph);
         assert!(
             hi <= p.arboricity_bound(),
@@ -706,7 +631,7 @@ mod tests {
         );
         let p = SparsifierParams::practical(5, 0.5);
         let exact = maximum_matching(&g).len();
-        let s = build_sparsifier(&g, &p, &mut rng);
+        let s = build(&g, &p, rng.next_u64());
         let sparse_mcm = maximum_matching(&s.graph).len();
         assert!(
             (sparse_mcm as f64) * 1.5 >= exact as f64,
@@ -719,7 +644,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let g = gnp(40, 0.3, &mut rng);
         let p = params(2, 0.5, 3);
-        let marks = mark_edges_oracle(&g, &p, &mut rng);
+        let marks = mark_edges_oracle(&g, &p, rng.next_u64());
         for &(u, v) in &marks {
             assert!(g.has_edge(u, v));
         }
@@ -736,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_thread_count_invariant() {
+    fn build_is_thread_count_invariant() {
         let mut rng = StdRng::seed_from_u64(10);
         let g = clique_union(
             CliqueUnionConfig {
@@ -747,16 +672,14 @@ mod tests {
             &mut rng,
         );
         let p = params(2, 0.4, 6);
-        let reference = build_sparsifier_parallel(&g, &p, 42, 1).unwrap();
+        let reference = build(&g, &p, 42);
         for threads in [2usize, 4, 7] {
-            let s = build_sparsifier_parallel(&g, &p, 42, threads).unwrap();
-            let e1: Vec<_> = reference
-                .graph
-                .edges()
-                .map(|(_, u, v)| (u.0, v.0))
-                .collect();
-            let e2: Vec<_> = s.graph.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-            assert_eq!(e1, e2, "threads = {threads}");
+            let s = build_sparsifier(&g, &p, 42, threads, None).unwrap();
+            assert_eq!(
+                edge_pairs(&reference.graph),
+                edge_pairs(&s.graph),
+                "threads = {threads}"
+            );
             assert_eq!(s.stats.marks_placed, reference.stats.marks_placed);
             assert_eq!(
                 s.stats.low_degree_vertices,
@@ -766,10 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_meets_same_bounds() {
+    fn multi_worker_build_meets_same_bounds() {
         let g = clique(150);
         let p = params(1, 0.5, 5);
-        let s = build_sparsifier_parallel(&g, &p, 7, 4).unwrap();
+        let s = build_sparsifier(&g, &p, 7, 4, None).unwrap();
         assert!(s.stats.edges <= p.naive_size_bound(150));
         for (_, u, v) in s.graph.edges() {
             assert!(g.has_edge(u, v));
@@ -779,31 +702,31 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_rejects_bad_thread_counts() {
+    fn build_rejects_bad_thread_counts() {
         let g = clique(10);
         let p = params(1, 0.5, 2);
         assert_eq!(
-            build_sparsifier_parallel(&g, &p, 1, 0).unwrap_err(),
+            build_sparsifier(&g, &p, 1, 0, None).unwrap_err(),
             ThreadCountError { requested: 0 }
         );
-        let err = build_sparsifier_parallel(&g, &p, 1, MAX_THREADS + 1).unwrap_err();
+        let err = build_sparsifier(&g, &p, 1, MAX_THREADS + 1, None).unwrap_err();
         assert_eq!(err.requested, MAX_THREADS + 1);
         assert!(err.to_string().contains("between 1 and 64"));
-        assert!(build_sparsifier_parallel(&g, &p, 1, MAX_THREADS).is_ok());
+        assert!(build_sparsifier(&g, &p, 1, MAX_THREADS, None).is_ok());
     }
 
     #[test]
     fn metered_build_matches_unmetered_and_counts_work() {
         let g = clique(80);
         let p = params(1, 0.5, 4);
-        let mut rng1 = StdRng::seed_from_u64(11);
-        let mut rng2 = StdRng::seed_from_u64(11);
         let mut meter = sparsimatch_obs::WorkMeter::new();
-        let plain = build_sparsifier(&g, &p, &mut rng1);
-        let metered = build_sparsifier_metered(&g, &p, &mut rng2, &mut meter);
-        let e1: Vec<_> = plain.graph.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-        let e2: Vec<_> = metered.graph.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-        assert_eq!(e1, e2, "metering must not perturb the build");
+        let plain = build(&g, &p, 11);
+        let metered = build_sparsifier(&g, &p, 11, 1, Some(&mut meter)).unwrap();
+        assert_eq!(
+            edge_pairs(&plain.graph),
+            edge_pairs(&metered.graph),
+            "metering must not perturb the build"
+        );
         use sparsimatch_obs::keys;
         assert_eq!(meter.get(keys::DEGREE_PROBES), 2 * 80);
         assert_eq!(
@@ -821,13 +744,13 @@ mod tests {
     }
 
     #[test]
-    fn metered_parallel_totals_are_thread_count_invariant() {
+    fn metered_totals_are_thread_count_invariant() {
         let g = clique(60);
         let p = params(1, 0.5, 3);
         let mut m1 = sparsimatch_obs::WorkMeter::new();
         let mut m4 = sparsimatch_obs::WorkMeter::new();
-        let s1 = build_sparsifier_parallel_metered(&g, &p, 9, 1, &mut m1).unwrap();
-        let s4 = build_sparsifier_parallel_metered(&g, &p, 9, 4, &mut m4).unwrap();
+        let s1 = build_sparsifier(&g, &p, 9, 1, Some(&mut m1)).unwrap();
+        let s4 = build_sparsifier(&g, &p, 9, 4, Some(&mut m4)).unwrap();
         assert_eq!(s1.stats.edges, s4.stats.edges);
         let c1: Vec<_> = m1.counters().map(|(k, v)| (k.to_string(), v)).collect();
         let c4: Vec<_> = m4.counters().map(|(k, v)| (k.to_string(), v)).collect();
@@ -836,24 +759,21 @@ mod tests {
 
     #[test]
     fn empty_graph_sparsifies_to_empty() {
-        let mut rng = StdRng::seed_from_u64(9);
         let g = sparsimatch_graph::csr::from_edges(10, []);
-        let s = build_sparsifier(&g, &params(1, 0.5, 2), &mut rng);
+        let s = build(&g, &params(1, 0.5, 2), 9);
         assert_eq!(s.graph.num_edges(), 0);
         assert_eq!(s.stats.marks_placed, 0);
     }
 
     fn assert_thread_count_invariant(g: &CsrGraph, p: &SparsifierParams, label: &str) {
-        let reference = build_sparsifier_parallel(g, p, 42, 1).unwrap();
-        let e1: Vec<_> = reference
-            .graph
-            .edges()
-            .map(|(_, u, v)| (u.0, v.0))
-            .collect();
+        let reference = build(g, p, 42);
         for threads in [2usize, 4, 8] {
-            let s = build_sparsifier_parallel(g, p, 42, threads).unwrap();
-            let e2: Vec<_> = s.graph.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-            assert_eq!(e1, e2, "{label}: threads = {threads}");
+            let s = build_sparsifier(g, p, 42, threads, None).unwrap();
+            assert_eq!(
+                edge_pairs(&reference.graph),
+                edge_pairs(&s.graph),
+                "{label}: threads = {threads}"
+            );
             assert_eq!(
                 s.stats.marks_placed, reference.stats.marks_placed,
                 "{label}"
@@ -863,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_invariant_on_adversarial_families() {
+    fn build_invariant_on_adversarial_families() {
         use sparsimatch_graph::generators::clique_minus_edge;
         // Star: one hub whose degree dwarfs every per-worker range — the
         // worker holding the hub sizes its overlay up, the rest stay tiny.
@@ -877,27 +797,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_invariant_on_degenerate_graphs() {
+    fn build_invariant_on_degenerate_graphs() {
         let empty = sparsimatch_graph::csr::from_edges(0, []);
         assert_thread_count_invariant(&empty, &params(1, 0.5, 2), "empty");
         let singleton = sparsimatch_graph::csr::from_edges(1, []);
         assert_thread_count_invariant(&singleton, &params(1, 0.5, 2), "singleton");
         let one_edge = sparsimatch_graph::csr::from_edges(2, [(0, 1)]);
         assert_thread_count_invariant(&one_edge, &params(1, 0.5, 2), "one-edge");
-    }
-
-    #[test]
-    fn sequential_and_parallel_agree_on_marked_edge_sets_shape() {
-        // The sequential RNG-stream build and the seeded parallel build use
-        // different randomness, but both must respect the per-vertex mark
-        // budget; compare the deterministic consequences.
-        let g = clique(90);
-        let p = params(1, 0.5, 4);
-        let mut rng = StdRng::seed_from_u64(13);
-        let seq = build_sparsifier(&g, &p, &mut rng);
-        let par = build_sparsifier_parallel(&g, &p, 13, 4).unwrap();
-        assert_eq!(seq.stats.marks_placed, par.stats.marks_placed);
-        assert_eq!(seq.stats.low_degree_vertices, par.stats.low_degree_vertices);
-        assert!(par.stats.edges <= p.naive_size_bound(90));
     }
 }

@@ -8,9 +8,9 @@
 //! whole construction keeps O(n) per-vertex state plus the kept edges.
 //!
 //! The trick is that the marking scheme is replayable from degrees
-//! alone. Each vertex `v` samples with its own RNG seeded as
-//! `seed ^ (v·0x9E3779B97F4A7C15)` — exactly the per-vertex streams of
-//! the in-memory marking workers (`sparsifier::MarkScratch`) — and
+//! alone. Each vertex `v` samples from [`vertex_rng`]`(seed, v)` —
+//! exactly the per-vertex streams of the in-memory build
+//! ([`crate::sparsifier::build_sparsifier`]) — and
 //! [`PosArraySampler::sample_indices`] consumes randomness as a function
 //! of `deg(v)` only. So:
 //!
@@ -36,50 +36,16 @@
 
 use crate::params::SparsifierParams;
 use crate::pipeline::{approx_mcm_on_sparsifier, stage_eps, PipelineResult};
-use crate::sampler::PosArraySampler;
+use crate::sampler::{vertex_rng, PosArraySampler};
 use crate::sparsifier::{Sparsifier, SparsifierStats};
-use rand::SeedableRng;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::bitset::BitSet;
 use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
-use sparsimatch_graph::edge_stream::{EdgeStreamSource, IoFaultStats};
+use sparsimatch_graph::edge_stream::EdgeStreamSource;
 use sparsimatch_graph::io::ReadError;
-use sparsimatch_obs::{keys, WorkMeter};
-use std::time::Duration;
 
-/// Delay schedule between retry attempts of a failed stream pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backoff {
-    /// Retry immediately — right for tests and local disks.
-    #[default]
-    None,
-    /// Sleep a fixed duration before every retry.
-    Fixed(Duration),
-    /// Sleep `base · 2^(attempt−1)`, capped at `cap`.
-    Exponential {
-        /// Delay before the first retry.
-        base: Duration,
-        /// Upper bound on any single delay.
-        cap: Duration,
-    },
-}
-
-impl Backoff {
-    /// Delay before retry number `attempt` (1-based), `None` for no wait.
-    fn delay(&self, attempt: u32) -> Option<Duration> {
-        match *self {
-            Backoff::None => None,
-            Backoff::Fixed(d) => Some(d),
-            Backoff::Exponential { base, cap } => {
-                let shift = attempt.saturating_sub(1).min(16);
-                Some(base.saturating_mul(1u32 << shift).min(cap))
-            }
-        }
-    }
-}
-
-/// How often a failed stream pass may be re-run from scratch, and how
-/// long to wait between attempts.
+/// How often a failed stream pass may be re-run from scratch. A restart
+/// follows the failure immediately.
 ///
 /// Restarting a pass is safe because the build keeps no state a restart
 /// cannot reset: pass 1 is a pure degree count, and pass 2's sampling
@@ -91,26 +57,18 @@ impl Backoff {
 pub struct RetryPolicy {
     /// Total attempts allowed per pass, counting the first (≥ 1).
     pub max_attempts: u32,
-    /// Wait applied between consecutive attempts of the same pass.
-    pub backoff: Backoff,
 }
 
 impl RetryPolicy {
     /// No retries: the first failure of either pass is final.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Backoff::None,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
-    /// Up to `max_attempts` attempts per pass with no backoff wait.
+    /// Up to `max_attempts` attempts per pass.
     pub fn attempts(max_attempts: u32) -> RetryPolicy {
         assert!(max_attempts >= 1, "a pass always gets one attempt");
-        RetryPolicy {
-            max_attempts,
-            backoff: Backoff::None,
-        }
+        RetryPolicy { max_attempts }
     }
 }
 
@@ -159,16 +117,6 @@ impl std::error::Error for StreamBuildError {
     }
 }
 
-/// Mirror a [`IoFaultStats`] record into the unified [`WorkMeter`]
-/// accounting (the `io.faults.*` keys), the same way distsim's
-/// `FaultStats::mirror_into` reports network faults.
-pub fn mirror_io_faults(stats: &IoFaultStats, meter: &mut WorkMeter) {
-    meter.add(keys::IO_FAULTS_EIO, stats.eio);
-    meter.add(keys::IO_FAULTS_SHORT_READS, stats.short_reads);
-    meter.add(keys::IO_FAULTS_TORN_LINES, stats.torn_lines);
-    meter.add(keys::IO_FAULTS_HEADER_MUTATIONS, stats.header_mutations);
-}
-
 /// Run one pass body under the retry budget. The body resets whatever
 /// per-pass state it owns, runs one full scan, and reports the
 /// half-edges it visited (charged to `edges_scanned` even when the scan
@@ -201,9 +149,6 @@ where
                     });
                 }
                 *retries += 1;
-                if let Some(d) = policy.backoff.delay(attempt) {
-                    std::thread::sleep(d);
-                }
             }
         }
     }
@@ -241,7 +186,7 @@ pub struct StreamBuildReport {
 /// Build `G_Δ` from a lex-sorted edge stream without materializing the
 /// parent graph. For the same `(n, edges, params, seed)` the sparsifier
 /// CSR is byte-identical to the in-memory
-/// [`crate::sparsifier::build_sparsifier_parallel`] at any thread count,
+/// [`crate::sparsifier::build_sparsifier`] at any thread count,
 /// and the stats agree field for field.
 pub fn build_sparsifier_streamed(
     src: &mut impl EdgeStreamSource,
@@ -266,21 +211,6 @@ pub fn build_sparsifier_streamed_with_retry(
     params: &SparsifierParams,
     seed: u64,
     policy: &RetryPolicy,
-) -> Result<(Sparsifier, StreamBuildReport), StreamBuildError> {
-    let mut meter = WorkMeter::new();
-    build_sparsifier_streamed_with_retry_metered(src, params, seed, policy, &mut meter)
-}
-
-/// [`build_sparsifier_streamed_with_retry`] with unified accounting:
-/// restarts land on the meter's `io.retries` key (and from there in
-/// `--metrics-json`), alongside whatever the caller mirrors from a
-/// fault-injecting source via [`mirror_io_faults`].
-pub fn build_sparsifier_streamed_with_retry_metered(
-    src: &mut impl EdgeStreamSource,
-    params: &SparsifierParams,
-    seed: u64,
-    policy: &RetryPolicy,
-    meter: &mut WorkMeter,
 ) -> Result<(Sparsifier, StreamBuildReport), StreamBuildError> {
     let n = src.num_vertices();
     let m = src.num_edges();
@@ -340,13 +270,10 @@ pub fn build_sparsifier_streamed_with_retry_metered(
                 keep_all.set(v);
             }
         } else {
-            // The same per-vertex seeding as every in-memory marking
-            // path; `sample_indices` draws as a function of `deg` alone,
-            // so these are the marks the in-memory build would place.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(
-                seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15),
-            );
-            sampler.sample_indices(deg, params.delta, &mut rng, &mut indices);
+            // The in-memory build's per-vertex stream; `sample_indices`
+            // draws as a function of `deg` alone, so these are the marks
+            // the in-memory build would place.
+            sampler.sample_indices(deg, params.delta, &mut vertex_rng(seed, v), &mut indices);
             stats.marks_placed += indices.len();
             // Only membership matters downstream, so sorting per vertex
             // is safe and makes pass 2 a cursor walk.
@@ -439,7 +366,6 @@ pub fn build_sparsifier_streamed_with_retry_metered(
     let layout_resident = sparsifier_bytes + (kept_capacity - m_sparse) * 8 + n * 4;
     peak = peak.max(layout_resident);
 
-    meter.add(keys::IO_RETRIES, io_retries);
     let report = StreamBuildReport {
         peak_resident_bytes: peak,
         graph_bytes: CsrGraph::projected_memory_bytes(n, m),
@@ -504,7 +430,7 @@ pub fn approx_mcm_streamed_with_retry(
 mod tests {
     use super::*;
     use crate::pipeline::approx_mcm_via_sparsifier;
-    use crate::sparsifier::build_sparsifier_parallel;
+    use crate::sparsifier::build_sparsifier;
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::edge_stream::FileEdgeSource;
     use sparsimatch_graph::generators::{
@@ -551,7 +477,7 @@ mod tests {
         let p = SparsifierParams::practical(2, 0.4);
         for (name, mut g) in family_zoo() {
             for seed in [0u64, 7, 41] {
-                let reference = build_sparsifier_parallel(&g, &p, seed, 1).unwrap();
+                let reference = build_sparsifier(&g, &p, seed, 1, None).unwrap();
                 let (streamed, report) = build_sparsifier_streamed(&mut g, &p, seed).unwrap();
                 assert_eq!(
                     streamed.graph, reference.graph,
@@ -654,13 +580,11 @@ mod tests {
                 // Horizon 3 with 4 attempts per pass: recovery guaranteed.
                 let plan = IoFaultPlan::new(plan_seed, rates).with_horizon(3);
                 let mut faulty = FaultyEdgeSource::new(g.clone(), plan);
-                let mut meter = WorkMeter::new();
-                let (recovered, report) = build_sparsifier_streamed_with_retry_metered(
+                let (recovered, report) = build_sparsifier_streamed_with_retry(
                     &mut faulty,
                     &p,
                     7,
                     &RetryPolicy::attempts(4),
-                    &mut meter,
                 )
                 .unwrap();
                 assert_eq!(
@@ -669,9 +593,6 @@ mod tests {
                 );
                 assert_stats_eq(&recovered.stats, &clean.stats, &name);
                 assert_eq!(report.io_retries, faulty.stats().total());
-                assert_eq!(meter.get(keys::IO_RETRIES), report.io_retries);
-                mirror_io_faults(&faulty.stats(), &mut meter);
-                assert_eq!(meter.get(keys::IO_FAULTS_EIO), faulty.stats().eio);
                 // Aborted attempts are charged: total scan work is the
                 // fault-free 4m plus whatever the failed prefixes read.
                 assert!(report.edges_scanned >= clean_report.edges_scanned);
@@ -710,18 +631,5 @@ mod tests {
             }
         }
         assert_eq!(faulty.attempts(), 3);
-    }
-
-    #[test]
-    fn exponential_backoff_caps_and_grows() {
-        let b = Backoff::Exponential {
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(5),
-        };
-        assert_eq!(b.delay(1), Some(Duration::from_millis(2)));
-        assert_eq!(b.delay(2), Some(Duration::from_millis(4)));
-        assert_eq!(b.delay(3), Some(Duration::from_millis(5)));
-        assert_eq!(b.delay(40), Some(Duration::from_millis(5)));
-        assert_eq!(Backoff::None.delay(1), None);
     }
 }

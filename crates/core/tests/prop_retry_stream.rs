@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::sparsifier::build_sparsifier_parallel;
+use sparsimatch_core::sparsifier::build_sparsifier;
 use sparsimatch_core::stream_build::{
     build_sparsifier_streamed, build_sparsifier_streamed_with_retry, RetryPolicy,
 };
@@ -95,7 +95,7 @@ proptest! {
         let mut faulty = FaultyEdgeSource::new(g.clone(), plan);
         let (recovered, report) =
             build_sparsifier_streamed_with_retry(&mut faulty, &p, seed, &policy).unwrap();
-        let mem = build_sparsifier_parallel(&g, &p, seed, 1).unwrap();
+        let mem = build_sparsifier(&g, &p, seed, 1, None).unwrap();
 
         prop_assert_eq!(&recovered.graph, &clean.graph, "recovered vs fault-free streamed");
         prop_assert_eq!(&recovered.graph, &mem.graph, "recovered vs in-memory");

@@ -39,10 +39,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = from_edges(N, edges);
-        let mut rng = StdRng::seed_from_u64(seed);
         let beta = neighborhood_independence_exact(&g).max(1);
         let params = SparsifierParams::with_delta(beta, 0.5, delta);
-        let s = build_sparsifier(&g, &params, &mut rng);
+        let s = build_sparsifier(&g, &params, seed, 1, None).unwrap();
         // Subgraph.
         for (_, u, v) in s.graph.edges() {
             prop_assert!(g.has_edge(u, v));
@@ -73,9 +72,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let g = from_edges(N, edges);
-        let mut rng = StdRng::seed_from_u64(seed);
         let params = SparsifierParams::with_delta(2, 0.5, 3);
-        let s = build_sparsifier(&g, &params, &mut rng);
+        let s = build_sparsifier(&g, &params, seed, 1, None).unwrap();
         let m = maximum_matching(&s.graph);
         prop_assert!(m.is_valid_for(&g));
         prop_assert!(m.len() <= maximum_matching(&g).len());

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::pipeline::approx_mcm_via_sparsifier;
-use sparsimatch_core::sparsifier::build_sparsifier_parallel;
+use sparsimatch_core::sparsifier::build_sparsifier;
 use sparsimatch_core::stream_build::{approx_mcm_streamed, build_sparsifier_streamed};
 use sparsimatch_graph::csr::from_edges;
 use sparsimatch_graph::edge_stream::FileEdgeSource;
@@ -42,7 +42,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
 
         for threads in [1usize, 2, 4] {
-            let mem = build_sparsifier_parallel(&g, &p, seed, threads).unwrap();
+            let mem = build_sparsifier(&g, &p, seed, threads, None).unwrap();
             prop_assert_eq!(
                 &streamed.graph, &mem.graph,
                 "sparsifier CSR diverged at {} threads", threads

@@ -8,16 +8,18 @@
 //! the `KT_0` model.
 
 use crate::network::{Net, Outgoing};
-use rand::rngs::StdRng;
 use rand::seq::index::sample;
-use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::vertex_rng;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
 /// Run the one-round sparsifier protocol. Returns the sparsified graph
-/// (same vertex set). Nodes draw their randomness from per-node seeds
-/// derived from `seed` (independent across nodes, as the analysis needs).
+/// (same vertex set). Node `v` draws from [`vertex_rng`]`(seed, v)`
+/// (independent across nodes, as the analysis needs). That is core's seed
+/// rule, but the sampler is `rand::seq::index::sample`, not core's `pos_v`
+/// sampler, so for one seed the marks differ from
+/// [`sparsimatch_core::sparsifier::build_sparsifier`]'s.
 ///
 /// On a faulty transport a dropped mark shrinks the sparsifier (the edge
 /// survives only if the sender's own mark is kept) and a duplicated mark
@@ -38,8 +40,7 @@ pub fn distributed_sparsifier<'g>(
         let marks: Vec<u32> = if deg <= params.mark_cap() {
             (0..deg as u32).collect()
         } else {
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            sample(&mut rng, deg, params.delta)
+            sample(&mut vertex_rng(seed, v), deg, params.delta)
                 .into_iter()
                 .map(|i| i as u32)
                 .collect()
@@ -85,8 +86,7 @@ pub fn distributed_sparsifier_broadcast<'g>(
         let marks: Vec<u32> = if deg <= params.mark_cap() {
             (0..deg as u32).collect()
         } else {
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            sample(&mut rng, deg, params.delta)
+            sample(&mut vertex_rng(seed, v), deg, params.delta)
                 .into_iter()
                 .map(|i| i as u32)
                 .collect()

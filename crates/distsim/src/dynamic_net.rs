@@ -13,10 +13,9 @@
 //! from it at any moment.
 
 use crate::metrics::Metrics;
-use rand::rngs::StdRng;
 use rand::seq::index::sample;
-use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::vertex_rng;
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
@@ -85,10 +84,9 @@ impl DynamicNetwork {
 
     fn resample(&mut self, v: VertexId) {
         let deg = self.graph.degree(v);
-        let mut rng = StdRng::seed_from_u64(
-            self.update_seed
-                ^ (v.0 as u64).wrapping_mul(0x9E3779B97F4A7C15)
-                ^ self.updates_applied.wrapping_mul(0xD1B54A32D192ED03),
+        let mut rng = vertex_rng(
+            self.update_seed ^ self.updates_applied.wrapping_mul(0xD1B54A32D192ED03),
+            v.index(),
         );
         let fresh: HashSet<u32> = if deg <= self.params.mark_cap() {
             (0..deg).map(|i| self.graph.neighbor(v, i).0).collect()

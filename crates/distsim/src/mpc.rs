@@ -23,12 +23,10 @@
 //! realized loads, so the memory claim is measured, not assumed.
 
 use crate::metrics::Metrics;
-use crate::shard::{balanced_bounds, csr_offsets, run_jobs};
-use rand::rngs::StdRng;
 use rand::seq::index::sample;
-use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::pipeline::{approx_mcm_on_sparsifier, stage_eps};
+use sparsimatch_core::sampler::vertex_rng;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::Matching;
@@ -109,74 +107,28 @@ pub fn mpc_approx_mcm(
     cfg: &MpcConfig,
     seed: u64,
 ) -> Result<MpcOutcome, MpcError> {
-    mpc_approx_mcm_sharded(g, params, cfg, seed, 1)
-}
-
-/// Mark edges for the contiguous vertex range `lo..hi`. Marking is a pure
-/// per-vertex function of `(seed, v)`, so any contiguous partition of the
-/// vertex space, marked independently and concatenated in range order,
-/// yields the exact byte sequence the single-range scan produces.
-fn mark_range(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    lo: usize,
-    hi: usize,
-) -> Vec<(u32, u32)> {
-    let mut marked: Vec<(u32, u32)> = Vec::new();
-    for v in lo..hi {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        if deg == 0 {
-            continue;
-        }
-        if deg <= params.mark_cap() {
-            for u in g.neighbors(vid) {
-                marked.push((vid.0, u.0));
-            }
-        } else {
-            let mut rng = StdRng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            for i in sample(&mut rng, deg, params.delta) {
-                marked.push((vid.0, g.neighbor(vid, i).0));
-            }
-        }
-    }
-    marked
-}
-
-/// [`mpc_approx_mcm`] with the machine-local marking phase executed by
-/// `threads` shard workers over half-edge-balanced contiguous vertex
-/// ranges (the same partitioner as [`crate::Network::with_threads`]). The
-/// outcome — marked-edge list, matching, loads — is byte-identical to
-/// the sequential run at every thread count because marking is a pure
-/// per-vertex function and shards are concatenated in range order.
-pub fn mpc_approx_mcm_sharded(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    cfg: &MpcConfig,
-    seed: u64,
-    threads: usize,
-) -> Result<MpcOutcome, MpcError> {
     assert!(cfg.machines >= 1);
-    assert!(threads >= 1, "thread count must be at least 1");
     let n = g.num_vertices();
     let mut rounds = 0u64;
     let mut max_round_load = 0usize;
     let mut total_words = 0u64;
 
     // Local step: per-owner marking. Each machine only touches the
-    // adjacency lists of vertices it owns; `owner` assigns contiguous
-    // ranges, so shard workers respect machine locality.
-    let bounds = balanced_bounds(&csr_offsets(g), threads);
-    let jobs: Vec<_> = (0..threads)
-        .map(|k| {
-            let (lo, hi) = (bounds[k], bounds[k + 1]);
-            move || mark_range(g, params, seed, lo, hi)
-        })
-        .collect();
+    // adjacency lists of vertices it owns, and each vertex marks from its
+    // own stream, so the marks do not depend on the machine layout.
     let mut marked: Vec<(u32, u32)> = Vec::new();
-    for chunk in run_jobs(jobs) {
-        marked.extend(chunk);
+    for v in 0..n {
+        let vid = VertexId::new(v);
+        let deg = g.degree(vid);
+        if deg <= params.mark_cap() {
+            for u in g.neighbors(vid) {
+                marked.push((vid.0, u.0));
+            }
+        } else {
+            for i in sample(&mut vertex_rng(seed, v), deg, params.delta) {
+                marked.push((vid.0, g.neighbor(vid, i).0));
+            }
+        }
     }
 
     // Round 1: ship marked edges to the coordinator (machine 0).
@@ -314,36 +266,6 @@ mod tests {
         };
         let err = mpc_approx_mcm(&g, &params, &cfg, 1).unwrap_err();
         assert!(matches!(err, MpcError::MemoryExceeded { round: 1, .. }));
-    }
-
-    #[test]
-    fn sharded_marking_is_byte_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = clique_union(
-            CliqueUnionConfig {
-                n: 350,
-                diversity: 3,
-                clique_size: 60,
-            },
-            &mut rng,
-        );
-        let params = SparsifierParams::practical(3, 0.35);
-        let cfg = MpcConfig {
-            machines: 6,
-            memory_words: 400_000,
-        };
-        let base = mpc_approx_mcm(&g, &params, &cfg, 11).unwrap();
-        for threads in [2usize, 4, 13] {
-            let sharded = mpc_approx_mcm_sharded(&g, &params, &cfg, 11, threads).unwrap();
-            assert_eq!(
-                sharded.matching.pairs().collect::<Vec<_>>(),
-                base.matching.pairs().collect::<Vec<_>>(),
-                "t={threads}"
-            );
-            assert_eq!(sharded.rounds, base.rounds);
-            assert_eq!(sharded.max_round_load, base.max_round_load);
-            assert_eq!(sharded.total_words, base.total_words);
-        }
     }
 
     #[test]

@@ -66,11 +66,13 @@ impl NaiveRecompute {
             }
         }
         self.counter += 1;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ self.counter);
         let n = self.graph.num_vertices();
         let mut work = 1u64;
-        let marks =
-            sparsimatch_core::sparsifier::mark_edges_oracle(&self.graph, &self.params, &mut rng);
+        let marks = sparsimatch_core::sparsifier::mark_edges_oracle(
+            &self.graph,
+            &self.params,
+            self.seed ^ self.counter,
+        );
         for v in 0..n {
             work += self
                 .graph
@@ -91,8 +93,6 @@ impl NaiveRecompute {
         work
     }
 }
-
-use rand::SeedableRng;
 
 /// Ablation baseline: the Gupta–Peng window scheme *without* the
 /// sparsifier — the static `(1+ε)` computation runs on the full graph

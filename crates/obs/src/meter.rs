@@ -63,14 +63,6 @@ pub mod keys {
     /// Stream-scan restarts performed by the streaming build's retry
     /// policy (one per failed pass attempt that was retried).
     pub const IO_RETRIES: &str = "io.retries";
-    /// Injected transient `EIO` aborts observed on the stream path.
-    pub const IO_FAULTS_EIO: &str = "io.faults.eio";
-    /// Injected short reads (stream truncated before the declared edges).
-    pub const IO_FAULTS_SHORT_READS: &str = "io.faults.short_reads";
-    /// Injected torn trailing lines on the stream path.
-    pub const IO_FAULTS_TORN_LINES: &str = "io.faults.torn_lines";
-    /// Injected between-pass header mutations on the stream path.
-    pub const IO_FAULTS_HEADER_MUTATIONS: &str = "io.faults.header_mutations";
     /// Node-rounds spent crashed (summed over nodes and rounds).
     pub const FAULTS_CRASHED_ROUNDS: &str = "faults.crashed_rounds";
     /// Heap bytes requested from the global allocator during the run.

@@ -40,6 +40,11 @@
 //!
 //! let exact = maximum_matching(&g).len();
 //! assert!(result.matching.len() as f64 >= exact as f64 / 1.2);
+//!
+//! // Or build G_Δ alone: vertex v marks from its own stream seeded by
+//! // (seed, v), so any thread count gives the same sparsifier.
+//! let s = build_sparsifier(&g, &params, 1, 2, None).unwrap();
+//! assert!(s.stats.edges < g.num_edges());
 //! ```
 
 pub use sparsimatch_core as core;
