@@ -12,7 +12,7 @@
 //! to `q² = O((dΔ)²)`; iterating is the classic `log* n`-round schedule.
 //! A final greedy phase retires one color class per round down to `Δ+1`.
 
-use crate::network::Net;
+use crate::network::{Inboxes, Incoming, Net};
 
 /// A proper vertex coloring computed by the protocol.
 #[derive(Clone, Debug)]
@@ -79,6 +79,19 @@ pub fn log_star(n: usize) -> u32 {
     it
 }
 
+/// The smallest color in `palette` that no message in `inbox` carries;
+/// `used` is working space.
+fn first_free(
+    inbox: &[Incoming<u64>],
+    mut palette: std::ops::Range<u64>,
+    used: &mut Vec<u64>,
+) -> Option<u64> {
+    used.clear();
+    used.extend(inbox.iter().map(|&(_, c)| c));
+    used.sort_unstable();
+    palette.find(|c| used.binary_search(c).is_err())
+}
+
 /// Compute a proper coloring with at most `target` colors, where
 /// `target ≥ max_degree + 1`. Returns the coloring; rounds/messages are
 /// charged to `net`.
@@ -100,6 +113,8 @@ pub fn linial_coloring<'g>(net: &mut impl Net<'g>, target: u64) -> Coloring {
     );
     let mut colors: Vec<u64> = (0..n as u64).collect();
     let mut k = n as u64;
+    let mut inboxes = Inboxes::new();
+    let mut used = Vec::new();
 
     // Phase 1: Linial squashing, one round per step, O(log* n) steps.
     while k > target {
@@ -110,8 +125,7 @@ pub fn linial_coloring<'g>(net: &mut impl Net<'g>, target: u64) -> Coloring {
             break; // no further progress from this step
         }
         let bits = 64 - k.leading_zeros() as u64; // ⌈log k⌉-bit color messages
-        let payloads = colors.iter().map(|&c| (c, bits)).collect();
-        let inboxes = net.broadcast_exchange(payloads);
+        net.broadcast_into(colors.iter().map(|&c| (c, bits)), &mut inboxes);
         let mut new_colors = vec![0u64; n];
         for v in 0..n {
             let c = colors[v];
@@ -119,7 +133,7 @@ pub fn linial_coloring<'g>(net: &mut impl Net<'g>, target: u64) -> Coloring {
             let mut chosen = None;
             'x: for x in 0..q {
                 let val = poly_eval(c, d, q, x);
-                for &(_, cu) in &inboxes[v] {
+                for &(_, cu) in inboxes.of(v) {
                     if poly_eval(cu, d, q, x) == val {
                         continue 'x;
                     }
@@ -147,13 +161,10 @@ pub fn linial_coloring<'g>(net: &mut impl Net<'g>, target: u64) -> Coloring {
         if k <= two_t {
             // Single group: retire the top class, one round each.
             while k > t {
-                let payloads = colors.iter().map(|&c| (c, bits)).collect();
-                let inboxes = net.broadcast_exchange(payloads);
-                for v in 0..n {
-                    if colors[v] == k - 1 {
-                        let used: std::collections::HashSet<u64> =
-                            inboxes[v].iter().map(|&(_, c)| c).collect();
-                        colors[v] = (0..t).find(|c| !used.contains(c)).expect("≤ Δ neighbors");
+                net.broadcast_into(colors.iter().map(|&c| (c, bits)), &mut inboxes);
+                for (v, c) in colors.iter_mut().enumerate() {
+                    if *c == k - 1 {
+                        *c = first_free(inboxes.of(v), 0..t, &mut used).expect("≤ Δ neighbors");
                     }
                 }
                 k -= 1;
@@ -163,15 +174,11 @@ pub fn linial_coloring<'g>(net: &mut impl Net<'g>, target: u64) -> Coloring {
         // One halving: rounds step = 0..t retire overflow class
         // `g·2t + t + step` of every group g into the group's low half.
         for step in 0..t {
-            let payloads = colors.iter().map(|&c| (c, bits)).collect();
-            let inboxes = net.broadcast_exchange(payloads);
-            for v in 0..n {
-                let g = colors[v] / two_t;
-                if colors[v] == g * two_t + t + step {
-                    let used: std::collections::HashSet<u64> =
-                        inboxes[v].iter().map(|&(_, c)| c).collect();
-                    colors[v] = (g * two_t..g * two_t + t)
-                        .find(|c| !used.contains(c))
+            net.broadcast_into(colors.iter().map(|&c| (c, bits)), &mut inboxes);
+            for (v, c) in colors.iter_mut().enumerate() {
+                let g = *c / two_t;
+                if *c == g * two_t + t + step {
+                    *c = first_free(inboxes.of(v), g * two_t..g * two_t + t, &mut used)
                         .expect("low half has target > Δ slots");
                 }
             }

@@ -8,7 +8,7 @@
 //! w.h.p. — contrast with the deterministic color-scheduled matcher of
 //! [`crate::algorithms::matching`], whose round count is `f(Δ) + log* n`.
 
-use crate::network::{Net, Outgoing};
+use crate::network::{Inboxes, Net, Outbox};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sparsimatch_core::sampler::vertex_rng;
@@ -26,60 +26,59 @@ pub fn israeli_itai_matching<'g>(net: &mut impl Net<'g>, seed: u64) -> (Matching
     let n = g.num_vertices();
     let mut matching = Matching::new(n);
     let mut rngs: Vec<StdRng> = (0..n).map(|v| vertex_rng(seed, v)).collect();
+    let mut statuses = Inboxes::new();
+    let mut outbox = Outbox::new();
+    let mut inboxes = Inboxes::new();
     let mut iterations = 0u64;
     loop {
         iterations += 1;
         // (a) status broadcast.
-        let payloads = (0..n)
-            .map(|v| (matching.is_matched(VertexId::new(v)), 1u64))
-            .collect();
-        let statuses = net.broadcast_exchange(payloads);
+        let flags = (0..n).map(|v| (matching.is_matched(VertexId::new(v)), 1u64));
+        net.broadcast_into(flags, &mut statuses);
 
         // (b) proposals to a random free neighbor.
-        let mut proposals: Vec<Vec<Outgoing<()>>> = vec![Vec::new(); n];
-        let mut any_proposal = false;
-        for v in 0..n {
-            let vid = VertexId::new(v);
-            if matching.is_matched(vid) {
+        for (v, rng) in rngs.iter_mut().enumerate() {
+            if matching.is_matched(VertexId::new(v)) {
                 continue;
             }
-            let free_ports: Vec<usize> = statuses[v]
+            let mut free_ports = statuses
+                .of(v)
                 .iter()
                 .filter(|&&(_, matched)| !matched)
-                .map(|&(p, _)| p)
-                .collect();
-            if free_ports.is_empty() {
+                .map(|&(p, _)| p);
+            let free = free_ports.clone().count();
+            if free == 0 {
                 continue;
             }
-            let p = free_ports[rngs[v].random_range(0..free_ports.len())];
-            proposals[v].push((p, (), 1));
-            any_proposal = true;
+            let p = free_ports
+                .nth(rng.random_range(0..free))
+                .expect("index below the free count");
+            outbox.push(v, p, (), 1);
         }
-        if !any_proposal {
+        if outbox.is_empty() {
             iterations -= 1; // the last iteration did no work
                              // One status round was still spent discovering quiescence.
             break;
         }
-        let incoming = net.exchange(proposals);
+        net.route(&mut outbox, &mut inboxes);
 
         // (c) accepts: a free proposee accepts one proposal at random.
-        let mut accepts: Vec<Vec<Outgoing<()>>> = vec![Vec::new(); n];
-        for v in 0..n {
-            let vid = VertexId::new(v);
-            if matching.is_matched(vid) || incoming[v].is_empty() {
+        for (v, rng) in rngs.iter_mut().enumerate() {
+            let proposals = inboxes.of(v);
+            if matching.is_matched(VertexId::new(v)) || proposals.is_empty() {
                 continue;
             }
-            let &(p, ()) = &incoming[v][rngs[v].random_range(0..incoming[v].len())];
-            accepts[v].push((p, (), 1));
+            let (p, ()) = proposals[rng.random_range(0..proposals.len())];
+            outbox.push(v, p, (), 1);
         }
-        let accepted = net.exchange(accepts);
+        net.route(&mut outbox, &mut inboxes);
         // A vertex can simultaneously accept one proposal and have its own
         // proposal accepted; ties resolve in favor of whichever pairing is
         // committed first (add_pair refuses the second). The losing side
         // simply retries next iteration — maximality is unaffected.
-        for (v, acc) in accepted.iter().enumerate() {
+        for v in 0..n {
             let vid = VertexId::new(v);
-            for &(p, ()) in acc {
+            for &(p, ()) in inboxes.of(v) {
                 let u = net.peer(vid, p);
                 matching.add_pair(vid, u);
             }

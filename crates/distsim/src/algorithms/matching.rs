@@ -22,7 +22,7 @@
 //! while keeping simulated round counts readable — see DESIGN.md §4.2.)
 
 use crate::algorithms::coloring::Coloring;
-use crate::network::{Net, Outgoing};
+use crate::network::{Inboxes, Net, Outbox};
 use sparsimatch_graph::csr::GraphBuilder;
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::blossom::BlossomSearcher;
@@ -42,58 +42,53 @@ pub fn color_scheduled_mm<'g>(net: &mut impl Net<'g>, coloring: &Coloring) -> Ma
     let n = g.num_vertices();
     let mut matching = Matching::new(n);
     let max_sweeps = g.max_degree() + 2;
+    let mut statuses = Inboxes::new();
+    let mut outbox = Outbox::new();
+    let mut inboxes = Inboxes::new();
     for _sweep in 0..max_sweeps {
         let mut matched_this_sweep = false;
         for c in 0..coloring.num_colors {
             // (a) status broadcast: 1-bit matched flags.
-            let payloads = (0..n)
-                .map(|v| (matching.is_matched(VertexId::new(v)), 1u64))
-                .collect();
-            let statuses = net.broadcast_exchange(payloads);
+            let flags = (0..n).map(|v| (matching.is_matched(VertexId::new(v)), 1u64));
+            net.broadcast_into(flags, &mut statuses);
 
             // (b) proposals: free class-c vertices propose to the lowest
-            // free port.
-            let mut proposals: Vec<Vec<Outgoing<()>>> = vec![Vec::new(); n];
+            // free port. `statuses.of(v)` lists (port, matched?) for every
+            // neighbor heard from, in delivery order.
             for v in 0..n {
-                let vid = VertexId::new(v);
-                if coloring.colors[v] != c || matching.is_matched(vid) {
+                if coloring.colors[v] != c || matching.is_matched(VertexId::new(v)) {
                     continue;
                 }
-                // statuses[v] lists (port, matched?) for every neighbor.
-                let mut free_port = None;
-                let mut port_status: Vec<(usize, bool)> = statuses[v].clone();
-                port_status.sort_unstable_by_key(|&(p, _)| p);
-                for (p, matched) in port_status {
-                    if !matched {
-                        free_port = Some(p);
-                        break;
-                    }
-                }
+                let free_port = statuses
+                    .of(v)
+                    .iter()
+                    .filter(|&&(_, matched)| !matched)
+                    .map(|&(p, _)| p)
+                    .min();
                 if let Some(p) = free_port {
-                    proposals[v].push((p, (), 1));
+                    outbox.push(v, p, (), 1);
                 }
             }
-            let incoming = net.exchange(proposals);
+            net.route(&mut outbox, &mut inboxes);
 
             // (c) accepts: a free proposee accepts its lowest-port
             // proposal.
-            let mut accepts: Vec<Vec<Outgoing<()>>> = vec![Vec::new(); n];
             for v in 0..n {
-                let vid = VertexId::new(v);
-                if matching.is_matched(vid) || incoming[v].is_empty() {
+                if matching.is_matched(VertexId::new(v)) {
                     continue;
                 }
-                let p = incoming[v].iter().map(|&(p, ())| p).min().unwrap();
-                accepts[v].push((p, (), 1));
+                if let Some(p) = inboxes.of(v).iter().map(|&(p, ())| p).min() {
+                    outbox.push(v, p, (), 1);
+                }
             }
-            let accepted = net.exchange(accepts);
+            net.route(&mut outbox, &mut inboxes);
 
             // Proposers that hear an accept are matched; the accept came
             // back on the proposal port, identifying the pair for both
             // sides.
-            for (v, acc) in accepted.iter().enumerate() {
+            for v in 0..n {
                 let vid = VertexId::new(v);
-                for &(p, ()) in acc {
+                for &(p, ()) in inboxes.of(v) {
                     let u = net.peer(vid, p);
                     if matching.add_pair(vid, u) {
                         matched_this_sweep = true;

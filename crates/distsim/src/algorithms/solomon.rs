@@ -6,7 +6,7 @@
 //! along each; an edge survives iff **both** endpoints marked it, which a
 //! node detects locally by intersecting its sent and received marks.
 
-use crate::network::{Net, Outgoing};
+use crate::network::{Inboxes, Net, Outbox};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
@@ -16,31 +16,31 @@ use sparsimatch_graph::ids::VertexId;
 pub fn distributed_solomon<'g>(net: &mut impl Net<'g>, degree_cap: usize) -> CsrGraph {
     let g = net.graph();
     let n = g.num_vertices();
-    let outboxes: Vec<Vec<Outgoing<()>>> = (0..n)
-        .map(|v| {
-            let deg = g.degree(VertexId::new(v));
-            (0..deg.min(degree_cap)).map(|p| (p, (), 1u64)).collect()
-        })
-        .collect();
-    let inboxes = net.exchange(outboxes);
+    let marks = |v: usize| g.degree(VertexId::new(v)).min(degree_cap);
+    let mut outbox = Outbox::new();
+    for v in 0..n {
+        for p in 0..marks(v) {
+            outbox.push(v, p, (), 1);
+        }
+    }
+    let mut inboxes = Inboxes::new();
+    net.route(&mut outbox, &mut inboxes);
 
-    let graph = net.graph();
     let mut keep = Vec::new();
-    for (v, inbox) in inboxes.iter().enumerate() {
+    for v in 0..n {
         let vid = VertexId::new(v);
-        let my_marks = graph.degree(vid).min(degree_cap);
-        for &(p, ()) in inbox {
-            if p < my_marks {
+        for &(p, ()) in inboxes.of(v) {
+            if p < marks(v) {
                 // Marked by both sides; dedupe by taking it from the
                 // smaller endpoint only.
-                let u = graph.neighbor(vid, p);
+                let u = g.neighbor(vid, p);
                 if vid.0 < u.0 {
-                    keep.push(graph.incident_edge(vid, p));
+                    keep.push(g.incident_edge(vid, p));
                 }
             }
         }
     }
-    graph.edge_subgraph(keep.into_iter())
+    g.edge_subgraph(keep.into_iter())
 }
 
 #[cfg(test)]

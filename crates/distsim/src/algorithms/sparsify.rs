@@ -7,12 +7,32 @@
 //! in either direction. No ids are exchanged, so the construction runs in
 //! the `KT_0` model.
 
-use crate::network::{Net, Outgoing};
+use crate::network::{Inboxes, Net, Outbox};
 use rand::seq::index::sample;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::sampler::vertex_rng;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
+
+/// Call `mark` on each of node `v`'s marked ports: all of them at degree
+/// at most the mark cap, else `params.delta` sampled from
+/// [`vertex_rng`]`(seed, v)`.
+fn for_each_mark(
+    g: &CsrGraph,
+    params: &SparsifierParams,
+    seed: u64,
+    v: usize,
+    mark: impl FnMut(usize),
+) {
+    let deg = g.degree(VertexId::new(v));
+    if deg <= params.mark_cap() {
+        (0..deg).for_each(mark);
+    } else {
+        sample(&mut vertex_rng(seed, v), deg, params.delta)
+            .into_iter()
+            .for_each(mark);
+    }
+}
 
 /// Run the one-round sparsifier protocol. Returns the sparsified graph
 /// (same vertex set). Node `v` draws from [`vertex_rng`]`(seed, v)`
@@ -32,38 +52,24 @@ pub fn distributed_sparsifier<'g>(
 ) -> CsrGraph {
     let g = net.graph();
     let n = g.num_vertices();
-    let mut outboxes: Vec<Vec<Outgoing<()>>> = Vec::with_capacity(n);
-    let mut sent_marks: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        let marks: Vec<u32> = if deg <= params.mark_cap() {
-            (0..deg as u32).collect()
-        } else {
-            sample(&mut vertex_rng(seed, v), deg, params.delta)
-                .into_iter()
-                .map(|i| i as u32)
-                .collect()
-        };
-        outboxes.push(marks.iter().map(|&p| (p as usize, (), 1u64)).collect());
-        sent_marks.push(marks);
-    }
-    let inboxes = net.exchange(outboxes);
-
     // An edge is in G_Δ iff marked by either endpoint: each node keeps the
     // ports it marked plus the ports it heard a mark on.
-    let graph = net.graph();
     let mut keep = Vec::new();
+    let mut outbox = Outbox::new();
     for v in 0..n {
-        let vid = VertexId::new(v);
-        for &p in &sent_marks[v] {
-            keep.push(graph.incident_edge(vid, p as usize));
-        }
-        for &(p, ()) in &inboxes[v] {
-            keep.push(graph.incident_edge(vid, p));
+        for_each_mark(g, params, seed, v, |p| {
+            keep.push(g.incident_edge(VertexId::new(v), p));
+            outbox.push(v, p, (), 1);
+        });
+    }
+    let mut inboxes = Inboxes::new();
+    net.route(&mut outbox, &mut inboxes);
+    for v in 0..n {
+        for &(p, ()) in inboxes.of(v) {
+            keep.push(g.incident_edge(VertexId::new(v), p));
         }
     }
-    graph.edge_subgraph(keep.into_iter())
+    g.edge_subgraph(keep.into_iter())
 }
 
 /// The broadcast-transmission variant (Section 3.2's first paragraph):
@@ -79,67 +85,51 @@ pub fn distributed_sparsifier_broadcast<'g>(
 ) -> CsrGraph {
     let g = net.graph();
     let n = g.num_vertices();
-    let mut sent_marks: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        let deg = g.degree(vid);
-        let marks: Vec<u32> = if deg <= params.mark_cap() {
-            (0..deg as u32).collect()
-        } else {
-            sample(&mut vertex_rng(seed, v), deg, params.delta)
-                .into_iter()
-                .map(|i| i as u32)
-                .collect()
-        };
-        sent_marks.push(marks);
-    }
-    // Broadcast: every node sends its marked-port list on every port.
-    let payloads: Vec<(Vec<u32>, u64)> = (0..n)
-        .map(|v| {
-            let deg = g.degree(VertexId::new(v)).max(2) as u64;
-            let bits = sent_marks[v].len() as u64 * (64 - (deg - 1).leading_zeros() as u64);
-            (sent_marks[v].clone(), bits)
-        })
-        .collect();
-    let inboxes = net.broadcast_exchange(payloads);
-
-    let graph = net.graph();
+    // Every node's marked-port list, flat: node `v`'s is
+    // `marks[starts[v]..starts[v + 1]]`.
+    let mut marks: Vec<u32> = Vec::new();
+    let mut starts = Vec::with_capacity(n + 1);
+    starts.push(0);
     let mut keep = Vec::new();
     for v in 0..n {
+        for_each_mark(g, params, seed, v, |p| {
+            keep.push(g.incident_edge(VertexId::new(v), p));
+            marks.push(p as u32);
+        });
+        starts.push(marks.len());
+    }
+    // Broadcast: every node sends its marked-port list on every port.
+    let lists = (0..n).map(|v| {
+        let list = &marks[starts[v]..starts[v + 1]];
+        let deg = g.degree(VertexId::new(v)).max(2) as u64;
+        let bits = list.len() as u64 * (64 - (deg - 1).leading_zeros() as u64);
+        (list, bits)
+    });
+    let mut inboxes = Inboxes::new();
+    net.broadcast_into(lists, &mut inboxes);
+
+    // A neighbor's broadcast marks this edge iff one of its marked ports
+    // leads back here. The list is at most the mark cap long.
+    for v in 0..n {
         let vid = VertexId::new(v);
-        for &p in &sent_marks[v] {
-            keep.push(graph.incident_edge(vid, p as usize));
-        }
-        // A neighbor's broadcast marks this edge iff our in-port appears
-        // in its marked-port list.
-        for &(in_port, ref their_marks) in &inboxes[v] {
-            // in_port is the port at *v*; the mark refers to the sender's
-            // port, which is exactly the port the message arrived through
-            // from the sender's perspective — i.e. the peer port. Since
-            // the sender broadcast on all ports, the edge is marked iff
-            // the sender's port for this edge is in their list; that port
-            // is the one this message traveled, seen from their side.
-            // The exchange tags messages with the receiving port, so we
-            // recover the sender-side port via the peer mapping.
-            let u = graph.neighbor(vid, in_port);
-            // Find the sender's port index for this edge.
-            let e = graph.incident_edge(vid, in_port);
-            let sender_port = (0..graph.degree(u))
-                .find(|&i| graph.incident_edge(u, i) == e)
-                .expect("edge present from both sides");
-            if their_marks.contains(&(sender_port as u32)) {
-                keep.push(e);
+        for &(in_port, their_marks) in inboxes.of(v) {
+            let u = g.neighbor(vid, in_port);
+            if their_marks
+                .iter()
+                .any(|&p| g.neighbor(u, p as usize) == vid)
+            {
+                keep.push(g.incident_edge(vid, in_port));
             }
         }
     }
-    graph.edge_subgraph(keep.into_iter())
+    g.edge_subgraph(keep.into_iter())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::Network;
-    use sparsimatch_graph::generators::{clique, clique_union, star, CliqueUnionConfig};
+    use sparsimatch_graph::generators::{clique, clique_union, power_law, star, CliqueUnionConfig};
     use sparsimatch_matching::blossom::maximum_matching;
 
     #[test]
@@ -218,6 +208,31 @@ mod tests {
         assert_eq!(net_u.metrics().messages, 80 * 4);
         assert_eq!(net_b.metrics().messages, 2 * g.num_edges() as u64);
         assert!(net_b.metrics().bits > net_u.metrics().bits);
+
+        // A power law (hubs above the mark cap beside low-degree vertices
+        // that mark everything) and a clique union, three seeds each.
+        use rand::{rngs::StdRng, SeedableRng};
+        let families = [
+            power_law(400, 3, &mut StdRng::seed_from_u64(1)),
+            clique_union(
+                CliqueUnionConfig {
+                    n: 300,
+                    diversity: 2,
+                    clique_size: 30,
+                },
+                &mut StdRng::seed_from_u64(2),
+            ),
+        ];
+        for g in &families {
+            for seed in [3, 17, 2024] {
+                let uni = distributed_sparsifier(&mut Network::new(g), &p, seed);
+                let bro = distributed_sparsifier_broadcast(&mut Network::new(g), &p, seed);
+                let eu: Vec<_> = uni.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+                let eb: Vec<_> = bro.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+                assert_eq!(eu, eb, "seed {seed}");
+                assert!(eu.len() < g.num_edges(), "seed {seed}: marks must sparsify");
+            }
+        }
     }
 
     #[test]

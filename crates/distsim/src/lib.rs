@@ -11,7 +11,8 @@
 //!
 //! Design: algorithms are written as straight-line Rust against the
 //! [`Net`] trait; **all** inter-vertex information flow goes through
-//! [`Net::exchange`] (one synchronous round, fully accounted) or through
+//! [`Net::route`] or [`Net::broadcast_into`] (one synchronous round over
+//! flat, reused buffers, fully accounted) or through
 //! [`Net::charge_gather`] (the standard "collect your radius-r ball" LOCAL
 //! primitive, charged r rounds and r·2m messages; the ball content is then
 //! read off the master graph — an accounting-faithful simulation shortcut,

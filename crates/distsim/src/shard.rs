@@ -1,41 +1,45 @@
 //! The simulated network's one transport, [`Network`]: rounds executed on
 //! `t` `std::thread::scope` workers, with the same result at every `t`.
 //!
+//! A round runs on the flat buffers of [`crate::network`]: the senders'
+//! [`Outbox`] in, CSR [`Inboxes`] out. Every inbox lists its messages in
+//! (sender, outbox position) order, and three loops produce that order:
+//!
+//! 1. **Perfect unicast.** Each message is resolved to its destination
+//!    and in-port, then one stable counting sort on destination moves the
+//!    outbox into the inboxes. The outbox is already in (sender, outbox
+//!    position) order, and a stable sort keeps that order among the
+//!    messages of one destination.
+//! 2. **Perfect broadcast.** Node `v` sends on every port, so the inboxes
+//!    have the graph's own CSR shape, and the message on half-edge `s`
+//!    belongs at the reverse half-edge of `s`. The messages are laid out
+//!    in half-edge order, and one pass over the edges swaps each edge's
+//!    two messages into place. A receiver's ports ascend by neighbor id,
+//!    so port order is sender order, the order of the unicast loop.
+//! 3. **Faulty.** The resilience layer's attempt loop appends every
+//!    delivery to one buffer, attempt by attempt and in sender order
+//!    within an attempt; one stable counting sort on destination then
+//!    groups them, and the plan reorders each inbox slice.
+//!
 //! The vertex set is partitioned into contiguous CSR ranges balanced by
-//! half-edge count. Each [`Net::exchange`] runs in two barriers:
+//! half-edge count, one per worker. Resolving unicast messages, the fault
+//! decisions of each attempt, acks and inbox reorders run per shard; the
+//! sort and the broadcast pass run on the calling thread. Per-worker
+//! [`Metrics`] and [`FaultStats`] are merged in ascending shard order;
+//! every merged field is a sum or a max, so the totals do not depend on
+//! the shard count. One worker is the default, and a lone job runs
+//! inline, so a one-worker network never enters `thread::scope`.
 //!
-//! 1. **Send.** Worker `k` walks its senders in ascending vertex order and
-//!    routes each outgoing message into one buffer per destination shard.
-//!    Within a buffer, messages are therefore already ordered by
-//!    `(sender, outbox position)`.
-//! 2. **Deliver.** Worker `d` owns the inboxes of its vertex range and
-//!    concatenates the buffers addressed to it in ascending *source-shard*
-//!    order. Source shards are contiguous ascending vertex ranges, so the
-//!    concatenation of per-shard `(sender, seq)` orders is the global
-//!    `(sender, seq)` order: every inbox is the same at every shard count.
-//!
-//! The merge order is total — `(source shard, sender, outbox position)`
-//! determines a unique position for every message, no ties — so no
-//! scheduling of the workers can change an inbox. Per-worker [`Metrics`]
-//! and [`FaultStats`] are merged in ascending shard order; every merged
-//! field is a sum or a max, so the totals do not depend on the shard
-//! count. One worker is the default, and a lone job runs inline, so a
-//! one-worker network never enters `thread::scope`.
-//!
-//! An exchange takes one of two loops. With a plan that cannot fault and
-//! resilience off it takes the perfect loop above; otherwise it takes the
-//! faulty loop. Faults parallelize the same way because every
-//! [`FaultPlan`] decision is a pure hash of `(seed, kind, round,
-//! slot-or-node)`: workers evaluate drop/duplicate/crash decisions
-//! independently, per-message retry state lives with the sender's shard,
-//! and the attempt loop of the resilience layer becomes a sequence of
-//! send/ack barriers. Inbox reordering is keyed by
-//! `(logical round, destination node)` and applied by the destination
-//! shard after the merge.
+//! A round takes the faulty loop unless the plan cannot fault and
+//! resilience is off. Faults parallelize because every [`FaultPlan`]
+//! decision is a pure hash of `(seed, kind, round, slot-or-node)`:
+//! workers evaluate drop/duplicate/crash decisions independently, and
+//! per-message retry state lives with the sender's shard. Inbox
+//! reordering is keyed by `(logical round, destination node)`.
 
 use crate::faults::{crash_aware_ball, FaultPlan, FaultStats, Pending, ResilienceParams};
 use crate::metrics::Metrics;
-use crate::network::{Incoming, Net, Outgoing};
+use crate::network::{fan_out, Inboxes, Incoming, Net, Outbox, Outgoing};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
@@ -94,22 +98,26 @@ pub(crate) fn csr_offsets(g: &CsrGraph) -> Vec<usize> {
     offsets
 }
 
-/// The shard owning vertex `v` under `bounds` (empty shards skipped).
-#[inline]
-fn shard_of(bounds: &[usize], v: usize) -> usize {
-    bounds.partition_point(|&b| b <= v) - 1
-}
-
-/// Split a per-vertex slice into per-shard mutable sub-slices.
-fn split_ranges<'a, T>(items: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(bounds.len() - 1);
+/// Split a slice at the nondecreasing cut points `cuts` (`cuts[0] == 0`)
+/// into `cuts.len() - 1` consecutive mutable sub-slices.
+fn split_ranges<'a, T>(items: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> {
+    let mut out = Vec::with_capacity(cuts.len() - 1);
     let mut rest = items;
-    for k in 0..bounds.len() - 1 {
-        let (head, tail) = rest.split_at_mut(bounds[k + 1] - bounds[k]);
+    for k in 0..cuts.len() - 1 {
+        let (head, tail) = rest.split_at_mut(cuts[k + 1] - cuts[k]);
         out.push(head);
         rest = tail;
     }
     out
+}
+
+/// Where each shard's senders start in a sender-ascending message list:
+/// `bounds.len()` cut points for [`split_ranges`].
+fn sender_cuts<T>(msgs: &[T], sender: impl Fn(&T) -> usize, bounds: &[usize]) -> Vec<usize> {
+    bounds
+        .iter()
+        .map(|&b| msgs.partition_point(|m| sender(m) < b))
+        .collect()
 }
 
 /// Crashed node-rounds charged for one physical round.
@@ -120,32 +128,87 @@ fn crashed_count(plan: &FaultPlan, n: u32, round: u64) -> u64 {
     (0..n).filter(|&v| plan.is_down(v, round)).count() as u64
 }
 
-/// Append routed messages to their destination inboxes, one worker per
-/// destination shard, source shards concatenated in ascending order.
-/// `grouped[d]` lists, in source-shard order, the buffers addressed to
-/// shard `d`; each buffer entry is `(destination vertex, in-port, payload)`.
-fn deliver<M: Send>(
-    inboxes: &mut [Vec<Incoming<M>>],
-    grouped: Vec<Vec<Vec<(u32, u32, M)>>>,
-    bounds: &[usize],
+/// Stable counting sort of `items` by destination vertex, in place:
+/// `dest[i] < n` is the destination of `items[i]`. Leaves in `offsets`
+/// the `n + 1` CSR offsets of the sorted groups; `pos` is working space.
+fn sort_by_dest<T>(
+    items: &mut [T],
+    dest: &[u32],
+    pos: &mut Vec<u32>,
+    offsets: &mut Vec<usize>,
+    n: usize,
 ) {
-    run_jobs(
-        split_ranges(inboxes, bounds)
-            .into_iter()
-            .zip(grouped)
-            .enumerate()
-            .map(|(k, (slice, bufs))| {
-                let base = bounds[k];
-                move || {
-                    for buf in bufs {
-                        for (dst, in_port, payload) in buf {
-                            slice[dst as usize - base].push((in_port as usize, payload));
-                        }
-                    }
-                }
-            })
-            .collect(),
+    assert!(
+        u32::try_from(items.len()).is_ok(),
+        "a round carries at most u32::MAX deliveries"
     );
+    // Count into `offsets[d + 1]`, then turn the counts into group starts
+    // shifted by one slot: `offsets[d + 1]` is where group `d` begins.
+    offsets.clear();
+    offsets.resize(n + 1, 0);
+    for &d in dest {
+        offsets[d as usize + 1] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut offsets[1..] {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    // Hand out positions in input order (this is what makes the sort
+    // stable). Each group's cursor ends at the next group's start, so
+    // afterwards `offsets[v]` is where group `v` begins.
+    pos.clear();
+    pos.extend(dest.iter().map(|&d| {
+        let cursor = &mut offsets[d as usize + 1];
+        let p = *cursor as u32;
+        *cursor += 1;
+        p
+    }));
+    // Apply the permutation by following its cycles: every swap puts one
+    // item in its final place.
+    for i in 0..items.len() {
+        loop {
+            let j = pos[i] as usize;
+            if j == i {
+                break;
+            }
+            items.swap(i, j);
+            pos.swap(i, j);
+        }
+    }
+}
+
+/// Build the table of back ports: for the half-edge at global slot `s`
+/// (vertex `v`, port `i`), the port of the same edge at the other
+/// endpoint. One pass over the half-edges: visiting `v` in ascending
+/// order meets each lower neighbor `u`'s higher neighbors in ascending
+/// order, which is the order of `u`'s remaining ports, so a per-vertex
+/// cursor finds every back port.
+fn peer_ports(graph: &CsrGraph, offsets: &[usize]) -> Vec<u32> {
+    let n = graph.num_vertices();
+    let mut peer_port = vec![0u32; offsets[n]];
+    // `cursor[u]`: the port of `u`'s next neighbor above `u`.
+    let mut cursor = vec![0u32; n];
+    for v in 0..n {
+        let vid = VertexId::new(v);
+        let mut below = 0u32;
+        let mut prev = None;
+        for (i, u) in graph.neighbors(vid).enumerate() {
+            assert!(prev < Some(u), "adjacency windows must ascend");
+            prev = Some(u);
+            if u.0 < vid.0 {
+                let back = cursor[u.index()];
+                assert_eq!(graph.neighbor(u, back as usize), vid, "back port");
+                peer_port[offsets[v] + i] = back;
+                peer_port[offsets[u.index()] + back as usize] = i as u32;
+                cursor[u.index()] += 1;
+                below += 1;
+            }
+        }
+        cursor[v] = below;
+    }
+    peer_port
 }
 
 /// The simulated network over a fixed topology, and the one [`Net`]
@@ -155,16 +218,19 @@ fn deliver<M: Send>(
 /// [`Metrics`] and [`FaultStats`] are the same at every worker count.
 ///
 /// ```
+/// use sparsimatch_distsim::network::{Inboxes, Outbox};
 /// use sparsimatch_distsim::{Net, Network};
 /// use sparsimatch_graph::generators::path;
 ///
 /// let g = path(3); // 0 - 1 - 2
 /// let mut net = Network::new(&g);
-/// // Vertex 0 sends one 8-bit message to its only neighbor.
-/// let mut out: Vec<Vec<(usize, u32, u64)>> = vec![vec![]; 3];
-/// out[0].push((0, 42, 8));
-/// let inboxes = net.exchange(out);
-/// assert_eq!(inboxes[1].iter().map(|&(_, m)| m).collect::<Vec<_>>(), vec![42]);
+/// // Vertex 0 sends one 8-bit message on its only port.
+/// let mut outbox = Outbox::new();
+/// outbox.push(0, 0, 42u32, 8);
+/// let mut inboxes = Inboxes::new();
+/// net.route(&mut outbox, &mut inboxes);
+/// assert_eq!(inboxes.of(1), &[(0, 42)]);
+/// assert!(outbox.is_empty());
 /// assert_eq!(net.metrics().rounds, 1);
 /// assert_eq!(net.metrics().bits, 8);
 /// ```
@@ -182,6 +248,10 @@ pub struct Network<'g> {
     bounds: Vec<usize>,
     metrics: Metrics,
     faults: FaultStats,
+    /// Destination vertex of each message of the current round.
+    dest: Vec<u32>,
+    /// Working space of [`sort_by_dest`].
+    pos: Vec<u32>,
 }
 
 impl<'g> Network<'g> {
@@ -197,32 +267,8 @@ impl<'g> Network<'g> {
         plan: FaultPlan,
         resilience: ResilienceParams,
     ) -> Self {
-        let n = graph.num_vertices();
         let offsets = csr_offsets(graph);
-        // The port of each edge at its smaller and at its larger endpoint.
-        let mut slot_small = vec![u32::MAX; graph.num_edges()];
-        let mut slot_large = vec![u32::MAX; graph.num_edges()];
-        for v in 0..n {
-            let v = VertexId::new(v);
-            for (i, (u, e)) in graph.incident(v).enumerate() {
-                if v.0 < u.0 {
-                    slot_small[e.index()] = i as u32;
-                } else {
-                    slot_large[e.index()] = i as u32;
-                }
-            }
-        }
-        let mut peer_port = vec![0u32; 2 * graph.num_edges()];
-        for v in 0..n {
-            let v = VertexId::new(v);
-            for (i, (u, e)) in graph.incident(v).enumerate() {
-                peer_port[offsets[v.index()] + i] = if v.0 < u.0 {
-                    slot_large[e.index()]
-                } else {
-                    slot_small[e.index()]
-                };
-            }
-        }
+        let peer_port = peer_ports(graph, &offsets);
         let bounds = balanced_bounds(&offsets, 1);
         Network {
             graph,
@@ -233,21 +279,24 @@ impl<'g> Network<'g> {
             bounds,
             metrics: Metrics::new(),
             faults: FaultStats::default(),
+            dest: Vec::new(),
+            pos: Vec::new(),
         }
     }
 
     /// Run every round on `threads` workers.
     ///
     /// ```
+    /// use sparsimatch_distsim::network::Inboxes;
     /// use sparsimatch_distsim::{Net, Network};
     /// use sparsimatch_graph::generators::cycle;
     ///
     /// let g = cycle(64);
     /// let mut one = Network::new(&g);
     /// let mut four = Network::new(&g).with_threads(4);
-    /// let payloads: Vec<(u32, u64)> = (0..64).map(|v| (v, 8)).collect();
-    /// let a = one.broadcast_exchange(payloads.clone());
-    /// let b = four.broadcast_exchange(payloads);
+    /// let (mut a, mut b) = (Inboxes::new(), Inboxes::new());
+    /// one.broadcast_into((0..64u32).map(|v| (v, 8)), &mut a);
+    /// four.broadcast_into((0..64u32).map(|v| (v, 8)), &mut b);
     /// assert_eq!(a, b);
     /// assert_eq!(one.metrics(), four.metrics());
     /// ```
@@ -309,123 +358,165 @@ impl<'g> Network<'g> {
         self.faults
     }
 
-    /// Fault-free exchange: send barrier, deterministic merge, deliver
-    /// barrier.
-    fn exchange_perfect<M: Clone + Send>(
-        &mut self,
-        mut outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
-        let n = self.graph.num_vertices();
-        assert_eq!(outboxes.len(), n);
-        self.metrics.rounds += 1;
-        let graph = self.graph;
-        let (offsets, peer_port, bounds) =
-            (&self.offsets[..], &self.peer_port[..], &self.bounds[..]);
-        let t = bounds.len() - 1;
-
-        struct SendOut<M> {
-            buffers: Vec<Vec<(u32, u32, M)>>,
-            metrics: Metrics,
-        }
-        let sends: Vec<SendOut<M>> = run_jobs(
-            split_ranges(&mut outboxes, bounds)
-                .into_iter()
-                .enumerate()
-                .map(|(k, slice)| {
-                    let base = bounds[k];
-                    move || {
-                        let mut buffers: Vec<Vec<(u32, u32, M)>> =
-                            (0..t).map(|_| Vec::new()).collect();
-                        let mut m = Metrics::new();
-                        for (i, outbox) in slice.iter_mut().enumerate() {
-                            let v = VertexId::new(base + i);
-                            for (port, payload, bits) in std::mem::take(outbox) {
-                                assert!(port < graph.degree(v), "port out of range");
-                                let u = graph.neighbor(v, port);
-                                let in_port = peer_port[offsets[v.index()] + port];
-                                m.messages += 1;
-                                m.bits += bits;
-                                m.max_message_bits = m.max_message_bits.max(bits);
-                                buffers[shard_of(bounds, u.index())].push((u.0, in_port, payload));
-                            }
-                        }
-                        SendOut {
-                            buffers,
-                            metrics: m,
-                        }
-                    }
-                })
-                .collect(),
-        );
-
-        let mut grouped: Vec<Vec<Vec<(u32, u32, M)>>> =
-            (0..t).map(|_| Vec::with_capacity(t)).collect();
-        for s in sends {
-            self.metrics.absorb(s.metrics);
-            for (d, buf) in s.buffers.into_iter().enumerate() {
-                grouped[d].push(buf);
-            }
-        }
-
-        let mut inboxes: Vec<Vec<Incoming<M>>> = Vec::with_capacity(n);
-        inboxes.resize_with(n, Vec::new);
-        deliver(&mut inboxes, grouped, bounds);
-        inboxes
+    /// Whether rounds take the perfect loops: the plan cannot fault and
+    /// resilience is off.
+    fn perfect(&self) -> bool {
+        self.plan.is_zero_fault() && !self.resilience.enabled()
     }
 
-    /// Faulty exchange: the resilience layer's attempt loop, each send
-    /// and ack round run as a shard barrier. Retry state lives with the
-    /// sender's shard; fault decisions are pure plan queries.
-    fn exchange_faulty<M: Clone + Send>(
-        &mut self,
-        mut outboxes: Vec<Vec<Outgoing<M>>>,
-    ) -> Vec<Vec<Incoming<M>>> {
+    /// Perfect unicast: resolve each message's destination and in-port
+    /// per sender shard, then sort the outbox into the inboxes.
+    fn route_perfect<M: Send>(&mut self, outbox: &mut Outbox<M>, inboxes: &mut Inboxes<M>) {
         let n = self.graph.num_vertices();
-        assert_eq!(outboxes.len(), n);
+        self.metrics.rounds += 1;
         let graph = self.graph;
-        let (offsets, peer_port, bounds) =
-            (&self.offsets[..], &self.peer_port[..], &self.bounds[..]);
-        let t = bounds.len() - 1;
+        let (offsets, peer_port) = (&self.offsets[..], &self.peer_port[..]);
+        let (msgs, meta) = outbox.columns();
+        assert!(
+            meta.last().is_none_or(|&(v, _)| (v as usize) < n),
+            "outbox sender out of range"
+        );
+        let cuts = sender_cuts(meta, |&(v, _)| v as usize, &self.bounds);
+        self.dest.clear();
+        self.dest.resize(msgs.len(), 0);
+        let shards = split_ranges(msgs, &cuts)
+            .into_iter()
+            .zip(split_ranges(&mut self.dest, &cuts))
+            .enumerate()
+            .map(|(k, (msgs, dest))| {
+                let meta = &meta[cuts[k]..cuts[k + 1]];
+                move || {
+                    let mut m = Metrics::new();
+                    for ((msg, d), &(v, bits)) in msgs.iter_mut().zip(dest).zip(meta) {
+                        let vid = VertexId(v);
+                        let port = msg.0;
+                        assert!(port < graph.degree(vid), "port out of range");
+                        *d = graph.neighbor(vid, port).0;
+                        msg.0 = peer_port[offsets[v as usize] + port] as usize;
+                        m.messages += 1;
+                        m.bits += bits;
+                        m.max_message_bits = m.max_message_bits.max(bits);
+                    }
+                    m
+                }
+            })
+            .collect();
+        for m in run_jobs(shards) {
+            self.metrics.absorb(m);
+        }
+        let (inbox_offsets, items) = inboxes.columns();
+        sort_by_dest(msgs, &self.dest, &mut self.pos, inbox_offsets, n);
+        // The sorted outbox buffer becomes the inboxes' message array; the
+        // previous round's array becomes the (emptied) outbox buffer.
+        std::mem::swap(msgs, items);
+        outbox.clear();
+    }
+
+    /// Perfect broadcast: fill the message array in half-edge order, then
+    /// move every message to its reverse half-edge, its slot in the
+    /// receiver's CSR-shaped inbox. Reversal is an involution, so one swap
+    /// per edge, made from its lower endpoint, places both its messages.
+    fn broadcast_perfect<M: Clone>(
+        &mut self,
+        payloads: impl IntoIterator<Item = (M, u64)>,
+        inboxes: &mut Inboxes<M>,
+    ) {
+        let n = self.graph.num_vertices();
+        self.metrics.rounds += 1;
+        let graph = self.graph;
+        let (offsets, peer_port) = (&self.offsets[..], &self.peer_port[..]);
+        let (inbox_offsets, items) = inboxes.columns();
+        items.clear();
+        items.reserve(offsets[n]);
+        let mut m = Metrics::new();
+        m.messages_cloned = fan_out(graph, payloads, |v, port, payload, bits| {
+            items.push((peer_port[offsets[v] + port] as usize, payload));
+            m.messages += 1;
+            m.bits += bits;
+            m.max_message_bits = m.max_message_bits.max(bits);
+        });
+        for v in 0..n {
+            for (i, u) in graph.neighbors(VertexId::new(v)).enumerate() {
+                if u.index() > v {
+                    let s = offsets[v] + i;
+                    items.swap(s, offsets[u.index()] + peer_port[s] as usize);
+                }
+            }
+        }
+        inbox_offsets.clear();
+        inbox_offsets.extend_from_slice(offsets);
+        self.metrics.absorb(m);
+    }
+
+    /// A message's retry state for the faulty loop.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a node or `port >= deg(v)`.
+    fn pending<M>(&self, v: usize, port: usize, payload: M, bits: u64) -> Pending<M> {
+        assert!(v < self.graph.num_vertices(), "outbox sender out of range");
+        let sender = VertexId::new(v);
+        assert!(port < self.graph.degree(sender), "port out of range");
+        let dest = self.graph.neighbor(sender, port);
+        let slot = self.offsets[v] + port;
+        let in_port = self.peer_port[slot] as usize;
+        Pending {
+            sender,
+            dest,
+            in_port,
+            slot: slot as u64,
+            back_slot: (self.offsets[dest.index()] + in_port) as u64,
+            payload: Some(payload),
+            bits,
+            deliveries: 0,
+            acked: false,
+        }
+    }
+
+    /// Faulty round: the resilience layer's attempt loop, each send and
+    /// ack round run as a shard barrier. Retry state lives with the
+    /// sender's shard; fault decisions are pure plan queries. `pending`
+    /// holds the round's messages in ascending sender order.
+    fn route_faulty<M: Clone + Send>(
+        &mut self,
+        mut pending: Vec<Pending<M>>,
+        inboxes: &mut Inboxes<M>,
+    ) {
+        let n = self.graph.num_vertices();
         let plan = &self.plan;
         let resilience = self.resilience;
+        let cuts = sender_cuts(&pending, |p| p.sender.index(), &self.bounds);
 
-        let mut pending_shards: Vec<Vec<Pending<M>>> = run_jobs(
-            split_ranges(&mut outboxes, bounds)
-                .into_iter()
-                .enumerate()
-                .map(|(k, slice)| {
-                    let base = bounds[k];
-                    move || {
-                        let mut pend = Vec::new();
-                        for (i, outbox) in slice.iter_mut().enumerate() {
-                            let v = VertexId::new(base + i);
-                            for (port, payload, bits) in std::mem::take(outbox) {
-                                assert!(port < graph.degree(v), "port out of range");
-                                let dest = graph.neighbor(v, port);
-                                let slot = offsets[v.index()] + port;
-                                let in_port = peer_port[slot] as usize;
-                                pend.push(Pending {
-                                    sender: v,
-                                    dest,
-                                    in_port,
-                                    slot: slot as u64,
-                                    back_slot: (offsets[dest.index()] + in_port) as u64,
-                                    payload: Some(payload),
-                                    bits,
-                                    deliveries: 0,
-                                    acked: false,
-                                });
-                            }
-                        }
-                        pend
-                    }
-                })
-                .collect(),
-        );
+        /// One shard's deliveries in send order, and the indices (within
+        /// the shard) of the messages it delivered in the current attempt.
+        struct Sent<M> {
+            items: Vec<Incoming<M>>,
+            dest: Vec<u32>,
+            delivered: Vec<usize>,
+        }
+        let (inbox_offsets, items) = inboxes.columns();
+        items.clear();
+        self.dest.clear();
+        // Shard 0 appends straight to the round's buffers, and after each
+        // attempt the other shards' deliveries follow it there, so the
+        // buffers grow attempt by attempt and in sender order within an
+        // attempt.
+        let mut sent: Vec<Sent<M>> = (0..cuts.len() - 1)
+            .map(|k| Sent {
+                items: if k == 0 {
+                    std::mem::take(items)
+                } else {
+                    Vec::new()
+                },
+                dest: if k == 0 {
+                    std::mem::take(&mut self.dest)
+                } else {
+                    Vec::new()
+                },
+                delivered: Vec::new(),
+            })
+            .collect();
 
         let logical_round = self.metrics.rounds + 1;
-        let mut inboxes: Vec<Vec<Incoming<M>>> = Vec::with_capacity(n);
-        inboxes.resize_with(n, Vec::new);
         // Counted in u64: `1 + max_retries` does not fit a u32 at u32::MAX.
         let attempts = if resilience.enabled() {
             1 + u64::from(resilience.max_retries)
@@ -434,10 +525,7 @@ impl<'g> Network<'g> {
         };
         for attempt in 0..attempts {
             if attempt > 0 {
-                let outstanding: u64 = pending_shards
-                    .iter()
-                    .map(|s| s.iter().filter(|m| !m.acked).count() as u64)
-                    .sum();
+                let outstanding = pending.iter().filter(|m| !m.acked).count() as u64;
                 if outstanding == 0 {
                     break;
                 }
@@ -447,22 +535,15 @@ impl<'g> Network<'g> {
             self.metrics.rounds += 1;
             let round = self.metrics.rounds;
             self.faults.crashed_rounds += crashed_count(plan, n as u32, round);
-            struct SendRes<M> {
-                buffers: Vec<Vec<(u32, u32, M)>>,
-                metrics: Metrics,
-                faults: FaultStats,
-                delivered: Vec<usize>,
-            }
-            let results: Vec<SendRes<M>> = run_jobs(
-                pending_shards
-                    .iter_mut()
-                    .map(|shard| {
+            let results: Vec<(Metrics, FaultStats)> = run_jobs(
+                split_ranges(&mut pending, &cuts)
+                    .into_iter()
+                    .zip(&mut sent)
+                    .map(|(shard, out)| {
                         move || {
-                            let mut buffers: Vec<Vec<(u32, u32, M)>> =
-                                (0..t).map(|_| Vec::new()).collect();
                             let mut m = Metrics::new();
                             let mut f = FaultStats::default();
-                            let mut delivered = Vec::new();
+                            out.delivered.clear();
                             for (i, msg) in shard.iter_mut().enumerate() {
                                 if msg.acked {
                                     continue;
@@ -484,14 +565,14 @@ impl<'g> Network<'g> {
                                     continue;
                                 }
                                 let dup = plan.message_duplicated(round, msg.slot);
-                                let d = shard_of(bounds, msg.dest.index());
                                 // Retain the payload whenever another
                                 // delivery may still need it: a retransmit
                                 // (resilience) or the duplicate below.
                                 let (payload, cloned) =
                                     msg.payload_for_delivery(resilience.enabled() || dup);
                                 m.messages_cloned += cloned as u64;
-                                buffers[d].push((msg.dest.0, msg.in_port as u32, payload));
+                                out.items.push((msg.in_port, payload));
+                                out.dest.push(msg.dest.0);
                                 if msg.deliveries > 0 {
                                     // Ack-loss retransmit: the receiver
                                     // sees it twice.
@@ -502,34 +583,27 @@ impl<'g> Network<'g> {
                                     let (payload, cloned) =
                                         msg.payload_for_delivery(resilience.enabled());
                                     m.messages_cloned += cloned as u64;
-                                    buffers[d].push((msg.dest.0, msg.in_port as u32, payload));
+                                    out.items.push((msg.in_port, payload));
+                                    out.dest.push(msg.dest.0);
                                     msg.deliveries += 1;
                                     f.duplicated += 1;
                                 }
-                                delivered.push(i);
+                                out.delivered.push(i);
                             }
-                            SendRes {
-                                buffers,
-                                metrics: m,
-                                faults: f,
-                                delivered,
-                            }
+                            (m, f)
                         }
                     })
                     .collect(),
             );
-            let mut grouped: Vec<Vec<Vec<(u32, u32, M)>>> =
-                (0..t).map(|_| Vec::with_capacity(t)).collect();
-            let mut delivered_shards: Vec<Vec<usize>> = Vec::with_capacity(t);
-            for r in results {
-                self.metrics.absorb(r.metrics);
-                self.faults.absorb(r.faults);
-                delivered_shards.push(r.delivered);
-                for (d, buf) in r.buffers.into_iter().enumerate() {
-                    grouped[d].push(buf);
-                }
+            for (m, f) in results {
+                self.metrics.absorb(m);
+                self.faults.absorb(f);
             }
-            deliver(&mut inboxes, grouped, bounds);
+            let (first, rest) = sent.split_first_mut().expect("at least one shard");
+            for out in rest {
+                first.items.append(&mut out.items);
+                first.dest.append(&mut out.dest);
+            }
             if !resilience.enabled() {
                 break;
             }
@@ -539,14 +613,14 @@ impl<'g> Network<'g> {
             let ack_round = self.metrics.rounds;
             self.faults.crashed_rounds += crashed_count(plan, n as u32, ack_round);
             let acks: Vec<(Metrics, FaultStats)> = run_jobs(
-                pending_shards
-                    .iter_mut()
-                    .zip(delivered_shards)
+                split_ranges(&mut pending, &cuts)
+                    .into_iter()
+                    .zip(sent.iter().map(|out| &out.delivered))
                     .map(|(shard, delivered)| {
                         move || {
                             let mut m = Metrics::new();
                             let mut f = FaultStats::default();
-                            for i in delivered {
+                            for &i in delivered {
                                 let msg = &mut shard[i];
                                 if plan.is_down(msg.dest.0, ack_round) {
                                     continue; // acker is down: no ack sent at all
@@ -571,28 +645,35 @@ impl<'g> Network<'g> {
                 self.metrics.absorb(m);
                 self.faults.absorb(f);
             }
-            if pending_shards.iter().all(|s| s.iter().all(|p| p.acked)) {
+            if pending.iter().all(|p| p.acked) {
                 break;
             }
         }
+        *items = std::mem::take(&mut sent[0].items);
+        self.dest = std::mem::take(&mut sent[0].dest);
+        sort_by_dest(items, &self.dest, &mut self.pos, inbox_offsets, n);
         // Within-round reordering, keyed by the logical round so retries
-        // do not change which inboxes get shuffled; applied by the
-        // destination shard after the merge.
+        // do not change which inboxes get shuffled; applied per
+        // destination shard after the sort.
+        let inbox_offsets = &inbox_offsets[..];
+        let item_cuts: Vec<usize> = self.bounds.iter().map(|&b| inbox_offsets[b]).collect();
         run_jobs(
-            split_ranges(&mut inboxes, bounds)
+            split_ranges(items, &item_cuts)
                 .into_iter()
                 .enumerate()
                 .map(|(k, slice)| {
-                    let base = bounds[k];
+                    let vertices = self.bounds[k]..self.bounds[k + 1];
+                    let base = item_cuts[k];
                     move || {
-                        for (i, inbox) in slice.iter_mut().enumerate() {
-                            plan.maybe_shuffle(logical_round, (base + i) as u32, inbox);
+                        for v in vertices {
+                            let inbox =
+                                &mut slice[inbox_offsets[v] - base..inbox_offsets[v + 1] - base];
+                            plan.maybe_shuffle(logical_round, v as u32, inbox);
                         }
                     }
                 })
                 .collect(),
         );
-        inboxes
     }
 }
 
@@ -605,14 +686,49 @@ impl<'g> Net<'g> for Network<'g> {
         self.metrics
     }
 
+    /// Adapter onto [`Net::route`] for callers holding nested outboxes.
     fn exchange<M: Clone + Send>(
         &mut self,
         outboxes: Vec<Vec<Outgoing<M>>>,
     ) -> Vec<Vec<Incoming<M>>> {
-        if self.plan.is_zero_fault() && !self.resilience.enabled() {
-            self.exchange_perfect(outboxes)
+        assert_eq!(outboxes.len(), self.graph.num_vertices());
+        let mut outbox = Outbox::new();
+        for (v, out) in outboxes.into_iter().enumerate() {
+            for (port, payload, bits) in out {
+                outbox.push(v, port, payload, bits);
+            }
+        }
+        let mut inboxes = Inboxes::new();
+        self.route(&mut outbox, &mut inboxes);
+        inboxes.into_vecs()
+    }
+
+    fn route<M: Clone + Send>(&mut self, outbox: &mut Outbox<M>, inboxes: &mut Inboxes<M>) {
+        if self.perfect() {
+            self.route_perfect(outbox, inboxes);
         } else {
-            self.exchange_faulty(outboxes)
+            let pending = outbox
+                .drain()
+                .map(|(v, port, payload, bits)| self.pending(v, port, payload, bits))
+                .collect();
+            self.route_faulty(pending, inboxes);
+        }
+    }
+
+    fn broadcast_into<M: Clone + Send>(
+        &mut self,
+        payloads: impl IntoIterator<Item = (M, u64)>,
+        inboxes: &mut Inboxes<M>,
+    ) {
+        if self.perfect() {
+            self.broadcast_perfect(payloads, inboxes);
+        } else {
+            let mut pending = Vec::with_capacity(self.offsets[self.graph.num_vertices()]);
+            let clones = fan_out(self.graph, payloads, |v, port, payload, bits| {
+                pending.push(self.pending(v, port, payload, bits))
+            });
+            self.metrics.messages_cloned += clones;
+            self.route_faulty(pending, inboxes);
         }
     }
 
@@ -682,7 +798,7 @@ mod tests {
             assert_eq!(*b.last().unwrap(), 60);
             assert!(b.windows(2).all(|w| w[0] <= w[1]));
             for v in 0..60 {
-                let k = shard_of(b, v);
+                let k = b.partition_point(|&x| x <= v) - 1;
                 assert!(b[k] <= v && v < b[k + 1]);
             }
         }
@@ -761,9 +877,9 @@ mod tests {
         let g = star(5);
         let mut seq = Network::new(&g);
         let mut par = Network::new(&g).with_threads(4);
-        let payloads: Vec<(u32, u64)> = (0..5).map(|v| (v, 8)).collect();
-        let a = seq.broadcast_exchange(payloads.clone());
-        let b = par.broadcast_exchange(payloads);
+        let (mut a, mut b) = (Inboxes::new(), Inboxes::new());
+        seq.broadcast_into((0..5u32).map(|v| (v, 8)), &mut a);
+        par.broadcast_into((0..5u32).map(|v| (v, 8)), &mut b);
         assert_eq!(a, b);
         assert_eq!(seq.metrics(), par.metrics());
         assert_eq!(par.metrics().messages_cloned, 3);

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use sparsimatch_distsim::algorithms::coloring::{linial_coloring, validate_coloring};
 use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
 use sparsimatch_distsim::algorithms::matching::bounded_degree_matching;
+use sparsimatch_distsim::network::Inboxes;
 use sparsimatch_distsim::{FaultPlan, FaultRates, FaultStats, Net, Network, ResilienceParams};
 use sparsimatch_graph::csr::from_edges;
 use sparsimatch_matching::blossom::maximum_matching;
@@ -112,11 +113,12 @@ proptest! {
         let mut net = Network::new(&g);
         // Every node broadcasts its payload; every half-edge must deliver
         // exactly once with the right value.
-        let outs: Vec<(u32, u64)> = payloads.iter().map(|&p| (p, 32u64)).collect();
-        let inboxes = net.broadcast_exchange(outs);
+        let outs = payloads.iter().map(|&p| (p, 32u64));
+        let mut inboxes = Inboxes::new();
+        net.broadcast_into(outs, &mut inboxes);
         let mut delivered = 0u64;
-        for (v, inbox) in inboxes.iter().enumerate() {
-            for &(port, value) in inbox {
+        for v in 0..N {
+            for &(port, value) in inboxes.of(v) {
                 let sender = net.peer(sparsimatch_graph::ids::VertexId::new(v), port);
                 prop_assert_eq!(value, payloads[sender.index()]);
                 delivered += 1;

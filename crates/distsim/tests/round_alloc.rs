@@ -1,0 +1,87 @@
+//! Rounds allocate per round, not per vertex.
+//!
+//! Installs the counting global allocator and runs Solomon's one-round
+//! sparsifier and Israeli–Itai maximal matching on a fault-free
+//! [`Network`]. An algorithm keeps one [`Outbox`](sparsimatch_distsim::network::Outbox)
+//! and one set of [`Inboxes`](sparsimatch_distsim::network::Inboxes) per
+//! phase, so the allocator calls it makes stay under a constant per round
+//! plus a constant per run, neither of which grows with the graph. A
+//! per-vertex buffer per round would cost at least `n` calls a round.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
+use sparsimatch_distsim::algorithms::solomon::distributed_solomon;
+use sparsimatch_distsim::Network;
+use sparsimatch_graph::csr::CsrGraph;
+use sparsimatch_graph::generators::power_law;
+use sparsimatch_obs::alloc::{self, CountingAllocator};
+use std::sync::Mutex;
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Serializes the tests in this file: the two-worker runs read the
+/// process-wide counters, which a concurrently running test would move.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Allocator calls allowed per round: the shard cut lists of a round and,
+/// at two workers, the scoped spawn of the second worker (measured: under
+/// 7 calls a round at one worker and under 13 at two).
+const CALLS_PER_ROUND: u64 = 16;
+
+/// Allocator calls allowed once per run, whatever its round count: the
+/// phase's flat buffers, which grow by doubling, the per-node random
+/// streams and matching, and the result graph of Solomon's sparsifier
+/// (measured: 56 to 80 calls for Solomon's whole run on these graphs).
+const CALLS_PER_RUN: u64 = 96;
+
+/// Allocator calls `run` makes on a fresh `threads`-worker network over
+/// `g`, and the rounds it takes. The network is built before counting.
+fn calls_and_rounds(
+    g: &CsrGraph,
+    threads: usize,
+    run: impl FnOnce(&mut Network<'_>),
+) -> (u64, u64) {
+    let mut net = Network::new(g).with_threads(threads);
+    let before = alloc::totals().count;
+    run(&mut net);
+    let calls = alloc::totals().count - before;
+    (calls, net.metrics().rounds)
+}
+
+fn graphs() -> Vec<CsrGraph> {
+    [2_000, 20_000]
+        .into_iter()
+        .map(|n| power_law(n, 3, &mut StdRng::seed_from_u64(n as u64)))
+        .collect()
+}
+
+fn assert_flat(name: &str, run: impl Fn(&mut Network<'_>)) {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    for g in graphs() {
+        for threads in [1, 2] {
+            let (calls, rounds) = calls_and_rounds(&g, threads, &run);
+            assert!(rounds > 0, "{name} ran no round");
+            assert!(
+                calls <= CALLS_PER_RUN + CALLS_PER_ROUND * rounds,
+                "{name} on n = {} at t = {threads}: {calls} allocator calls over {rounds} rounds",
+                g.num_vertices()
+            );
+        }
+    }
+}
+
+#[test]
+fn solomon_allocates_per_round_not_per_vertex() {
+    assert_flat("distributed_solomon", |net| {
+        std::hint::black_box(distributed_solomon(net, 5));
+    });
+}
+
+#[test]
+fn israeli_itai_allocates_per_round_not_per_vertex() {
+    assert_flat("israeli_itai_matching", |net| {
+        std::hint::black_box(israeli_itai_matching(net, 7));
+    });
+}
