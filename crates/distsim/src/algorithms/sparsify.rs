@@ -8,38 +8,17 @@
 //! the `KT_0` model.
 
 use crate::network::{Inboxes, Net, Outbox};
-use rand::seq::index::sample;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::sampler::vertex_rng;
+use sparsimatch_core::sampler::{mark_indices_for_vertex, vertex_rng, PosArraySampler};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
-/// Call `mark` on each of node `v`'s marked ports: all of them at degree
-/// at most the mark cap, else `params.delta` sampled from
-/// [`vertex_rng`]`(seed, v)`.
-fn for_each_mark(
-    g: &CsrGraph,
-    params: &SparsifierParams,
-    seed: u64,
-    v: usize,
-    mark: impl FnMut(usize),
-) {
-    let deg = g.degree(VertexId::new(v));
-    if deg <= params.mark_cap() {
-        (0..deg).for_each(mark);
-    } else {
-        sample(&mut vertex_rng(seed, v), deg, params.delta)
-            .into_iter()
-            .for_each(mark);
-    }
-}
-
 /// Run the one-round sparsifier protocol. Returns the sparsified graph
-/// (same vertex set). Node `v` draws from [`vertex_rng`]`(seed, v)`
-/// (independent across nodes, as the analysis needs). That is core's seed
-/// rule, but the sampler is `rand::seq::index::sample`, not core's `pos_v`
-/// sampler, so for one seed the marks differ from
-/// [`sparsimatch_core::sparsifier::build_sparsifier`]'s.
+/// (same vertex set). Node `v` marks with core's `pos_v` sampler from
+/// [`vertex_rng`]`(seed, v)` (independent across nodes, as the analysis
+/// needs), so on a lossless network the result is
+/// [`sparsimatch_core::sparsifier::build_sparsifier`]'s `G_Δ` for the same
+/// seed, edge for edge.
 ///
 /// On a faulty transport a dropped mark shrinks the sparsifier (the edge
 /// survives only if the sender's own mark is kept) and a duplicated mark
@@ -56,11 +35,17 @@ pub fn distributed_sparsifier<'g>(
     // ports it marked plus the ports it heard a mark on.
     let mut keep = Vec::new();
     let mut outbox = Outbox::new();
+    let (delta, cap) = (params.delta, params.mark_cap());
+    let mut sampler = PosArraySampler::new(g.max_degree());
+    let mut ports = Vec::new();
     for v in 0..n {
-        for_each_mark(g, params, seed, v, |p| {
-            keep.push(g.incident_edge(VertexId::new(v), p));
-            outbox.push(v, p, (), 1);
-        });
+        let vid = VertexId::new(v);
+        let mut rng = vertex_rng(seed, v);
+        mark_indices_for_vertex(g, vid, delta, cap, &mut sampler, &mut rng, &mut ports);
+        for &p in &ports {
+            keep.push(g.incident_edge(vid, p as usize));
+            outbox.push(v, p as usize, (), 1);
+        }
     }
     let mut inboxes = Inboxes::new();
     net.route(&mut outbox, &mut inboxes);
@@ -91,11 +76,15 @@ pub fn distributed_sparsifier_broadcast<'g>(
     let mut starts = Vec::with_capacity(n + 1);
     starts.push(0);
     let mut keep = Vec::new();
+    let (delta, cap) = (params.delta, params.mark_cap());
+    let mut sampler = PosArraySampler::new(g.max_degree());
+    let mut ports = Vec::new();
     for v in 0..n {
-        for_each_mark(g, params, seed, v, |p| {
-            keep.push(g.incident_edge(VertexId::new(v), p));
-            marks.push(p as u32);
-        });
+        let vid = VertexId::new(v);
+        let mut rng = vertex_rng(seed, v);
+        mark_indices_for_vertex(g, vid, delta, cap, &mut sampler, &mut rng, &mut ports);
+        keep.extend(ports.iter().map(|&p| g.incident_edge(vid, p as usize)));
+        marks.extend_from_slice(&ports);
         starts.push(marks.len());
     }
     // Broadcast: every node sends its marked-port list on every port.

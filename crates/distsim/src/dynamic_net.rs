@@ -13,9 +13,8 @@
 //! from it at any moment.
 
 use crate::metrics::Metrics;
-use rand::seq::index::sample;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::sampler::vertex_rng;
+use sparsimatch_core::sampler::{mark_indices_for_vertex, vertex_rng, PosArraySampler};
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
@@ -38,6 +37,9 @@ pub struct DynamicNetwork {
     /// Each node's own current marks (neighbor ids), as it would store
     /// them locally.
     marks: Vec<HashSet<u32>>,
+    /// The `pos_v` sampler and index buffer every resample reuses.
+    sampler: PosArraySampler,
+    indices: Vec<u32>,
     metrics: Metrics,
     update_seed: u64,
     updates_applied: u64,
@@ -50,6 +52,8 @@ impl DynamicNetwork {
             graph: AdjListGraph::new(n),
             params,
             marks: vec![HashSet::new(); n],
+            sampler: PosArraySampler::new(0),
+            indices: Vec::new(),
             metrics: Metrics::new(),
             update_seed: seed,
             updates_applied: 0,
@@ -83,19 +87,18 @@ impl DynamicNetwork {
     }
 
     fn resample(&mut self, v: VertexId) {
-        let deg = self.graph.degree(v);
         let mut rng = vertex_rng(
             self.update_seed ^ self.updates_applied.wrapping_mul(0xD1B54A32D192ED03),
             v.index(),
         );
-        let fresh: HashSet<u32> = if deg <= self.params.mark_cap() {
-            (0..deg).map(|i| self.graph.neighbor(v, i).0).collect()
-        } else {
-            sample(&mut rng, deg, self.params.delta)
-                .into_iter()
-                .map(|i| self.graph.neighbor(v, i).0)
-                .collect()
-        };
+        let (delta, cap) = (self.params.delta, self.params.mark_cap());
+        let (g, sampler, indices) = (&self.graph, &mut self.sampler, &mut self.indices);
+        sampler.ensure_capacity(g.degree(v));
+        mark_indices_for_vertex(g, v, delta, cap, sampler, &mut rng, indices);
+        let fresh: HashSet<u32> = indices
+            .iter()
+            .map(|&i| g.neighbor(v, i as usize).0)
+            .collect();
         // Communication: v tells each newly-marked neighbor (1 bit) and
         // each formerly-marked neighbor that the mark is retracted (1 bit).
         let old = std::mem::take(&mut self.marks[v.index()]);

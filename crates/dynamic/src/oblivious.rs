@@ -15,9 +15,9 @@
 //! `adaptive_adversary_breaks_naive_maintenance_assumption` demonstrates
 //! is not merely hypothetical bookkeeping.
 
-use rand::seq::index::sample;
 use rand::Rng;
 use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::sampler::{mark_indices_for_vertex, PosArraySampler};
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
@@ -49,6 +49,9 @@ pub struct ObliviousDynamicSparsifier {
     marks: Vec<Vec<u32>>,
     /// Mark multiplicity per undirected edge (1 or 2 sides).
     marked_edges: HashMap<(u32, u32), u8>,
+    /// The `pos_v` sampler and index buffer every resample reuses.
+    sampler: PosArraySampler,
+    indices: Vec<u32>,
 }
 
 impl ObliviousDynamicSparsifier {
@@ -59,6 +62,8 @@ impl ObliviousDynamicSparsifier {
             params,
             marks: vec![Vec::new(); n],
             marked_edges: HashMap::new(),
+            sampler: PosArraySampler::new(0),
+            indices: Vec::new(),
         }
     }
 
@@ -109,15 +114,14 @@ impl ObliviousDynamicSparsifier {
             }
         }
         // Fresh marks from the current adjacency.
-        let deg = self.graph.degree(v);
-        let fresh: Vec<u32> = if deg <= self.params.mark_cap() {
-            (0..deg).map(|i| self.graph.neighbor(v, i).0).collect()
-        } else {
-            sample(rng, deg, self.params.delta)
-                .into_iter()
-                .map(|i| self.graph.neighbor(v, i).0)
-                .collect()
-        };
+        let (delta, cap) = (self.params.delta, self.params.mark_cap());
+        let (g, sampler, indices) = (&self.graph, &mut self.sampler, &mut self.indices);
+        sampler.ensure_capacity(g.degree(v));
+        mark_indices_for_vertex(g, v, delta, cap, sampler, rng, indices);
+        let fresh: Vec<u32> = indices
+            .iter()
+            .map(|&i| g.neighbor(v, i as usize).0)
+            .collect();
         for &w in &fresh {
             work += 1;
             let key = Self::edge_key(v, VertexId(w));
