@@ -274,11 +274,6 @@ impl FaultPlan {
         self.crash != 0 || !self.perm_crashed.is_empty()
     }
 
-    /// Nodes that never come up under this plan.
-    pub fn permanently_crashed(&self) -> &[u32] {
-        &self.perm_crashed
-    }
-
     #[inline]
     fn chance(&self, salt: u64, a: u64, b: u64, threshold: u128) -> bool {
         threshold != 0 && (hash3(self.seed, salt, a, b) as u128) < threshold

@@ -10,8 +10,11 @@
 //!   (NOT the upstream ChaCha12 — streams differ from upstream `rand`, but
 //!   every consumer in this workspace only relies on determinism for a
 //!   fixed seed, never on matching upstream byte streams),
-//! - [`seq::SliceRandom::shuffle`] (Fisher–Yates) and
-//!   [`seq::index::sample`] (partial Fisher–Yates, distinct indices).
+//! - [`seq::SliceRandom::shuffle`] (Fisher–Yates).
+//!
+//! It has no distinct-index sampler: every Δ-subset draw in the workspace
+//! goes through `sparsimatch_core::sampler::PosArraySampler`, the
+//! deterministic O(Δ) sampler of the paper's Section 3.1.
 //!
 //! Uniform integer ranges use the widening-multiply method. Its modulo
 //! bias is at most 2^-32 for the range sizes used here (all well below
@@ -293,70 +296,12 @@ pub mod seq {
             }
         }
     }
-
-    pub mod index {
-        //! Distinct-index sampling (mirrors `rand::seq::index`).
-
-        use super::super::{uniform_below, RngCore};
-
-        /// A set of distinct sampled indices.
-        #[derive(Clone, Debug)]
-        pub struct IndexVec(Vec<usize>);
-
-        impl IndexVec {
-            /// Number of sampled indices.
-            pub fn len(&self) -> usize {
-                self.0.len()
-            }
-
-            /// True when no indices were sampled.
-            pub fn is_empty(&self) -> bool {
-                self.0.is_empty()
-            }
-
-            /// Iterate the indices.
-            pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-                self.0.iter().copied()
-            }
-
-            /// The indices as a vector.
-            pub fn into_vec(self) -> Vec<usize> {
-                self.0
-            }
-        }
-
-        impl IntoIterator for IndexVec {
-            type Item = usize;
-            type IntoIter = std::vec::IntoIter<usize>;
-
-            fn into_iter(self) -> Self::IntoIter {
-                self.0.into_iter()
-            }
-        }
-
-        /// Sample `amount` distinct indices from `0..length` uniformly,
-        /// by partial Fisher–Yates. Panics if `amount > length`, like
-        /// upstream `rand`.
-        pub fn sample<R: RngCore + ?Sized>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
-            assert!(
-                amount <= length,
-                "cannot sample {amount} distinct indices from 0..{length}"
-            );
-            let mut pool: Vec<usize> = (0..length).collect();
-            for i in 0..amount {
-                let j = i + uniform_below(rng, (length - i) as u64) as usize;
-                pool.swap(i, j);
-            }
-            pool.truncate(amount);
-            IndexVec(pool)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::seq::{index::sample, SliceRandom};
+    use super::seq::SliceRandom;
     use super::{Rng, RngCore, SeedableRng};
 
     #[test]
@@ -410,21 +355,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_distinct_in_range() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..100 {
-            let idx = sample(&mut rng, 30, 7);
-            let v: Vec<usize> = idx.into_iter().collect();
-            assert_eq!(v.len(), 7);
-            let mut d = v.clone();
-            d.sort_unstable();
-            d.dedup();
-            assert_eq!(d.len(), 7, "duplicates in {v:?}");
-            assert!(v.iter().all(|&i| i < 30));
-        }
     }
 
     #[test]
