@@ -1,8 +1,10 @@
 //! Rounds allocate per round, not per vertex.
 //!
-//! Installs the counting global allocator and runs Solomon's one-round
-//! sparsifier and Israeli–Itai maximal matching on a fault-free
-//! [`Network`]. An algorithm keeps one [`Outbox`](sparsimatch_distsim::network::Outbox)
+//! Installs the counting global allocator and runs the unicast and
+//! broadcast `G_Δ` protocols, Solomon's one-round sparsifier and
+//! Israeli–Itai maximal matching on a fault-free [`Network`]. The `G_Δ`
+//! protocols mark with one `pos_v` sampler and one index buffer per run,
+//! not a buffer per vertex. An algorithm keeps one [`Outbox`](sparsimatch_distsim::network::Outbox)
 //! and one set of [`Inboxes`](sparsimatch_distsim::network::Inboxes) per
 //! phase, so the allocator calls it makes stay under a constant per round
 //! plus a constant per run, neither of which grows with the graph. A
@@ -10,8 +12,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
 use sparsimatch_distsim::algorithms::solomon::distributed_solomon;
+use sparsimatch_distsim::algorithms::sparsify::{
+    distributed_sparsifier, distributed_sparsifier_broadcast,
+};
 use sparsimatch_distsim::Network;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::power_law;
@@ -32,8 +38,9 @@ const CALLS_PER_ROUND: u64 = 16;
 
 /// Allocator calls allowed once per run, whatever its round count: the
 /// phase's flat buffers, which grow by doubling, the per-node random
-/// streams and matching, and the result graph of Solomon's sparsifier
-/// (measured: 56 to 80 calls for Solomon's whole run on these graphs).
+/// streams and matching, the `G_Δ` protocols' sampler, and the result
+/// graphs (measured on these graphs: 56 to 80 calls for Solomon's whole
+/// run, 53 to 91 for either `G_Δ` protocol's).
 const CALLS_PER_RUN: u64 = 96;
 
 /// Allocator calls `run` makes on a fresh `threads`-worker network over
@@ -83,5 +90,16 @@ fn solomon_allocates_per_round_not_per_vertex() {
 fn israeli_itai_allocates_per_round_not_per_vertex() {
     assert_flat("israeli_itai_matching", |net| {
         std::hint::black_box(israeli_itai_matching(net, 7));
+    });
+}
+
+#[test]
+fn sparsifiers_allocate_per_round_not_per_vertex() {
+    let params = SparsifierParams::with_delta(1, 0.5, 4);
+    assert_flat("distributed_sparsifier", |net| {
+        std::hint::black_box(distributed_sparsifier(net, &params, 9));
+    });
+    assert_flat("distributed_sparsifier_broadcast", |net| {
+        std::hint::black_box(distributed_sparsifier_broadcast(net, &params, 9));
     });
 }
