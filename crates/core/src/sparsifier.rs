@@ -212,9 +212,8 @@ impl MarkWorker {
             }
             // Every vertex samples from its own stream, so the marks do
             // not depend on which worker draws them, and the out-of-core
-            // build, which runs the same sampler, places the same ones.
-            // Distsim's protocols share the seed rule but not the sampler
-            // (`rand::seq::index::sample`), so their marks differ.
+            // build and distsim's protocols, which run the same sampler,
+            // place the same ones.
             let mut rng = vertex_rng(seed, v);
             mark_indices_for_vertex(
                 g,
