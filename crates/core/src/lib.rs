@@ -58,7 +58,7 @@ pub use pipeline::{
     approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_with_scratch,
     approx_mcm_via_sparsifier_with_scratch_metered, PipelineResult,
 };
-pub use scratch::{OracleRebuildScratch, PipelineScratch};
+pub use scratch::PipelineScratch;
 pub use sparsifier::{
     build_sparsifier, Sparsifier, SparsifierStats, ThreadCountError, MAX_THREADS,
 };

@@ -5,8 +5,8 @@
 //! blossom searcher, and the result matching itself — lives here with
 //! *clear-not-drop* semantics: a buffer is logically emptied between runs
 //! but its heap capacity is retained. Callers that solve repeatedly (the
-//! dynamic matcher, the check harness's seed sweeps, the benchmark loops)
-//! hold one arena and hand it to
+//! serve daemon's sessions, the check harness's seed sweeps, the benchmark
+//! loops) hold one arena and hand it to
 //! [`crate::pipeline::approx_mcm_via_sparsifier_with_scratch`]; after the
 //! first (cold) call on a given input size, subsequent warm calls perform
 //! **zero** heap allocations with one mark worker, and with more only the
@@ -17,11 +17,10 @@
 //! byte-identical by construction.
 
 use crate::pipeline::PipelineResult;
-use crate::sampler::PosArraySampler;
 use crate::sparsifier::MarkScratch;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::csr::CsrScratch;
-use sparsimatch_graph::ids::{EdgeId, VertexId};
+use sparsimatch_graph::ids::EdgeId;
 use sparsimatch_matching::blossom::BlossomSearcher;
 use sparsimatch_matching::bounded_aug::AugStats;
 use sparsimatch_matching::Matching;
@@ -146,47 +145,6 @@ impl PipelineScratch {
 impl Default for PipelineScratch {
     fn default() -> Self {
         PipelineScratch::new()
-    }
-}
-
-/// Reusable buffers for the dynamic scheme's oracle-path rebuilds
-/// ([`mark_edges_oracle`](crate::sparsifier::mark_edges_oracle)-style
-/// marking over an adjacency-list graph, then greedy + bounded
-/// augmentation). One lives inside each
-/// `sparsimatch_dynamic::DynamicMatcher`; fields are public because the
-/// dynamic crate drives the stages itself under its work budget.
-pub struct OracleRebuildScratch {
-    /// Sampling overlay, grown to the largest degree seen so far.
-    pub sampler: PosArraySampler,
-    /// Per-vertex sampled adjacency indices.
-    pub indices: Vec<u32>,
-    /// Marked endpoint pairs accumulated across the rebuild.
-    pub marks: Vec<(VertexId, VertexId)>,
-    /// Blossom searcher reused across the augmentation phases.
-    pub searcher: BlossomSearcher,
-}
-
-impl OracleRebuildScratch {
-    /// An empty arena; buffers grow on first use.
-    pub fn new() -> Self {
-        OracleRebuildScratch {
-            sampler: PosArraySampler::new(0),
-            indices: Vec::new(),
-            marks: Vec::new(),
-            searcher: BlossomSearcher::new(&Matching::new(0)),
-        }
-    }
-
-    /// Logically empty the buffers, keeping capacities.
-    pub fn clear(&mut self) {
-        self.indices.clear();
-        self.marks.clear();
-    }
-}
-
-impl Default for OracleRebuildScratch {
-    fn default() -> Self {
-        OracleRebuildScratch::new()
     }
 }
 

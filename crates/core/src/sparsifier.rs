@@ -8,7 +8,6 @@
 
 use crate::params::SparsifierParams;
 use crate::sampler::{mark_indices_for_vertex, vertex_rng, PosArraySampler};
-use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_obs::{keys, WorkMeter};
@@ -367,50 +366,6 @@ impl MarkScratch {
     }
 }
 
-/// Build the marked edge *list* from any adjacency oracle (no edge ids
-/// needed), with [`build_sparsifier`]'s marking rule: vertex `v` marks
-/// from [`vertex_rng`]`(seed, v)`. This is the form used when the input is
-/// not materialized as a CSR graph, such as the dynamic naive-recompute
-/// baseline's adjacency-list graph. Returns endpoint pairs with possible
-/// duplicates (an edge can be marked from both sides); deduplication
-/// happens wherever a graph is built.
-pub fn mark_edges_oracle(
-    g: &impl AdjacencyOracle,
-    params: &SparsifierParams,
-    seed: u64,
-) -> Vec<(VertexId, VertexId)> {
-    let n = g.num_vertices();
-    // One degree pass sizes both the sampler overlay and the output
-    // buffer (each vertex marks ≤ min(deg, mark_cap) edges), so neither
-    // grows inside the marking loop.
-    let mut max_deg = 0usize;
-    let mut mark_bound = 0usize;
-    for v in 0..n {
-        let deg = g.degree(VertexId::new(v));
-        max_deg = max_deg.max(deg);
-        mark_bound += deg.min(params.mark_cap());
-    }
-    let mut sampler = PosArraySampler::new(max_deg);
-    let mut indices: Vec<u32> = Vec::with_capacity(params.mark_cap().max(1));
-    let mut out = Vec::with_capacity(mark_bound);
-    for v in 0..n {
-        let vid = VertexId::new(v);
-        mark_indices_for_vertex(
-            g,
-            vid,
-            params.delta,
-            params.mark_cap(),
-            &mut sampler,
-            &mut vertex_rng(seed, v),
-            &mut indices,
-        );
-        for &i in &indices {
-            out.push((vid, g.neighbor(vid, i as usize)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,41 +454,6 @@ mod tests {
                         (pairs.clone(), summary),
                         "graph {i} seed {seed} t {threads}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn oracle_and_csr_builders_follow_one_marking_rule() {
-        // A CSR graph is also an adjacency oracle, so the oracle marker and
-        // the CSR builder see the same adjacency arrays: with one seed the
-        // deduplicated oracle marks are exactly G_Δ's edge list, at every
-        // worker count.
-        let mut rng = StdRng::seed_from_u64(41);
-        let graphs = [
-            ("clique", clique(80)),
-            ("star", star(300)),
-            ("gnp", gnp(200, 0.1, &mut rng)),
-        ];
-        for (name, g) in &graphs {
-            for p in [params(1, 0.5, 3), params(2, 0.4, 6)] {
-                for seed in [0u64, 5, 1234] {
-                    let mut oracle: Vec<(u32, u32)> = mark_edges_oracle(g, &p, seed)
-                        .into_iter()
-                        .map(|(u, v)| (u.0.min(v.0), u.0.max(v.0)))
-                        .collect();
-                    oracle.sort_unstable();
-                    oracle.dedup();
-                    for threads in [1usize, 2, 4] {
-                        let s = build_sparsifier(g, &p, seed, threads, None).unwrap();
-                        assert_eq!(
-                            edge_pairs(&s.graph),
-                            oracle,
-                            "{name} delta {} seed {seed} t {threads}",
-                            p.delta
-                        );
-                    }
                 }
             }
         }
@@ -636,27 +556,6 @@ mod tests {
             (sparse_mcm as f64) * 1.5 >= exact as f64,
             "sparse {sparse_mcm} vs exact {exact}"
         );
-    }
-
-    #[test]
-    fn oracle_marks_match_graph_structure() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let g = gnp(40, 0.3, &mut rng);
-        let p = params(2, 0.5, 3);
-        let marks = mark_edges_oracle(&g, &p, rng.next_u64());
-        for &(u, v) in &marks {
-            assert!(g.has_edge(u, v));
-        }
-        // Each vertex contributes min(deg, cap or delta) marks.
-        let mut per_vertex = vec![0usize; g.num_vertices()];
-        for &(u, _) in &marks {
-            per_vertex[u.index()] += 1;
-        }
-        for (v, &count) in per_vertex.iter().enumerate() {
-            let deg = g.degree(VertexId::new(v));
-            let expect = if deg <= p.mark_cap() { deg } else { p.delta };
-            assert_eq!(count, expect);
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Dynamic baselines for experiment E10.
 //!
-//! * [`NaiveRecompute`] — rerun the static `(1+ε)` pipeline after every
-//!   update: per-update work `Θ(|MCM|·Δ)`, the quantity the window scheme
-//!   amortizes away.
+//! * [`NaiveRecompute`] — rerun the window scheme's static `(1+ε/4)`
+//!   solve after every update: per-update work `Θ(|MCM|·Δ)`, the quantity
+//!   the window scheme amortizes away.
 //! * [`ThresholdMaximalMatching`] — a Barenboim–Maimon-style deterministic
 //!   dynamic *maximal* matching (2-approximation) with repair scans capped
 //!   at `T = ⌈√(βn)⌉`: insertions match free endpoints in O(1); deleting a
@@ -15,20 +15,20 @@
 //!   (audited in tests). See DESIGN.md §4.4 for the substitution note.
 
 use crate::adversary::Update;
+use crate::sliced::SlicedComputation;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
-use sparsimatch_graph::csr::GraphBuilder;
 use sparsimatch_graph::ids::VertexId;
-use sparsimatch_matching::bounded_aug::approx_maximum_matching_from;
-use sparsimatch_matching::greedy::greedy_maximal_matching;
 use sparsimatch_matching::Matching;
 
-/// Full static recompute after every update.
+/// Full static recompute after every update: the window solve run to
+/// completion on every update's graph, as if every window lasted one
+/// update.
 pub struct NaiveRecompute {
     graph: AdjListGraph,
-    params: SparsifierParams,
     output: Matching,
+    solve: SlicedComputation,
     seed: u64,
     counter: u64,
 }
@@ -38,8 +38,8 @@ impl NaiveRecompute {
     pub fn new(n: usize, params: SparsifierParams, seed: u64) -> Self {
         NaiveRecompute {
             graph: AdjListGraph::new(n),
-            params,
             output: Matching::new(n),
+            solve: SlicedComputation::new(params),
             seed,
             counter: 0,
         }
@@ -66,106 +66,9 @@ impl NaiveRecompute {
             }
         }
         self.counter += 1;
-        let n = self.graph.num_vertices();
-        let mut work = 1u64;
-        let marks = sparsimatch_core::sparsifier::mark_edges_oracle(
-            &self.graph,
-            &self.params,
-            self.seed ^ self.counter,
-        );
-        for v in 0..n {
-            work += self
-                .graph
-                .degree(VertexId::new(v))
-                .min(self.params.mark_cap()) as u64
-                + 1;
-        }
-        let mut b = GraphBuilder::with_capacity(n, marks.len());
-        for (u, v) in marks {
-            b.add_edge(u, v);
-        }
-        let sparse = b.build();
-        work += 2 * sparse.num_edges() as u64;
-        let init = greedy_maximal_matching(&sparse);
-        let (m, stats) = approx_maximum_matching_from(&sparse, init, self.params.eps / 2.5);
-        work += stats.edge_visits;
-        self.output = m;
-        work
-    }
-}
-
-/// Ablation baseline: the Gupta–Peng window scheme *without* the
-/// sparsifier — the static `(1+ε)` computation runs on the full graph
-/// snapshot, so its work is `Θ(m/ε)` per window instead of
-/// `Θ(|MCM|·Δ/ε)`. Same windows, same pruning; isolates exactly what the
-/// sparsifier buys inside Theorem 3.5.
-pub struct WindowedFullRecompute {
-    graph: AdjListGraph,
-    eps: f64,
-    output: Matching,
-    pending: Option<Matching>,
-    window_left: usize,
-    share: u64,
-}
-
-impl WindowedFullRecompute {
-    /// A windowed full-graph matcher on `n` vertices.
-    pub fn new(n: usize, eps: f64) -> Self {
-        WindowedFullRecompute {
-            graph: AdjListGraph::new(n),
-            eps,
-            output: Matching::new(n),
-            pending: None,
-            window_left: 1,
-            share: 0,
-        }
-    }
-
-    /// The served matching.
-    pub fn matching(&self) -> &Matching {
-        &self.output
-    }
-
-    /// Apply one update; returns work units (time-sliced like the scheme).
-    pub fn apply(&mut self, update: Update) -> u64 {
-        let mut work = 1u64;
-        match update {
-            Update::Insert(u, v) => {
-                self.graph.insert_edge(u, v);
-            }
-            Update::Delete(u, v) => {
-                self.graph.delete_edge(u, v);
-                if self.output.mate(u) == Some(v) {
-                    self.output.remove_pair(u);
-                    work += 1;
-                }
-                if let Some(p) = &mut self.pending {
-                    if p.mate(u) == Some(v) {
-                        p.remove_pair(u);
-                        work += 1;
-                    }
-                }
-            }
-        }
-        work += self.share;
-        self.window_left = self.window_left.saturating_sub(1);
-        if self.window_left == 0 {
-            if let Some(p) = self.pending.take() {
-                self.output = p;
-            }
-            // Static recompute on the full snapshot: work = edges scanned
-            // by greedy + augmentation edge-visits.
-            let snapshot = self.graph.to_csr();
-            let mut static_work = 2 * snapshot.num_edges() as u64;
-            let init = greedy_maximal_matching(&snapshot);
-            let (m, stats) = approx_maximum_matching_from(&snapshot, init, self.eps / 4.0);
-            static_work += stats.edge_visits;
-            self.pending = Some(m);
-            let window =
-                (((self.eps / 4.0) * self.output.len().max(1) as f64).floor() as usize).max(1);
-            self.window_left = window;
-            self.share = static_work.div_ceil(window as u64);
-        }
+        self.solve.start(self.seed, self.counter);
+        let work = 1 + self.solve.step(&self.graph, u64::MAX);
+        self.solve.swap_result(&mut self.output);
         work
     }
 }
@@ -262,6 +165,7 @@ impl ThresholdMaximalMatching {
 mod tests {
     use super::*;
     use crate::adversary::{Adversary, Policy, StreamAdversary};
+    use crate::scheme::DynamicMatcher;
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::generators::{clique, clique_union, CliqueUnionConfig};
     use sparsimatch_matching::blossom::maximum_matching;
@@ -316,10 +220,15 @@ mod tests {
             },
             &mut rng,
         );
-        // Drive both windowed matchers over the same insert stream.
-        let mut no_sparsifier = WindowedFullRecompute::new(n, 0.5);
-        let mut with_sparsifier =
-            crate::scheme::DynamicMatcher::new(n, SparsifierParams::practical(2, 0.5), 7);
+        // Drive both windowed matchers over the same insert stream. With
+        // Δ ≥ the maximum degree every vertex keeps all its edges, so the
+        // second matcher's window solve runs on the full graph.
+        let mut with_sparsifier = DynamicMatcher::new(n, SparsifierParams::practical(2, 0.5), 7);
+        let mut no_sparsifier = DynamicMatcher::new(
+            n,
+            SparsifierParams::with_delta(2, 0.5, host.max_degree()),
+            7,
+        );
         let mut full_total = 0u64;
         let mut sparse_total = 0u64;
         // Random insertion order keeps the intermediate graphs β-bounded
@@ -328,10 +237,10 @@ mod tests {
         let mut stream: Vec<(VertexId, VertexId)> = host.edges().map(|(_, u, v)| (u, v)).collect();
         stream.shuffle(&mut rng);
         for (u, v) in stream {
-            full_total += no_sparsifier.apply(Update::Insert(u, v));
+            full_total += no_sparsifier.apply(Update::Insert(u, v)).work;
             sparse_total += with_sparsifier.apply(Update::Insert(u, v)).work;
         }
-        let snapshot = no_sparsifier.graph.to_csr();
+        let snapshot = no_sparsifier.graph().to_csr();
         assert!(no_sparsifier.matching().is_valid_for(&snapshot));
         // Identical scheme, identical accuracy target — the sparsifier is
         // the only difference, and it must pay off on dense hosts.

@@ -16,6 +16,8 @@
 //!
 //! Modules:
 //! * [`scheme`] — the Theorem 3.5 matcher with explicit work accounting;
+//! * [`sliced`] — the one static window solve, resumable under a work
+//!   budget, and the worst-case matcher that steps it once per update;
 //! * [`adversary`] — oblivious and adaptive update streams over a β-bounded
 //!   host graph;
 //! * [`baselines`] — naive full recompute and a Barenboim–Maimon-style

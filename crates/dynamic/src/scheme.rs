@@ -5,9 +5,10 @@
 //! * every update applies its graph mutation and (for deletions of
 //!   currently-output pairs) prunes the output matching — O(1) work;
 //! * when the window closes, the pending fresh matching (computed on the
-//!   snapshot taken at the window's start, minus edges deleted during the
-//!   window) becomes the output, a new static computation starts on a new
-//!   snapshot, and a new window of length `max(1, ⌊ε/4·|M|⌋)` opens;
+//!   graph as the window opened, minus edges deleted during the window)
+//!   becomes the output, the window solve of [`crate::sliced`] runs to
+//!   completion on the current graph, and a new window of length
+//!   `max(1, ⌊ε/4·|M|⌋)` opens;
 //! * the static computation's work — adjacency probes for the sparsifier,
 //!   sparsifier edges for greedy, and blossom edge-visits for the bounded
 //!   augmentation, all machine-independent unit counts — is time-sliced
@@ -17,16 +18,9 @@
 //!   `O((β/ε³)·log(1/ε))`.
 
 use crate::adversary::Update;
+use crate::sliced::SlicedComputation;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::scratch::OracleRebuildScratch;
-use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
-use sparsimatch_graph::csr::GraphBuilder;
-use sparsimatch_graph::ids::VertexId;
-use sparsimatch_matching::bounded_aug::{
-    eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
-};
-use sparsimatch_matching::greedy::greedy_maximal_matching;
 use sparsimatch_matching::Matching;
 use sparsimatch_obs::{keys, WorkMeter};
 
@@ -74,22 +68,17 @@ pub struct DynamicMatcher {
     params: SparsifierParams,
     output: Matching,
     /// Fresh matching awaiting the end of the current window.
-    pending: Option<Matching>,
+    pending: Matching,
     /// Updates remaining in the current window.
     window_left: usize,
     /// Work share charged to each update of the current window.
     share: u64,
     seed_counter: u64,
     base_seed: u64,
-    /// High-water mark of any vertex degree (sizes the sampler overlay
-    /// without rescanning; never shrinks, which only wastes capacity).
-    max_degree_seen: usize,
-    /// Reusable buffers for the background rebuilds: the sampler overlay,
-    /// mark/index buffers, and blossom searcher persist across windows,
-    /// so steady-state rebuilds stop paying allocation churn. Only the
-    /// published `pending` matching is freshly allocated (it is handed
-    /// out at the window boundary).
-    scratch: OracleRebuildScratch,
+    /// The window solve. Its buffers persist across windows and the
+    /// published and pending matchings trade buffers with it, so a warm
+    /// window boundary allocates nothing.
+    solve: SlicedComputation,
 }
 
 impl DynamicMatcher {
@@ -100,13 +89,12 @@ impl DynamicMatcher {
             graph: AdjListGraph::new(n),
             params,
             output: Matching::new(n),
-            pending: None,
+            pending: Matching::new(n),
             window_left: 1,
             share: 0,
             seed_counter: 0,
             base_seed: seed,
-            max_degree_seen: 0,
-            scratch: OracleRebuildScratch::new(),
+            solve: SlicedComputation::new(params),
         }
     }
 
@@ -146,21 +134,13 @@ impl DynamicMatcher {
         match update {
             Update::Insert(u, v) => {
                 self.graph.insert_edge(u, v);
-                self.max_degree_seen = self
-                    .max_degree_seen
-                    .max(self.graph.degree(u))
-                    .max(self.graph.degree(v));
             }
             Update::Delete(u, v) => {
                 self.graph.delete_edge(u, v);
                 // Prune the output and the pending matching in O(1).
-                if self.output.mate(u) == Some(v) {
-                    self.output.remove_pair(u);
-                    work += 1;
-                }
-                if let Some(p) = &mut self.pending {
-                    if p.mate(u) == Some(v) {
-                        p.remove_pair(u);
+                for m in [&mut self.output, &mut self.pending] {
+                    if m.mate(u) == Some(v) {
+                        m.remove_pair(u);
                         work += 1;
                     }
                 }
@@ -171,12 +151,10 @@ impl DynamicMatcher {
         let mut swapped = false;
         if self.window_left == 0 {
             // Window boundary: publish the pending matching (already pruned
-            // of in-window deletions), start a fresh computation on the
-            // current graph, and size the next window.
-            if let Some(p) = self.pending.take() {
-                self.output = p;
-            }
-            let static_work = self.start_background();
+            // of in-window deletions), solve afresh on the current graph,
+            // and size the next window.
+            std::mem::swap(&mut self.output, &mut self.pending);
+            let static_work = self.solve_window();
             let window =
                 ((self.params.eps / 4.0) * self.output.len().max(1) as f64).floor() as usize;
             let window = window.max(1);
@@ -195,73 +173,18 @@ impl DynamicMatcher {
         report
     }
 
-    /// Run the static `(1+ε/4)` pipeline on a snapshot of the current
-    /// graph; store the result as pending; return its measured work units.
-    fn start_background(&mut self) -> u64 {
+    /// Run the window solve to completion on the current graph, straight
+    /// off the dynamic adjacency (it implements the oracle), and store the
+    /// result as pending; return its work units. Marking visits only the
+    /// non-isolated vertices — the dynamic structure knows them for free,
+    /// and skipping the rest is what turns the naive O(n·Δ) construction
+    /// cost into the refined O(|MCM|·β·Δ) of Observation 2.10 + Lemma 2.2
+    /// (n' ≤ (β+2)·|MCM|).
+    fn solve_window(&mut self) -> u64 {
         self.seed_counter += 1;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
-            self.base_seed ^ self.seed_counter.wrapping_mul(0x9E3779B97F4A7C15),
-        );
-        let stage_eps = self.params.eps / 4.0;
-        // Stage-ε sparsifier parameters with the caller's Δ-scaling.
-        let n = self.graph.num_vertices();
-        let mut work = 0u64;
-
-        // Sparsify straight off the dynamic adjacency (it implements the
-        // oracle), visiting only non-isolated vertices — the dynamic
-        // structure knows them for free, and skipping the rest is what
-        // turns the naive O(n·Δ) construction cost into the refined
-        // O(|MCM|·β·Δ) of Observation 2.10 + Lemma 2.2 (n' ≤ (β+2)·|MCM|).
-        // Work: one unit per adjacency probe (≤ mark_cap per vertex).
-        // Marking runs through the matcher's persistent scratch buffers;
-        // the overlay only ever grows to the degree high-water mark.
-        self.scratch.clear();
-        self.scratch
-            .sampler
-            .ensure_capacity(self.max_degree_seen.max(1));
-        for v in 0..n {
-            let v = VertexId::new(v);
-            let deg = self.graph.degree(v);
-            if deg == 0 {
-                continue;
-            }
-            sparsimatch_core::sampler::mark_indices_for_vertex(
-                &self.graph,
-                v,
-                self.params.delta,
-                self.params.mark_cap(),
-                &mut self.scratch.sampler,
-                &mut rng,
-                &mut self.scratch.indices,
-            );
-            for &i in &self.scratch.indices {
-                self.scratch
-                    .marks
-                    .push((v, self.graph.neighbor(v, i as usize)));
-            }
-            work += deg.min(self.params.mark_cap()) as u64 + 1;
-        }
-        let mut b = GraphBuilder::with_capacity(n, self.scratch.marks.len());
-        for &(u, v) in &self.scratch.marks {
-            b.add_edge(u, v);
-        }
-        let sparse = b.build();
-        work += sparse.num_edges() as u64;
-
-        // Greedy + bounded augmentation on the sparsifier, reusing the
-        // scratch searcher (identical output and stats to a fresh one —
-        // `reset_from` re-zeroes everything including the work counter).
-        let mut m = greedy_maximal_matching(&sparse);
-        work += sparse.num_edges() as u64;
-        let stats = eliminate_augmenting_paths_up_to_with(
-            &sparse,
-            &mut m,
-            max_path_len_for_eps(stage_eps),
-            &mut self.scratch.searcher,
-        );
-        work += stats.edge_visits;
-
-        self.pending = Some(m);
+        self.solve.start(self.base_seed, self.seed_counter);
+        let work = self.solve.step(&self.graph, u64::MAX);
+        self.solve.swap_result(&mut self.pending);
         work
     }
 
@@ -276,13 +199,13 @@ impl DynamicMatcher {
     }
 }
 
-use rand::SeedableRng;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Update;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use sparsimatch_graph::generators::{clique_union, gnp, path, CliqueUnionConfig};
+    use sparsimatch_graph::ids::VertexId;
     use sparsimatch_matching::blossom::maximum_matching;
 
     fn insert(u: usize, v: usize) -> Update {
@@ -415,5 +338,48 @@ mod tests {
             swaps += r.swapped as u64;
         }
         assert!(swaps > 0, "windows must turn over");
+    }
+
+    #[test]
+    fn stepped_solve_equals_the_eager_window() {
+        // The window solve stepped at any budget gives the matching and
+        // the total work of the matcher's eager window on the same graph.
+        let mut rng = StdRng::seed_from_u64(31);
+        let graphs = [
+            (
+                "clique-union",
+                clique_union(
+                    CliqueUnionConfig {
+                        n: 120,
+                        diversity: 2,
+                        clique_size: 24,
+                    },
+                    &mut rng,
+                ),
+            ),
+            ("gnp", gnp(150, 0.06, &mut rng)),
+            ("path", path(90)),
+            ("empty", AdjListGraph::new(40).to_csr()),
+        ];
+        let params = SparsifierParams::practical(2, 0.5);
+        for (name, g) in &graphs {
+            for seed in [1u64, 7, 99] {
+                let mut dm = DynamicMatcher::new(g.num_vertices(), params, seed);
+                dm.graph = AdjListGraph::from_csr(g);
+                let eager_work = dm.solve_window();
+                for budget in [1, 7, 100, u64::MAX] {
+                    let mut solve = SlicedComputation::new(params);
+                    solve.start(seed, 1);
+                    let mut work = 0;
+                    while !solve.is_done() {
+                        work += solve.step(&dm.graph, budget);
+                    }
+                    let mut stepped = Matching::new(0);
+                    solve.swap_result(&mut stepped);
+                    assert_eq!(stepped, dm.pending, "{name} seed {seed} budget {budget}");
+                    assert_eq!(work, eager_work, "{name} seed {seed} budget {budget}");
+                }
+            }
+        }
     }
 }

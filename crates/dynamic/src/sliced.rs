@@ -1,255 +1,196 @@
-//! A genuinely time-sliced dynamic matcher: the worst-case variant of the
-//! Gupta–Peng scheme with the static computation executed as an explicit
-//! resumable state machine, a bounded quantum of which runs inside each
-//! update.
+//! The one static `(1+ε/4)` window solve of Theorem 3.5, as a resumable
+//! state machine, and the worst-case matcher that interleaves it with
+//! updates.
 //!
-//! [`crate::scheme::DynamicMatcher`] measures the same algorithm by
-//! *attributing* the (eagerly computed) static work evenly over the
-//! window — exact for accounting, but the computation itself is not
-//! interruptible. [`SlicedComputation`] here is: the pipeline
-//! (mark → build → greedy → bounded augmentation) is decomposed into
-//! resumable phases, and [`WorstCaseDynamicMatcher::apply`] advances it
-//! by at most `budget` work units per update. The realized per-update
-//! work is therefore `budget` plus the largest *atomic* quantum (the CSR
-//! layout step and one blossom search are not interruptible mid-flight —
-//! the instruction-level slicing of the theory paper would cut those too,
-//! at no asymptotic gain since both are `O(|E(G_Δ)|)`).
+//! Every Gupta–Peng window (Lemma 3.4) runs one static computation on the
+//! graph as it stood when the window opened: mark the sparsifier, lay it
+//! out, greedy, bounded augmentation. [`SlicedComputation`] is that
+//! computation, advanced by [`SlicedComputation::step`] with a work
+//! budget over any [`AdjacencyOracle`]; its sampler, index and mark
+//! buffers, CSR scratch, matching and blossom searcher persist from one
+//! window to the next. Three matchers run it:
+//!
+//! * [`crate::scheme::DynamicMatcher`] runs it to completion at each
+//!   window boundary over its live adjacency list and *attributes* the
+//!   work evenly over the next window;
+//! * [`WorstCaseDynamicMatcher`] steps it once per update over the
+//!   window's snapshot, so the computation itself is interleaved with the
+//!   updates;
+//! * [`crate::baselines::NaiveRecompute`] runs it to completion after
+//!   every update.
+//!
+//! Work units: `min(deg, cap) + 1` per marking vertex (its adjacency
+//! probes), `|E(G_Δ)|` for the layout, `|E(G_Δ)|` for greedy, and one per
+//! half-edge the augmentation visits. A step overshoots its budget by at
+//! most one atomic quantum — the layout, greedy, one forest phase or one
+//! single-root search, each `O(|E(G_Δ)|)`; the instruction-level slicing
+//! of the theory paper would cut those too, at no asymptotic gain.
 
 use crate::adversary::Update;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::sampler::{mark_indices_for_vertex, PosArraySampler};
+use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
-use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
+use sparsimatch_graph::csr::{CsrGraph, CsrScratch};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::blossom::BlossomSearcher;
-use sparsimatch_matching::bounded_aug::max_path_len_for_eps;
+use sparsimatch_matching::bounded_aug::{max_path_len_for_eps, AugSchedule};
+use sparsimatch_matching::greedy::greedy_maximal_matching_into;
 use sparsimatch_matching::Matching;
 
-/// A resumable static `(1+ε/4)`-matching computation over a snapshot.
+/// A resumable static `(1+ε/4)`-matching computation. See the
+/// [module docs](self).
 pub struct SlicedComputation {
-    snapshot: CsrGraph,
     params: SparsifierParams,
     phase: Phase,
-    marks: Vec<(u32, u32)>,
-    sparse: Option<CsrGraph>,
     rng: StdRng,
-    /// Total work units consumed so far.
-    pub work_done: u64,
+    sampler: PosArraySampler,
+    indices: Vec<u32>,
+    /// Marked edges as `(min << 32) | max` keys, so that sorting them
+    /// sorts the edges.
+    marks: Vec<u64>,
+    csr: CsrScratch,
+    matching: Matching,
+    searcher: BlossomSearcher,
 }
 
 enum Phase {
-    Marking {
-        next_vertex: usize,
-        sampler: PosArraySampler,
-    },
-    Build,
-    Greedy {
-        next_edge: usize,
-        matching: Matching,
-    },
-    Augment {
-        searcher: Box<BlossomSearcher>,
-        cap: u32,
-        max_cap: u32,
-        bulk_exhausted: bool,
-        certify_cursor: usize,
-        certify_progress: bool,
-        last_work: u64,
-    },
-    Done(Matching),
-    Taken,
+    /// Never started.
+    Idle,
+    /// Marking; the next vertex to visit.
+    Mark(usize),
+    Layout,
+    Greedy,
+    Augment(AugSchedule),
+    Done,
 }
 
 impl SlicedComputation {
-    /// Start a computation over a snapshot of the current graph.
-    pub fn new(snapshot: CsrGraph, params: SparsifierParams, seed: u64) -> Self {
-        let max_deg = snapshot.max_degree();
+    /// An idle solve for `params`: it marks with `params.delta` and
+    /// `params.mark_cap()` and augments to `(1+ε/4)`.
+    pub fn new(params: SparsifierParams) -> Self {
         SlicedComputation {
-            snapshot,
             params,
-            phase: Phase::Marking {
-                next_vertex: 0,
-                sampler: PosArraySampler::new(max_deg.max(1)),
-            },
+            phase: Phase::Idle,
+            rng: StdRng::seed_from_u64(0),
+            sampler: PosArraySampler::new(0),
+            indices: Vec::new(),
             marks: Vec::new(),
-            sparse: None,
-            rng: StdRng::seed_from_u64(seed),
-            work_done: 0,
+            csr: CsrScratch::new(),
+            matching: Matching::new(0),
+            searcher: BlossomSearcher::new(&Matching::new(0)),
         }
     }
 
-    /// Is the result ready?
+    /// Start window `window` afresh. Marking draws from one stream seeded
+    /// `base_seed ^ window·0x9E3779B97F4A7C15`, visiting the non-isolated
+    /// vertices in ascending order.
+    pub fn start(&mut self, base_seed: u64, window: u64) {
+        self.rng = StdRng::seed_from_u64(base_seed ^ window.wrapping_mul(0x9E3779B97F4A7C15));
+        self.marks.clear();
+        self.phase = Phase::Mark(0);
+    }
+
+    /// Whether a started solve has yet to finish.
+    pub fn is_running(&self) -> bool {
+        !matches!(self.phase, Phase::Idle | Phase::Done)
+    }
+
+    /// Whether the result is ready.
     pub fn is_done(&self) -> bool {
-        matches!(self.phase, Phase::Done(_))
+        matches!(self.phase, Phase::Done)
     }
 
-    /// Take the finished matching (panics if not done).
-    pub fn take_result(&mut self) -> Matching {
-        match std::mem::replace(&mut self.phase, Phase::Taken) {
-            Phase::Done(m) => m,
-            _ => panic!("take_result before completion"),
-        }
+    /// Swap the finished matching into `out`, handing `out`'s buffer to
+    /// the next window (panics if not done).
+    pub fn swap_result(&mut self, out: &mut Matching) {
+        assert!(self.is_done(), "the window solve has not finished");
+        std::mem::swap(&mut self.matching, out);
     }
 
-    /// Advance by roughly `budget` work units; returns the units actually
-    /// consumed (may exceed the budget by one atomic quantum).
-    pub fn step(&mut self, budget: u64) -> u64 {
+    /// Advance over `g` by about `budget` work units and return the units
+    /// spent, which exceed the budget by at most one atomic quantum. Every
+    /// step of one solve must see the same graph. `u64::MAX` runs the
+    /// solve to completion, and the total is the same at any budget.
+    pub fn step(&mut self, g: &impl AdjacencyOracle, budget: u64) -> u64 {
         let mut spent = 0u64;
         while spent < budget {
             match &mut self.phase {
-                Phase::Marking {
-                    next_vertex,
-                    sampler,
-                } => {
-                    let n = self.snapshot.num_vertices();
-                    if *next_vertex >= n {
-                        self.phase = Phase::Build;
+                Phase::Idle | Phase::Done => break,
+                Phase::Mark(next) => {
+                    let v = *next;
+                    if v == g.num_vertices() {
+                        self.phase = Phase::Layout;
                         continue;
                     }
-                    let v = VertexId::new(*next_vertex);
-                    *next_vertex += 1;
-                    let deg = self.snapshot.degree(v);
+                    *next += 1;
+                    let vid = VertexId::new(v);
+                    let deg = g.degree(vid);
                     if deg == 0 {
-                        continue; // isolated vertices are free to skip
+                        continue;
                     }
-                    let mut indices = Vec::new();
+                    let cap = self.params.mark_cap();
+                    self.sampler.ensure_capacity(deg);
                     mark_indices_for_vertex(
-                        &self.snapshot,
-                        v,
+                        g,
+                        vid,
                         self.params.delta,
-                        self.params.mark_cap(),
-                        sampler,
+                        cap,
+                        &mut self.sampler,
                         &mut self.rng,
-                        &mut indices,
+                        &mut self.indices,
                     );
-                    for &i in &indices {
-                        self.marks
-                            .push((v.0, self.snapshot.neighbor(v, i as usize).0));
+                    for &i in &self.indices {
+                        let w = u64::from(g.neighbor(vid, i as usize).0);
+                        let v = v as u64;
+                        self.marks.push((v.min(w) << 32) | v.max(w));
                     }
-                    spent += deg.min(self.params.mark_cap()) as u64 + 1;
+                    spent += deg.min(cap) as u64 + 1;
                 }
-                Phase::Build => {
-                    // Atomic quantum: lay out the sparsifier CSR.
-                    let mut b =
-                        GraphBuilder::with_capacity(self.snapshot.num_vertices(), self.marks.len());
-                    for &(u, v) in &self.marks {
-                        b.add_edge(VertexId(u), VertexId(v));
-                    }
-                    let sparse = b.build();
-                    spent += self.marks.len() as u64 + 1;
-                    self.marks.clear();
-                    let matching = Matching::new(sparse.num_vertices());
-                    self.sparse = Some(sparse);
-                    self.phase = Phase::Greedy {
-                        next_edge: 0,
-                        matching,
-                    };
+                Phase::Layout => {
+                    self.marks.sort_unstable();
+                    self.marks.dedup();
+                    let marks = &self.marks;
+                    let sparse = self.csr.rebuild_with(g.num_vertices(), |edges| {
+                        edges.extend(marks.iter().map(|&k| ((k >> 32) as u32, k as u32)));
+                    });
+                    spent += sparse.num_edges() as u64;
+                    self.phase = Phase::Greedy;
                 }
-                Phase::Greedy {
-                    next_edge,
-                    matching,
-                } => {
-                    let sparse = self.sparse.as_ref().expect("built");
-                    let m = sparse.num_edges();
-                    let end = (*next_edge + (budget - spent) as usize).min(m);
-                    for e in *next_edge..end {
-                        let (u, v) = sparse.edge_endpoints(sparsimatch_graph::ids::EdgeId::new(e));
-                        matching.add_pair(u, v);
-                    }
-                    spent += (end - *next_edge) as u64;
-                    *next_edge = end;
-                    if *next_edge >= m {
-                        let stage_eps = self.params.eps / 4.0;
-                        let max_cap = max_path_len_for_eps(stage_eps) as u32;
-                        let searcher = Box::new(BlossomSearcher::new(matching));
-                        self.phase = Phase::Augment {
-                            last_work: searcher.work(),
-                            searcher,
-                            cap: 1,
-                            max_cap,
-                            bulk_exhausted: false,
-                            certify_cursor: 0,
-                            certify_progress: false,
-                        };
-                    }
+                Phase::Greedy => {
+                    let sparse = self.csr.graph();
+                    greedy_maximal_matching_into(sparse, &mut self.matching);
+                    spent += sparse.num_edges() as u64;
+                    self.searcher.reset_from(&self.matching);
+                    let max_len = max_path_len_for_eps(self.params.eps / 4.0);
+                    self.phase = Phase::Augment(AugSchedule::new(max_len));
                 }
-                Phase::Augment {
-                    searcher,
-                    cap,
-                    max_cap,
-                    bulk_exhausted,
-                    certify_cursor,
-                    certify_progress,
-                    last_work,
-                } => {
-                    let sparse = self.sparse.as_ref().expect("built");
-                    if !*bulk_exhausted {
-                        // One multi-source forest search = one quantum.
-                        let found = searcher.try_augment_any(sparse, *cap);
-                        let w = searcher.work();
-                        spent += w - *last_work + 1;
-                        *last_work = w;
-                        if !found {
-                            if *cap >= *max_cap {
-                                *bulk_exhausted = true;
-                            } else {
-                                *cap += 2;
-                            }
-                        }
-                    } else {
-                        // Certification sweep: one single-root search per
-                        // quantum.
-                        let n = sparse.num_vertices();
-                        while *certify_cursor < n {
-                            let v = VertexId::new(*certify_cursor);
-                            if !searcher.is_free_vertex(v) || sparse.degree(v) == 0 {
-                                *certify_cursor += 1;
-                                continue;
-                            }
-                            break;
-                        }
-                        if *certify_cursor >= n {
-                            if *certify_progress {
-                                *certify_cursor = 0;
-                                *certify_progress = false;
-                                continue;
-                            }
-                            let m = std::mem::replace(
-                                searcher,
-                                Box::new(BlossomSearcher::new(&Matching::new(0))),
-                            )
-                            .into_matching();
-                            self.phase = Phase::Done(m);
-                            continue;
-                        }
-                        let v = VertexId::new(*certify_cursor);
-                        *certify_cursor += 1;
-                        if searcher.try_augment(sparse, v, *max_cap) {
-                            *certify_progress = true;
-                        }
-                        let w = searcher.work();
-                        spent += w - *last_work + 1;
-                        *last_work = w;
+                Phase::Augment(schedule) => {
+                    let before = self.searcher.work();
+                    if !schedule.step(self.csr.graph(), &mut self.searcher) {
+                        self.searcher.write_matching_into(&mut self.matching);
+                        self.phase = Phase::Done;
                     }
+                    spent += self.searcher.work() - before;
                 }
-                Phase::Done(_) | Phase::Taken => break,
             }
         }
-        self.work_done += spent;
         spent
     }
 }
 
 /// The worst-case dynamic matcher: identical guarantees to
-/// [`crate::scheme::DynamicMatcher`], but the background computation is
-/// physically interleaved with updates via [`SlicedComputation`].
+/// [`crate::scheme::DynamicMatcher`], but the window solve runs a budget
+/// of work inside every update instead of all at the window boundary.
 pub struct WorstCaseDynamicMatcher {
     graph: AdjListGraph,
     params: SparsifierParams,
     output: Matching,
-    computation: Option<SlicedComputation>,
+    /// The graph as it stood when the running solve's window opened.
+    snapshot: CsrGraph,
+    solve: SlicedComputation,
     /// Deletions recorded during the current window (pruned from the
     /// pending result at publish time, O(1) each).
     window_deletions: Vec<(VertexId, VertexId)>,
@@ -262,11 +203,13 @@ pub struct WorstCaseDynamicMatcher {
 impl WorstCaseDynamicMatcher {
     /// A matcher over `n` vertices, initially edgeless.
     pub fn new(n: usize, params: SparsifierParams, seed: u64) -> Self {
+        let graph = AdjListGraph::new(n);
         WorstCaseDynamicMatcher {
-            graph: AdjListGraph::new(n),
+            snapshot: graph.to_csr(),
+            graph,
             params,
             output: Matching::new(n),
-            computation: None,
+            solve: SlicedComputation::new(params),
             window_deletions: Vec::new(),
             window_left: 1,
             budget: 1,
@@ -306,52 +249,42 @@ impl WorstCaseDynamicMatcher {
                 self.window_deletions.push((u, v));
             }
         }
-        // Advance the background computation by one quantum budget.
-        if let Some(c) = &mut self.computation {
-            work += c.step(self.budget);
-        }
+        // Advance the window solve by one quantum budget.
+        work += self.solve.step(&self.snapshot, self.budget);
         self.window_left = self.window_left.saturating_sub(1);
-        if self.window_left == 0 {
-            let finished = self.computation.as_ref().is_some_and(|c| c.is_done());
-            if self.computation.is_none() || finished {
-                // Publish (if there is something to publish) and restart.
-                if finished {
-                    let mut fresh = self.computation.take().unwrap().take_result();
-                    for &(u, v) in &self.window_deletions {
-                        if fresh.mate(u) == Some(v) {
-                            fresh.remove_pair(u);
-                            work += 1;
-                        }
+        // A solve still running at the window's end keeps serving the
+        // stale matching for another beat (Lemma 3.4 absorbs the slack;
+        // with the theory budget this does not happen asymptotically).
+        if self.window_left == 0 && !self.solve.is_running() {
+            // Publish (if there is something to publish) and restart.
+            if self.solve.is_done() {
+                self.solve.swap_result(&mut self.output);
+                for &(u, v) in &self.window_deletions {
+                    if self.output.mate(u) == Some(v) {
+                        self.output.remove_pair(u);
+                        work += 1;
                     }
-                    self.output = fresh;
                 }
-                self.window_deletions.clear();
-                self.start_window();
             }
-            // else: computation still running — serve the stale matching
-            // for another beat (Lemma 3.4 absorbs the slack; with the
-            // theory budget this does not happen asymptotically).
+            self.window_deletions.clear();
+            self.start_window();
         }
         work
     }
 
     fn start_window(&mut self) {
         self.seed_counter += 1;
-        let snapshot = self.graph.to_csr();
+        self.snapshot = self.graph.to_csr();
         // Estimated static work: marking + sparsifier + augmentation,
         // all O(|E(G_Δ)|/ε) with |E(G_Δ)| ≤ naive n'·cap; window is the
         // Gupta–Peng ε/4·|M| length. The ratio is the Theorem 3.5 budget.
         let window =
             (((self.params.eps / 4.0) * self.output.len().max(1) as f64).floor() as usize).max(1);
-        let non_isolated = snapshot.num_non_isolated().max(1);
+        let non_isolated = self.snapshot.num_non_isolated().max(1);
         let est_sparse = (non_isolated * self.params.mark_cap()).max(1) as u64;
         let est_work = est_sparse * (2 + (8.0 / self.params.eps) as u64);
         self.budget = est_work.div_ceil(window as u64).max(1);
-        self.computation = Some(SlicedComputation::new(
-            snapshot,
-            self.params,
-            self.base_seed ^ self.seed_counter.wrapping_mul(0x9E3779B97F4A7C15),
-        ));
+        self.solve.start(self.base_seed, self.seed_counter);
         self.window_left = window;
     }
 }
@@ -379,15 +312,17 @@ mod tests {
             &mut rng,
         );
         let params = SparsifierParams::practical(2, 0.4);
-        let mut c = SlicedComputation::new(g.clone(), params, 5);
+        let mut c = SlicedComputation::new(params);
+        c.start(5, 1);
         // Drive with a small budget so every phase gets sliced repeatedly.
         let mut steps = 0;
         while !c.is_done() {
-            c.step(50);
+            c.step(&g, 50);
             steps += 1;
             assert!(steps < 1_000_000, "computation must terminate");
         }
-        let m = c.take_result();
+        let mut m = Matching::new(0);
+        c.swap_result(&mut m);
         assert!(m.is_valid_for(&g));
         let exact = maximum_matching(&g).len();
         assert!(
@@ -410,10 +345,11 @@ mod tests {
             &mut rng,
         );
         let params = SparsifierParams::practical(2, 0.5);
-        let mut c = SlicedComputation::new(g.clone(), params, 7);
+        let mut c = SlicedComputation::new(params);
+        c.start(7, 1);
         let sparse_bound = (g.num_non_isolated() * params.mark_cap()) as u64;
         while !c.is_done() {
-            let spent = c.step(100);
+            let spent = c.step(&g, 100);
             // One atomic quantum is at most ~the sparsifier size.
             assert!(
                 spent <= 100 + 2 * sparse_bound,

@@ -225,16 +225,6 @@ impl BlossomSearcher {
         false
     }
 
-    /// Multi-source (forest) variant: grow alternating trees from *all*
-    /// free vertices simultaneously, with per-tree depth cap `cap`, and
-    /// flip the first augmenting path found. Equivalent to
-    /// `augment_phase` stopped after one flip; kept for callers (the
-    /// dynamic scheme's budget loop) that meter work one augmentation at
-    /// a time.
-    pub fn try_augment_any(&mut self, g: &CsrGraph, cap: u32) -> bool {
-        self.augment_phase_limited(g, cap, 1) > 0
-    }
-
     /// One Hopcroft–Karp-shaped forest *phase*: grow alternating trees
     /// from all free vertices, and whenever a cross-tree even–even edge
     /// closes an augmenting path, flip it, retire the two trees it
@@ -245,10 +235,6 @@ impl BlossomSearcher {
     /// strand odd vertices it had claimed, so a phase is not guaranteed
     /// maximal; callers re-run until a phase returns 0.)
     pub fn augment_phase(&mut self, g: &CsrGraph, cap: u32) -> usize {
-        self.augment_phase_limited(g, cap, usize::MAX)
-    }
-
-    fn augment_phase_limited(&mut self, g: &CsrGraph, cap: u32, max_flips: usize) -> usize {
         let n = g.num_vertices();
         self.parent.iter_mut().for_each(|p| *p = NONE);
         self.even.clear_all();
@@ -316,9 +302,6 @@ impl BlossomSearcher {
                         self.retired.set(rv as usize);
                         self.retired.set(rto as usize);
                         flipped += 1;
-                        if flipped >= max_flips {
-                            return flipped;
-                        }
                         // v's own tree is retired: stop expanding it.
                         continue 'scan;
                     }
@@ -591,7 +574,7 @@ mod tests {
         let init = crate::greedy::greedy_maximal_matching(&g);
         let mut recycled = BlossomSearcher::new(&Matching::new(3));
         // Dirty the recycled searcher on an unrelated graph first.
-        recycled.try_augment_any(&path(3), u32::MAX);
+        recycled.augment_phase(&path(3), u32::MAX);
         recycled.reset_from(&init);
         let mut fresh = BlossomSearcher::new(&init);
         for v in 0..9u32 {
@@ -621,10 +604,6 @@ mod tests {
         assert_eq!(s.augment_phase(&g, 1), 5);
         assert_eq!(s.matching_size(), 5);
         assert_eq!(s.augment_phase(&g, u32::MAX), 0, "already maximum");
-        // try_augment_any stays the single-flip variant.
-        let mut one = BlossomSearcher::new(&Matching::new(10));
-        assert!(one.try_augment_any(&g, 1));
-        assert_eq!(one.matching_size(), 1);
     }
 
     #[test]

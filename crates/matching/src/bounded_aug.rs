@@ -12,7 +12,8 @@
 //! maximal matching. Each successful search augments (so there are at most
 //! `|MCM|` successes overall) and each failed search at cap `2k−1`
 //! certifies no short path starts at that root. A final full sweep at the
-//! target cap with no successes certifies the guarantee.
+//! target cap with no successes certifies the guarantee. [`AugSchedule`]
+//! is that schedule one search at a time.
 
 use crate::blossom::BlossomSearcher;
 use crate::greedy::greedy_maximal_matching;
@@ -89,53 +90,110 @@ pub fn eliminate_augmenting_paths_up_to_with(
     max_len: usize,
     searcher: &mut BlossomSearcher,
 ) -> AugStats {
-    assert!(max_len % 2 == 1, "augmenting paths have odd length");
-    let mut stats = AugStats::default();
     searcher.reset_from(m);
-    let max_cap = max_len as u32;
-    // Bulk phase: multi-source forest phases, shortest caps first (the
-    // Hopcroft–Karp schedule). Each phase costs O(m) and flips a set of
-    // vertex-disjoint augmenting paths at once, so the bulk cost is
-    // O(phases·m) rather than one full forest search per augmentation —
-    // the difference between milliseconds and seconds on families where
-    // the sparsifier stays dense and greedy leaves many free vertices
-    // (e.g. clique-union).
-    let mut cap = 1u32;
-    loop {
-        stats.searches += 1;
-        let flips = searcher.augment_phase(g, cap);
-        if flips > 0 {
-            stats.augmentations += flips;
-        } else if cap >= max_cap {
-            break;
-        } else {
-            cap += 2;
-        }
-    }
-    // Certification sweep: the capped forest search can, in rare blossom
-    // configurations, miss a short path blocked by another tree's odd
-    // claim. Re-check every free vertex with a dedicated single-root
-    // search; loop until a full sweep is clean.
-    loop {
-        let mut progressed = false;
-        for v in 0..g.num_vertices() as u32 {
-            let v = VertexId(v);
-            if g.degree(v) == 0 || !searcher.is_free_vertex(v) {
-                continue;
-            }
-            stats.searches += 1;
-            if searcher.try_augment(g, v, max_cap) {
-                stats.augmentations += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    stats.edge_visits = searcher.work();
+    let mut schedule = AugSchedule::new(max_len);
+    while schedule.step(g, searcher) {}
     searcher.write_matching_into(m);
-    stats
+    schedule.stats()
+}
+
+/// The phase schedule of [`eliminate_augmenting_paths_up_to_with`], one
+/// search at a time, for callers that spread the augmentation over a
+/// work budget.
+///
+/// Bulk phase: multi-source forest phases, shortest caps first (the
+/// Hopcroft–Karp schedule). Each phase costs O(m) and flips a set of
+/// vertex-disjoint augmenting paths at once, so the bulk cost is
+/// O(phases·m) rather than one full forest search per augmentation —
+/// the difference between milliseconds and seconds on families where
+/// the sparsifier stays dense and greedy leaves many free vertices
+/// (e.g. clique-union). A cap advances once a phase at it flips nothing.
+///
+/// Certification sweep: the capped forest search can, in rare blossom
+/// configurations, miss a short path blocked by another tree's odd
+/// claim. Every free vertex is re-checked with a dedicated single-root
+/// search, and the sweep repeats until a full pass is clean.
+#[derive(Debug)]
+pub struct AugSchedule {
+    max_cap: u32,
+    stage: Stage,
+    stats: AugStats,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Stage {
+    /// The next forest phase runs at this cap.
+    Bulk(u32),
+    /// The sweep's next root candidate, and whether this pass augmented.
+    Certify {
+        next: u32,
+        progressed: bool,
+    },
+    Done,
+}
+
+/// A certification pass from the first vertex.
+const SWEEP: Stage = Stage::Certify {
+    next: 0,
+    progressed: false,
+};
+
+impl AugSchedule {
+    /// A schedule ending with no augmenting path of length ≤ `max_len`
+    /// (odd), to run on a searcher just reset from the starting matching.
+    pub fn new(max_len: usize) -> Self {
+        assert!(max_len % 2 == 1, "augmenting paths have odd length");
+        AugSchedule {
+            max_cap: max_len as u32,
+            stage: Stage::Bulk(1),
+            stats: AugStats::default(),
+        }
+    }
+
+    /// Run the schedule's next search on `searcher` over `g`. Returns
+    /// `false`, running nothing, once the schedule is complete; the
+    /// searcher then holds the result.
+    pub fn step(&mut self, g: &CsrGraph, searcher: &mut BlossomSearcher) -> bool {
+        loop {
+            match self.stage {
+                Stage::Bulk(cap) => {
+                    let flips = searcher.augment_phase(g, cap);
+                    self.stats.augmentations += flips;
+                    if flips == 0 {
+                        self.stage = if cap >= self.max_cap {
+                            SWEEP
+                        } else {
+                            Stage::Bulk(cap + 2)
+                        };
+                    }
+                }
+                Stage::Certify { next, progressed } => {
+                    let root = (next..g.num_vertices() as u32)
+                        .map(VertexId)
+                        .find(|&v| g.degree(v) > 0 && searcher.is_free_vertex(v));
+                    let Some(root) = root else {
+                        self.stage = if progressed { SWEEP } else { Stage::Done };
+                        continue;
+                    };
+                    let found = searcher.try_augment(g, root, self.max_cap);
+                    self.stats.augmentations += usize::from(found);
+                    self.stage = Stage::Certify {
+                        next: root.0 + 1,
+                        progressed: progressed || found,
+                    };
+                }
+                Stage::Done => return false,
+            }
+            self.stats.searches += 1;
+            self.stats.edge_visits = searcher.work();
+            return true;
+        }
+    }
+
+    /// Searches, augmentations and edge visits so far.
+    pub fn stats(&self) -> AugStats {
+        self.stats
+    }
 }
 
 #[cfg(test)]
