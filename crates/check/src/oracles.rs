@@ -11,7 +11,9 @@
 //! * **dynamic** — the Theorem 3.5 window scheme replayed against a full
 //!   recompute (exact blossom on a reference graph) at periodic audits,
 //!   plus validity of the served matching at every audit and the
-//!   per-update work cap.
+//!   per-update work cap; the same stream replayed through the
+//!   worst-case matcher, whose window solve runs a budget per update,
+//!   must serve a valid matching at the same audits.
 //! * **distsim** — the Theorem 3.2/3.3 distributed pipeline vs the
 //!   sequential pipeline on the same seed, zero-fault transparency (the
 //!   faulty exchange loop under a plan that never fires reproduces the
@@ -76,6 +78,7 @@ use sparsimatch_distsim::algorithms::sparsify::{
 use sparsimatch_distsim::{FaultPlan, FaultRates, Network, ResilienceParams};
 use sparsimatch_dynamic::adversary::Update;
 use sparsimatch_dynamic::scheme::DynamicMatcher;
+use sparsimatch_dynamic::sliced::WorstCaseDynamicMatcher;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::analysis::arboricity::arboricity_bounds;
 use sparsimatch_graph::analysis::independence::neighborhood_independence_at_most;
@@ -327,22 +330,32 @@ fn check_static(
 }
 
 fn check_dynamic(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
+    check_window_scheme(inst, cfg).or_else(|| check_sliced(inst))
+}
+
+/// Whether update `i` of `inst`'s stream is followed by an audit.
+fn is_audit_point(inst: &CheckInstance, i: usize) -> bool {
+    i + 1 == inst.updates.len() || (i + 1).is_multiple_of(DYNAMIC_AUDIT_PERIOD)
+}
+
+/// Apply `update` to the reference graph, maintained the boring way.
+fn apply_to_reference(reference: &mut AdjListGraph, update: Update) {
+    match update {
+        Update::Insert(u, v) => reference.insert_edge(u, v),
+        Update::Delete(u, v) => reference.delete_edge(u, v),
+    };
+}
+
+fn check_window_scheme(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
     let params = inst.params();
     let bound = inst.ratio_bound(cfg);
     let mut matcher = DynamicMatcher::new(inst.n, params, inst.algo_seed);
     let work_cap = 4 * matcher.work_bound();
-    // Reference graph maintained the boring way; `maximum_matching` on its
-    // snapshots is the full-recompute oracle.
+    // `maximum_matching` on the reference graph's snapshots is the
+    // full-recompute oracle.
     let mut reference = AdjListGraph::new(inst.n);
     for (i, &update) in inst.updates.iter().enumerate() {
-        match update {
-            Update::Insert(u, v) => {
-                reference.insert_edge(u, v);
-            }
-            Update::Delete(u, v) => {
-                reference.delete_edge(u, v);
-            }
-        }
+        apply_to_reference(&mut reference, update);
         let report = matcher.apply(update);
         if report.work > work_cap {
             return Some(Violation::new(
@@ -354,8 +367,7 @@ fn check_dynamic(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
                 ),
             ));
         }
-        let last = i + 1 == inst.updates.len();
-        if last || (i + 1) % DYNAMIC_AUDIT_PERIOD == 0 {
+        if is_audit_point(inst, i) {
             let snapshot = reference.to_csr();
             if !matcher.matching().is_valid_for(&snapshot) {
                 return Some(Violation::new(
@@ -374,6 +386,25 @@ fn check_dynamic(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
                     ),
                 ));
             }
+        }
+    }
+    None
+}
+
+/// The recorded stream replayed through the worst-case matcher: the
+/// served matching must be a matching of the current graph at every audit
+/// point of [`check_window_scheme`].
+fn check_sliced(inst: &CheckInstance) -> Option<Violation> {
+    let mut matcher = WorstCaseDynamicMatcher::new(inst.n, inst.params(), inst.algo_seed);
+    let mut reference = AdjListGraph::new(inst.n);
+    for (i, &update) in inst.updates.iter().enumerate() {
+        apply_to_reference(&mut reference, update);
+        matcher.apply(update);
+        if is_audit_point(inst, i) && !matcher.matching().is_valid_for(&reference.to_csr()) {
+            return Some(Violation::new(
+                "sliced-validity",
+                format!("worst-case matcher's served matching invalid after update {i}"),
+            ));
         }
     }
     None

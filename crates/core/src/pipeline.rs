@@ -257,8 +257,11 @@ fn approx_mcm_via_sparsifier_impl(
     Ok(())
 }
 
-/// The same pipeline on a pre-built sparsifier (used by the dynamic
-/// scheme, which rebuilds the sparsifier itself under a work budget).
+/// The match stage alone on a sparsifier built elsewhere: greedy
+/// initialization plus bounded augmentation at `eps`. Used where the
+/// subgraph does not come from the in-memory mark and extract stages:
+/// MPC's coordinator, the streamed build, the EDCS backend and the
+/// one-pass streaming matcher.
 pub fn approx_mcm_on_sparsifier(sparse: &CsrGraph, eps: f64) -> (Matching, AugStats) {
     let init = greedy_maximal_matching(sparse);
     approx_maximum_matching_from(sparse, init, eps)

@@ -16,7 +16,8 @@ pub struct RunSummary {
     pub max_work: u64,
     /// Mean work per update.
     pub avg_work: f64,
-    /// 99th-percentile work.
+    /// 99th-percentile work: the sorted sample at rank
+    /// `round(0.99·(updates − 1))`, the experiment tables' quantile rule.
     pub p99_work: u64,
     /// Worst audited ratio `|MCM(G_t)| / |M_t|` across audit points
     /// (1.0 when the graph was empty at every audit).
@@ -69,7 +70,7 @@ fn summarize(mut works: Vec<u64>, worst_ratio: f64, audits: usize) -> RunSummary
         updates,
         max_work: *works.last().unwrap(),
         avg_work: total as f64 / updates as f64,
-        p99_work: works[(updates * 99 / 100).min(updates - 1)],
+        p99_work: works[((updates - 1) as f64 * 0.99).round() as usize],
         worst_ratio,
         audits,
     }
@@ -134,6 +135,13 @@ mod tests {
         assert!((s.avg_work - 22.2).abs() < 1e-9);
         assert_eq!(s.updates, 5);
         assert_eq!(s.worst_ratio, 1.25);
+    }
+
+    #[test]
+    fn p99_is_not_the_maximum_of_a_hundred() {
+        let s = summarize((1..=100).rev().collect(), 1.0, 0);
+        assert_eq!(s.max_work, 100);
+        assert_eq!(s.p99_work, 99);
     }
 
     #[test]

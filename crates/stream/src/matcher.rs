@@ -3,11 +3,9 @@
 use crate::reservoir::EdgeReservoir;
 use rand::Rng;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::pipeline::stage_eps;
+use sparsimatch_core::pipeline::{approx_mcm_on_sparsifier, stage_eps};
 use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
 use sparsimatch_graph::ids::VertexId;
-use sparsimatch_matching::bounded_aug::approx_maximum_matching_from;
-use sparsimatch_matching::greedy::greedy_maximal_matching;
 use sparsimatch_matching::Matching;
 use sparsimatch_obs::{keys, WorkMeter};
 
@@ -108,8 +106,7 @@ impl StreamingSparsifierMatcher {
             edges_seen: self.edges_seen,
             edges_retained: sparse.num_edges(),
         };
-        let init = greedy_maximal_matching(&sparse);
-        let (m, _) = approx_maximum_matching_from(&sparse, init, stage_eps(self.params.eps));
+        let (m, _) = approx_mcm_on_sparsifier(&sparse, stage_eps(self.params.eps));
         (m, stats)
     }
 }
