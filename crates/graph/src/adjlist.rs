@@ -5,10 +5,11 @@
 //! supports both in O(1) expected time (hash-indexed positions +
 //! `swap_remove`), exposes the same adjacency-array queries as
 //! [`csr::CsrGraph`](crate::csr::CsrGraph) (so the sparsifier sampler runs on it
-//! unchanged), and can snapshot to CSR for exact audits.
+//! unchanged), loads from a CSR graph in one pass, and snapshots back to
+//! CSR for solves and exact audits.
 
 use crate::adjacency::AdjacencyOracle;
-use crate::csr::{CsrGraph, GraphBuilder};
+use crate::csr::{from_sorted_edges, CsrGraph, CsrScratch};
 use crate::ids::VertexId;
 use std::collections::HashMap;
 
@@ -31,13 +32,27 @@ impl AdjListGraph {
         }
     }
 
-    /// Start from an existing static graph.
+    /// Start from an existing static graph, in one pass: each vertex's
+    /// list copies its CSR neighbour window, and the position map is
+    /// sized for every edge up front. Inserting `g.edges()` one at a time
+    /// gives the same lists, because the edges arrive lex-sorted: a
+    /// vertex's lower neighbours precede its higher ones, each group in
+    /// ascending order, as in the window. So an edge's position in each
+    /// endpoint's list is the number of that endpoint's edges seen before
+    /// it.
     pub fn from_csr(g: &CsrGraph) -> Self {
-        let mut out = AdjListGraph::new(g.num_vertices());
+        let n = g.num_vertices();
+        let adj = (0..n)
+            .map(|v| g.neighbors(VertexId::new(v)).map(|w| w.0).collect())
+            .collect();
+        let mut positions = HashMap::with_capacity(g.num_edges());
+        let mut seen = vec![0u32; n];
         for (_, u, v) in g.edges() {
-            out.insert_edge(u, v);
+            positions.insert((u.0, v.0), (seen[u.index()], seen[v.index()]));
+            seen[u.index()] += 1;
+            seen[v.index()] += 1;
         }
-        out
+        AdjListGraph { adj, positions }
     }
 
     /// Number of vertices.
@@ -64,13 +79,6 @@ impl AdjListGraph {
     /// Neighbors of `v` in arbitrary (insertion-perturbed) order.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         self.adj[v.index()].iter().map(|&t| VertexId(t))
-    }
-
-    /// All undirected edges `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.positions
-            .keys()
-            .map(|&(u, v)| (VertexId(u), VertexId(v)))
     }
 
     /// Resident heap footprint of the graph, in bytes.
@@ -155,13 +163,28 @@ impl AdjListGraph {
         }
     }
 
-    /// Snapshot into an immutable CSR graph (O(n + m)).
+    /// Snapshot into an immutable CSR graph, byte-identical to a
+    /// [`GraphBuilder`](crate::csr::GraphBuilder) build of the same edges.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_capacity(self.num_vertices(), self.num_edges());
-        for (u, v) in self.edges() {
-            b.add_edge(u, v);
+        let mut edges = Vec::with_capacity(self.num_edges());
+        self.push_sorted_edges(&mut edges);
+        from_sorted_edges(self.num_vertices(), edges)
+    }
+
+    /// [`AdjListGraph::to_csr`] into `scratch`'s buffers, reusing their
+    /// capacity.
+    pub fn to_csr_in<'s>(&self, scratch: &'s mut CsrScratch) -> &'s CsrGraph {
+        scratch.rebuild_with(self.num_vertices(), |edges| self.push_sorted_edges(edges))
+    }
+
+    /// Push every edge `(u, v)`, `u < v`, in lex order: each vertex's
+    /// higher-id neighbours, sorted, vertex by vertex.
+    fn push_sorted_edges(&self, edges: &mut Vec<(u32, u32)>) {
+        for (u, list) in (0u32..).zip(&self.adj) {
+            let start = edges.len();
+            edges.extend(list.iter().filter(|&&w| w > u).map(|&w| (u, w)));
+            edges[start..].sort_unstable_by_key(|&(_, w)| w);
         }
-        b.build()
     }
 }
 

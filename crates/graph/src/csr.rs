@@ -439,10 +439,14 @@ impl CsrGraph {
 /// Size a half-edge array to `len` slots for the scatter, which writes
 /// every slot: a buffer with room keeps its stale contents, and one
 /// without is replaced by fresh zeroed memory rather than grown, so
-/// stale contents are never copied.
+/// stale contents are never copied. A buffer in use at least doubles, as
+/// a `Vec` grows, so a scratch rebuilt over a slowly growing graph (a
+/// dynamic matcher's window solve under churn) reallocates a logarithmic
+/// number of times rather than at every new maximum.
 fn scatter_target(buf: &mut Vec<u32>, len: usize) {
     if buf.capacity() < len {
-        *buf = vec![0; len];
+        *buf = vec![0; len.max(2 * buf.capacity())];
+        buf.truncate(len);
     } else {
         buf.truncate(len);
         buf.resize(len, 0);

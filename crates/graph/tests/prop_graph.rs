@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy, max_density};
-use sparsimatch_graph::csr::from_edges;
+use sparsimatch_graph::csr::{from_edges, GraphBuilder};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::sparse_array::SparseArray;
 use std::collections::HashSet;
@@ -12,6 +12,17 @@ const N: usize = 24;
 
 fn arb_edges() -> impl Strategy<Value = Vec<(usize, usize)>> {
     proptest::collection::vec((0..N, 0..N), 0..120)
+}
+
+/// Churn: `(insert?, u, v)` updates.
+fn arb_churn() -> impl Strategy<Value = Vec<(bool, usize, usize)>> {
+    proptest::collection::vec((any::<bool>(), 0..N, 0..N), 0..160)
+}
+
+fn adj_lists(g: &AdjListGraph) -> Vec<Vec<u32>> {
+    (0..g.num_vertices())
+        .map(|v| g.neighbors(VertexId::new(v)).map(|w| w.0).collect())
+        .collect()
 }
 
 #[derive(Clone, Debug)]
@@ -105,6 +116,57 @@ proptest! {
         prop_assert_eq!(g.num_edges(), model.len());
         let csr = g.to_csr();
         prop_assert_eq!(csr.num_edges(), model.len());
+    }
+
+    #[test]
+    fn adjlist_loader_and_snapshot_match_the_insert_path(
+        edges in arb_edges(),
+        churn in arb_churn(),
+        deletions in arb_edges(),
+    ) {
+        // A random graph, then random insert/delete churn.
+        let mut g = AdjListGraph::new(N);
+        let mut model: HashSet<(u32, u32)> = HashSet::new();
+        let updates = edges.into_iter().map(|(u, v)| (true, u, v)).chain(churn);
+        for (insert, u, v) in updates {
+            let (u, v) = (VertexId::new(u), VertexId::new(v));
+            let key = (u.0.min(v.0), u.0.max(v.0));
+            if insert {
+                prop_assert_eq!(g.insert_edge(u, v), u != v && model.insert(key));
+            } else {
+                prop_assert_eq!(g.delete_edge(u, v), model.remove(&key));
+            }
+        }
+        // The snapshot equals a builder build of the same edges, array for
+        // array.
+        let mut b = GraphBuilder::new(N);
+        for &(u, v) in &model {
+            b.add_edge(VertexId(u), VertexId(v));
+        }
+        let csr = g.to_csr();
+        prop_assert_eq!(&csr, &b.build());
+        // Loading the snapshot gives the lists that inserting its edges
+        // one at a time gives ...
+        let mut loaded = AdjListGraph::from_csr(&csr);
+        let mut inserted = AdjListGraph::new(N);
+        for (_, u, v) in csr.edges() {
+            inserted.insert_edge(u, v);
+        }
+        prop_assert_eq!(adj_lists(&loaded), adj_lists(&inserted));
+        prop_assert_eq!(loaded.num_edges(), inserted.num_edges());
+        // ... and every query and deletion answers alike afterwards.
+        for u in 0..N as u32 {
+            for v in 0..N as u32 {
+                let (u, v) = (VertexId(u), VertexId(v));
+                prop_assert_eq!(loaded.has_edge(u, v), inserted.has_edge(u, v));
+            }
+        }
+        for (u, v) in deletions {
+            let (u, v) = (VertexId::new(u), VertexId::new(v));
+            prop_assert_eq!(loaded.delete_edge(u, v), inserted.delete_edge(u, v));
+            prop_assert_eq!(adj_lists(&loaded), adj_lists(&inserted));
+        }
+        prop_assert_eq!(loaded.to_csr(), inserted.to_csr());
     }
 
     #[test]
