@@ -222,6 +222,9 @@ pub struct Scenario {
 /// graph), so the grid starts where sparsification actually bites.
 const EPS_GRID: [f64; 4] = [0.2, 0.3, 0.4, 0.5];
 
+/// The shortest update stream a dynamic instance records.
+pub(crate) const DYNAMIC_MIN_STEPS: usize = 100;
+
 /// A named graph with a certified (or exactly computed) β bound.
 fn pick_graph(rng: &mut StdRng, n: usize) -> (String, CsrGraph, usize) {
     match rng.random_range(0..9u32) {
@@ -330,7 +333,7 @@ fn dynamic_instance(rng: &mut StdRng, cfg: &CheckConfig) -> CheckInstance {
         (family, host, beta) = ("path".to_string(), path(n), 2);
     }
     let eps = EPS_GRID[rng.random_range(0..EPS_GRID.len())];
-    let steps = rng.random_range(100..=200);
+    let steps = rng.random_range(DYNAMIC_MIN_STEPS..=200);
     let (policy, policy_name) = if rng.random_bool(0.5) {
         (Policy::Oblivious { p_insert: 0.7 }, "oblivious")
     } else {

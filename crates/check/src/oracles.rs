@@ -13,7 +13,11 @@
 //!   plus validity of the served matching at every audit and the
 //!   per-update work cap; the same stream replayed through the
 //!   worst-case matcher, whose window solve runs a budget per update,
-//!   must serve a valid matching at the same audits.
+//!   must serve a valid matching at the same audits; and the stream split
+//!   at a seeded prefix, the scheme stood up on the prefix's graph in one
+//!   window solve and the rest replayed, must serve a valid matching
+//!   within the same ratio bound right after the stand-up and at every
+//!   later audit.
 //! * **distsim** — the Theorem 3.2/3.3 distributed pipeline vs the
 //!   sequential pipeline on the same seed, zero-fault transparency (the
 //!   faulty exchange loop under a plan that never fires reproduces the
@@ -56,7 +60,7 @@
 //! Oracles return the *first* violation they find; messages embed the
 //! concrete numbers so a reproducer file doubles as a witness.
 
-use crate::instance::{CheckConfig, CheckInstance};
+use crate::instance::{CheckConfig, CheckInstance, DYNAMIC_MIN_STEPS};
 use sparsimatch_core::backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
 use sparsimatch_core::edcs::{build_edcs, build_edcs_streamed, edcs_violation, EdcsParams};
 use sparsimatch_core::params::SparsifierParams;
@@ -330,7 +334,9 @@ fn check_static(
 }
 
 fn check_dynamic(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
-    check_window_scheme(inst, cfg).or_else(|| check_sliced(inst))
+    check_window_scheme(inst, cfg)
+        .or_else(|| check_sliced(inst))
+        .or_else(|| check_stand_up(inst, cfg))
 }
 
 /// Whether update `i` of `inst`'s stream is followed by an audit.
@@ -368,25 +374,49 @@ fn check_window_scheme(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violat
             ));
         }
         if is_audit_point(inst, i) {
-            let snapshot = reference.to_csr();
-            if !matcher.matching().is_valid_for(&snapshot) {
-                return Some(Violation::new(
-                    "dynamic-validity",
-                    format!("served matching invalid after update {i}"),
-                ));
-            }
-            let exact = maximum_matching(&snapshot).len();
-            let served = matcher.matching().len();
-            if exact as f64 > bound * served as f64 + DYNAMIC_ABS_SLACK + FLOAT_FUDGE {
-                return Some(Violation::new(
-                    "thm3.5-ratio",
-                    format!(
-                        "after update {i}: exact MCM {exact} > {bound:.4} x served {served} + {DYNAMIC_ABS_SLACK} (delta = {})",
-                        params.delta
-                    ),
-                ));
+            let checks = ["dynamic-validity", "thm3.5-ratio"];
+            let after = format!("update {i}");
+            let served = matcher.matching();
+            if let Some(violation) =
+                audit_served(served, &reference, bound, &params, checks, &after)
+            {
+                return Some(violation);
             }
         }
+    }
+    None
+}
+
+/// The window scheme's audit of a served matching against the reference
+/// graph: it must be a matching of the graph (else the first of `checks`
+/// fails), and exact MCM must not exceed `bound` times its size plus
+/// [`DYNAMIC_ABS_SLACK`] (else the second fails). `after` names the
+/// audit point.
+fn audit_served(
+    served: &Matching,
+    reference: &AdjListGraph,
+    bound: f64,
+    params: &SparsifierParams,
+    [validity, ratio]: [&str; 2],
+    after: &str,
+) -> Option<Violation> {
+    let snapshot = reference.to_csr();
+    if !served.is_valid_for(&snapshot) {
+        return Some(Violation::new(
+            validity,
+            format!("served matching invalid after {after}"),
+        ));
+    }
+    let exact = maximum_matching(&snapshot).len();
+    let served = served.len();
+    if exact as f64 > bound * served as f64 + DYNAMIC_ABS_SLACK + FLOAT_FUDGE {
+        return Some(Violation::new(
+            ratio,
+            format!(
+                "after {after}: exact MCM {exact} > {bound:.4} x served {served} + {DYNAMIC_ABS_SLACK} (delta = {})",
+                params.delta
+            ),
+        ));
     }
     None
 }
@@ -405,6 +435,51 @@ fn check_sliced(inst: &CheckInstance) -> Option<Violation> {
                 "sliced-validity",
                 format!("worst-case matcher's served matching invalid after update {i}"),
             ));
+        }
+    }
+    None
+}
+
+/// The recorded stream split at a seeded prefix: the scheme is stood up
+/// on the prefix's graph by [`DynamicMatcher::from_graph`] and the rest
+/// replays. The served matching must pass [`check_window_scheme`]'s
+/// audit right after the stand-up and at every later audit point.
+fn check_stand_up(inst: &CheckInstance, cfg: &CheckConfig) -> Option<Violation> {
+    let params = inst.params();
+    let bound = inst.ratio_bound(cfg);
+    let checks = ["stand-up-validity", "stand-up-ratio"];
+    // The split comes from the instance's own seed, so a reproducer
+    // replays it, and lies below the shortest recorded stream, so a
+    // generated instance replays a suffix. It does not scale with the
+    // stream's length, so shrinking, which drops updates, keeps it.
+    let split = inst.algo_seed % DYNAMIC_MIN_STEPS as u64;
+    let split = (split as usize).min(inst.updates.len());
+    let mut reference = AdjListGraph::new(inst.n);
+    for &update in &inst.updates[..split] {
+        apply_to_reference(&mut reference, update);
+    }
+    let audit = |matcher: &DynamicMatcher, reference: &AdjListGraph, after: String| {
+        audit_served(
+            matcher.matching(),
+            reference,
+            bound,
+            &params,
+            checks,
+            &after,
+        )
+    };
+    let mut matcher = DynamicMatcher::from_graph(&reference.to_csr(), params, inst.algo_seed);
+    let stand_up = format!("the stand-up on the first {split} updates");
+    if let Some(violation) = audit(&matcher, &reference, stand_up) {
+        return Some(violation);
+    }
+    for (i, &update) in inst.updates.iter().enumerate().skip(split) {
+        apply_to_reference(&mut reference, update);
+        matcher.apply(update);
+        if is_audit_point(inst, i) {
+            if let Some(violation) = audit(&matcher, &reference, format!("update {i}")) {
+                return Some(violation);
+            }
         }
     }
     None

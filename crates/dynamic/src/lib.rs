@@ -15,7 +15,8 @@
 //! window re-use argument (Lemma 3.4) is deterministic.
 //!
 //! Modules:
-//! * [`scheme`] — the Theorem 3.5 matcher with explicit work accounting;
+//! * [`scheme`] — the Theorem 3.5 matcher with explicit work accounting,
+//!   started edgeless or stood up on a loaded graph in one window solve;
 //! * [`sliced`] — the one static window solve, resumable under a work
 //!   budget, and the worst-case matcher that steps it once per update;
 //! * [`adversary`] — oblivious and adaptive update streams over a β-bounded

@@ -8,8 +8,10 @@
 //!
 //! The streams: the serve daemon's shape (`clique-union:2:20` on 300
 //! vertices, stood up by inserting every edge, then 2 000 deletes and
-//! inserts), E10's oblivious and adaptive adversaries on its n = 100 host,
-//! and an oblivious stream over a G(n, p) host.
+//! inserts), the same shape stood up by [`DynamicMatcher::from_graph`]
+//! followed by the same 2 000 updates, E10's oblivious and adaptive
+//! adversaries on its n = 100 host, and an oblivious stream over a
+//! G(n, p) host.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,24 +80,31 @@ impl Replay {
     }
 }
 
-/// The serve daemon's graph, stood up edge by edge, then 2 000 updates
-/// that delete a random live edge or insert a random absent pair.
-fn serve_rows() -> Vec<String> {
+/// The serve daemon's graph, stood up edge by edge ("serve") or by
+/// [`DynamicMatcher::from_graph`] ("serve-from-graph"), then 2 000
+/// updates that delete a random live edge or insert a random absent pair.
+fn serve_rows(from_graph: bool) -> Vec<String> {
+    let stream = if from_graph {
+        "serve-from-graph"
+    } else {
+        "serve"
+    };
     let n = 300;
     let g = family_from_spec("clique-union:2:20", n, &mut StdRng::seed_from_u64(1)).unwrap();
-    let mut replay = Replay::new(DynamicMatcher::new(
-        n,
-        SparsifierParams::practical(2, 0.5),
-        1,
-    ));
-    let mut live: Vec<(u32, u32)> = Vec::new();
-    let mut present = HashSet::new();
-    for (_, u, v) in g.edges() {
-        replay.apply(Update::Insert(u, v));
-        live.push((u.0, v.0));
-        present.insert((u.0, v.0));
-    }
-    replay.checkpoint("serve");
+    let params = SparsifierParams::practical(2, 0.5);
+    let edges = g.edges().map(|(_, u, v)| (u.0, v.0));
+    let mut live: Vec<(u32, u32)> = edges.collect();
+    let mut present: HashSet<(u32, u32)> = live.iter().copied().collect();
+    let mut replay = if from_graph {
+        Replay::new(DynamicMatcher::from_graph(&g, params, 1))
+    } else {
+        let mut replay = Replay::new(DynamicMatcher::new(n, params, 1));
+        for &(u, v) in &live {
+            replay.apply(Update::Insert(VertexId(u), VertexId(v)));
+        }
+        replay
+    };
+    replay.checkpoint(stream);
     let mut rng = StdRng::seed_from_u64(0x5e7e);
     for step in 1..=2_000 {
         if rng.random_bool(0.5) {
@@ -114,7 +123,7 @@ fn serve_rows() -> Vec<String> {
             replay.apply(Update::Insert(VertexId(u), VertexId(v)));
         }
         if step % 500 == 0 {
-            replay.checkpoint("serve");
+            replay.checkpoint(stream);
         }
     }
     replay.rows
@@ -214,7 +223,12 @@ fn assert_rows(got: Vec<String>, want: &[&str]) {
 
 #[test]
 fn serve_stand_up_and_churn_hold() {
-    assert_rows(serve_rows(), SERVE);
+    assert_rows(serve_rows(false), SERVE);
+}
+
+#[test]
+fn serve_from_graph_and_churn_hold() {
+    assert_rows(serve_rows(true), SERVE_FROM_GRAPH);
 }
 
 #[test]
@@ -233,6 +247,14 @@ const SERVE: &[&str] = &[
     "serve @6529: reports=c7a0d1d2031bbc59 work=51742603 swaps=1272 size=150 pairs=f981a1ebdfca8f79",
     "serve @7029: reports=49b396ae52c07fee work=52239068 swaps=1300 size=149 pairs=56c29c03b06c4844",
     "serve @7529: reports=61db2123fa48f7e9 work=52736949 swaps=1328 size=149 pairs=747167f68b90ca6d",
+];
+
+const SERVE_FROM_GRAPH: &[&str] = &[
+    "serve-from-graph @0: reports=cbf29ce484222325 work=0 swaps=0 size=150 pairs=56ea33b8e0f7ee41",
+    "serve-from-graph @500: reports=44b7182c6c717695 work=489655 swaps=27 size=150 pairs=7c60b7167fc8a7c5",
+    "serve-from-graph @1000: reports=19877cf2afd7de1f work=984197 swaps=55 size=150 pairs=78df95495195dd7d",
+    "serve-from-graph @1500: reports=34b32fc85f06c0b7 work=1481053 swaps=83 size=150 pairs=e8954bb1a379d7f9",
+    "serve-from-graph @2000: reports=e57332b1dd0faa91 work=1978009 swaps=111 size=148 pairs=9e756c63eae782ef",
 ];
 
 const E10: &[&str] = &[

@@ -17,7 +17,7 @@ use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_with_scratch_metered;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_dynamic::adversary::Update;
 use sparsimatch_dynamic::scheme::DynamicMatcher;
-use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
+use sparsimatch_graph::csr::{CsrGraph, CsrScratch, GraphBuilder};
 use sparsimatch_graph::generators::{family_from_spec, family_size_estimate};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::io::{MAX_EDGES, MAX_VERTICES};
@@ -87,6 +87,9 @@ pub struct SessionEngine {
     graph: Option<CsrGraph>,
     scratch: PipelineScratch,
     dynamic: Option<DynamicMatcher>,
+    /// The CSR snapshot a dynamic session's `solve` runs on, rebuilt in
+    /// place from the matcher's adjacency list.
+    snapshot: CsrScratch,
     meter: WorkMeter,
     stats: Arc<SharedStats>,
     /// Pairs of the last static solve, kept in a reusable buffer so
@@ -108,6 +111,7 @@ impl SessionEngine {
             graph: None,
             scratch: PipelineScratch::new(),
             dynamic: None,
+            snapshot: CsrScratch::new(),
             meter: WorkMeter::new(),
             stats: Arc::new(SharedStats::default()),
             last_pairs: Vec::new(),
@@ -258,12 +262,8 @@ impl SessionEngine {
     ) -> Result<Json, WireError> {
         // Solve reflects dynamic updates: snapshot the matcher's current
         // graph if one exists, else use the resident static graph.
-        let snapshot;
         let g: &CsrGraph = match (&self.dynamic, &self.graph) {
-            (Some(dm), _) => {
-                snapshot = dm.graph().to_csr();
-                &snapshot
-            }
+            (Some(dm), _) => dm.graph().to_csr_in(&mut self.snapshot),
             (None, Some(g)) => g,
             (None, None) => {
                 return Err(WireError::new(
@@ -347,15 +347,12 @@ impl SessionEngine {
         let dm = match &mut self.dynamic {
             Some(dm) => dm,
             None => {
-                // First update: stand up the Thm 3.5 scheme, seeded with
-                // the resident graph's edges (silent preload — the work
-                // counters track only client-requested updates).
+                // First update: stand the Thm 3.5 scheme up on the resident
+                // graph in one window solve (unmetered — the work counters
+                // track only client-requested updates).
                 let params = SparsifierParams::practical(beta, eps);
-                let mut dm = DynamicMatcher::new(n, params, seed);
-                for (_, u, v) in graph.edges() {
-                    dm.apply(Update::Insert(u, v));
-                }
-                self.dynamic.insert(dm)
+                self.dynamic
+                    .insert(DynamicMatcher::from_graph(graph, params, seed))
             }
         };
         let mut work = 0u64;
@@ -458,7 +455,10 @@ impl SessionEngine {
         // Cumulative stream-scan retries recorded by any streamed build
         // metered into this session (0 until one runs).
         body.set("io_retries", self.meter.get(keys::IO_RETRIES));
-        body.set("scratch_capacity_bytes", self.scratch.capacity_bytes());
+        body.set(
+            "scratch_capacity_bytes",
+            self.scratch.capacity_bytes() + self.snapshot.capacity_bytes(),
+        );
         // Resident footprint of the loaded graph: the dynamic adjacency
         // list when updates have been applied, the static CSR otherwise,
         // null before any load_graph.

@@ -219,8 +219,8 @@ pub enum Request {
     },
     /// Apply edge insertions/deletions through the Thm 3.5 dynamic
     /// scheme. `beta`/`eps`/`seed` configure the dynamic matcher when
-    /// this session's first `update` creates it; later updates ignore
-    /// them.
+    /// this session's first `update` stands it up on the resident graph;
+    /// later updates ignore them.
     Update {
         /// The operations, applied in order.
         ops: Vec<UpdateOp>,
