@@ -164,6 +164,21 @@ impl CheckInstance {
                     .ok_or("instance.delta: not an unsigned integer")? as usize,
             ),
         };
+        let n = u64_field("n")?;
+        if n > 1 << 32 {
+            return Err(format!("instance.n: {n} exceeds the 32-bit vertex ids"));
+        }
+        // Every endpoint must name a vertex: `n` bounds it, and so 32 bits
+        // hold it.
+        let vertex = |field: &str, x: u64| -> Result<u32, String> {
+            if x < n {
+                Ok(x as u32)
+            } else {
+                Err(format!(
+                    "instance.{field}: endpoint {x} is not below n = {n}"
+                ))
+            }
+        };
         let edges_json = doc
             .get("edges")
             .and_then(Json::as_array)
@@ -174,7 +189,7 @@ impl CheckInstance {
             let (u, v) = pair
                 .and_then(|a| Some((a[0].as_u64()?, a[1].as_u64()?)))
                 .ok_or("instance.edges: entries must be [u, v] integer pairs")?;
-            edges.push((u as u32, v as u32));
+            edges.push((vertex("edges", u)?, vertex("edges", v)?));
         }
         let updates_json = doc
             .get("updates")
@@ -186,7 +201,10 @@ impl CheckInstance {
             let (op, a, b) = triple
                 .and_then(|t| Some((t[0].as_str()?, t[1].as_u64()?, t[2].as_u64()?)))
                 .ok_or("instance.updates: entries must be [\"+\"|\"-\", u, v] triples")?;
-            let (a, b) = (VertexId(a as u32), VertexId(b as u32));
+            let (a, b) = (
+                VertexId(vertex("updates", a)?),
+                VertexId(vertex("updates", b)?),
+            );
             updates.push(match op {
                 "+" => Update::Insert(a, b),
                 "-" => Update::Delete(a, b),
@@ -195,7 +213,7 @@ impl CheckInstance {
         }
         Ok(CheckInstance {
             family: str_field("family")?,
-            n: u64_field("n")? as usize,
+            n: n as usize,
             beta: u64_field("beta")? as usize,
             eps,
             delta,
@@ -402,6 +420,43 @@ mod tests {
             assert_eq!(back, s.instance, "seed {seed}");
             assert_eq!(back.to_json().to_pretty(), text, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn json_endpoints_outside_the_vertex_set_are_rejected() {
+        let s = Scenario::generate(1, &CheckConfig::default());
+        let n = s.instance.n as u64;
+        assert!(!s.instance.updates.is_empty(), "a dynamic instance");
+        let with = |field: &str, entry: Json| {
+            let mut doc = s.instance.to_json();
+            let mut list = doc.get(field).and_then(Json::as_array).unwrap().to_vec();
+            list.push(entry);
+            doc.set(field, Json::Array(list));
+            CheckInstance::from_json(&doc)
+        };
+        let pair = |u: u64, v: u64| Json::Array(vec![Json::from(u), Json::from(v)]);
+        let update =
+            |u: u64, v: u64| Json::Array(vec![Json::from("+"), Json::from(u), Json::from(v)]);
+        assert!(with("edges", pair(0, n - 1)).is_ok());
+        for bad in [n, n + 5, 1 << 32, u64::MAX] {
+            let err = with("edges", pair(0, bad)).unwrap_err();
+            assert!(
+                err.contains("instance.edges") && err.contains("not below n"),
+                "{err}"
+            );
+            let err = with("edges", pair(bad, 0)).unwrap_err();
+            assert!(err.contains("instance.edges"), "{err}");
+            let err = with("updates", update(bad, 0)).unwrap_err();
+            assert!(
+                err.contains("instance.updates") && err.contains("not below n"),
+                "{err}"
+            );
+        }
+        let mut doc = s.instance.to_json();
+        doc.set("n", (1u64 << 32) + 1);
+        assert!(CheckInstance::from_json(&doc)
+            .unwrap_err()
+            .contains("32-bit"));
     }
 
     #[test]

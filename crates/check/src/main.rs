@@ -1,6 +1,7 @@
 //! `sparsimatch-check`: sweep a seed budget through the differential
 //! oracles; shrink and persist any violation as a replayable reproducer.
 
+use sparsimatch_check::oracles::PANIC_CHECK;
 use sparsimatch_check::shrink::DEFAULT_CALL_BUDGET;
 use sparsimatch_check::{counterexample_doc, report, shrink_instance, CheckConfig, Scenario};
 use sparsimatch_core::scratch::PipelineScratch;
@@ -19,7 +20,9 @@ Every trial is deterministic in its seed,
 so a failure is reproducible by seed alone; on top of that each failure
 is shrunk (ddmin over edges/updates) and written to
 <out-dir>/counterexample-<seed>.json (default results/check/), a file
-`sparsimatch check --replay` re-executes byte-identically.
+`sparsimatch check --replay` re-executes byte-identically. An oracle
+that panics is a violation too (check `panic`, the panic message as
+witness), shrunk and written the same way.
 
 --bound-eps tightens the ratio bound below each instance's own epsilon
 and --delta forces an explicit per-vertex mark count; both exist to
@@ -140,6 +143,10 @@ fn main() {
             violation.check,
             violation.message
         );
+        if violation.check == PANIC_CHECK {
+            // The unwind may have left the shared arena mid-run.
+            scratch = PipelineScratch::new();
+        }
 
         // Shrink while the oracle still rejects *for the same check*:
         // without pinning the slug, removing edges from a dense family can
@@ -148,6 +155,10 @@ fn main() {
         let cfg = args.cfg;
         let oracle = scenario.oracle;
         let slug = violation.check.clone();
+        // The panic hook has reported the first panic with its location;
+        // candidates that panic while shrinking stay quiet.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
         let (small, stats) = shrink_instance(
             &scenario.instance,
             |candidate| {
@@ -160,6 +171,7 @@ fn main() {
         let final_violation = oracle
             .check(&small, &cfg)
             .expect("shrinker must preserve the violation");
+        std::panic::set_hook(hook);
         let doc = counterexample_doc(seed, oracle, &small, &cfg, &final_violation, &stats);
         if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
             eprintln!("error: cannot create {}: {e}", args.out_dir.display());

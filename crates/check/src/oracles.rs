@@ -7,7 +7,8 @@
 //!   (`|MCM(G)| ≤ (1+ε)·|pipeline(G)|`), the β certificate audited by
 //!   exact branch and bound, and the sparsifier invariants: subgraph-ness,
 //!   the Observation 2.10 size bound, the Observation 2.12 arboricity
-//!   bound, and the Theorem 2.1 sparsification ratio itself.
+//!   bound, the Theorem 2.1 sparsification ratio itself, and the same
+//!   `G_Δ` and stats from two and four mark workers as from one.
 //! * **dynamic** — the Theorem 3.5 window scheme replayed against a full
 //!   recompute (exact blossom on a reference graph) at periodic audits,
 //!   plus validity of the served matching at every audit and the
@@ -58,7 +59,9 @@
 //! certifies.
 //!
 //! Oracles return the *first* violation they find; messages embed the
-//! concrete numbers so a reproducer file doubles as a witness.
+//! concrete numbers so a reproducer file doubles as a witness. An oracle
+//! that panics returns a [`PANIC_CHECK`] violation instead of ending the
+//! sweep.
 
 use crate::instance::{CheckConfig, CheckInstance, DYNAMIC_MIN_STEPS};
 use sparsimatch_core::backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
@@ -197,13 +200,18 @@ impl OracleKind {
     /// through a caller-owned [`PipelineScratch`]. Identical verdicts —
     /// warm-vs-cold byte identity is exactly what the scratch oracle
     /// proves — but a seed sweep stops paying per-seed buffer churn.
+    ///
+    /// A panic inside the oracle is caught and returned as a
+    /// [`PANIC_CHECK`] violation carrying the panic message, so a sweep
+    /// can shrink and persist it like any other. The unwind may leave
+    /// `scratch` half-written; the caller should replace it.
     pub fn check_with_scratch(
         self,
         inst: &CheckInstance,
         cfg: &CheckConfig,
         scratch: &mut PipelineScratch,
     ) -> Option<Violation> {
-        match self {
+        catch_panic(|| match self {
             OracleKind::Static => check_static(inst, cfg, scratch),
             OracleKind::Dynamic => check_dynamic(inst, cfg),
             OracleKind::Distsim => check_distsim(inst, cfg, scratch),
@@ -211,8 +219,25 @@ impl OracleKind {
             OracleKind::Stream => check_stream(inst, cfg, scratch),
             OracleKind::ChaosStream => check_chaos_stream(inst, cfg),
             OracleKind::Backend => check_backend(inst, cfg, scratch),
-        }
+        })
     }
+}
+
+/// The check slug of a violation that is an oracle's panic.
+pub const PANIC_CHECK: &str = "panic";
+
+/// Run an oracle body, turning a panic into a [`PANIC_CHECK`] violation
+/// whose message is the panic's payload (its location is left out, so a
+/// replay on a rebuilt binary still matches byte for byte).
+fn catch_panic(body: impl FnOnce() -> Option<Violation>) -> Option<Violation> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic with a non-string payload".to_string());
+        Some(Violation::new(PANIC_CHECK, message))
+    })
 }
 
 fn ratio_exceeded(exact: usize, approx: usize, bound: f64) -> bool {
@@ -275,6 +300,23 @@ fn check_static(
     // caller's Δ (the pipeline above marks at the stage Δ).
     let s =
         build_sparsifier(&g, &params, inst.algo_seed, 1, None).expect("1 is a valid thread count");
+    // The builder has no parallel cutoff, so this is where the merge of
+    // several mark workers' keys and keep-all runs meets an oracle: the
+    // pipeline runs one worker at these sizes.
+    for threads in [2usize, 4] {
+        let t = build_sparsifier(&g, &params, inst.algo_seed, threads, None)
+            .expect("2 and 4 are valid thread counts");
+        if t.stats != s.stats || edge_pairs(&t.graph) != edge_pairs(&s.graph) {
+            return Some(Violation::new(
+                "sparsifier-threads",
+                format!(
+                    "{threads}-worker build differs from the 1-worker build: {} vs {} edges, \
+                     stats {:?} vs {:?}",
+                    t.stats.edges, s.stats.edges, t.stats, s.stats
+                ),
+            ));
+        }
+    }
     for (_, u, v) in s.graph.edges() {
         if !g.has_edge(u, v) {
             return Some(Violation::new(
@@ -1244,6 +1286,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn panicking_oracle_body_becomes_a_panic_violation() {
+        assert_eq!(catch_panic(|| None), None);
+        let verdict = Some(Violation::new("stub", "kept".to_string()));
+        assert_eq!(catch_panic(|| verdict.clone()), verdict);
+        let caught = catch_panic(|| panic!("static payload"));
+        assert_eq!(
+            caught,
+            Some(Violation::new(PANIC_CHECK, "static payload".to_string()))
+        );
+        let index = 7;
+        let caught = catch_panic(|| panic!("formatted payload {index}"));
+        assert_eq!(caught.unwrap().message, "formatted payload 7");
+        let caught = catch_panic(|| std::panic::panic_any(42u8));
+        assert_eq!(caught.unwrap().check, PANIC_CHECK);
+    }
+
+    #[test]
+    fn an_oracle_that_panics_returns_a_violation() {
+        // An endpoint past `n` panics in the graph builder; the guard
+        // turns it into a verdict, the same on every call.
+        let inst = crate::instance::CheckInstance {
+            family: "clique".to_string(),
+            n: 4,
+            beta: 1,
+            eps: 0.4,
+            delta: None,
+            algo_seed: 1,
+            edges: vec![(0, 1), (0, 9)],
+            updates: Vec::new(),
+        };
+        let cfg = CheckConfig::default();
+        let v = OracleKind::Static.check(&inst, &cfg).expect("panic caught");
+        assert_eq!(v.check, PANIC_CHECK);
+        assert!(v.message.contains("out of range"), "{}", v.message);
+        assert_eq!(OracleKind::Static.check(&inst, &cfg), Some(v));
     }
 
     #[test]

@@ -539,6 +539,27 @@ fn check_replay_of_a_non_reproducing_file_exits_eight() {
         4,
         "not a sparsimatch-check reproducer",
     );
+    // So is an edge past the instance's vertex set, which the oracle
+    // would otherwise meet as a graph-builder panic.
+    let outside = CheckInstance {
+        edges: vec![(0, 1), (2, 3), (0, 9)],
+        ..inst
+    };
+    let stray = dir.join("counterexample-stray.json");
+    let doc = counterexample_doc(
+        3,
+        OracleKind::Static,
+        &outside,
+        &cfg,
+        &v,
+        &Default::default(),
+    );
+    std::fs::write(&stray, doc.to_pretty()).unwrap();
+    assert_fails(
+        &["check", "--replay", stray.to_str().unwrap()],
+        4,
+        "endpoint 9 is not below n = 4",
+    );
     // A missing file is I/O (3).
     assert_fails(
         &["check", "--replay", "/nonexistent/counterexample-0.json"],
@@ -546,7 +567,7 @@ fn check_replay_of_a_non_reproducing_file_exits_eight() {
         "No such file",
     );
 
-    for p in [&file, &junk] {
+    for p in [&file, &junk, &stray] {
         std::fs::remove_file(p).ok();
     }
 }

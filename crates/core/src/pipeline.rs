@@ -153,7 +153,8 @@ pub fn approx_mcm_via_sparsifier_with_scratch<'s>(
 
 /// [`approx_mcm_via_sparsifier_with_scratch`] with unified work
 /// accounting: adjacency probes, sampler RNG draws and overlay writes,
-/// sparsifier size, and augmentation work are added to `meter` under the
+/// sparsifier size, keep-all vertex count ([`keys::KEEP_ALL_VERTICES`])
+/// and augmentation work are added to `meter` under the
 /// shared [`sparsimatch_obs::keys`] names, and per-stage wall-clock spans
 /// are recorded under [`keys::STAGE_MARK`], [`keys::STAGE_EXTRACT`],
 /// [`keys::STAGE_MATCH`], and [`keys::PIPELINE_TOTAL`]. The result is
@@ -199,15 +200,16 @@ fn approx_mcm_via_sparsifier_impl(
         ..
     } = scratch;
 
-    // Stage 1: each worker marks its vertex range and sorts its marks,
-    // then one merge writes the sorted endpoint pairs straight into the
-    // sparsifier's edge list. Stage 2 lays that list out as the CSR, with
-    // no read of the parent's edge list.
+    // Stage 1: each worker marks its vertex range and sorts the marks
+    // whose lower endpoint is sampled, then one merge writes the sorted
+    // endpoint pairs straight into the sparsifier's edge list, copying a
+    // keep-all vertex's edges from the parent's sorted endpoint list.
+    // Stage 2 lays that list out as the CSR.
     let mark_start = Instant::now();
     let summary = marks.mark(g, &stage_params, seed, mark_threads(threads, g.num_edges()));
     let mut extract_start = mark_start;
     let sparse: &CsrGraph = csr.rebuild_with(g.num_vertices(), |edges| {
-        marks.merge_into(edges);
+        marks.merge_into(g, edges);
         extract_start = Instant::now();
     });
     let mark_nanos = (extract_start - mark_start).as_nanos();
@@ -242,6 +244,10 @@ fn approx_mcm_via_sparsifier_impl(
         meter.add(keys::DEGREE_PROBES, result.probes.degree_probes);
         meter.add(keys::NEIGHBOR_PROBES, result.probes.neighbor_probes);
         meter.add(keys::SPARSIFIER_EDGES, result.sparsifier.edges as u64);
+        meter.add(
+            keys::KEEP_ALL_VERTICES,
+            result.sparsifier.low_degree_vertices as u64,
+        );
         meter.add(keys::RNG_DRAWS, summary.rng_draws);
         meter.add(keys::OVERLAY_WRITES, summary.overlay_writes);
         meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
@@ -393,6 +399,10 @@ mod tests {
         );
         assert_eq!(meter.get(keys::EDGE_VISITS), metered.aug.edge_visits);
         assert!(meter.get(keys::RNG_DRAWS) > 0);
+        assert_eq!(
+            meter.get(keys::KEEP_ALL_VERTICES),
+            metered.sparsifier.low_degree_vertices as u64
+        );
         // Per-stage spans recorded exactly once each.
         for key in [
             keys::STAGE_MARK,

@@ -8,6 +8,7 @@
 
 use crate::params::SparsifierParams;
 use crate::sampler::{mark_indices_for_vertex, vertex_rng, PosArraySampler};
+use sparsimatch_graph::bitset::BitSet;
 use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_obs::{keys, WorkMeter};
@@ -69,7 +70,9 @@ pub struct Sparsifier {
 }
 
 /// Build `G_Δ` from a CSR graph with `threads` marking workers. Runs in
-/// time `O(n + |E(G_Δ)|)` up to sorting the marks: linear in the
+/// time `O(n + |E(G_Δ)|)` up to sorting the marks whose lower endpoint is
+/// sampled and one binary search per run of consecutive keep-all
+/// vertices, whose edges are copied from the sorted input: linear in the
 /// *output*, not the input (Theorem 3.1's construction bound).
 ///
 /// Every vertex `v` marks from its own stream
@@ -77,7 +80,8 @@ pub struct Sparsifier {
 /// on `threads`, and matches the out-of-core build
 /// ([`crate::stream_build::build_sparsifier_streamed`]) edge for edge.
 /// With a `meter`, adjacency probes, sampler RNG draws and overlay writes,
-/// and the sparsifier size are added to it (see [`sparsimatch_obs::keys`]);
+/// the sparsifier size and the keep-all vertex count are added to it (see
+/// [`sparsimatch_obs::keys`]);
 /// per-worker counters are summed first, so the totals are thread-count
 /// invariant too. Rejects `threads` outside `1..=`[`MAX_THREADS`] with a
 /// [`ThreadCountError`] (no silent clamping).
@@ -106,7 +110,7 @@ pub fn build_sparsifier(
     let mut marks = MarkScratch::new();
     let summary = marks.mark(g, params, seed, threads);
     let mut edges = Vec::new();
-    marks.merge_into(&mut edges);
+    marks.merge_into(g, &mut edges);
     let graph = from_sorted_edges(g.num_vertices(), edges);
     let mut stats = summary.stats;
     stats.edges = graph.num_edges();
@@ -118,6 +122,7 @@ pub fn build_sparsifier(
         meter.add(keys::DEGREE_PROBES, 2 * g.num_vertices() as u64);
         meter.add(keys::NEIGHBOR_PROBES, stats.marks_placed as u64);
         meter.add(keys::SPARSIFIER_EDGES, stats.edges as u64);
+        meter.add(keys::KEEP_ALL_VERTICES, stats.low_degree_vertices as u64);
         meter.add(keys::RNG_DRAWS, summary.rng_draws);
         meter.add(keys::OVERLAY_WRITES, summary.overlay_writes);
     }
@@ -156,8 +161,10 @@ pub(crate) struct MarkSummary {
 struct MarkWorker {
     sampler: PosArraySampler,
     indices: Vec<u32>,
-    /// Sorted, distinct [`edge_key`]s of the edges this worker's vertex
-    /// range marked.
+    /// Sorted, distinct [`edge_key`]s of the marked edges, from this
+    /// worker's vertex range, that the merge cannot copy from the CSR:
+    /// every marked edge in a run without keep-all vertices, otherwise
+    /// only those whose lower endpoint is sampled.
     keys: Vec<u64>,
     summary: MarkSummary,
 }
@@ -172,70 +179,136 @@ impl MarkWorker {
         }
     }
 
-    /// Mark the edges of the vertices in `range`: each vertex reads every
-    /// marked neighbour from the adjacency array and pushes the edge's
-    /// key, then the keys are sorted and deduplicated. Allocation-free
-    /// once the buffers have capacity.
+    /// Mark the edges of the vertices in `range`, then sort and
+    /// deduplicate the keys pushed. With no keep-all vertex in the run
+    /// every mark pushes its key; with `keep_all`, only a mark whose
+    /// lower endpoint is sampled does, so the sort covers only those.
+    /// Allocation-free once the buffers have capacity.
     fn mark_range(
         &mut self,
         g: &CsrGraph,
         params: &SparsifierParams,
         seed: u64,
         range: std::ops::Range<usize>,
+        keep_all: Option<&KeepAll>,
     ) {
-        let cap = params.mark_cap();
-        // Size the overlay to this range's own largest degree (a star hub
-        // inflates one worker's overlay, not all of them), and count the
-        // marks exactly so `keys` is reserved once.
-        let mut max_deg = 0usize;
-        let mut marks = 0usize;
-        for v in range.clone() {
-            let deg = g.degree(VertexId::new(v));
-            max_deg = max_deg.max(deg);
-            marks += if deg <= cap { deg } else { params.delta };
-        }
-        self.sampler.ensure_capacity(max_deg.max(1));
-        self.keys.clear();
-        self.keys.reserve(marks);
         let draws_before = self.sampler.rng_draws();
         let writes_before = self.sampler.overlay_writes();
-        let mut stats = SparsifierStats {
-            delta: params.delta,
-            mark_cap: cap,
-            ..Default::default()
+        self.keys.clear();
+        let marks_placed = match keep_all {
+            None => self.push_every_mark(g, params, seed, range),
+            Some(keep_all) => self.push_sampled_lower_marks(g, params, seed, range, keep_all),
         };
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        self.summary = MarkSummary {
+            stats: SparsifierStats {
+                marks_placed,
+                ..Default::default()
+            },
+            rng_draws: self.sampler.rng_draws() - draws_before,
+            overlay_writes: self.sampler.overlay_writes() - writes_before,
+        };
+    }
+
+    /// Mark every vertex of `range` from its own stream and push every
+    /// mark's key: the loop for a run in which every vertex samples.
+    /// Returns the marks placed.
+    fn push_every_mark(
+        &mut self,
+        g: &CsrGraph,
+        params: &SparsifierParams,
+        seed: u64,
+        range: std::ops::Range<usize>,
+    ) -> usize {
+        // Size the overlay to this range's own largest degree (a star hub
+        // inflates one worker's overlay, not all of them). Every vertex
+        // places Δ marks, so `keys` is reserved once.
+        let max_deg = range.clone().map(|v| g.degree(VertexId::new(v))).max();
+        self.sampler.ensure_capacity(max_deg.unwrap_or(0).max(1));
+        self.keys.reserve(range.len() * params.delta);
+        let mut marks = 0;
         for v in range {
             let vid = VertexId::new(v);
-            if g.degree(vid) <= cap {
-                stats.low_degree_vertices += 1;
-            }
-            // Every vertex samples from its own stream, so the marks do
-            // not depend on which worker draws them, and the out-of-core
-            // build and distsim's protocols, which run the same sampler,
-            // place the same ones.
-            let mut rng = vertex_rng(seed, v);
-            mark_indices_for_vertex(
-                g,
-                vid,
-                params.delta,
-                cap,
-                &mut self.sampler,
-                &mut rng,
-                &mut self.indices,
-            );
-            stats.marks_placed += self.indices.len();
+            self.sample(g, params, seed, vid);
+            marks += self.indices.len();
             for &i in &self.indices {
                 self.keys
                     .push(edge_key(vid.0, g.neighbor(vid, i as usize).0));
             }
         }
-        self.keys.sort_unstable();
-        self.keys.dedup();
-        self.summary = MarkSummary {
-            stats,
-            rng_draws: self.sampler.rng_draws() - draws_before,
-            overlay_writes: self.sampler.overlay_writes() - writes_before,
-        };
+        marks
+    }
+
+    /// Mark the vertices of `range` in a run with keep-all vertices. The
+    /// merge copies every edge whose lower endpoint keeps all straight
+    /// from the CSR, so a key is pushed only for a mark whose lower
+    /// endpoint is sampled. Returns the marks placed.
+    fn push_sampled_lower_marks(
+        &mut self,
+        g: &CsrGraph,
+        params: &SparsifierParams,
+        seed: u64,
+        range: std::ops::Range<usize>,
+        keep_all: &KeepAll,
+    ) -> usize {
+        let mut marks = 0;
+        let mut sampled = 0;
+        let mut max_deg = 0;
+        // Keep-all vertices mark every edge without drawing; of those,
+        // only an edge to a sampled lower neighbour needs a key. These
+        // keys are the same in every run on one graph, so pushing them
+        // before the reserve below keeps a warm run allocation-free.
+        for v in range.clone() {
+            let vid = VertexId::new(v);
+            let deg = g.degree(vid);
+            if !keep_all.contains(v) {
+                sampled += 1;
+                max_deg = max_deg.max(deg);
+                continue;
+            }
+            marks += deg;
+            if v > keep_all.first_sampled {
+                for x in g.neighbors(vid).take_while(|x| x.0 < vid.0) {
+                    if !keep_all.contains(x.index()) {
+                        self.keys.push(edge_key(x.0, vid.0));
+                    }
+                }
+            }
+        }
+        self.sampler.ensure_capacity(max_deg.max(1));
+        self.keys.reserve(sampled * params.delta);
+        for v in range.filter(|&v| !keep_all.contains(v)) {
+            let vid = VertexId::new(v);
+            self.sample(g, params, seed, vid);
+            marks += self.indices.len();
+            for &i in &self.indices {
+                let key = edge_key(vid.0, g.neighbor(vid, i as usize).0);
+                if !keep_all.contains(key_edge(key).0 as usize) {
+                    self.keys.push(key);
+                }
+            }
+        }
+        marks
+    }
+
+    /// Draw `v`'s mark indices into `indices`.
+    #[inline(always)]
+    fn sample(&mut self, g: &CsrGraph, params: &SparsifierParams, seed: u64, v: VertexId) {
+        // Every vertex samples from its own stream, so the marks do not
+        // depend on which worker draws them, and the out-of-core build
+        // and distsim's protocols, which run the same sampler, place the
+        // same ones.
+        let mut rng = vertex_rng(seed, v.index());
+        mark_indices_for_vertex(
+            g,
+            v,
+            params.delta,
+            params.mark_cap(),
+            &mut self.sampler,
+            &mut rng,
+            &mut self.indices,
+        );
     }
 
     fn capacity_bytes(&self) -> usize {
@@ -246,12 +319,91 @@ impl MarkWorker {
     }
 }
 
-/// The marking stage's reusable state: one worker per thread, kept
-/// across runs so a warm run allocates nothing but the thread spawns.
+/// The vertices of a marking run that keep all their edges
+/// (deg ≤ `mark_cap`), recorded once per run before any worker starts.
+struct KeepAll {
+    set: BitSet,
+    /// How many vertices are in `set`.
+    count: usize,
+    /// The least vertex not in `set`, or `n`: a keep-all vertex at or
+    /// below it has no sampled lower neighbour.
+    first_sampled: usize,
+}
+
+impl KeepAll {
+    fn new() -> Self {
+        KeepAll {
+            set: BitSet::new(),
+            count: 0,
+            first_sampled: 0,
+        }
+    }
+
+    /// Record which vertices of `g` have degree at most `cap`.
+    fn record(&mut self, g: &CsrGraph, cap: usize) {
+        let n = g.num_vertices();
+        self.set.clear_and_resize(n);
+        self.count = 0;
+        self.first_sampled = n;
+        for v in 0..n {
+            if g.degree(VertexId::new(v)) <= cap {
+                self.set.set(v);
+                self.count += 1;
+            } else {
+                self.first_sampled = self.first_sampled.min(v);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn contains(&self, v: usize) -> bool {
+        self.set.get(v)
+    }
+
+    /// Each maximal run `start..end` of consecutive keep-all vertices, in
+    /// order, as `start` and the range of `edges`, the graph's
+    /// lex-sorted endpoint pairs, whose lower endpoint lies in the run.
+    /// A binary search finds each range, so a run costs its length plus
+    /// `O(log m)`, whatever the sampled vertices between runs hold.
+    fn runs<'a>(
+        &'a self,
+        edges: &'a [(u32, u32)],
+    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + 'a {
+        let n = self.set.len();
+        let (mut v, mut at) = (0, 0);
+        std::iter::from_fn(move || {
+            while v < n && !self.contains(v) {
+                v += 1;
+            }
+            if v == n {
+                return None;
+            }
+            let start = v;
+            while v < n && self.contains(v) {
+                v += 1;
+            }
+            let from = at + edges[at..].partition_point(|&(a, _)| (a as usize) < start);
+            at = from + edges[from..].partition_point(|&(a, _)| (a as usize) < v);
+            Some((start, from..at))
+        })
+    }
+
+    fn clear(&mut self) {
+        self.set.clear_and_resize(0);
+        self.count = 0;
+        self.first_sampled = 0;
+    }
+}
+
+/// The marking stage's reusable state: one worker per thread and the
+/// keep-all set, kept across runs so a warm run allocates nothing but
+/// the thread spawns.
 pub(crate) struct MarkScratch {
     workers: Vec<MarkWorker>,
     /// How many workers the last run used (a prefix of `workers`).
     active: usize,
+    /// The last run's keep-all vertices.
+    keep_all: KeepAll,
 }
 
 impl MarkScratch {
@@ -260,15 +412,16 @@ impl MarkScratch {
         MarkScratch {
             workers: Vec::new(),
             active: 0,
+            keep_all: KeepAll::new(),
         }
     }
 
     /// Mark `G_Δ`'s edges with up to `threads` workers over contiguous,
-    /// non-empty vertex ranges. The first worker runs on the calling
-    /// thread, so one worker never enters `thread::scope`. Per-vertex
-    /// seeding makes the marks, and the summed counters, independent of
-    /// the worker count; [`MarkScratch::merge_into`] writes out the marked
-    /// edges.
+    /// non-empty vertex ranges, after recording which vertices keep all
+    /// their edges. The first worker runs on the calling thread, so one
+    /// worker never enters `thread::scope`. Per-vertex seeding makes the
+    /// marks, and the summed counters, independent of the worker count;
+    /// [`MarkScratch::merge_into`] writes out the marked edges.
     pub(crate) fn mark(
         &mut self,
         g: &CsrGraph,
@@ -282,15 +435,23 @@ impl MarkScratch {
             self.workers.resize_with(t, MarkWorker::new);
         }
         self.active = t;
+        self.keep_all.record(g, params.mark_cap());
+        let MarkScratch {
+            workers, keep_all, ..
+        } = self;
+        // Without keep-all vertices the workers run the plain loop:
+        // testing every mark's lower endpoint would cost a few percent
+        // and spare nothing.
+        let keep_all = (keep_all.count > 0).then_some(&*keep_all);
         let bound = |i: usize| i * n / t;
-        match &mut self.workers[..t] {
-            [only] => only.mark_range(g, params, seed, 0..n),
+        match &mut workers[..t] {
+            [only] => only.mark_range(g, params, seed, 0..n, keep_all),
             [first, rest @ ..] => std::thread::scope(|s| {
                 for (i, worker) in rest.iter_mut().enumerate() {
                     let range = bound(i + 1)..bound(i + 2);
-                    s.spawn(move || worker.mark_range(g, params, seed, range));
+                    s.spawn(move || worker.mark_range(g, params, seed, range, keep_all));
                 }
-                first.mark_range(g, params, seed, 0..bound(1));
+                first.mark_range(g, params, seed, 0..bound(1), keep_all);
             }),
             [] => unreachable!("at least one worker"),
         }
@@ -298,62 +459,65 @@ impl MarkScratch {
             stats: SparsifierStats {
                 delta: params.delta,
                 mark_cap: params.mark_cap(),
+                low_degree_vertices: self.keep_all.count,
                 ..Default::default()
             },
             ..Default::default()
         };
         for w in &self.workers[..t] {
             total.stats.marks_placed += w.summary.stats.marks_placed;
-            total.stats.low_degree_vertices += w.summary.stats.low_degree_vertices;
             total.rng_draws += w.summary.rng_draws;
             total.overlay_writes += w.summary.overlay_writes;
         }
         total
     }
 
-    /// Append the edges the last [`MarkScratch::mark`] marked to `out`,
-    /// as strictly lex-sorted `(u, v)` pairs with `u < v` — exactly the
-    /// sorted, distinct marked edge ids mapped to their endpoints. One
-    /// linear merge of the workers' sorted keys; an edge marked from two
-    /// ranges comes out once.
-    pub(crate) fn merge_into(&self, out: &mut Vec<(u32, u32)>) {
+    /// Append the edges the last [`MarkScratch::mark`] on `g` marked to
+    /// `out`, as strictly lex-sorted `(u, v)` pairs with `u < v` — exactly
+    /// the sorted, distinct marked edge ids mapped to their endpoints.
+    /// Lower endpoints are walked in order: a run of keep-all vertices
+    /// copies its edges straight from `g`'s sorted endpoint list, and the
+    /// workers' sorted keys, merged linearly, fill in every sampled lower
+    /// endpoint; an edge marked from two ranges comes out once.
+    pub(crate) fn merge_into(&self, g: &CsrGraph, out: &mut Vec<(u32, u32)>) {
         let workers = &self.workers[..self.active];
-        if let [only] = workers {
-            // A lone worker's keys are already sorted and distinct.
-            out.extend(only.keys.iter().map(|&key| key_edge(key)));
-            return;
-        }
-        let mut rest: [&[u64]; MAX_THREADS] = [&[]; MAX_THREADS];
-        for (keys, w) in rest.iter_mut().zip(workers) {
+        let mut heads: [&[u64]; MAX_THREADS] = [&[]; MAX_THREADS];
+        for (keys, w) in heads.iter_mut().zip(workers) {
             *keys = &w.keys;
         }
-        let rest = &mut rest[..workers.len()];
-        out.reserve(rest.iter().map(|keys| keys.len()).sum());
-        // `u64::MAX` stands for an exhausted worker: no edge key reaches
-        // it, because `u < v`.
-        let head = |keys: &[u64]| keys.first().copied().unwrap_or(u64::MAX);
-        loop {
-            let min = rest.iter().map(|keys| head(keys)).min().unwrap_or(u64::MAX);
-            if min == u64::MAX {
-                return;
-            }
-            // Advance every worker holding the minimum without branching
-            // on the comparison, which a merge of interleaved keys
-            // mispredicts.
-            for keys in rest.iter_mut() {
-                *keys = &keys[usize::from(head(keys) == min)..];
-            }
-            out.push(key_edge(min));
+        let heads = &mut heads[..workers.len()];
+        let keys: usize = heads.iter().map(|keys| keys.len()).sum();
+        if self.keep_all.count == 0 {
+            out.reserve(keys);
+            merge_keys_below(heads, u64::MAX, out);
+            return;
         }
+        debug_assert_eq!(
+            self.keep_all.set.len(),
+            g.num_vertices(),
+            "not the marked graph"
+        );
+        let edges = g.endpoint_pairs();
+        let copied: usize = self.keep_all.runs(edges).map(|(_, run)| run.len()).sum();
+        out.reserve(keys + copied);
+        for (start, run) in self.keep_all.runs(edges) {
+            // No key has a keep-all lower endpoint, so every key below
+            // the run's first vertex precedes the run's edges.
+            merge_keys_below(heads, (start as u64) << 32, out);
+            out.extend_from_slice(&edges[run]);
+        }
+        merge_keys_below(heads, u64::MAX, out);
     }
 
-    /// Heap bytes of buffer capacity held across all workers.
+    /// Heap bytes of buffer capacity held across all workers and the
+    /// keep-all set.
     pub(crate) fn capacity_bytes(&self) -> usize {
         self.workers
             .iter()
             .map(MarkWorker::capacity_bytes)
             .sum::<usize>()
             + self.workers.capacity() * std::mem::size_of::<MarkWorker>()
+            + self.keep_all.set.capacity_bytes()
     }
 
     /// Forget the last run's marks, keeping every buffer's capacity.
@@ -362,7 +526,40 @@ impl MarkScratch {
             w.indices.clear();
             w.keys.clear();
         }
+        self.keep_all.clear();
         self.active = 0;
+    }
+}
+
+/// Append every key below `limit` at the front of the workers' sorted,
+/// distinct key slices `heads` to `out`, in order and once each, and
+/// advance the slices past them.
+fn merge_keys_below(heads: &mut [&[u64]], limit: u64, out: &mut Vec<(u32, u32)>) {
+    if let [only] = heads {
+        // A lone worker's keys are already sorted and distinct.
+        let below = only.partition_point(|&key| key < limit);
+        out.extend(only[..below].iter().map(|&key| key_edge(key)));
+        *only = &only[below..];
+        return;
+    }
+    // `u64::MAX` stands for an exhausted worker: no edge key reaches it,
+    // because `u < v`.
+    let head = |keys: &[u64]| keys.first().copied().unwrap_or(u64::MAX);
+    loop {
+        let min = heads
+            .iter()
+            .map(|keys| head(keys))
+            .min()
+            .unwrap_or(u64::MAX);
+        if min >= limit {
+            return;
+        }
+        // Advance every worker holding the minimum without branching on
+        // the comparison, which a merge of interleaved keys mispredicts.
+        for keys in heads.iter_mut() {
+            *keys = &keys[usize::from(head(keys) == min)..];
+        }
+        out.push(key_edge(min));
     }
 }
 
@@ -372,7 +569,8 @@ mod tests {
     use rand::{rngs::StdRng, RngCore, SeedableRng};
     use sparsimatch_graph::analysis::arboricity::arboricity_bounds;
     use sparsimatch_graph::generators::{
-        clique, clique_union, gnp, star, unit_disk, CliqueUnionConfig, UnitDiskConfig,
+        clique, clique_union, cycle, gnp, path, power_law, star, unit_disk, CliqueUnionConfig,
+        UnitDiskConfig,
     };
     use sparsimatch_matching::blossom::maximum_matching;
 
@@ -423,7 +621,7 @@ mod tests {
     ) -> (Vec<(u32, u32)>, MarkSummary) {
         let summary = marks.mark(g, p, seed, threads);
         let mut pairs = Vec::new();
-        marks.merge_into(&mut pairs);
+        marks.merge_into(g, &mut pairs);
         (pairs, summary)
     }
 
@@ -433,6 +631,9 @@ mod tests {
         // including more workers than vertices — must reproduce a fresh
         // one-worker run exactly: pairs and every counter. The pairs are
         // the sorted, distinct marked edge ids mapped to their endpoints.
+        // The cap is 6: the clique samples at every vertex, the cycle
+        // keeps all at every vertex, and the star, G(n, p) and power law
+        // mix keep-all vertices with sampled ones (the power law's hubs).
         let mut rng = StdRng::seed_from_u64(40);
         let graphs = [
             clique(90),
@@ -440,6 +641,8 @@ mod tests {
             gnp(150, 0.08, &mut rng),
             sparsimatch_graph::csr::from_edges(0, []),
             sparsimatch_graph::csr::from_edges(5, []),
+            cycle(120),
+            power_law(400, 2, &mut rng),
         ];
         let p = params(2, 0.4, 3);
         let mut reused = MarkScratch::new();
@@ -457,6 +660,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn keep_all_vertices_push_no_key() {
+        // Every vertex of a cycle or path keeps all its edges (degree
+        // 2 <= cap 6), so G_Δ = G comes out of the CSR without a single
+        // key to sort, at any worker count.
+        let p = params(2, 0.4, 3);
+        for g in [cycle(300), path(257)] {
+            let mut marks = MarkScratch::new();
+            for threads in [1usize, 2, 3, 8] {
+                let (pairs, summary) = marked(&mut marks, &g, &p, 5, threads);
+                assert!(marks.workers[..marks.active]
+                    .iter()
+                    .all(|w| w.keys.is_empty()));
+                assert_eq!(pairs, edge_pairs(&g), "t {threads}");
+                assert_eq!(summary.stats.low_degree_vertices, g.num_vertices());
+                assert_eq!(summary.stats.marks_placed, 2 * g.num_edges());
+            }
+        }
+        // A star's hub (vertex 0) samples, so each leaf keys its edge to
+        // the hub, and the hub's own marks add nothing new.
+        let g = star(40);
+        let mut marks = MarkScratch::new();
+        let (pairs, _) = marked(&mut marks, &g, &p, 5, 1);
+        assert_eq!(pairs, edge_pairs(&g));
+        assert_eq!(marks.workers[0].keys.len(), 39);
     }
 
     #[test]
@@ -639,6 +869,11 @@ mod tests {
         // indices: one RNG draw and one overlay write apiece.
         assert_eq!(meter.get(keys::RNG_DRAWS), 80 * p.delta as u64);
         assert_eq!(meter.get(keys::OVERLAY_WRITES), 80 * p.delta as u64);
+        assert_eq!(meter.get(keys::KEEP_ALL_VERTICES), 0);
+        // A star's leaves keep all; its hub samples.
+        let mut meter = sparsimatch_obs::WorkMeter::new();
+        build_sparsifier(&star(30), &p, 11, 1, Some(&mut meter)).unwrap();
+        assert_eq!(meter.get(keys::KEEP_ALL_VERTICES), 29);
     }
 
     #[test]

@@ -233,6 +233,14 @@ impl CsrGraph {
             .map(|(i, &(u, v))| (EdgeId::new(i), VertexId(u), VertexId(v)))
     }
 
+    /// The endpoints `(u, v)` with `u < v` of every undirected edge, in
+    /// edge-id order, which is lexicographic: the edges whose lower
+    /// endpoint lies in a vertex range are one contiguous run of it.
+    #[inline]
+    pub fn endpoint_pairs(&self) -> &[(u32, u32)] {
+        &self.endpoints
+    }
+
     /// Whether `{u, v}` is an edge (O(log min-degree) via binary search).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         self.find_edge(u, v).is_some()

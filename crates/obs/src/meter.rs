@@ -27,6 +27,10 @@ pub mod keys {
     pub const OVERLAY_WRITES: &str = "sampler.overlay_writes";
     /// Edges appended to the sparsifier.
     pub const SPARSIFIER_EDGES: &str = "sparsifier.edges";
+    /// Vertices of degree at most the mark cap `2Δ`, which keep every
+    /// incident edge in `G_Δ`: equal to the vertex count exactly when the
+    /// delta sparsifier keeps the whole graph.
+    pub const KEEP_ALL_VERTICES: &str = "sparsifier.keep_all_vertices";
     /// Edge visits performed by bounded augmenting-path search.
     pub const EDGE_VISITS: &str = "matching.edge_visits";
     /// Augmenting-path searches started.
