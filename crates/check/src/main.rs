@@ -5,6 +5,7 @@ use sparsimatch_check::oracles::PANIC_CHECK;
 use sparsimatch_check::shrink::DEFAULT_CALL_BUDGET;
 use sparsimatch_check::{counterexample_doc, report, shrink_instance, CheckConfig, Scenario};
 use sparsimatch_core::scratch::PipelineScratch;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const USAGE: &str = "\
 sparsimatch-check — differential fuzzing of the sparsimatch oracles
@@ -104,6 +105,31 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
+/// Set while [`quietly`] runs an oracle whose panics come back as
+/// `panic` verdicts, so the hook need not print each one.
+static QUIET_PANICS: AtomicBool = AtomicBool::new(false);
+
+/// Wrap the panic hook so that it stays quiet inside [`quietly`] and
+/// reports every other panic as before: the sweep's first run of a
+/// panicking oracle, and the shrinker's own code.
+fn install_panic_hook() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !QUIET_PANICS.load(Ordering::Relaxed) {
+            report(info);
+        }
+    }));
+}
+
+/// Run an oracle check, which never unwinds, without printing the panics
+/// it catches.
+fn quietly<T>(check: impl FnOnce() -> T) -> T {
+    QUIET_PANICS.store(true, Ordering::Relaxed);
+    let verdict = check();
+    QUIET_PANICS.store(false, Ordering::Relaxed);
+    verdict
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -126,6 +152,7 @@ fn main() {
     // so sharing cannot change a verdict). Shrinking below deliberately
     // uses fresh-arena checks so reproducer replays stay self-contained.
     let mut scratch = PipelineScratch::new();
+    install_panic_hook();
     for seed in args.start_seed..args.start_seed + args.seeds {
         let scenario = Scenario::generate(seed, &args.cfg);
         trials_by_oracle[scenario.oracle as usize] += 1;
@@ -155,23 +182,15 @@ fn main() {
         let cfg = args.cfg;
         let oracle = scenario.oracle;
         let slug = violation.check.clone();
-        // The panic hook has reported the first panic with its location;
+        // The hook has reported the first panic with its location;
         // candidates that panic while shrinking stay quiet.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         let (small, stats) = shrink_instance(
             &scenario.instance,
-            |candidate| {
-                oracle
-                    .check(candidate, &cfg)
-                    .is_some_and(|v| v.check == slug)
-            },
+            |candidate| quietly(|| oracle.check(candidate, &cfg)).is_some_and(|v| v.check == slug),
             DEFAULT_CALL_BUDGET,
         );
-        let final_violation = oracle
-            .check(&small, &cfg)
-            .expect("shrinker must preserve the violation");
-        std::panic::set_hook(hook);
+        let final_violation =
+            quietly(|| oracle.check(&small, &cfg)).expect("shrinker must preserve the violation");
         let doc = counterexample_doc(seed, oracle, &small, &cfg, &final_violation, &stats);
         if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
             eprintln!("error: cannot create {}: {e}", args.out_dir.display());

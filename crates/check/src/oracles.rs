@@ -250,6 +250,30 @@ fn check_static(
     scratch: &mut PipelineScratch,
 ) -> Option<Violation> {
     let g = inst.graph();
+    let params = inst.params();
+    // The product's seeded builder at the caller's Δ, and the same build
+    // from two and four mark workers. The builder has no parallel cutoff,
+    // so this is where the merge of several mark workers' keys and
+    // keep-all runs meets an oracle: the pipeline runs one worker at
+    // these sizes. Worker-count invariance does not rest on β, so it is
+    // checked before the β audit, and the shrinker can remove edges from
+    // a witness without tripping the certificate first.
+    let s =
+        build_sparsifier(&g, &params, inst.algo_seed, 1, None).expect("1 is a valid thread count");
+    for threads in [2usize, 4] {
+        let t = build_sparsifier(&g, &params, inst.algo_seed, threads, None)
+            .expect("2 and 4 are valid thread counts");
+        if t.stats != s.stats || edge_pairs(&t.graph) != edge_pairs(&s.graph) {
+            return Some(Violation::new(
+                "sparsifier-threads",
+                format!(
+                    "{threads}-worker build differs from the 1-worker build: {} vs {} edges, \
+                     stats {:?} vs {:?}",
+                    t.stats.edges, s.stats.edges, t.stats, s.stats
+                ),
+            ));
+        }
+    }
     // β audit: the certificate every Δ sizing rests on, verified by exact
     // branch and bound (cheap at these n).
     if !neighborhood_independence_at_most(&g, inst.beta) {
@@ -264,7 +288,6 @@ fn check_static(
     if g.num_edges() == 0 {
         return None;
     }
-    let params = inst.params();
     let bound = inst.ratio_bound(cfg);
     let exact = maximum_matching(&g);
 
@@ -296,27 +319,8 @@ fn check_static(
         ));
     }
 
-    // Sparsifier invariants on the product's seeded builder, at the
-    // caller's Δ (the pipeline above marks at the stage Δ).
-    let s =
-        build_sparsifier(&g, &params, inst.algo_seed, 1, None).expect("1 is a valid thread count");
-    // The builder has no parallel cutoff, so this is where the merge of
-    // several mark workers' keys and keep-all runs meets an oracle: the
-    // pipeline runs one worker at these sizes.
-    for threads in [2usize, 4] {
-        let t = build_sparsifier(&g, &params, inst.algo_seed, threads, None)
-            .expect("2 and 4 are valid thread counts");
-        if t.stats != s.stats || edge_pairs(&t.graph) != edge_pairs(&s.graph) {
-            return Some(Violation::new(
-                "sparsifier-threads",
-                format!(
-                    "{threads}-worker build differs from the 1-worker build: {} vs {} edges, \
-                     stats {:?} vs {:?}",
-                    t.stats.edges, s.stats.edges, t.stats, s.stats
-                ),
-            ));
-        }
-    }
+    // Sparsifier invariants on the seeded build above, at the caller's Δ
+    // (the pipeline marks at the stage Δ).
     for (_, u, v) in s.graph.edges() {
         if !g.has_edge(u, v) {
             return Some(Violation::new(

@@ -200,10 +200,11 @@ fn approx_mcm_via_sparsifier_impl(
         ..
     } = scratch;
 
-    // Stage 1: each worker marks its vertex range and sorts the marks
-    // whose lower endpoint is sampled, then one merge writes the sorted
-    // endpoint pairs straight into the sparsifier's edge list, copying a
-    // keep-all vertex's edges from the parent's sorted endpoint list.
+    // Stage 1: each worker marks its vertex range and sorts the keys of
+    // the marks the merge cannot copy (see `MarkWorker::keys`), then one
+    // merge writes the sorted endpoint pairs straight into the
+    // sparsifier's edge list, copying the edges of each run of keep-all
+    // lower endpoints from the parent's sorted endpoint list.
     // Stage 2 lays that list out as the CSR.
     let mark_start = Instant::now();
     let summary = marks.mark(g, &stage_params, seed, mark_threads(threads, g.num_edges()));

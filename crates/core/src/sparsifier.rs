@@ -70,10 +70,11 @@ pub struct Sparsifier {
 }
 
 /// Build `G_Δ` from a CSR graph with `threads` marking workers. Runs in
-/// time `O(n + |E(G_Δ)|)` up to sorting the marks whose lower endpoint is
-/// sampled and one binary search per run of consecutive keep-all
-/// vertices, whose edges are copied from the sorted input: linear in the
-/// *output*, not the input (Theorem 3.1's construction bound).
+/// time `O(n + |E(G_Δ)|)` up to sorting the sampled vertices' marks and
+/// the keep-all vertices' edges to sampled lower neighbours, and one
+/// binary search per run of consecutive keep-all vertices, whose edges
+/// are copied from the sorted input: linear in the *output*, not the
+/// input (Theorem 3.1's construction bound).
 ///
 /// Every vertex `v` marks from its own stream
 /// [`vertex_rng`]`(seed, v)`, so the output depends only on `seed`, never
@@ -161,10 +162,10 @@ pub(crate) struct MarkSummary {
 struct MarkWorker {
     sampler: PosArraySampler,
     indices: Vec<u32>,
-    /// Sorted, distinct [`edge_key`]s of the marked edges, from this
-    /// worker's vertex range, that the merge cannot copy from the CSR:
-    /// every marked edge in a run without keep-all vertices, otherwise
-    /// only those whose lower endpoint is sampled.
+    /// Sorted, distinct [`edge_key`]s pushed by this worker's vertex
+    /// range: every mark of a sampled vertex, and each edge from a
+    /// keep-all vertex to a sampled lower neighbour. The merge copies
+    /// every other marked edge from the CSR.
     keys: Vec<u64>,
     summary: MarkSummary,
 }
@@ -180,85 +181,30 @@ impl MarkWorker {
     }
 
     /// Mark the edges of the vertices in `range`, then sort and
-    /// deduplicate the keys pushed. With no keep-all vertex in the run
-    /// every mark pushes its key; with `keep_all`, only a mark whose
-    /// lower endpoint is sampled does, so the sort covers only those.
-    /// Allocation-free once the buffers have capacity.
+    /// deduplicate the keys pushed. A keep-all vertex marks every edge
+    /// without drawing, and of those only an edge to a sampled lower
+    /// neighbour needs a key: the merge copies every edge whose lower
+    /// endpoint keeps all from the CSR. A sampled vertex keys every
+    /// mark, so on a graph where every vertex samples this is the plain
+    /// every-mark loop, and where every vertex keeps all no key is
+    /// pushed. Allocation-free once the buffers have capacity.
     fn mark_range(
         &mut self,
         g: &CsrGraph,
         params: &SparsifierParams,
         seed: u64,
         range: std::ops::Range<usize>,
-        keep_all: Option<&KeepAll>,
+        keep_all: &KeepAll,
     ) {
         let draws_before = self.sampler.rng_draws();
         let writes_before = self.sampler.overlay_writes();
         self.keys.clear();
-        let marks_placed = match keep_all {
-            None => self.push_every_mark(g, params, seed, range),
-            Some(keep_all) => self.push_sampled_lower_marks(g, params, seed, range, keep_all),
-        };
-        self.keys.sort_unstable();
-        self.keys.dedup();
-        self.summary = MarkSummary {
-            stats: SparsifierStats {
-                marks_placed,
-                ..Default::default()
-            },
-            rng_draws: self.sampler.rng_draws() - draws_before,
-            overlay_writes: self.sampler.overlay_writes() - writes_before,
-        };
-    }
-
-    /// Mark every vertex of `range` from its own stream and push every
-    /// mark's key: the loop for a run in which every vertex samples.
-    /// Returns the marks placed.
-    fn push_every_mark(
-        &mut self,
-        g: &CsrGraph,
-        params: &SparsifierParams,
-        seed: u64,
-        range: std::ops::Range<usize>,
-    ) -> usize {
-        // Size the overlay to this range's own largest degree (a star hub
-        // inflates one worker's overlay, not all of them). Every vertex
-        // places Δ marks, so `keys` is reserved once.
-        let max_deg = range.clone().map(|v| g.degree(VertexId::new(v))).max();
-        self.sampler.ensure_capacity(max_deg.unwrap_or(0).max(1));
-        self.keys.reserve(range.len() * params.delta);
-        let mut marks = 0;
-        for v in range {
-            let vid = VertexId::new(v);
-            self.sample(g, params, seed, vid);
-            marks += self.indices.len();
-            for &i in &self.indices {
-                self.keys
-                    .push(edge_key(vid.0, g.neighbor(vid, i as usize).0));
-            }
-        }
-        marks
-    }
-
-    /// Mark the vertices of `range` in a run with keep-all vertices. The
-    /// merge copies every edge whose lower endpoint keeps all straight
-    /// from the CSR, so a key is pushed only for a mark whose lower
-    /// endpoint is sampled. Returns the marks placed.
-    fn push_sampled_lower_marks(
-        &mut self,
-        g: &CsrGraph,
-        params: &SparsifierParams,
-        seed: u64,
-        range: std::ops::Range<usize>,
-        keep_all: &KeepAll,
-    ) -> usize {
         let mut marks = 0;
         let mut sampled = 0;
         let mut max_deg = 0;
-        // Keep-all vertices mark every edge without drawing; of those,
-        // only an edge to a sampled lower neighbour needs a key. These
-        // keys are the same in every run on one graph, so pushing them
-        // before the reserve below keeps a warm run allocation-free.
+        // The keep-all vertices' keys are the same in every run on one
+        // graph, so pushing them before the reserve below keeps a warm
+        // run allocation-free.
         for v in range.clone() {
             let vid = VertexId::new(v);
             let deg = g.degree(vid);
@@ -276,6 +222,9 @@ impl MarkWorker {
                 }
             }
         }
+        // Size the overlay to this range's own largest sampled degree (a
+        // star hub inflates one worker's overlay, not all of them). Every
+        // sampled vertex places Δ marks.
         self.sampler.ensure_capacity(max_deg.max(1));
         self.keys.reserve(sampled * params.delta);
         for v in range.filter(|&v| !keep_all.contains(v)) {
@@ -283,13 +232,20 @@ impl MarkWorker {
             self.sample(g, params, seed, vid);
             marks += self.indices.len();
             for &i in &self.indices {
-                let key = edge_key(vid.0, g.neighbor(vid, i as usize).0);
-                if !keep_all.contains(key_edge(key).0 as usize) {
-                    self.keys.push(key);
-                }
+                self.keys
+                    .push(edge_key(vid.0, g.neighbor(vid, i as usize).0));
             }
         }
-        marks
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        self.summary = MarkSummary {
+            stats: SparsifierStats {
+                marks_placed: marks,
+                ..Default::default()
+            },
+            rng_draws: self.sampler.rng_draws() - draws_before,
+            overlay_writes: self.sampler.overlay_writes() - writes_before,
+        };
     }
 
     /// Draw `v`'s mark indices into `indices`.
@@ -360,15 +316,15 @@ impl KeepAll {
         self.set.get(v)
     }
 
-    /// Each maximal run `start..end` of consecutive keep-all vertices, in
-    /// order, as `start` and the range of `edges`, the graph's
-    /// lex-sorted endpoint pairs, whose lower endpoint lies in the run.
-    /// A binary search finds each range, so a run costs its length plus
-    /// `O(log m)`, whatever the sampled vertices between runs hold.
+    /// Each maximal run of consecutive keep-all vertices, in order, with
+    /// the range of `edges`, the graph's lex-sorted endpoint pairs, whose
+    /// lower endpoint lies in the run. A binary search finds each range,
+    /// so a run costs its length plus `O(log m)`, whatever the sampled
+    /// vertices between runs hold.
     fn runs<'a>(
         &'a self,
         edges: &'a [(u32, u32)],
-    ) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + 'a {
+    ) -> impl Iterator<Item = (std::ops::Range<usize>, std::ops::Range<usize>)> + 'a {
         let n = self.set.len();
         let (mut v, mut at) = (0, 0);
         std::iter::from_fn(move || {
@@ -384,7 +340,7 @@ impl KeepAll {
             }
             let from = at + edges[at..].partition_point(|&(a, _)| (a as usize) < start);
             at = from + edges[from..].partition_point(|&(a, _)| (a as usize) < v);
-            Some((start, from..at))
+            Some((start..v, from..at))
         })
     }
 
@@ -439,10 +395,7 @@ impl MarkScratch {
         let MarkScratch {
             workers, keep_all, ..
         } = self;
-        // Without keep-all vertices the workers run the plain loop:
-        // testing every mark's lower endpoint would cost a few percent
-        // and spare nothing.
-        let keep_all = (keep_all.count > 0).then_some(&*keep_all);
+        let keep_all = &*keep_all;
         let bound = |i: usize| i * n / t;
         match &mut workers[..t] {
             [only] => only.mark_range(g, params, seed, 0..n, keep_all),
@@ -480,31 +433,30 @@ impl MarkScratch {
     /// workers' sorted keys, merged linearly, fill in every sampled lower
     /// endpoint; an edge marked from two ranges comes out once.
     pub(crate) fn merge_into(&self, g: &CsrGraph, out: &mut Vec<(u32, u32)>) {
+        debug_assert_eq!(
+            self.keep_all.set.len(),
+            g.num_vertices(),
+            "not the marked graph"
+        );
         let workers = &self.workers[..self.active];
         let mut heads: [&[u64]; MAX_THREADS] = [&[]; MAX_THREADS];
         for (keys, w) in heads.iter_mut().zip(workers) {
             *keys = &w.keys;
         }
         let heads = &mut heads[..workers.len()];
-        let keys: usize = heads.iter().map(|keys| keys.len()).sum();
-        if self.keep_all.count == 0 {
-            out.reserve(keys);
-            merge_keys_below(heads, u64::MAX, out);
-            return;
-        }
-        debug_assert_eq!(
-            self.keep_all.set.len(),
-            g.num_vertices(),
-            "not the marked graph"
-        );
         let edges = g.endpoint_pairs();
+        let keys: usize = heads.iter().map(|keys| keys.len()).sum();
         let copied: usize = self.keep_all.runs(edges).map(|(_, run)| run.len()).sum();
         out.reserve(keys + copied);
-        for (start, run) in self.keep_all.runs(edges) {
-            // No key has a keep-all lower endpoint, so every key below
-            // the run's first vertex precedes the run's edges.
-            merge_keys_below(heads, (start as u64) << 32, out);
+        for (vertices, run) in self.keep_all.runs(edges) {
+            merge_keys_below(heads, (vertices.start as u64) << 32, out);
             out.extend_from_slice(&edges[run]);
+            // A sampled vertex's mark to a lower neighbour in the run
+            // repeats a copied edge.
+            let past = (vertices.end as u64) << 32;
+            for keys in heads.iter_mut() {
+                *keys = &keys[keys.partition_point(|&key| key < past)..];
+            }
         }
         merge_keys_below(heads, u64::MAX, out);
     }
@@ -687,6 +639,17 @@ mod tests {
         let (pairs, _) = marked(&mut marks, &g, &p, 5, 1);
         assert_eq!(pairs, edge_pairs(&g));
         assert_eq!(marks.workers[0].keys.len(), 39);
+        // With the hub last, every leaf lies below it: the leaves push
+        // nothing, and the hub's Δ keys repeat edges the merge copies from
+        // the leaves' run, so each comes out once.
+        let g = sparsimatch_graph::csr::from_edges(40, (0..39).map(|leaf| (leaf, 39)));
+        for threads in [1usize, 2, 8] {
+            let (pairs, summary) = marked(&mut marks, &g, &p, 5, threads);
+            let keys: usize = marks.workers[..threads].iter().map(|w| w.keys.len()).sum();
+            assert_eq!(keys, p.delta, "t {threads}");
+            assert_eq!(pairs, edge_pairs(&g), "t {threads}");
+            assert_eq!(summary.stats.low_degree_vertices, 39);
+        }
     }
 
     #[test]

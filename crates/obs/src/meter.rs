@@ -28,8 +28,10 @@ pub mod keys {
     /// Edges appended to the sparsifier.
     pub const SPARSIFIER_EDGES: &str = "sparsifier.edges";
     /// Vertices of degree at most the mark cap `2Δ`, which keep every
-    /// incident edge in `G_Δ`: equal to the vertex count exactly when the
-    /// delta sparsifier keeps the whole graph.
+    /// incident edge in `G_Δ`, added once per delta solve like
+    /// [`SPARSIFIER_EDGES`]. One solve's count equals the vertex count
+    /// exactly when its sparsifier keeps the whole graph; a meter that
+    /// sums `k` such solves of an `n`-vertex graph reads `k·n`.
     pub const KEEP_ALL_VERTICES: &str = "sparsifier.keep_all_vertices";
     /// Edge visits performed by bounded augmenting-path search.
     pub const EDGE_VISITS: &str = "matching.edge_visits";
