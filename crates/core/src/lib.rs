@@ -11,7 +11,7 @@
 //! Modules:
 //!
 //! * [`params`] — Δ from (β, ε): the paper's proof constant and practical
-//!   scalings; the validity window `β = O(εn/log n)`.
+//!   scalings.
 //! * [`sampler`] — Δ-out-of-deg sampling without replacement over
 //!   *read-only* adjacency arrays in deterministic O(Δ) time per vertex,
 //!   via the `pos_v` sparse-array emulation of Section 3.1.
@@ -19,8 +19,9 @@
 //!   accounting (Observations 2.10 and 2.12).
 //! * [`solomon`] — Solomon's ITCS'18 bounded-degree sparsifier for
 //!   bounded-arboricity graphs (deterministic, mutual marking).
-//! * [`composed`] — the two-round composition `G̃_Δ` of Section 3.2:
-//!   bounded-β graph → low-arboricity `G_Δ` → bounded-degree `G̃_Δ`.
+//! * [`maintained`] — `G_Δ` kept under single-edge updates by redrawing
+//!   the two endpoints' marks: the oblivious-adversary dynamic sparsifier
+//!   of Section 3.3 and the dynamic distributed model's protocol.
 //! * [`pipeline`] — Theorem 3.1 end-to-end: sparsify then run a `(1+ε)`
 //!   matching algorithm, in time sublinear in `|E(G)|`.
 //! * [`stream_build`] — the same construction out of core: two passes
@@ -40,9 +41,9 @@
 //!   comparable degree budgets, `3/2 + O(λ)` ratio floor.
 
 pub mod backend;
-pub mod composed;
 pub mod edcs;
 pub mod lower_bounds;
+pub mod maintained;
 pub mod params;
 pub mod pipeline;
 pub mod sampler;

@@ -4,22 +4,21 @@
 //! maintained with low per-update communication and memory.
 //!
 //! The sparsifier is ideal here because marking is local: when edge
-//! `{u, v}` appears or disappears, only `u` and `v` resample their marks —
+//! `{u, v}` appears or disappears, only `u` and `v` redraw their marks —
 //! **one communication round and `O(Δ)` one-bit messages per update**,
 //! touching nobody else. Each node stores only its own ≤ `2Δ` marks and
 //! the ≤ `deg` marks it has heard (`O(Δ + deg)` words). The maintained
 //! edge set is `G_Δ`-distributed at all times against an oblivious
 //! update sequence, so a `(1+ε)`-approximate matching can be re-extracted
-//! from it at any moment.
+//! from it at any moment. The maintenance itself is core's
+//! [`MaintainedSparsifier`]; this module adds the model's accounting.
 
 use crate::metrics::Metrics;
+use sparsimatch_core::maintained::MaintainedSparsifier;
 use sparsimatch_core::params::SparsifierParams;
-use sparsimatch_core::sampler::{mark_indices_for_vertex, vertex_rng, PosArraySampler};
-use sparsimatch_graph::adjacency::AdjacencyOracle;
 use sparsimatch_graph::adjlist::AdjListGraph;
-use sparsimatch_graph::csr::{CsrGraph, GraphBuilder};
+use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
-use std::collections::HashSet;
 
 /// A topology update in the dynamic network.
 #[derive(Clone, Copy, Debug)]
@@ -32,37 +31,22 @@ pub enum TopologyUpdate {
 
 /// Maintains the distributed sparsifier across topology updates.
 pub struct DynamicNetwork {
-    graph: AdjListGraph,
-    params: SparsifierParams,
-    /// Each node's own current marks (neighbor ids), as it would store
-    /// them locally.
-    marks: Vec<HashSet<u32>>,
-    /// The `pos_v` sampler and index buffer every resample reuses.
-    sampler: PosArraySampler,
-    indices: Vec<u32>,
+    maintained: MaintainedSparsifier,
     metrics: Metrics,
-    update_seed: u64,
-    updates_applied: u64,
 }
 
 impl DynamicNetwork {
     /// An initially link-less network of `n` nodes.
     pub fn new(n: usize, params: SparsifierParams, seed: u64) -> Self {
         DynamicNetwork {
-            graph: AdjListGraph::new(n),
-            params,
-            marks: vec![HashSet::new(); n],
-            sampler: PosArraySampler::new(0),
-            indices: Vec::new(),
+            maintained: MaintainedSparsifier::new(n, params, seed),
             metrics: Metrics::new(),
-            update_seed: seed,
-            updates_applied: 0,
         }
     }
 
     /// The current topology.
     pub fn graph(&self) -> &AdjListGraph {
-        &self.graph
+        self.maintained.graph()
     }
 
     /// Communication spent so far across all updates.
@@ -70,65 +54,35 @@ impl DynamicNetwork {
         self.metrics
     }
 
-    /// Apply one topology update: the two endpoints resample and announce
-    /// their new marks along marked links — one round, `O(Δ)` messages.
+    /// Apply one topology update: the two endpoints redraw their marks
+    /// and send one bit to each neighbor they newly mark or no longer
+    /// mark — one round, `O(Δ)` messages. A duplicate link-up or a
+    /// link-down of an absent link changes nothing and costs nothing.
     pub fn apply(&mut self, update: TopologyUpdate) {
-        self.updates_applied += 1;
-        let (u, v, ok) = match update {
-            TopologyUpdate::LinkUp(u, v) => (u, v, self.graph.insert_edge(u, v)),
-            TopologyUpdate::LinkDown(u, v) => (u, v, self.graph.delete_edge(u, v)),
+        let redraw = match update {
+            TopologyUpdate::LinkUp(u, v) => self.maintained.insert_edge(u, v),
+            TopologyUpdate::LinkDown(u, v) => self.maintained.delete_edge(u, v),
         };
-        if !ok {
-            return; // duplicate/phantom update: nothing changes
+        if let Some(r) = redraw {
+            self.metrics.rounds += 1; // both endpoints act in the same round
+            self.metrics.messages += r.changed;
+            self.metrics.bits += r.changed;
+            self.metrics.max_message_bits = self.metrics.max_message_bits.max(1);
         }
-        self.metrics.rounds += 1; // both endpoints act in the same round
-        self.resample(u);
-        self.resample(v);
     }
 
-    fn resample(&mut self, v: VertexId) {
-        let mut rng = vertex_rng(
-            self.update_seed ^ self.updates_applied.wrapping_mul(0xD1B54A32D192ED03),
-            v.index(),
-        );
-        let (delta, cap) = (self.params.delta, self.params.mark_cap());
-        let (g, sampler, indices) = (&self.graph, &mut self.sampler, &mut self.indices);
-        sampler.ensure_capacity(g.degree(v));
-        mark_indices_for_vertex(g, v, delta, cap, sampler, &mut rng, indices);
-        let fresh: HashSet<u32> = indices
-            .iter()
-            .map(|&i| g.neighbor(v, i as usize).0)
-            .collect();
-        // Communication: v tells each newly-marked neighbor (1 bit) and
-        // each formerly-marked neighbor that the mark is retracted (1 bit).
-        let old = std::mem::take(&mut self.marks[v.index()]);
-        let changed = old.symmetric_difference(&fresh).count() as u64;
-        self.metrics.messages += changed;
-        self.metrics.bits += changed;
-        self.metrics.max_message_bits = self.metrics.max_message_bits.max(1);
-        self.marks[v.index()] = fresh;
-    }
-
-    /// The currently maintained sparsifier (union of surviving marks;
-    /// marks referring to vanished links are dropped — their retraction
-    /// was already accounted when the endpoint resampled).
+    /// The currently maintained sparsifier (the union of the nodes'
+    /// marks).
     pub fn sparsifier(&self) -> CsrGraph {
-        let n = self.graph.num_vertices();
-        let mut b = GraphBuilder::new(n);
-        for (v, marks) in self.marks.iter().enumerate() {
-            for &w in marks {
-                if self.graph.has_edge(VertexId::new(v), VertexId(w)) {
-                    b.add_edge(VertexId::new(v), VertexId(w));
-                }
-            }
-        }
-        b.build()
+        self.maintained.sparsifier()
     }
 
-    /// Per-node memory high-water mark, in words (own marks + degree).
+    /// The largest node memory now, in words (own marks + degree).
     pub fn max_node_memory(&self) -> usize {
-        (0..self.graph.num_vertices())
-            .map(|v| self.marks[v].len() + self.graph.degree(VertexId::new(v)))
+        let g = self.maintained.graph();
+        (0..g.num_vertices())
+            .map(VertexId::new)
+            .map(|v| self.maintained.marks(v).len() + g.degree(v))
             .max()
             .unwrap_or(0)
     }

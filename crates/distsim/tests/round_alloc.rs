@@ -9,18 +9,25 @@
 //! phase, so the allocator calls it makes stay under a constant per round
 //! plus a constant per run, neither of which grows with the graph. A
 //! per-vertex buffer per round would cost at least `n` calls a round.
+//!
+//! The dynamic distributed model's updates allocate nothing once the
+//! network is stood up: each node's marks live in a fixed slot and every
+//! redraw reuses one sampler and one buffer, so churn over links the
+//! network has already carried makes no allocator call.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_distsim::algorithms::israeli_itai::israeli_itai_matching;
 use sparsimatch_distsim::algorithms::solomon::distributed_solomon;
 use sparsimatch_distsim::algorithms::sparsify::{
     distributed_sparsifier, distributed_sparsifier_broadcast,
 };
+use sparsimatch_distsim::dynamic_net::{DynamicNetwork, TopologyUpdate};
 use sparsimatch_distsim::Network;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_graph::generators::power_law;
+use sparsimatch_graph::generators::{clique_union, power_law, CliqueUnionConfig};
+use sparsimatch_graph::ids::VertexId;
 use sparsimatch_obs::alloc::{self, CountingAllocator};
 use std::sync::Mutex;
 
@@ -102,4 +109,47 @@ fn sparsifiers_allocate_per_round_not_per_vertex() {
     assert_flat("distributed_sparsifier_broadcast", |net| {
         std::hint::black_box(distributed_sparsifier_broadcast(net, &params, 9));
     });
+}
+
+/// Allocator calls allowed per 1 000 dynamic-network updates once the
+/// network is stood up (measured: none).
+const CALLS_PER_1000_UPDATES: u64 = 1;
+
+#[test]
+fn dynamic_network_churn_allocates_nothing_per_update() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let host = clique_union(
+        CliqueUnionConfig {
+            n: 400,
+            diversity: 2,
+            clique_size: 100,
+        },
+        &mut StdRng::seed_from_u64(400),
+    );
+    let mut net = DynamicNetwork::new(400, SparsifierParams::practical(2, 0.4), 11);
+    for (_, u, v) in host.edges() {
+        net.apply(TopologyUpdate::LinkUp(u, v));
+    }
+    let mut rng = StdRng::seed_from_u64(12);
+    let picks: Vec<usize> = (0..10_000)
+        .map(|_| rng.random_range(0..host.num_edges()))
+        .collect();
+    let before = alloc::thread_totals().count;
+    for &e in &picks {
+        let (u, v) = host.endpoint_pairs()[e];
+        let (u, v) = (VertexId(u), VertexId(v));
+        net.apply(TopologyUpdate::LinkDown(u, v));
+        net.apply(TopologyUpdate::LinkUp(u, v));
+    }
+    let calls = alloc::thread_totals().count - before;
+    let updates = 2 * picks.len() as u64;
+    assert_eq!(
+        net.metrics().rounds,
+        host.num_edges() as u64 + updates,
+        "every churn update is effective"
+    );
+    assert!(
+        calls <= CALLS_PER_1000_UPDATES * updates / 1_000,
+        "{calls} allocator calls over {updates} churn updates"
+    );
 }

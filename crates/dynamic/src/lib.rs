@@ -25,11 +25,16 @@
 //!   `O(√(βn))` dynamic maximal matching comparator;
 //! * [`harness`] — drives streams, records per-update work, audits the
 //!   approximation ratio against exact recomputation.
+//!
+//! Against an *oblivious* adversary no window is needed: redrawing the
+//! two endpoints' marks at each update keeps `G_Δ` itself, in `O(Δ)`
+//! worst-case work. That maintainer is core's
+//! [`sparsimatch_core::maintained::MaintainedSparsifier`], shared with the
+//! dynamic distributed model.
 
 pub mod adversary;
 pub mod baselines;
 pub mod harness;
-pub mod oblivious;
 pub mod scheme;
 pub mod sliced;
 
