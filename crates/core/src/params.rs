@@ -70,17 +70,6 @@ impl SparsifierParams {
         2 * self.delta
     }
 
-    /// Theorem 2.1's validity window: `β ≤ c·ε·n/ln n`. Returns whether
-    /// the window holds for an `n`-vertex input with the paper's (implicit)
-    /// constant taken as 1. Outside the window the whp bound degrades —
-    /// the construction still works, there is just no guarantee.
-    pub fn valid_for(&self, n: usize) -> bool {
-        if n < 3 {
-            return true;
-        }
-        (self.beta as f64) <= self.eps * n as f64 / (n as f64).ln()
-    }
-
     /// Observation 2.10 size bound for this construction:
     /// `|E(G_Δ)| ≤ 2·|MCM|·(mark_cap + β)`.
     pub fn size_bound(&self, mcm: usize) -> usize {
@@ -126,14 +115,6 @@ mod tests {
         let base = SparsifierParams::paper(2, 0.3).delta;
         assert!(SparsifierParams::paper(4, 0.3).delta > base);
         assert!(SparsifierParams::paper(2, 0.1).delta > base);
-    }
-
-    #[test]
-    fn validity_window() {
-        let p = SparsifierParams::with_delta(2, 0.5, 10);
-        assert!(p.valid_for(1000)); // 2 <= 0.5*1000/ln(1000) ≈ 72
-        let tight = SparsifierParams::with_delta(500, 0.5, 10);
-        assert!(!tight.valid_for(1000)); // 500 > 72
     }
 
     #[test]

@@ -213,12 +213,6 @@ pub fn validate_coloring<'g>(net: &impl Net<'g>, c: &Coloring) -> bool {
         && is_proper(net, &c.colors)
 }
 
-/// Degree of each vertex as a helper for palette sizing: `max_degree + 1`
-/// is the canonical target.
-pub fn canonical_target<'g>(net: &impl Net<'g>) -> u64 {
-    net.graph().max_degree() as u64 + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +268,7 @@ mod tests {
     fn colors_star() {
         let g = star(200);
         let mut net = Network::new(&g);
-        let target = canonical_target(&net);
+        let target = g.max_degree() as u64 + 1;
         let c = linial_coloring(&mut net, target);
         assert!(validate_coloring(&net, &c));
         assert_eq!(c.num_colors, 200, "star needs Δ+1 = 200 target");
@@ -286,7 +280,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = gnp(300, 0.02, &mut rng);
         let mut net = Network::new(&g);
-        let target = canonical_target(&net);
+        let target = g.max_degree() as u64 + 1;
         let c = linial_coloring(&mut net, target);
         assert!(validate_coloring(&net, &c));
         assert!(c.num_colors <= target);

@@ -276,20 +276,6 @@ impl CsrGraph {
         builder.build()
     }
 
-    /// The subgraph induced by `keep[v] == true` vertices. The vertex set is
-    /// preserved (dropped vertices become isolated), which keeps vertex ids
-    /// stable across the sparsifier pipeline.
-    pub fn induced_subgraph(&self, keep: &[bool]) -> CsrGraph {
-        assert_eq!(keep.len(), self.num_vertices());
-        let mut builder = GraphBuilder::new(self.num_vertices());
-        for (_, u, v) in self.edges() {
-            if keep[u.index()] && keep[v.index()] {
-                builder.add_edge(u, v);
-            }
-        }
-        builder.build()
-    }
-
     /// Total memory held by the four internal arrays, in bytes, audited
     /// against every field: offsets (at their actual width), the two
     /// half-edge arrays, and the undirected endpoint list. Useful for
@@ -690,14 +676,6 @@ mod tests {
         let h = g.edge_subgraph(keep.into_iter());
         assert_eq!(h.num_vertices(), 4);
         assert_eq!(h.num_edges(), 2); // 0-1 and 0-2
-        assert_eq!(h.degree(VertexId(3)), 0);
-    }
-
-    #[test]
-    fn induced_subgraph() {
-        let g = triangle_plus_pendant();
-        let h = g.induced_subgraph(&[true, true, true, false]);
-        assert_eq!(h.num_edges(), 3);
         assert_eq!(h.degree(VertexId(3)), 0);
     }
 

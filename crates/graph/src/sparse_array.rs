@@ -128,12 +128,6 @@ impl<T: Clone> SparseArray<T> {
         self.data.capacity() * size_of::<T>()
             + (self.back.capacity() + self.touched.capacity()) * size_of::<usize>()
     }
-
-    /// Iterate over `(index, value)` of explicitly written slots, in write
-    /// order (first write wins for ordering; the value is current).
-    pub fn iter_written(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
-        self.touched.iter().map(move |&i| (i, &self.data[i]))
-    }
 }
 
 #[cfg(test)]
@@ -175,16 +169,6 @@ mod tests {
         a.set(2, 11);
         assert_eq!(*a.get(2), 11);
         assert_eq!(*a.get(0), -1);
-    }
-
-    #[test]
-    fn iter_written_reports_current_values() {
-        let mut a = SparseArray::new(6, 0u8);
-        a.set(5, 1);
-        a.set(1, 2);
-        a.set(5, 3);
-        let seen: Vec<(usize, u8)> = a.iter_written().map(|(i, &v)| (i, v)).collect();
-        assert_eq!(seen, vec![(5, 3), (1, 2)]);
     }
 
     #[test]

@@ -7,10 +7,7 @@
 //! approximation.
 
 use crate::matching::Matching;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_graph::ids::EdgeId;
 
 /// Greedy maximal matching in edge-id order. O(m).
 pub fn greedy_maximal_matching(g: &CsrGraph) -> Matching {
@@ -29,21 +26,6 @@ pub fn greedy_maximal_matching_into(g: &CsrGraph, out: &mut Matching) {
         out.add_pair(u, v); // no-op when an endpoint is taken
     }
     debug_assert!(out.is_maximal_in(g));
-}
-
-/// Greedy maximal matching over a uniformly random edge order. Still a
-/// 2-approximation in the worst case, but typically noticeably larger than
-/// the deterministic scan; used as a fairer baseline in experiments.
-pub fn randomized_greedy_matching(g: &CsrGraph, rng: &mut impl Rng) -> Matching {
-    let mut order: Vec<u32> = (0..g.num_edges() as u32).collect();
-    order.shuffle(rng);
-    let mut m = Matching::new(g.num_vertices());
-    for e in order {
-        let (u, v) = g.edge_endpoints(EdgeId(e));
-        m.add_pair(u, v);
-    }
-    debug_assert!(m.is_maximal_in(g));
-    m
 }
 
 #[cfg(test)]
@@ -73,15 +55,6 @@ mod tests {
         let m = greedy_maximal_matching(&g);
         assert!(m.is_maximal_in(&g));
         assert!(m.len() >= 2 && m.len() <= 3);
-    }
-
-    #[test]
-    fn randomized_is_valid_and_maximal() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = gnp(100, 0.05, &mut rng);
-        let m = randomized_greedy_matching(&g, &mut rng);
-        assert!(m.is_valid_for(&g));
-        assert!(m.is_maximal_in(&g));
     }
 
     #[test]

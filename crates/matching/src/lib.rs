@@ -4,8 +4,8 @@
 //!
 //! * [`matching::Matching`] — the shared matching representation (mate
 //!   array) with validity / maximality / approximation audits.
-//! * [`greedy`] — greedy and randomized-greedy *maximal* matching (the
-//!   classic 2-approximation).
+//! * [`greedy`] — greedy *maximal* matching (the classic
+//!   2-approximation).
 //! * [`hopcroft_karp`] — exact maximum matching on bipartite graphs.
 //! * [`blossom`] — Edmonds' blossom algorithm: exact maximum matching on
 //!   general graphs; the ground truth for every experiment.

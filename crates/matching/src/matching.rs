@@ -139,24 +139,6 @@ impl Matching {
             .map(|(u, &m)| (VertexId::new(u), VertexId(m)))
     }
 
-    /// The matched vertices (the paper's `V_M`).
-    pub fn matched_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.mate
-            .iter()
-            .enumerate()
-            .filter(|&(_v, &m)| m != UNMATCHED)
-            .map(|(v, &_m)| VertexId::new(v))
-    }
-
-    /// The free vertices (the paper's `V_F`).
-    pub fn free_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.mate
-            .iter()
-            .enumerate()
-            .filter(|&(_v, &m)| m == UNMATCHED)
-            .map(|(v, &_m)| VertexId::new(v))
-    }
-
     /// Is every matched pair an edge of `g` (and the mate array coherent)?
     pub fn is_valid_for(&self, g: &CsrGraph) -> bool {
         if self.mate.len() != g.num_vertices() {
@@ -184,21 +166,6 @@ impl Matching {
     pub fn is_maximal_in(&self, g: &CsrGraph) -> bool {
         g.edges()
             .all(|(_, u, v)| self.is_matched(u) || self.is_matched(v))
-    }
-
-    /// Drop any pairs that are not edges of `g` (used when edges are
-    /// deleted under a dynamic matching). Returns how many pairs were
-    /// dropped.
-    pub fn prune_to(&mut self, g: &CsrGraph) -> usize {
-        let pairs: Vec<(VertexId, VertexId)> = self.pairs().collect();
-        let mut dropped = 0;
-        for (u, v) in pairs {
-            if !g.has_edge(u, v) {
-                self.remove_pair(u);
-                dropped += 1;
-            }
-        }
-        dropped
     }
 }
 
@@ -253,26 +220,5 @@ mod tests {
         assert!(mid.is_maximal_in(&g));
         let end = Matching::from_pairs(4, [(VertexId(0), VertexId(1))]);
         assert!(!end.is_maximal_in(&g), "edge (2,3) is free-free");
-    }
-
-    #[test]
-    fn prune_after_deletions() {
-        let g_before = from_edges(4, [(0, 1), (2, 3)]);
-        let g_after = from_edges(4, [(0, 1)]);
-        let mut m =
-            Matching::from_pairs(4, [(VertexId(0), VertexId(1)), (VertexId(2), VertexId(3))]);
-        assert!(m.is_valid_for(&g_before));
-        assert_eq!(m.prune_to(&g_after), 1);
-        assert!(m.is_valid_for(&g_after));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn vertex_partitions() {
-        let m = Matching::from_pairs(5, [(VertexId(1), VertexId(3))]);
-        let matched: Vec<u32> = m.matched_vertices().map(|v| v.0).collect();
-        let free: Vec<u32> = m.free_vertices().map(|v| v.0).collect();
-        assert_eq!(matched, vec![1, 3]);
-        assert_eq!(free, vec![0, 2, 4]);
     }
 }
