@@ -257,7 +257,8 @@ fn check_static(
     // keep-all runs meets an oracle: the pipeline runs one worker at
     // these sizes. Worker-count invariance does not rest on β, so it is
     // checked before the β audit, and the shrinker can remove edges from
-    // a witness without tripping the certificate first.
+    // a witness without tripping the certificate first; so are the other
+    // checks that hold on any graph.
     let s =
         build_sparsifier(&g, &params, inst.algo_seed, 1, None).expect("1 is a valid thread count");
     for threads in [2usize, 4] {
@@ -274,24 +275,9 @@ fn check_static(
             ));
         }
     }
-    // β audit: the certificate every Δ sizing rests on, verified by exact
-    // branch and bound (cheap at these n).
-    if !neighborhood_independence_at_most(&g, inst.beta) {
-        return Some(Violation::new(
-            "beta-certificate",
-            format!(
-                "family {} certifies beta <= {} but a larger independent neighborhood set exists",
-                inst.family, inst.beta
-            ),
-        ));
-    }
-    if g.num_edges() == 0 {
-        return None;
-    }
-    let bound = inst.ratio_bound(cfg);
-    let exact = maximum_matching(&g);
-
-    // Theorem 3.1: the end-to-end pipeline is a valid (1+ε)-approximation.
+    // The pipeline's output is a matching of the input, and the seeded
+    // build above is a subgraph within the naive size and arboricity
+    // bounds, on any graph: these too run before the β audit.
     let r = match approx_mcm_via_sparsifier_with_scratch(&g, &params, inst.algo_seed, 1, scratch) {
         Ok(r) => r,
         Err(e) => {
@@ -307,20 +293,6 @@ fn check_static(
             "pipeline output is not a valid matching of the input graph".to_string(),
         ));
     }
-    if ratio_exceeded(exact.len(), r.matching.len(), bound) {
-        return Some(Violation::new(
-            "thm3.1-ratio",
-            format!(
-                "exact MCM {} > {bound:.4} x pipeline matching {} (delta = {})",
-                exact.len(),
-                r.matching.len(),
-                params.delta
-            ),
-        ));
-    }
-
-    // Sparsifier invariants on the seeded build above, at the caller's Δ
-    // (the pipeline marks at the stage Δ).
     for (_, u, v) in s.graph.edges() {
         if !g.has_edge(u, v) {
             return Some(Violation::new(
@@ -331,16 +303,6 @@ fn check_static(
                 ),
             ));
         }
-    }
-    if s.stats.edges > params.size_bound(exact.len()) {
-        return Some(Violation::new(
-            "obs2.10-size",
-            format!(
-                "sparsifier has {} edges > 2·MCM·(cap+beta) = {}",
-                s.stats.edges,
-                params.size_bound(exact.len())
-            ),
-        ));
     }
     if s.stats.edges > params.naive_size_bound(g.num_vertices()) {
         return Some(Violation::new(
@@ -363,6 +325,48 @@ fn check_static(
                 ),
             ));
         }
+    }
+    // β audit: the certificate every Δ sizing rests on, verified by exact
+    // branch and bound (cheap at these n). The ratio and size bounds
+    // below rest on it.
+    if !neighborhood_independence_at_most(&g, inst.beta) {
+        return Some(Violation::new(
+            "beta-certificate",
+            format!(
+                "family {} certifies beta <= {} but a larger independent neighborhood set exists",
+                inst.family, inst.beta
+            ),
+        ));
+    }
+    if g.num_edges() == 0 {
+        return None;
+    }
+    let bound = inst.ratio_bound(cfg);
+    let exact = maximum_matching(&g);
+
+    // Theorem 3.1: the end-to-end pipeline is a (1+ε)-approximation.
+    if ratio_exceeded(exact.len(), r.matching.len(), bound) {
+        return Some(Violation::new(
+            "thm3.1-ratio",
+            format!(
+                "exact MCM {} > {bound:.4} x pipeline matching {} (delta = {})",
+                exact.len(),
+                r.matching.len(),
+                params.delta
+            ),
+        ));
+    }
+    // Observation 2.10, on the seeded build at the caller's Δ (the
+    // pipeline marks at the stage Δ).
+    if s.stats.edges > params.size_bound(exact.len()) {
+        return Some(Violation::new(
+            "obs2.10-size",
+            format!(
+                "sparsifier has {} edges > 2·MCM·(cap+beta) = {}",
+                s.stats.edges,
+                params.size_bound(exact.len())
+            ),
+        ));
     }
     // Theorem 2.1 proper: the sparsifier alone preserves the MCM.
     let exact_sparse = maximum_matching(&s.graph).len();
