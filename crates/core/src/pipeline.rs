@@ -3,12 +3,13 @@
 //!
 //! Pipeline: (1) **mark** — every vertex marks Δ uniform incident edges
 //! with the deterministic-time sampler, `O(n·Δ)` probes; (2) **extract** —
-//! lay out the marked edges as the sparsifier CSR `G_Δ`; (3) **match** —
-//! run greedy initialization plus the `(1+ε')`-approximate matching of
-//! [`sparsimatch_matching::bounded_aug`] on the sparsifier, linear in
-//! `|E(G_Δ)| = O(n·Δ)` per phase. The accuracy budget is split between the
-//! two `(1+·)` factors so the end-to-end guarantee is `1 + ε`:
-//! `(1 + ε/2.5)² ≤ 1 + ε` for `ε ≤ 1`.
+//! lay out the marked edges as the sparsifier CSR `G_Δ`, skipped when
+//! every vertex has degree at most `2Δ`, so that `G_Δ` is the input
+//! itself; (3) **match** — run greedy initialization plus the
+//! `(1+ε')`-approximate matching of [`sparsimatch_matching::bounded_aug`]
+//! on the sparsifier, linear in `|E(G_Δ)| = O(n·Δ)` per phase. The
+//! accuracy budget is split between the two `(1+·)` factors so the
+//! end-to-end guarantee is `1 + ε`: `(1 + ε/2.5)² ≤ 1 + ε` for `ε ≤ 1`.
 //!
 //! Marking fans out over the requested thread count; extraction and
 //! matching run on the calling thread, over an `O(n·Δ)`-sized
@@ -205,14 +206,21 @@ fn approx_mcm_via_sparsifier_impl(
     // merge writes the sorted endpoint pairs straight into the
     // sparsifier's edge list, copying the edges of each run of keep-all
     // lower endpoints from the parent's sorted endpoint list.
-    // Stage 2 lays that list out as the CSR.
+    // Stage 2 lays that list out as the CSR, unless every vertex keeps
+    // all its edges: then G_Δ = G, and the layout would reproduce `g`
+    // array for array, so the match stage reads `g` itself.
     let mark_start = Instant::now();
     let summary = marks.mark(g, &stage_params, seed, mark_threads(threads, g.num_edges()));
     let mut extract_start = mark_start;
-    let sparse: &CsrGraph = csr.rebuild_with(g.num_vertices(), |edges| {
-        marks.merge_into(g, edges);
+    let sparse: &CsrGraph = if summary.stats.low_degree_vertices == g.num_vertices() {
         extract_start = Instant::now();
-    });
+        g
+    } else {
+        csr.rebuild_with(g.num_vertices(), |edges| {
+            marks.merge_into(g, edges);
+            extract_start = Instant::now();
+        })
+    };
     let mark_nanos = (extract_start - mark_start).as_nanos();
     let extract_nanos = extract_start.elapsed().as_nanos();
 
@@ -536,6 +544,75 @@ mod tests {
             .collect();
         let warm_counters: Vec<_> = m_warm.counters().map(|(k, v)| (k.to_string(), v)).collect();
         assert_eq!(fresh_counters, warm_counters);
+    }
+
+    /// The match stage alone on `sparse`: greedy, then bounded
+    /// augmentation at the pipeline's stage ε.
+    fn match_stage(sparse: &CsrGraph, p: &SparsifierParams) -> (Matching, AugStats) {
+        let mut matching = greedy_maximal_matching(sparse);
+        let mut searcher = sparsimatch_matching::blossom::BlossomSearcher::new(&matching);
+        let max_len = max_path_len_for_eps(stage_eps(p.eps));
+        let aug =
+            eliminate_augmenting_paths_up_to_with(sparse, &mut matching, max_len, &mut searcher);
+        (matching, aug)
+    }
+
+    #[test]
+    fn keep_all_inputs_are_matched_without_a_layout() {
+        // At ε = 0.5 the stage cap 2Δ is 100, so every vertex of these
+        // graphs keeps all its edges and G_Δ = G: the pipeline matches on
+        // the input, and must give what matching G_Δ would.
+        use crate::sparsifier::build_sparsifier;
+        use sparsimatch_graph::csr::from_edges;
+        use sparsimatch_graph::generators::{cycle, family_from_spec, gnp, path, star};
+        let mut rng = StdRng::seed_from_u64(24);
+        let graphs = [
+            ("cycle", cycle(500)),
+            ("path", path(301)),
+            (
+                "clique-union:2:20",
+                family_from_spec("clique-union:2:20", 300, &mut rng).unwrap(),
+            ),
+            ("gnp", gnp(2000, 2.5 / 2000.0, &mut rng)),
+            ("isolated", from_edges(50, [(3, 7), (7, 9), (20, 21)])),
+            ("empty", from_edges(0, [])),
+        ];
+        let p = SparsifierParams::practical(2, 0.5);
+        let stage = stage_params(&p);
+        assert_eq!(stage.mark_cap(), 100);
+        let mut scratch = PipelineScratch::new();
+        for (name, g) in &graphs {
+            assert!(g.max_degree() <= stage.mark_cap(), "{name}");
+            let (matching, aug) = match_stage(g, &p);
+            for t in [1, 2] {
+                let s = build_sparsifier(g, &stage, 5, t, None).unwrap();
+                assert!(s.graph == *g, "{name}: G_Δ = G");
+                let r = approx_mcm_via_sparsifier_with_scratch(g, &p, 5, t, &mut scratch).unwrap();
+                assert_eq!(r.matching, matching, "{name} t {t}");
+                assert_eq!(r.sparsifier, s.stats, "{name} t {t}");
+                let probes = ProbeCounts {
+                    degree_probes: 2 * g.num_vertices() as u64,
+                    neighbor_probes: 2 * g.num_edges() as u64,
+                };
+                assert_eq!(r.probes, probes, "{name} t {t}");
+                assert_eq!(r.aug, aug, "{name} t {t}");
+            }
+        }
+        // Nothing was laid out.
+        assert_eq!(scratch.csr.graph().num_vertices(), 0);
+        // A star's hub samples, so its solve lays G_Δ out, although the
+        // leaves' edges make it all of G.
+        let g = star(300);
+        for t in [1, 2] {
+            let s = build_sparsifier(&g, &stage, 5, t, None).unwrap();
+            assert_eq!(s.stats.low_degree_vertices, 299);
+            let r = approx_mcm_via_sparsifier_with_scratch(&g, &p, 5, t, &mut scratch)
+                .unwrap()
+                .clone();
+            assert!(*scratch.csr.graph() == s.graph, "t {t}");
+            let (matching, aug) = match_stage(&s.graph, &p);
+            assert_eq!((r.matching, r.sparsifier, r.aug), (matching, s.stats, aug));
+        }
     }
 
     #[test]

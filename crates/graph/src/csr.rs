@@ -465,13 +465,23 @@ pub fn from_marked_edges(parent: &CsrGraph, sorted_ids: &[EdgeId]) -> CsrGraph {
     from_sorted_edges(parent.num_vertices(), edges)
 }
 
+/// An edge update replayed by [`CsrScratch::rebuild_edited`], with its
+/// endpoints in either order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EdgeEdit {
+    /// Make `{u, v}` an edge; a no-op when it already is one.
+    Insert(u32, u32),
+    /// Make `{u, v}` a non-edge; a no-op when it already is one.
+    Delete(u32, u32),
+}
+
 /// Reusable buffers for rebuilding marked-edge subgraphs in place.
 ///
 /// Repeated pipeline runs extract a fresh sparsifier CSR every time; with
 /// a scratch the four graph arrays plus the degree/cursor layout buffers
 /// are allocated once and reused with `clear()`-not-drop semantics, so a
 /// warm rebuild performs zero heap allocations when capacities suffice.
-/// Both entry points fill the endpoint array and share one in-place
+/// Every entry point fills the endpoint array and shares one in-place
 /// layout, which is the one [`from_sorted_edges`] runs, so a rebuilt
 /// graph is byte-identical to a freshly built one (pinned by test).
 #[derive(Clone, Debug)]
@@ -479,6 +489,11 @@ pub struct CsrScratch {
     graph: CsrGraph,
     degree: Vec<u32>,
     cursor: Vec<usize>,
+    /// [`CsrScratch::rebuild_edited`]'s edits as `(edge key, position)`,
+    /// sorted so the last edit of each edge ends its group.
+    edits: Vec<(u64, u32)>,
+    /// The edited edge list, merged here and swapped in for the held one.
+    merged: Vec<(u32, u32)>,
 }
 
 impl Default for CsrScratch {
@@ -499,6 +514,8 @@ impl CsrScratch {
             },
             degree: Vec::new(),
             cursor: Vec::new(),
+            edits: Vec::new(),
+            merged: Vec::new(),
         }
     }
 
@@ -510,12 +527,15 @@ impl CsrScratch {
     /// Bytes of capacity currently held across all reusable buffers (the
     /// scratch's high-water memory footprint).
     pub fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.graph.offsets.capacity_bytes()
             + self.graph.targets.capacity() * 4
             + self.graph.half_edge_ids.capacity() * 4
             + self.graph.endpoints.capacity() * 8
             + self.degree.capacity() * 4
-            + self.cursor.capacity() * std::mem::size_of::<usize>()
+            + self.cursor.capacity() * size_of::<usize>()
+            + self.edits.capacity() * size_of::<(u64, u32)>()
+            + self.merged.capacity() * 8
     }
 
     /// Drop logical contents but keep every buffer's capacity.
@@ -526,6 +546,8 @@ impl CsrScratch {
         self.graph.endpoints.clear();
         self.degree.clear();
         self.cursor.clear();
+        self.edits.clear();
+        self.merged.clear();
     }
 
     /// In-place equivalent of [`from_marked_edges`]: rebuild the subgraph
@@ -554,6 +576,47 @@ impl CsrScratch {
             endpoints.iter().all(|&(u, v)| u < v && (v as usize) < n),
             "edges must satisfy u < v with endpoints below n"
         );
+        self.graph.layout(n, &mut self.degree, &mut self.cursor);
+        &self.graph
+    }
+
+    /// Apply `edits`, in order, to the held graph's edge set and lay the
+    /// result out on the same vertices. The last edit of an edge decides
+    /// whether it is present, so repeated edits, inserts of present edges
+    /// and deletes of absent ones behave as on an
+    /// [`AdjListGraph`](crate::adjlist::AdjListGraph). The edits are
+    /// sorted by edge, and one pass merges them into the sorted edge
+    /// list, copying the edges between them. The result is byte-identical
+    /// to a fresh build of the edited edge set, and a warm rebuild is
+    /// allocation-free.
+    pub fn rebuild_edited(&mut self, edits: &[EdgeEdit]) -> &CsrGraph {
+        let n = self.graph.num_vertices();
+        self.edits.clear();
+        self.edits.extend((0u32..).zip(edits).map(|(at, edit)| {
+            let (EdgeEdit::Insert(u, v) | EdgeEdit::Delete(u, v)) = *edit;
+            debug_assert!(u != v && (u.max(v) as usize) < n, "bad edit {edit:?}");
+            ((u64::from(u.min(v)) << 32) | u64::from(u.max(v)), at)
+        }));
+        self.edits.sort_unstable();
+        let held = &self.graph.endpoints;
+        let merged = &mut self.merged;
+        merged.clear();
+        merged.reserve(held.len() + self.edits.len());
+        let mut copied = 0;
+        for (i, &(key, at)) in self.edits.iter().enumerate() {
+            if self.edits.get(i + 1).is_some_and(|next| next.0 == key) {
+                continue;
+            }
+            let edge = ((key >> 32) as u32, key as u32);
+            let below = copied + held[copied..].partition_point(|&e| e < edge);
+            merged.extend_from_slice(&held[copied..below]);
+            copied = below + usize::from(held.get(below) == Some(&edge));
+            if let EdgeEdit::Insert(..) = edits[at as usize] {
+                merged.push(edge);
+            }
+        }
+        merged.extend_from_slice(&held[copied..]);
+        std::mem::swap(&mut self.graph.endpoints, merged);
         self.graph.layout(n, &mut self.degree, &mut self.cursor);
         &self.graph
     }
@@ -788,6 +851,37 @@ mod tests {
         let tri_pairs = tri.edges().map(|(_, u, v)| (u.0, v.0));
         assert_byte_identical(&tri, scratch.rebuild_with(4, |e| e.extend(tri_pairs)));
         assert_eq!(scratch.rebuild_with(3, |_| {}).num_vertices(), 3);
+    }
+
+    #[test]
+    fn rebuild_edited_lets_the_last_edit_of_an_edge_decide() {
+        use EdgeEdit::{Delete, Insert};
+        let mut scratch = CsrScratch::new();
+        let tri = triangle_plus_pendant();
+        let tri_pairs = tri.edges().map(|(_, u, v)| (u.0, v.0));
+        scratch.rebuild_with(4, |e| e.extend(tri_pairs));
+        let edits = [
+            Insert(3, 0), // new, reversed endpoints
+            Delete(1, 0), // present
+            Insert(0, 1), // ... and back: the last edit wins
+            Delete(1, 3), // absent
+            Insert(2, 1), // present
+            Delete(3, 2),
+            Insert(3, 2),
+            Delete(2, 3), // twice toggled, ends absent
+        ];
+        let want = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]);
+        assert_byte_identical(&want, scratch.rebuild_edited(&edits));
+        // More edits than edges, down to nothing and up again.
+        let clear: Vec<EdgeEdit> = (0..3)
+            .flat_map(|u| (u + 1..4).map(move |v| Delete(v, u)))
+            .chain([Delete(0, 1)])
+            .collect();
+        assert_byte_identical(&from_edges(4, []), scratch.rebuild_edited(&clear));
+        assert_byte_identical(&from_edges(4, []), scratch.rebuild_edited(&[]));
+        let edits = [Insert(2, 3), Delete(2, 3), Insert(0, 3), Insert(2, 3)];
+        let want = from_edges(4, [(0, 3), (2, 3)]);
+        assert_byte_identical(&want, scratch.rebuild_edited(&edits));
     }
 
     #[test]

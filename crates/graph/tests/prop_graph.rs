@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy, max_density};
-use sparsimatch_graph::csr::{from_edges, GraphBuilder};
+use sparsimatch_graph::csr::{from_edges, CsrScratch, EdgeEdit, GraphBuilder};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::sparse_array::SparseArray;
 use std::collections::HashSet;
@@ -167,6 +167,43 @@ proptest! {
             prop_assert_eq!(adj_lists(&loaded), adj_lists(&inserted));
         }
         prop_assert_eq!(loaded.to_csr(), inserted.to_csr());
+    }
+
+    #[test]
+    fn csr_scratch_edited_batch_by_batch_matches_the_snapshot(
+        edges in arb_edges(),
+        churn in arb_churn(),
+        cuts in proptest::collection::vec(0..200usize, 0..6),
+    ) {
+        // A random graph laid out once, then the churn replayed on the
+        // laid-out edge list one batch at a time. On 24 vertices the churn
+        // repeats edges, inserts present ones and deletes absent ones, and
+        // a batch may hold more edits than the graph has edges.
+        let mut g = AdjListGraph::new(N);
+        for (u, v) in edges {
+            g.insert_edge(VertexId::new(u), VertexId::new(v));
+        }
+        let mut scratch = CsrScratch::new();
+        g.to_csr_in(&mut scratch);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(churn.len())).collect();
+        cuts.push(churn.len());
+        cuts.sort_unstable();
+        let mut start = 0;
+        for end in cuts {
+            let mut batch = Vec::new();
+            for &(insert, u, v) in churn[start..end].iter().filter(|(_, u, v)| u != v) {
+                let (a, b) = (VertexId::new(u), VertexId::new(v));
+                batch.push(if insert {
+                    g.insert_edge(a, b);
+                    EdgeEdit::Insert(a.0, b.0)
+                } else {
+                    g.delete_edge(a, b);
+                    EdgeEdit::Delete(a.0, b.0)
+                });
+            }
+            prop_assert_eq!(scratch.rebuild_edited(&batch), &g.to_csr());
+            start = end;
+        }
     }
 
     #[test]

@@ -87,9 +87,17 @@ pub struct SessionEngine {
     graph: Option<CsrGraph>,
     scratch: PipelineScratch,
     dynamic: Option<DynamicMatcher>,
-    /// The CSR snapshot a dynamic session's `solve` runs on, rebuilt in
-    /// place from the matcher's adjacency list.
+    /// The CSR snapshot a dynamic session's `solve` runs on: the last
+    /// solve's graph, which `edits` bring up to the matcher's, or, when
+    /// `snapshot_held` is false, a stale graph to lay out afresh from the
+    /// matcher's adjacency list.
     snapshot: CsrScratch,
+    snapshot_held: bool,
+    /// The update ops applied since the snapshot was laid out. The log
+    /// holds at most as many ops as the snapshot has edges: past that it
+    /// is dropped with the snapshot, and the next solve lays the graph
+    /// out afresh.
+    edits: Vec<UpdateOp>,
     meter: WorkMeter,
     stats: Arc<SharedStats>,
     /// Pairs of the last static solve, kept in a reusable buffer so
@@ -112,6 +120,8 @@ impl SessionEngine {
             scratch: PipelineScratch::new(),
             dynamic: None,
             snapshot: CsrScratch::new(),
+            snapshot_held: false,
+            edits: Vec::new(),
             meter: WorkMeter::new(),
             stats: Arc::new(SharedStats::default()),
             last_pairs: Vec::new(),
@@ -242,6 +252,8 @@ impl SessionEngine {
         };
         // A new graph invalidates everything derived from the old one.
         self.dynamic = None;
+        self.snapshot_held = false;
+        self.edits.clear();
         self.last_pairs.clear();
         self.last_solve_size = None;
         let mut body = Json::object();
@@ -261,9 +273,20 @@ impl SessionEngine {
         edcs: &EdcsParams,
     ) -> Result<Json, WireError> {
         // Solve reflects dynamic updates: snapshot the matcher's current
-        // graph if one exists, else use the resident static graph.
+        // graph if one exists, else use the resident static graph. The
+        // snapshot is the last one with the updates since merged in, or,
+        // when none is held, laid out from the adjacency list.
         let g: &CsrGraph = match (&self.dynamic, &self.graph) {
-            (Some(dm), _) => dm.graph().to_csr_in(&mut self.snapshot),
+            (Some(dm), _) => {
+                let snapshot = if self.snapshot_held {
+                    self.snapshot.rebuild_edited(&self.edits)
+                } else {
+                    dm.graph().to_csr_in(&mut self.snapshot)
+                };
+                self.snapshot_held = true;
+                self.edits.clear();
+                snapshot
+            }
             (None, Some(g)) => g,
             (None, None) => {
                 return Err(WireError::new(
@@ -355,6 +378,14 @@ impl SessionEngine {
                     .insert(DynamicMatcher::from_graph(graph, params, seed))
             }
         };
+        if self.snapshot_held {
+            if self.edits.len() + ops.len() > self.snapshot.graph().num_edges() {
+                self.snapshot_held = false;
+                self.edits.clear();
+            } else {
+                self.edits.extend_from_slice(ops);
+            }
+        }
         let mut work = 0u64;
         let mut swapped = 0u64;
         for op in ops {
@@ -597,6 +628,102 @@ mod tests {
         assert_eq!(status.get("dynamic").unwrap().as_bool(), Some(true));
         let solve = handle(&mut engine, r#"{"id":4,"cmd":"solve","beta":1,"eps":0.5}"#).unwrap();
         assert_eq!(solve.get("matching_size").unwrap().as_u64(), Some(3));
+    }
+
+    /// The fields of a `solve` response that depend on the graph solved
+    /// (all but `warm`).
+    fn solved(body: &Json) -> Vec<Option<Json>> {
+        [
+            "backend",
+            "matching_size",
+            "sparsifier_edges",
+            "probes",
+            "pairs",
+        ]
+        .map(|key| body.get(key).cloned())
+        .to_vec()
+    }
+
+    /// A `load_graph` request for `edges` on `n` vertices, inline.
+    fn load_line(n: usize, edges: &std::collections::BTreeSet<(u32, u32)>) -> String {
+        let pairs: Vec<String> = edges.iter().map(|(u, v)| format!("[{u},{v}]")).collect();
+        format!(
+            r#"{{"id":0,"cmd":"load_graph","n":{n},"edges":[{}]}}"#,
+            pairs.join(",")
+        )
+    }
+
+    #[test]
+    fn dynamic_solves_equal_a_fresh_load_of_the_same_edges() {
+        use rand::Rng;
+        use sparsimatch_graph::generators::family_from_spec;
+        let solves = [
+            r#"{"id":1,"cmd":"solve","backend":"delta","beta":2,"eps":0.5,"seed":9,"pairs":true}"#,
+            r#"{"id":2,"cmd":"solve","backend":"edcs","edcs_beta":16,"eps":0.5,"pairs":true}"#,
+        ];
+        let mut rng = StdRng::seed_from_u64(31);
+        // Serve's graph, whose snapshot is edited from solve to solve,
+        // and a path, whose every third batch outnumbers its edges and so
+        // drops the snapshot for a fresh layout.
+        for (spec, n) in [("clique-union:2:20", 300), ("path", 40)] {
+            let g = family_from_spec(spec, n, &mut rng).unwrap();
+            let mut model: std::collections::BTreeSet<(u32, u32)> =
+                g.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+            let mut engine = SessionEngine::new(EngineConfig::default());
+            handle(&mut engine, &load_line(n, &model)).unwrap();
+            for batch in 0..9 {
+                let size = match (n, batch % 3) {
+                    (40, 2) => model.len() + 2,
+                    _ => rng.random_range(1..=6),
+                };
+                // Deletes of present edges, inserts of absent ones, the
+                // reverse of both, and ops repeating their predecessor's
+                // edge.
+                let mut ops = Vec::new();
+                let mut last = (0, 1);
+                for _ in 0..size {
+                    let (u, v) = if rng.random_bool(0.2) {
+                        last
+                    } else if rng.random_bool(0.4) && !model.is_empty() {
+                        *model.iter().nth(rng.random_range(0..model.len())).unwrap()
+                    } else {
+                        let u = rng.random_range(0..n as u32 - 1);
+                        (u, rng.random_range(u + 1..n as u32))
+                    };
+                    let insert = rng.random_bool(0.5);
+                    if insert {
+                        model.insert((u, v));
+                    } else {
+                        model.remove(&(u, v));
+                    }
+                    let kind = if insert { "insert" } else { "delete" };
+                    ops.push(format!(r#"["{kind}",{v},{u}]"#));
+                    last = (u, v);
+                }
+                let update = format!(
+                    r#"{{"id":3,"cmd":"update","ops":[{}],"beta":2,"eps":0.5}}"#,
+                    ops.join(",")
+                );
+                handle(&mut engine, &update).unwrap();
+                // A batch past the log's bound drops the held snapshot.
+                assert_eq!(
+                    engine.snapshot_held,
+                    batch > 0 && size <= 6,
+                    "{spec} {batch}"
+                );
+                let mut fresh = SessionEngine::new(EngineConfig::default());
+                handle(&mut fresh, &load_line(n, &model)).unwrap();
+                for solve in solves {
+                    let got = handle(&mut engine, solve).unwrap();
+                    let want = handle(&mut fresh, solve).unwrap();
+                    assert_eq!(solved(&got), solved(&want), "{spec} batch {batch}: {solve}");
+                }
+                // A second solve replays an empty log.
+                let delta = handle(&mut engine, solves[0]).unwrap();
+                let edges = delta.get("sparsifier_edges").unwrap().as_u64();
+                assert_eq!(edges, Some(model.len() as u64), "{spec}: G_Δ = G");
+            }
+        }
     }
 
     #[test]

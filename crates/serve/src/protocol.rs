@@ -167,14 +167,9 @@ impl WireError {
     }
 }
 
-/// One edge-mutation operation inside an `update` request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UpdateOp {
-    /// Insert edge `{u, v}`.
-    Insert(u32, u32),
-    /// Delete edge `{u, v}`.
-    Delete(u32, u32),
-}
+/// One edge-mutation operation inside an `update` request: the edit a
+/// dynamic session's snapshot replays at its next `solve`.
+pub use sparsimatch_graph::csr::EdgeEdit as UpdateOp;
 
 /// What a `query` request asks for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
