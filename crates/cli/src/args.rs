@@ -79,8 +79,10 @@ ids and typed error codes; see DESIGN.md for the wire schema. Without
 it accepts up to --max-sessions (default 4) concurrent unix-socket
 sessions, each with its own resident graph and scratch arenas.
 --queue-cap <N> (default 128) bounds the per-session request queue;
-excess requests are answered with an `overloaded` error instead of
-buffering without bound. Daemon runtime failures (e.g. the socket path
+on a socket, excess requests are answered with an `overloaded` error
+instead of buffering without bound, and over stdin the session reads
+the next line only when the queue has room, so a piped script is
+answered line for line. Daemon runtime failures (e.g. the socket path
 cannot be bound) exit 9.";
 
 /// The `generate` subcommand.

@@ -20,9 +20,9 @@
 //!   [`DynamicMatcher`](sparsimatch_dynamic::scheme::DynamicMatcher),
 //!   and unified work accounting.
 //! * [`server`] — the request loop: a reader thread with bounded-queue
-//!   admission control (excess load is answered `overloaded`, never
-//!   buffered unboundedly) feeding one worker per session, over
-//!   stdin/stdout or a unix socket.
+//!   admission control (on a unix socket excess load is answered
+//!   `overloaded`, never buffered unboundedly; over stdin/stdout the
+//!   reader waits for a slot) feeding one worker per session.
 
 pub mod engine;
 pub mod protocol;
@@ -31,5 +31,6 @@ pub mod server;
 pub use engine::{DaemonStats, EngineConfig, SessionEngine};
 pub use protocol::{ErrorCode, Request, WireError, MAX_REQUEST_BYTES, PROTOCOL_VERSION};
 pub use server::{
-    run_session, run_session_ctl, serve_stdio, serve_unix, ServeConfig, SessionCtl, SessionSummary,
+    run_session, run_session_ctl, run_stdio_session, serve_stdio, serve_unix, ServeConfig,
+    SessionCtl, SessionSummary,
 };

@@ -15,7 +15,10 @@
 //! Admission control is what keeps a flood survivable: a client that
 //! outpaces the engine gets explicit `overloaded` errors for the excess
 //! instead of unbounded buffering (memory DoS) or transport backpressure
-//! deadlock (both sides blocked on full pipes).
+//! deadlock (both sides blocked on full pipes). A stdio session
+//! ([`run_stdio_session`]) has one client, a script piped in at once
+//! or a person typing, so its reader waits for a queue slot instead:
+//! the back-pressure goes into the pipe, and every line is answered.
 
 use crate::engine::{DaemonStats, EngineConfig, SessionEngine};
 use crate::protocol::{self, ErrorCode, Request, MAX_REQUEST_BYTES};
@@ -168,7 +171,7 @@ struct Queue {
 
 /// Frontend hooks and daemon context for [`run_session_ctl`]. The
 /// plain-transport default (`SessionCtl::default()`) has no hooks and no
-/// daemon, which is exactly stdio mode.
+/// daemon, as a stdio session has none.
 #[derive(Default)]
 pub struct SessionCtl<'a> {
     /// Invoked once by the worker right after it decides to end the
@@ -218,10 +221,43 @@ where
 /// unix-socket frontend threads activity tracking, the daemon drain
 /// flag, and daemon gauges through here.
 pub fn run_session_ctl<R, W>(
+    reader: R,
+    writer: W,
+    cfg: &ServeConfig,
+    ctl: &SessionCtl<'_>,
+) -> io::Result<SessionSummary>
+where
+    R: BufRead + Send,
+    W: Write + Send,
+{
+    session_loop(reader, writer, cfg, ctl, false)
+}
+
+/// The stdio session over an arbitrary transport: [`run_session`], but
+/// a line that finds the queue full waits for a slot instead of being
+/// answered `overloaded`, so a piped script of any length is answered
+/// line for line. A `shutdown` still answers the queued lines, and the
+/// one the reader holds, `shutting_down`.
+pub fn run_stdio_session<R, W>(
+    reader: R,
+    writer: W,
+    cfg: &ServeConfig,
+) -> io::Result<SessionSummary>
+where
+    R: BufRead + Send,
+    W: Write + Send,
+{
+    session_loop(reader, writer, cfg, &SessionCtl::default(), true)
+}
+
+/// The one request loop behind every session; `wait_for_slot` picks the
+/// stdio admission rule (wait) over the daemon's (shed).
+fn session_loop<R, W>(
     mut reader: R,
     writer: W,
     cfg: &ServeConfig,
     ctl: &SessionCtl<'_>,
+    wait_for_slot: bool,
 ) -> io::Result<SessionSummary>
 where
     R: BufRead + Send,
@@ -243,6 +279,9 @@ where
         eof: false,
     });
     let ready = Condvar::new();
+    // Signalled when the worker frees a slot or stops; a stdio reader
+    // waits on it with a line in hand.
+    let space = Condvar::new();
     let stop = AtomicBool::new(false);
     let daemon_shutdown = AtomicBool::new(false);
     let mut summary = SessionSummary::default();
@@ -255,6 +294,7 @@ where
                     let mut q = queue.lock().expect("queue lock");
                     loop {
                         if let Some(entry) = q.lines.pop_front() {
+                            space.notify_one();
                             break entry;
                         }
                         if q.eof {
@@ -357,9 +397,11 @@ where
                     stop.store(true, Ordering::SeqCst);
                     // Graceful drain: whatever was already queued behind
                     // the shutdown gets a typed `shutting_down` answer
-                    // (skipped when the client is gone anyway).
+                    // (skipped when the client is gone anyway). Taking
+                    // the lock also orders the stop before a waiting
+                    // reader's next look at it.
+                    let mut q = queue.lock().expect("queue lock");
                     if write_ok {
-                        let mut q = queue.lock().expect("queue lock");
                         while let Some((line, _)) = q.lines.pop_front() {
                             let _ = write_line(
                                 &writer,
@@ -371,6 +413,8 @@ where
                             );
                         }
                     }
+                    drop(q);
+                    space.notify_all();
                     if let Some(hook) = on_shutdown {
                         hook();
                     }
@@ -423,16 +467,37 @@ where
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let admitted = {
+                    let (admitted, stopped) = {
                         let mut q = queue.lock().expect("queue lock");
-                        if q.lines.len() >= cfg.queue_cap {
-                            false
+                        while wait_for_slot
+                            && q.lines.len() >= cfg.queue_cap
+                            && !stop.load(Ordering::SeqCst)
+                        {
+                            q = space.wait(q).expect("queue wait");
+                        }
+                        if stop.load(Ordering::SeqCst) {
+                            (false, true)
+                        } else if q.lines.len() >= cfg.queue_cap {
+                            (false, false)
                         } else {
                             q.lines.push_back((line.clone(), Instant::now()));
                             ready.notify_one();
-                            true
+                            (true, false)
                         }
                     };
+                    if stopped {
+                        // The worker has ended the session and answered
+                        // the queue: this line, read after it, is next.
+                        let _ = write_line(
+                            &writer,
+                            &protocol::error_response(
+                                peek_id(&line),
+                                ErrorCode::ShuttingDown,
+                                "session shutting down; request not executed",
+                            ),
+                        );
+                        break;
+                    }
                     if !admitted {
                         stats.overloaded.fetch_add(1, Ordering::Relaxed);
                         let _ = write_line(
@@ -463,12 +528,13 @@ where
     Ok(summary)
 }
 
-/// Serve one session over stdin/stdout. Returns after `shutdown` or
-/// stdin EOF. (After an interactive `shutdown`, the loop finishes when
-/// the terminal sends the next line or EOF — piped clients close stdin
-/// and are unaffected.)
+/// Serve one session over stdin/stdout ([`run_stdio_session`]). Returns
+/// after `shutdown` or stdin EOF. (After an interactive `shutdown`, the
+/// loop finishes when the terminal sends the next line, answered
+/// `shutting_down`, or EOF — piped clients close stdin and are
+/// unaffected.)
 pub fn serve_stdio(cfg: &ServeConfig) -> io::Result<SessionSummary> {
-    run_session(BufReader::new(io::stdin()), io::stdout(), cfg, None)
+    run_stdio_session(BufReader::new(io::stdin()), io::stdout(), cfg)
 }
 
 /// One live unix session as the accept loop sees it: when it last heard

@@ -1,14 +1,17 @@
 //! Golden wire-protocol tests: scripted sessions through the real
 //! request loop ([`run_session`]) covering every command, the
 //! malformed-request paths (bad JSON, over-deep nesting, oversized
-//! line), and the overload path, plus a unix-socket end-to-end session.
+//! line), the overload path and the stdio session's waiting admission
+//! ([`run_stdio_session`]), plus a unix-socket end-to-end session.
 
 use sparsimatch_obs::Json;
-use sparsimatch_serve::{run_session, serve_unix, ServeConfig, MAX_REQUEST_BYTES};
+use sparsimatch_serve::{
+    run_session, run_stdio_session, serve_unix, ServeConfig, SessionSummary, MAX_REQUEST_BYTES,
+};
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::os::unix::net::UnixStream;
 
-fn run_script(script: &str, cfg: &ServeConfig) -> (Vec<String>, sparsimatch_serve::SessionSummary) {
+fn run_script(script: &str, cfg: &ServeConfig) -> (Vec<String>, SessionSummary) {
     let mut out: Vec<u8> = Vec::new();
     let summary =
         run_session(Cursor::new(script.to_string()), &mut out, cfg, None).expect("session runs");
@@ -187,6 +190,121 @@ fn overload_answers_excess_requests_and_stays_up() {
         .find(|d| error_code(d).as_deref() == Some("overloaded"))
         .unwrap();
     assert!(dropped.get("id").unwrap().as_u64().unwrap() >= 100);
+}
+
+/// `lines` requests on serve's graph: its load, then one- to three-op
+/// updates and solves of both backends, ids counting from 0, with a
+/// session-scope `shutdown` as request `shutdown_at` if given.
+fn update_and_solve_script(lines: usize, shutdown_at: Option<usize>) -> String {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(lines as u64);
+    let mut script = String::new();
+    script.push_str(r#"{"id":0,"cmd":"load_graph","n":300,"family":"clique-union:2:20"}"#);
+    script.push('\n');
+    for id in 1..lines {
+        let line = if Some(id) == shutdown_at {
+            format!(r#"{{"id":{id},"cmd":"shutdown"}}"#)
+        } else if id % 10 == 5 {
+            format!(r#"{{"id":{id},"cmd":"solve","backend":"delta","beta":2,"eps":0.5}}"#)
+        } else if id % 10 == 0 {
+            format!(r#"{{"id":{id},"cmd":"solve","backend":"edcs","edcs_beta":16,"eps":0.5}}"#)
+        } else {
+            let ops: Vec<String> = (0..rng.random_range(1..=3))
+                .map(|_| {
+                    let u = rng.random_range(0..299u32);
+                    let v = rng.random_range(u + 1..300);
+                    let kind = ["insert", "delete"][rng.random_range(0..2usize)];
+                    format!(r#"["{kind}",{u},{v}]"#)
+                })
+                .collect();
+            format!(
+                r#"{{"id":{id},"cmd":"update","ops":[{}],"beta":2,"eps":0.5}}"#,
+                ops.join(",")
+            )
+        };
+        script.push_str(&line);
+        script.push('\n');
+    }
+    script
+}
+
+/// Run `script` as a stdio session on a thread of its own, failing
+/// instead of hanging if the session does not end within a minute, and
+/// check that the session answered exactly the lines its reader took.
+fn run_stdio_script(script: String, cfg: ServeConfig) -> (Vec<String>, SessionSummary) {
+    let (done, wait) = std::sync::mpsc::channel();
+    let session = std::thread::spawn(move || {
+        let mut out: Vec<u8> = Vec::new();
+        let mut input = Cursor::new(script);
+        let summary = run_stdio_session(&mut input, &mut out, &cfg).expect("session runs");
+        let read = input.get_ref()[..input.position() as usize]
+            .matches('\n')
+            .count();
+        let _ = done.send((out, summary, read));
+    });
+    let ended = wait.recv_timeout(std::time::Duration::from_secs(60));
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = ended {
+        panic!("the stdio session deadlocked");
+    }
+    // A session that panicked dropped the sender: re-raise its panic.
+    if let Err(panic) = session.join() {
+        std::panic::resume_unwind(panic);
+    }
+    let (out, summary, read) = ended.expect("the session sent its output");
+    let lines: Vec<String> = String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(lines.len(), read, "one answer per line read");
+    (lines, summary)
+}
+
+/// A stdio session's reader waits for a queue slot rather than shedding:
+/// a long script piped in at once through a four-slot queue gets every
+/// line answered, in order, where a daemon session sheds some of it.
+#[test]
+fn stdio_session_waits_for_a_slot_instead_of_shedding() {
+    let cfg = ServeConfig {
+        queue_cap: 4,
+        ..ServeConfig::default()
+    };
+    let script = update_and_solve_script(300, None);
+    let (lines, summary) = run_stdio_script(script.clone(), cfg);
+    assert_eq!(lines.len(), 300);
+    for (id, line) in lines.iter().enumerate() {
+        let doc = parse_response(line);
+        assert_eq!(error_code(&doc), None, "{line}");
+        assert_eq!(doc.get("id").unwrap().as_u64(), Some(id as u64), "{line}");
+    }
+    assert_eq!(summary.overloaded, 0);
+    assert_eq!(summary.requests, 300);
+    // The same script through the shedding admission path overflows.
+    let (lines, summary) = run_script(&script, &cfg);
+    assert_eq!(lines.len(), 300);
+    assert!(summary.overloaded > 0, "the script must outpace the worker");
+}
+
+/// A `shutdown` in the middle of a stdio script answers the lines queued
+/// behind it, and the line the waiting reader holds, `shutting_down`,
+/// and ends the session: every line the reader took is answered, in
+/// order, and the rest of the script is never read.
+#[test]
+fn stdio_shutdown_mid_script_answers_the_queue_and_frees_the_reader() {
+    let cfg = ServeConfig {
+        queue_cap: 4,
+        ..ServeConfig::default()
+    };
+    let (lines, summary) = run_stdio_script(update_and_solve_script(300, Some(150)), cfg);
+    assert!((152..=156).contains(&lines.len()), "{lines:#?}");
+    for (id, line) in lines.iter().enumerate() {
+        let doc = parse_response(line);
+        assert_eq!(doc.get("id").unwrap().as_u64(), Some(id as u64), "{line}");
+        let want = (id > 150).then_some("shutting_down");
+        assert_eq!(error_code(&doc).as_deref(), want, "{line}");
+    }
+    assert_eq!(summary.overloaded, 0);
+    assert_eq!(summary.requests, 151);
 }
 
 /// A line over the byte cap is rejected as `too_large` without breaking
