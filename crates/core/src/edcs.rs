@@ -24,6 +24,24 @@
 //! `Φ(H) = (β − 1/2)·Σ_u deg_H(u) − Σ_{(u,v) ∈ H} (deg_H(u)+deg_H(v))`:
 //! every fix raises `Φ` by at least `1/2` and `Φ = O(n·β²)`, so the
 //! build is infallible — there is no error path.
+//!
+//! On dense inputs the in-memory build evaluates only the edges a pass
+//! could change. Storage order is lexicographic, so a pass walks rows:
+//! the edges `(u, v > u)` of each `u` in id order, with `deg_H(u)` in a
+//! register and H-membership in a bitset. A non-H edge `(u, v)` can be
+//! inserted only if `v` is *open* — some G-edge at `v` lies outside H,
+//! as `(u, v)` itself does — and `deg_H(v) < β⁻ − deg_H(u)`. A min-tree
+//! over vertex ids of the open vertices' H-degrees yields `z`, the last
+//! open vertex below that threshold; past `z` only H-edges can change,
+//! so the walk jumps between them through the bitset, and it redoes the
+//! descent after every fix. Each fix therefore lands at the same point
+//! of the same pass as in a scan of every edge, which
+//! [`build_edcs_streamed`] still runs: `H`, [`EdcsStats`] and the
+//! notional probe count `passes × 2m` are unchanged, and the identity
+//! tests compare both. The tree costs `O(log n)` per fix and the walk a
+//! little per row, which only dense inputs repay: the tree is kept when
+//! the average degree `2m/n` is at least `2·β·⌈log₂ n⌉`, and otherwise
+//! each pass evaluates every edge in id order, 64 edges per bitset word.
 
 use crate::pipeline::PipelineResult;
 use crate::scratch::PipelineScratch;
@@ -32,7 +50,7 @@ use crate::stream_build::StreamBuildReport;
 use sparsimatch_graph::adjacency::ProbeCounts;
 use sparsimatch_graph::csr::{from_sorted_edges, CsrGraph};
 use sparsimatch_graph::edge_stream::EdgeStreamSource;
-use sparsimatch_graph::ids::EdgeId;
+use sparsimatch_graph::ids::{EdgeId, VertexId};
 use sparsimatch_graph::io::ReadError;
 use sparsimatch_matching::bounded_aug::{
     eliminate_augmenting_paths_up_to_with, max_path_len_for_eps,
@@ -169,59 +187,342 @@ pub struct EdcsStats {
     pub edges: usize,
 }
 
-/// One fixpoint run over `g`'s edges in storage order, writing
-/// H-membership into `in_h` (EdgeId-indexed) and H-degrees into `deg`,
-/// then collecting the kept edge ids (sorted, since the scan is in id
-/// order) into `ids`. All three buffers are cleared and resized here —
-/// clear-not-drop, so a warm arena allocates nothing.
+/// The open-vertex tree pays for its `O(log n)` upkeep per fix only on
+/// dense inputs: the in-memory fixpoint keeps it when the average degree
+/// `2m/n` is at least `OPEN_TREE_DEGREE_FACTOR · β · ⌈log₂ n⌉`, and
+/// otherwise runs plain passes. Release timings of both on 76 (graph, β)
+/// pairs — clique unions, cliques, G(n, p), bipartite and power-law
+/// graphs at β from 4 to 32 — put the break-even near a factor of 1:
+/// the tree never lost at 2 or more (at most 0.80× the plain time),
+/// took 0.31–1.23× of it between 1 and 2 (faster in 9 of 10), and up
+/// to 15× below 1. On `perfbench`'s inmem graph (`2m/n` = 1 798 against
+/// 416 at β = 16) it cuts the fixpoint about fivefold; serve's n = 300
+/// graph (37 against 288) keeps the plain passes.
+const OPEN_TREE_DEGREE_FACTOR: usize = 2;
+
+/// Whether the fixpoint on `g` keeps the open-vertex tree
+/// ([`OPEN_TREE_DEGREE_FACTOR`]).
+fn uses_open_tree(g: &CsrGraph, beta: usize) -> bool {
+    let n = g.num_vertices();
+    // ⌈log₂ n⌉ for n ≥ 1, and 0 for the empty graph.
+    let log_n = (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize;
+    2 * g.num_edges()
+        >= OPEN_TREE_DEGREE_FACTOR
+            .saturating_mul(beta)
+            .saturating_mul(log_n)
+            .saturating_mul(n)
+}
+
+/// A min-tree over vertex ids: leaf `v` holds `deg_H(v)` while `v` is
+/// open (`deg_H(v) < deg_G(v)`) and `u32::MAX` once every edge at `v`
+/// is in H. Node `i` is the minimum of nodes `2i` and `2i + 1`; the
+/// leaves sit at `size..2·size`, padded with `u32::MAX`.
+#[derive(Default)]
+struct OpenTree {
+    nodes: Vec<u32>,
+    size: usize,
+}
+
+impl OpenTree {
+    /// Refill for `g` with H empty: every vertex with an edge is open at
+    /// H-degree 0.
+    fn reset(&mut self, g: &CsrGraph) {
+        let n = g.num_vertices();
+        self.size = n.next_power_of_two();
+        self.nodes.clear();
+        self.nodes.resize(2 * self.size, u32::MAX);
+        for v in 0..n {
+            if g.degree(VertexId::new(v)) > 0 {
+                self.nodes[self.size + v] = 0;
+            }
+        }
+        for i in (1..self.size).rev() {
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// Record that `v` now has H-degree `deg` of its `deg_g` G-edges.
+    fn set(&mut self, v: usize, deg: u32, deg_g: usize) {
+        let mut i = self.size + v;
+        self.nodes[i] = if (deg as usize) < deg_g {
+            deg
+        } else {
+            u32::MAX
+        };
+        while i > 1 {
+            i /= 2;
+            let min = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+            if self.nodes[i] == min {
+                break;
+            }
+            self.nodes[i] = min;
+        }
+    }
+
+    /// The last open vertex whose H-degree is below `threshold`, or 0
+    /// when there is none (no row's `v > u ≥ 0` lies at or before 0).
+    fn last_below(&self, threshold: u32) -> usize {
+        if self.nodes[1] >= threshold {
+            return 0;
+        }
+        let mut i = 1;
+        while i < self.size {
+            i = 2 * i + 1;
+            if self.nodes[i] >= threshold {
+                i -= 1;
+            }
+        }
+        i - self.size
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The in-memory fixpoint's buffers, held by [`PipelineScratch`]:
+/// cleared and regrown per run, never dropped, so a warm arena
+/// allocates nothing.
+#[derive(Default)]
+pub(crate) struct FixpointScratch {
+    /// H-membership bits, EdgeId-indexed, 64 edges per word.
+    in_h: Vec<u64>,
+    /// H-degree per vertex.
+    deg: Vec<u32>,
+    /// One past the last edge id of each vertex's row.
+    row_end: Vec<u32>,
+    /// The open-vertex tree, refilled only when the run keeps it.
+    tree: OpenTree,
+}
+
+impl FixpointScratch {
+    pub(crate) fn clear(&mut self) {
+        self.in_h.clear();
+        self.deg.clear();
+        self.row_end.clear();
+        self.tree.nodes.clear();
+    }
+
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.in_h.capacity() * std::mem::size_of::<u64>()
+            + (self.deg.capacity() + self.row_end.capacity()) * std::mem::size_of::<u32>()
+            + self.tree.capacity_bytes()
+    }
+}
+
+/// What one in-memory fixpoint run did: the public stats plus the edges
+/// it actually evaluated, which the skip keeps below `passes × m`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FixpointRun {
+    pub(crate) stats: EdcsStats,
+    pub(crate) edge_evaluations: u64,
+}
+
+/// One fixpoint run over `g`'s edges in storage order (see the
+/// [module docs](self)), leaving H-membership and H-degrees in `fx` and
+/// the kept edge ids, sorted, in `ids`. Keeps the open-vertex tree when
+/// [`uses_open_tree`] says it pays.
 pub(crate) fn mark_edcs_into(
     g: &CsrGraph,
     params: &EdcsParams,
-    in_h: &mut Vec<bool>,
-    deg: &mut Vec<u32>,
+    fx: &mut FixpointScratch,
     ids: &mut Vec<EdgeId>,
-) -> EdcsStats {
-    let (beta, beta_minus) = (params.beta() as u32, params.beta_minus() as u32);
+) -> FixpointRun {
+    let bound = uses_open_tree(g, params.beta());
+    fixpoint(g, params, bound, fx, ids)
+}
+
+/// [`mark_edcs_into`] with the tree kept (`bound`) or not: the same
+/// fixes either way, only the evaluated edges differ.
+fn fixpoint(
+    g: &CsrGraph,
+    params: &EdcsParams,
+    bound: bool,
+    fx: &mut FixpointScratch,
+    ids: &mut Vec<EdgeId>,
+) -> FixpointRun {
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    let FixpointScratch {
+        in_h,
+        deg,
+        row_end,
+        tree,
+    } = fx;
     in_h.clear();
-    in_h.resize(g.num_edges(), false);
+    in_h.resize(m.div_ceil(64), 0);
     deg.clear();
-    deg.resize(g.num_vertices(), 0);
+    deg.resize(n, 0);
+    row_end.clear();
+    if bound {
+        // Row u is the run of edges (u, v > u), which ends after the edge
+        // to u's last neighbour when that neighbour lies above u.
+        let mut end = 0;
+        row_end.extend((0..n).map(|u| {
+            let u_id = VertexId::new(u);
+            let d = g.degree(u_id);
+            if d > 0 && g.neighbor(u_id, d - 1).index() > u {
+                end = g.incident_edge(u_id, d - 1).index() + 1;
+            }
+            end as u32
+        }));
+        tree.reset(g);
+    }
     let mut stats = EdcsStats::default();
+    let mut skipped = 0u64;
     loop {
         stats.passes += 1;
-        let mut changed = false;
-        for (e, u, v) in g.edges() {
-            let (ui, vi) = (u.0 as usize, v.0 as usize);
-            if in_h[e.0 as usize] {
-                if deg[ui] + deg[vi] > beta {
-                    in_h[e.0 as usize] = false;
-                    deg[ui] -= 1;
-                    deg[vi] -= 1;
-                    stats.ops += 1;
-                    changed = true;
-                }
-            } else if deg[ui] + deg[vi] < beta_minus {
-                // Post-insert the edge's degree sum is at most
-                // β⁻ + 1 ≤ β, so an insertion never violates Property A.
-                in_h[e.0 as usize] = true;
-                deg[ui] += 1;
-                deg[vi] += 1;
-                stats.ops += 1;
-                changed = true;
-            }
-        }
-        if !changed {
+        let ops = if bound {
+            let (ops, pass_skipped) = row_pass(g, params, row_end, deg, in_h, tree);
+            skipped += pass_skipped;
+            ops
+        } else {
+            plain_pass(g.endpoint_pairs(), params, deg, in_h)
+        };
+        stats.ops += ops;
+        if ops == 0 {
             break;
         }
     }
     ids.clear();
-    ids.extend(
-        g.edges()
-            .filter(|(e, ..)| in_h[e.0 as usize])
-            .map(|(e, ..)| e),
-    );
+    for (w, &word) in in_h.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            ids.push(EdgeId::new(w << 6 | bits.trailing_zeros() as usize));
+            bits &= bits - 1;
+        }
+    }
     stats.edges = ids.len();
-    stats
+    FixpointRun {
+        stats,
+        edge_evaluations: stats.passes as u64 * m as u64 - skipped,
+    }
+}
+
+/// One pass that evaluates every edge in id order: the full scan, on
+/// 64 edges per membership word.
+fn plain_pass(pairs: &[(u32, u32)], params: &EdcsParams, deg: &mut [u32], in_h: &mut [u64]) -> u64 {
+    let (beta, beta_minus) = (params.beta() as u32, params.beta_minus() as u32);
+    let mut ops = 0;
+    for (word, chunk) in in_h.iter_mut().zip(pairs.chunks(64)) {
+        let mut flips = 0u64;
+        for (i, &(u, v)) in chunk.iter().enumerate() {
+            let (u, v) = (u as usize, v as usize);
+            let sum = deg[u] + deg[v];
+            if *word >> i & 1 != 0 {
+                if sum > beta {
+                    deg[u] -= 1;
+                    deg[v] -= 1;
+                    flips |= 1 << i;
+                }
+            } else if sum < beta_minus {
+                // Post-insert the edge's degree sum is at most β⁻ + 1 ≤ β,
+                // so an insertion never violates Property A.
+                deg[u] += 1;
+                deg[v] += 1;
+                flips |= 1 << i;
+            }
+        }
+        *word ^= flips;
+        ops += flips.count_ones() as u64;
+    }
+    ops
+}
+
+/// One pass of the fixpoint row by row, skipping past `z` to the
+/// H-edges (see the [module docs](self)); returns the fixes it made and
+/// the edges it skipped. It takes slices rather than the scratch's
+/// vectors so the hot loop holds their bounds in registers.
+fn row_pass(
+    g: &CsrGraph,
+    params: &EdcsParams,
+    row_end: &[u32],
+    deg: &mut [u32],
+    in_h: &mut [u64],
+    tree: &mut OpenTree,
+) -> (u64, u64) {
+    let (beta, beta_minus) = (params.beta() as u32, params.beta_minus() as u32);
+    let pairs = g.endpoint_pairs();
+    let (mut ops, mut skipped) = (0u64, 0u64);
+    let mut e = 0;
+    for (u, &end) in row_end.iter().enumerate() {
+        // Row u: the edges e..end, which are (u, v) for ascending v > u.
+        let end = end as usize;
+        if e == end {
+            continue;
+        }
+        let du_before = deg[u];
+        let mut du = du_before;
+        // Past z no non-H edge can be inserted.
+        let mut z = tree.last_below(beta_minus.saturating_sub(du));
+        while e < end {
+            let mut v = pairs[e].1 as usize;
+            if v > z {
+                let next = next_member(in_h, e, end);
+                skipped += (next - e) as u64;
+                e = next;
+                if e == end {
+                    break;
+                }
+                v = pairs[e].1 as usize;
+            }
+            let dv = deg[v];
+            let member = is_member(in_h, e);
+            let fixed = if member {
+                du + dv > beta
+            } else {
+                du + dv < beta_minus
+            };
+            if fixed {
+                let dv = if member {
+                    du -= 1;
+                    dv - 1
+                } else {
+                    du += 1;
+                    dv + 1
+                };
+                in_h[e >> 6] ^= 1 << (e & 63);
+                deg[v] = dv;
+                ops += 1;
+                tree.set(v, dv, g.degree(VertexId::new(v)));
+                z = tree.last_below(beta_minus.saturating_sub(du));
+            }
+            e += 1;
+        }
+        deg[u] = du;
+        // u's own leaf can lag during its row: only vertices past u are
+        // compared with z there.
+        if du != du_before {
+            tree.set(u, du, g.degree(VertexId::new(u)));
+        }
+    }
+    (ops, skipped)
+}
+
+/// Whether edge `e` is in H.
+#[inline(always)]
+fn is_member(in_h: &[u64], e: usize) -> bool {
+    in_h[e >> 6] >> (e & 63) & 1 != 0
+}
+
+/// The least H-edge in `from..end`, or `end` when there is none: one
+/// word per 64 edges passed over.
+#[inline]
+fn next_member(in_h: &[u64], from: usize, end: usize) -> usize {
+    if from >= end {
+        return end;
+    }
+    let mut w = from >> 6;
+    let mut bits = in_h[w] & (u64::MAX << (from & 63));
+    loop {
+        if bits != 0 {
+            return ((w << 6) | bits.trailing_zeros() as usize).min(end);
+        }
+        w += 1;
+        if w << 6 >= end {
+            return end;
+        }
+        bits = in_h[w];
+    }
 }
 
 /// Build a `(β, β⁻)`-EDCS of `g` with fresh buffers. The result is a
@@ -243,12 +544,10 @@ pub(crate) fn mark_edcs_into(
 /// assert!(stats.edges <= p.size_bound(40));
 /// ```
 pub fn build_edcs(g: &CsrGraph, params: &EdcsParams) -> (CsrGraph, EdcsStats) {
-    let mut in_h = Vec::new();
-    let mut deg = Vec::new();
     let mut ids = Vec::new();
-    let stats = mark_edcs_into(g, params, &mut in_h, &mut deg, &mut ids);
+    let run = mark_edcs_into(g, params, &mut FixpointScratch::default(), &mut ids);
     let h = g.edge_subgraph(ids.into_iter());
-    (h, stats)
+    (h, run.stats)
 }
 
 /// Check the EDCS invariants of `h` against its parent `g`: returns
@@ -316,8 +615,9 @@ pub fn approx_mcm_via_edcs(
 }
 
 /// [`approx_mcm_via_edcs`] writing through a caller-owned
-/// [`PipelineScratch`]: identical output, but the membership flags,
-/// degree counters, CSR arrays, searcher, and result matching are all
+/// [`PipelineScratch`]: identical output, but the membership bitset,
+/// degree counters, open-vertex tree, CSR arrays, searcher, and result
+/// matching are all
 /// reused — after a warm-up call on a given input size, repeat calls
 /// perform zero heap allocations, same as the delta pipeline's warm
 /// path.
@@ -336,9 +636,14 @@ pub fn approx_mcm_via_edcs_with_scratch<'s>(
 /// stage spans land on the same keys as the delta pipeline
 /// ([`keys::STAGE_MARK`] covers the fixpoint, [`keys::STAGE_EXTRACT`]
 /// the CSR layout, [`keys::STAGE_MATCH`] the matching), and
-/// [`keys::NEIGHBOR_PROBES`] records the half-edge visits the fixpoint
-/// spent — `passes × 2m`, the honest linear-scan cost that separates
-/// this backend from the sublinear delta path.
+/// [`keys::NEIGHBOR_PROBES`] records the notional half-edge scan cost
+/// `passes × 2m` — the linear cost of a pass that evaluates every edge,
+/// as the streamed build does, which separates this backend from the
+/// sublinear delta path. [`keys::EDCS_PASSES`] counts the fixpoint's
+/// passes and [`keys::EDCS_EDGE_EVALUATIONS`] the edges it actually
+/// evaluated: at most `passes × m`, and far fewer on dense inputs,
+/// where the walk skips the edges it proves cannot change (see the
+/// [module docs](self)).
 pub fn approx_mcm_via_edcs_with_scratch_metered<'s>(
     g: &CsrGraph,
     params: &EdcsParams,
@@ -367,14 +672,14 @@ fn approx_mcm_via_edcs_impl(
         ids,
         csr,
         searcher,
-        edcs_in,
-        edcs_deg,
+        edcs,
         result,
         ..
     } = scratch;
 
     let mark_start = Instant::now();
-    let stats = mark_edcs_into(g, params, edcs_in, edcs_deg, ids);
+    let run = mark_edcs_into(g, params, edcs, ids);
+    let stats = run.stats;
     let mark_nanos = mark_start.elapsed().as_nanos();
 
     let extract_start = Instant::now();
@@ -383,8 +688,9 @@ fn approx_mcm_via_edcs_impl(
 
     // Map the fixpoint's counters onto the shared stats/probe slots:
     // `mark_cap` carries β, `marks_placed` the fix operations, and the
-    // probe count is the linear half-edge scan cost `passes × 2m` — no
-    // sublinearity claim is made for this backend.
+    // probe count is the notional half-edge scan cost `passes × 2m` of
+    // evaluating every edge — no sublinearity claim is made for this
+    // backend, and the probes stay equal to the streamed build's.
     result.sparsifier = SparsifierStats {
         delta: 0,
         mark_cap: params.beta(),
@@ -410,6 +716,8 @@ fn approx_mcm_via_edcs_impl(
 
     if let Some(meter) = meter {
         meter.add(keys::NEIGHBOR_PROBES, result.probes.neighbor_probes);
+        meter.add(keys::EDCS_PASSES, stats.passes as u64);
+        meter.add(keys::EDCS_EDGE_EVALUATIONS, run.edge_evaluations);
         meter.add(keys::SPARSIFIER_EDGES, result.sparsifier.edges as u64);
         meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
         meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
@@ -536,9 +844,10 @@ pub fn approx_mcm_edcs_streamed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use sparsimatch_graph::csr::from_edges;
     use sparsimatch_graph::generators::{
-        bipartite_gnp, clique, clique_union, gnp, CliqueUnionConfig,
+        bipartite_gnp, clique, clique_union, gnp, star, CliqueUnionConfig,
     };
     use sparsimatch_matching::blossom::maximum_matching;
 
@@ -684,6 +993,136 @@ mod tests {
             );
             assert!(report.peak_resident_bytes > 0);
         }
+    }
+
+    /// One generated fixpoint input: a graph from G(n, p) (sparse to
+    /// complete), stars, graphs with isolated vertices, clique unions and
+    /// bipartite graphs, with β in 2..=32 (half the draws in 2..=3, where
+    /// dense graphs reach the tree's side of the rule) and λ at the
+    /// default or at the λβ = 1 floor.
+    fn identity_instance(seed: u64) -> (&'static str, CsrGraph, EdcsParams) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let beta = if rng.random_bool(0.5) {
+            rng.random_range(2..=32usize)
+        } else {
+            rng.random_range(2..=3usize)
+        };
+        let lambda = if rng.random_bool(0.5) {
+            EdcsParams::default_lambda(beta)
+        } else {
+            1.0 / beta as f64
+        };
+        let params = EdcsParams::new(beta, lambda).expect("valid EDCS parameters");
+        let n = rng.random_range(1..=150usize);
+        let p = [0.02, 0.1, 0.3, 0.7, 1.0][rng.random_range(0..5usize)];
+        let (family, g) = match seed % 5 {
+            0 => ("gnp", gnp(n, p, &mut rng)),
+            1 => ("star", star(n)),
+            2 => {
+                // G(k, p) relabelled into n ≥ k ids; the rest are isolated.
+                let k = rng.random_range(1..=n);
+                let inner = gnp(k, p, &mut rng);
+                let mut ids: Vec<usize> = (0..n).collect();
+                for i in 0..k {
+                    let j = rng.random_range(i..n);
+                    ids.swap(i, j);
+                }
+                let edges = inner
+                    .edges()
+                    .map(|(_, u, v)| (ids[u.index()], ids[v.index()]));
+                ("isolated", from_edges(n, edges))
+            }
+            3 => {
+                let cfg = CliqueUnionConfig {
+                    n,
+                    diversity: rng.random_range(1..=3usize),
+                    clique_size: rng.random_range(2..=n.max(2)),
+                };
+                ("clique-union", clique_union(cfg, &mut rng))
+            }
+            _ => {
+                let a = rng.random_range(1..=n);
+                ("bipartite", bipartite_gnp(a, n + 1 - a, p, &mut rng))
+            }
+        };
+        (family, g, params)
+    }
+
+    /// The in-memory fixpoint, run with the open-vertex tree and without
+    /// it, equals the streamed build over the same CSR — the fixpoint
+    /// that evaluates every edge — in kept edges, passes and fixes; the
+    /// plain run evaluates every edge and the tree run no more. The
+    /// generated set has instances on both sides of the density rule.
+    #[test]
+    fn fixpoint_with_and_without_the_tree_equals_the_full_scan() {
+        let mut sides = [0usize; 2];
+        let mut fx = FixpointScratch::default();
+        let mut ids = Vec::new();
+        for seed in 0..400u64 {
+            let (family, g, params) = identity_instance(seed);
+            let m = g.num_edges() as u64;
+            let (h, stats, _) = build_edcs_streamed(&mut g.clone(), &params).unwrap();
+            let want: Vec<(u32, u32)> = h.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+            let case = format!(
+                "seed {seed}: {family}, n = {}, m = {m}, beta = {}, beta- = {}",
+                g.num_vertices(),
+                params.beta(),
+                params.beta_minus()
+            );
+            for bound in [false, true] {
+                let run = fixpoint(&g, &params, bound, &mut fx, &mut ids);
+                let kept: Vec<(u32, u32)> = ids
+                    .iter()
+                    .map(|&e| {
+                        let (u, v) = g.edge_endpoints(e);
+                        (u.0, v.0)
+                    })
+                    .collect();
+                assert_eq!(kept, want, "{case}, tree {bound}");
+                assert_eq!(run.stats, stats, "{case}, tree {bound}");
+                let scan = stats.passes as u64 * m;
+                if bound {
+                    assert!(run.edge_evaluations <= scan, "{case}");
+                } else {
+                    assert_eq!(run.edge_evaluations, scan, "{case}");
+                }
+            }
+            sides[uses_open_tree(&g, params.beta()) as usize] += 1;
+        }
+        assert!(
+            sides[0] >= 40 && sides[1] >= 40,
+            "instances per side of the density rule (plain, tree): {sides:?}"
+        );
+    }
+
+    /// The density rule on the benchmark's shapes: `perfbench`'s inmem
+    /// graph keeps the tree at β = 16 and serve's graph does not, and on
+    /// the tree's side the fixpoint evaluates a small share of the edges.
+    #[test]
+    fn density_rule_splits_the_benchmark_shapes() {
+        let p = EdcsParams::new(16, EdcsParams::default_lambda(16)).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut union = |n, clique_size| {
+            clique_union(
+                CliqueUnionConfig {
+                    n,
+                    diversity: 2,
+                    clique_size,
+                },
+                &mut rng,
+            )
+        };
+        let serve = union(300, 20);
+        assert!(!uses_open_tree(&serve, p.beta()));
+        let dense = clique(300);
+        assert!(uses_open_tree(&dense, p.beta()));
+        let run = mark_edcs_into(&dense, &p, &mut FixpointScratch::default(), &mut Vec::new());
+        let scan = run.stats.passes as u64 * dense.num_edges() as u64;
+        assert!(
+            run.edge_evaluations * 4 < scan,
+            "{} of {scan} evaluated",
+            run.edge_evaluations
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! per call, so warm and cold runs execute the *same* code path and are
 //! byte-identical by construction.
 
+use crate::edcs::FixpointScratch;
 use crate::pipeline::PipelineResult;
 use crate::sparsifier::MarkScratch;
 use sparsimatch_graph::adjacency::ProbeCounts;
@@ -57,10 +58,9 @@ pub struct PipelineScratch {
     /// Match stage: blossom searcher (frontier queue, parent/base/root
     /// forests).
     pub(crate) searcher: BlossomSearcher,
-    /// EDCS backend: per-edge H-membership flags (EdgeId-indexed).
-    pub(crate) edcs_in: Vec<bool>,
-    /// EDCS backend: per-vertex H-degrees.
-    pub(crate) edcs_deg: Vec<u32>,
+    /// EDCS backend: the fixpoint's H-membership bitset, H-degrees and
+    /// open-vertex tree.
+    pub(crate) edcs: FixpointScratch,
     /// The result slot, including the reusable output matching.
     pub(crate) result: PipelineResult,
     /// Largest capacity footprint observed at the end of any run.
@@ -77,8 +77,7 @@ impl PipelineScratch {
             ids: Vec::new(),
             csr: CsrScratch::new(),
             searcher: BlossomSearcher::new(&Matching::new(0)),
-            edcs_in: Vec::new(),
-            edcs_deg: Vec::new(),
+            edcs: FixpointScratch::default(),
             result: PipelineResult {
                 matching: Matching::new(0),
                 sparsifier: Default::default(),
@@ -97,8 +96,7 @@ impl PipelineScratch {
         self.marks.clear();
         self.ids.clear();
         self.csr.clear();
-        self.edcs_in.clear();
-        self.edcs_deg.clear();
+        self.edcs.clear();
         self.result.matching.reset(0);
         self.result.sparsifier = Default::default();
         self.result.probes = ProbeCounts::default();
@@ -124,8 +122,7 @@ impl PipelineScratch {
             + self.ids.capacity() * size_of::<EdgeId>()
             + self.csr.capacity_bytes()
             + self.searcher.capacity_bytes()
-            + self.edcs_in.capacity()
-            + self.edcs_deg.capacity() * size_of::<u32>()
+            + self.edcs.capacity_bytes()
             + self.result.matching.capacity_bytes()
     }
 

@@ -5,11 +5,17 @@
 //! input, every subsequent one-thread call on that input performs
 //! **zero** heap allocations, and a call at `t ≥ 2` allocates only the
 //! bookkeeping of the `t − 1` mark workers it spawns — for each certified
-//! benchmark family at its default parameters. Compile and run with
+//! benchmark family at its default parameters. The EDCS backend's warm
+//! solves allocate nothing either, with the fixpoint's open-vertex tree
+//! and without it. Compile and run with
 //! `cargo test -p sparsimatch-core --features alloc-count`.
 #![cfg(feature = "alloc-count")]
 
 use rand::{rngs::StdRng, SeedableRng};
+use sparsimatch_core::edcs::{
+    approx_mcm_via_edcs, approx_mcm_via_edcs_with_scratch,
+    approx_mcm_via_edcs_with_scratch_metered, EdcsParams,
+};
 use sparsimatch_core::params::SparsifierParams;
 use sparsimatch_core::pipeline::{
     approx_mcm_via_sparsifier, approx_mcm_via_sparsifier_with_scratch,
@@ -18,6 +24,7 @@ use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::{bipartite_gnp, clique, clique_union, CliqueUnionConfig};
 use sparsimatch_obs::alloc::{self, CountingAllocator};
+use sparsimatch_obs::{keys, WorkMeter};
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -168,6 +175,62 @@ fn warm_multi_thread_solves_allocate_only_spawn_bookkeeping() {
                 g.num_edges(),
                 least.bytes,
                 least.count,
+            );
+        }
+    }
+}
+
+/// Warm repeats of the EDCS solve allocate nothing on both sides of the
+/// fixpoint's density rule: an inmem-shaped clique union, where it keeps
+/// the open-vertex tree, and the bipartite family, where it runs plain
+/// passes. A metered solve first tells the sides apart: only the tree
+/// evaluates fewer than `passes × m` edges.
+#[test]
+fn warm_edcs_repeat_solves_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let params = EdcsParams::new(16, EdcsParams::default_lambda(16)).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x1A);
+    let inmem_shape = clique_union(
+        CliqueUnionConfig {
+            n: 2_000,
+            diversity: 2,
+            clique_size: 400,
+        },
+        &mut rng,
+    );
+    let bipartite = bipartite_gnp(2_000, 2_000, 10.0 / 2_000.0, &mut rng);
+    for (name, g, tree) in [
+        ("inmem-shape", inmem_shape, true),
+        ("bipartite", bipartite, false),
+    ] {
+        let mut scratch = PipelineScratch::new();
+        let mut meter = WorkMeter::new();
+        approx_mcm_via_edcs_with_scratch_metered(&g, &params, 0.5, 1, &mut meter, &mut scratch)
+            .unwrap();
+        let scan = meter.get(keys::EDCS_PASSES) * g.num_edges() as u64;
+        let evaluated = meter.get(keys::EDCS_EDGE_EVALUATIONS);
+        assert_eq!(
+            evaluated < scan,
+            tree,
+            "{name}: {evaluated} of {scan} edge evaluations"
+        );
+        let cold = approx_mcm_via_edcs(&g, &params, 0.5, 1).unwrap();
+        for rep in 0..3 {
+            let before = alloc::thread_totals();
+            let warm = approx_mcm_via_edcs_with_scratch(&g, &params, 0.5, 1, &mut scratch).unwrap();
+            let after = alloc::thread_totals();
+            let identical = warm.matching == cold.matching && warm.sparsifier == cold.sparsifier;
+            assert_eq!(
+                after.count,
+                before.count,
+                "{name} rep {rep}: warm EDCS solve allocated ({} bytes in {} calls)",
+                after.bytes - before.bytes,
+                after.count - before.count,
+            );
+            assert_eq!(after.bytes, before.bytes, "{name} rep {rep}");
+            assert!(
+                identical,
+                "{name} rep {rep}: warm output diverged from cold"
             );
         }
     }

@@ -19,7 +19,10 @@ use crate::json::Json;
 pub mod keys {
     /// Degree probes against a read-only adjacency oracle.
     pub const DEGREE_PROBES: &str = "adjacency.degree_probes";
-    /// Neighbor probes against a read-only adjacency oracle.
+    /// Neighbor probes against a read-only adjacency oracle. The EDCS
+    /// backend records its notional scan cost here, `passes × 2m`
+    /// half-edge visits, however many edges its fixpoint evaluated
+    /// ([`EDCS_EDGE_EVALUATIONS`]).
     pub const NEIGHBOR_PROBES: &str = "adjacency.neighbor_probes";
     /// Draws taken from the pseudorandom generator.
     pub const RNG_DRAWS: &str = "sampler.rng_draws";
@@ -33,6 +36,12 @@ pub mod keys {
     /// exactly when its sparsifier keeps the whole graph; a meter that
     /// sums `k` such solves of an `n`-vertex graph reads `k·n`.
     pub const KEEP_ALL_VERTICES: &str = "sparsifier.keep_all_vertices";
+    /// Passes of the EDCS fixpoint, including the final pass that
+    /// changed nothing.
+    pub const EDCS_PASSES: &str = "edcs.passes";
+    /// Edges the in-memory EDCS fixpoint evaluated across its passes: at
+    /// most `passes × m`, less by the edges it proved could not change.
+    pub const EDCS_EDGE_EVALUATIONS: &str = "edcs.edge_evaluations";
     /// Edge visits performed by bounded augmenting-path search.
     pub const EDGE_VISITS: &str = "matching.edge_visits";
     /// Augmenting-path searches started.
