@@ -18,7 +18,8 @@
 //! deadlock (both sides blocked on full pipes). A stdio session
 //! ([`run_stdio_session`]) has one client, a script piped in at once
 //! or a person typing, so its reader waits for a queue slot instead:
-//! the back-pressure goes into the pipe, and every line is answered.
+//! the back-pressure goes into the pipe, and every line is answered,
+//! in line order.
 
 use crate::engine::{DaemonStats, EngineConfig, SessionEngine};
 use crate::protocol::{self, ErrorCode, Request, MAX_REQUEST_BYTES};
@@ -162,10 +163,27 @@ fn peek_id(line: &str) -> Option<u64> {
     wire::req_u64(&doc, "id").ok()
 }
 
+/// One queued entry: a request line for the engine, or, in a stdio
+/// session, the reader's reply to a line rejected before parsing
+/// (`too_large`, non-UTF-8), held so that it leaves in line order.
+enum Entry {
+    Request(String),
+    Reply(String),
+}
+
+/// What became of an entry offered to the queue.
+enum Admission {
+    Queued,
+    /// The queue was full (a daemon session sheds).
+    Full,
+    /// The worker has ended the session.
+    Stopped,
+}
+
 struct Queue {
-    /// Admitted lines with their admission timestamps (the deadline
+    /// Admitted entries with their admission timestamps (the deadline
     /// clock starts at admission, not at execution).
-    lines: VecDeque<(String, Instant)>,
+    lines: VecDeque<(Entry, Instant)>,
     eof: bool,
 }
 
@@ -236,8 +254,10 @@ where
 /// The stdio session over an arbitrary transport: [`run_session`], but
 /// a line that finds the queue full waits for a slot instead of being
 /// answered `overloaded`, so a piped script of any length is answered
-/// line for line. A `shutdown` still answers the queued lines, and the
-/// one the reader holds, `shutting_down`.
+/// line for line, in line order: the reply to a line rejected before
+/// parsing (over the byte cap, or not UTF-8) queues behind the lines
+/// before it. A `shutdown` still answers the queued lines, and the one
+/// the reader holds, `shutting_down`.
 pub fn run_stdio_session<R, W>(
     reader: R,
     writer: W,
@@ -251,7 +271,8 @@ where
 }
 
 /// The one request loop behind every session; `wait_for_slot` picks the
-/// stdio admission rule (wait) over the daemon's (shed).
+/// stdio rules (wait for a slot, queue the replies to rejected lines)
+/// over the daemon's (shed, reply at once).
 fn session_loop<R, W>(
     mut reader: R,
     writer: W,
@@ -290,7 +311,7 @@ where
     std::thread::scope(|scope| -> io::Result<()> {
         let worker = scope.spawn(|| {
             loop {
-                let (line, admitted_at) = {
+                let (entry, admitted_at) = {
                     let mut q = queue.lock().expect("queue lock");
                     loop {
                         if let Some(entry) = q.lines.pop_front() {
@@ -301,6 +322,15 @@ where
                             return;
                         }
                         q = ready.wait(q).expect("queue wait");
+                    }
+                };
+                let line = match entry {
+                    Entry::Request(line) => line,
+                    // The reader's answer to a rejected line, written in
+                    // its place among the answers.
+                    Entry::Reply(reply) => {
+                        let _ = write_line(&writer, &reply);
+                        continue;
                     }
                 };
                 // Daemon drain: everything still queued is shed with a
@@ -402,15 +432,16 @@ where
                     // reader's next look at it.
                     let mut q = queue.lock().expect("queue lock");
                     if write_ok {
-                        while let Some((line, _)) = q.lines.pop_front() {
-                            let _ = write_line(
-                                &writer,
-                                &protocol::error_response(
+                        while let Some((entry, _)) = q.lines.pop_front() {
+                            let reply = match entry {
+                                Entry::Request(line) => protocol::error_response(
                                     peek_id(&line),
                                     ErrorCode::ShuttingDown,
                                     "session shutting down; request not executed",
                                 ),
-                            );
+                                Entry::Reply(reply) => reply,
+                            };
+                            let _ = write_line(&writer, &reply);
                         }
                     }
                     drop(q);
@@ -431,6 +462,38 @@ where
         // the worker is down.
         let mut read_error: Option<io::Error> = None;
         let mut buf = Vec::new();
+        // Offer an entry to the queue; a stdio reader waits for a slot.
+        let admit = |entry: Entry| -> Admission {
+            let mut q = queue.lock().expect("queue lock");
+            while wait_for_slot && q.lines.len() >= cfg.queue_cap && !stop.load(Ordering::SeqCst) {
+                q = space.wait(q).expect("queue wait");
+            }
+            if stop.load(Ordering::SeqCst) {
+                Admission::Stopped
+            } else if q.lines.len() >= cfg.queue_cap {
+                Admission::Full
+            } else {
+                q.lines.push_back((entry, Instant::now()));
+                ready.notify_one();
+                Admission::Queued
+            }
+        };
+        // Answer a line rejected before parsing. A stdio session queues
+        // the reply behind the lines before it, so answers leave in line
+        // order; a daemon session writes it at once. True when the
+        // session has ended: the reply, to a line read after the queue
+        // was answered, is then written last.
+        let reject = |reply: String| -> bool {
+            if !wait_for_slot {
+                let _ = write_line(&writer, &reply);
+                return false;
+            }
+            let stopped = matches!(admit(Entry::Reply(reply.clone())), Admission::Stopped);
+            if stopped {
+                let _ = write_line(&writer, &reply);
+            }
+            stopped
+        };
         loop {
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -444,21 +507,19 @@ where
                 Ok(LineIn::TooLong) => {
                     stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                     let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-                    let _ = write_line(
-                        &writer,
-                        &protocol::error_response(None, ErrorCode::TooLarge, &msg),
-                    );
+                    if reject(protocol::error_response(None, ErrorCode::TooLarge, &msg)) {
+                        break;
+                    }
                 }
                 Ok(LineIn::BadUtf8) => {
                     stats.wire_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = write_line(
-                        &writer,
-                        &protocol::error_response(
-                            None,
-                            ErrorCode::Parse,
-                            "request line is not valid UTF-8",
-                        ),
-                    );
+                    if reject(protocol::error_response(
+                        None,
+                        ErrorCode::Parse,
+                        "request line is not valid UTF-8",
+                    )) {
+                        break;
+                    }
                 }
                 Ok(LineIn::Line(line)) => {
                     if let Some(touch) = ctl.on_activity {
@@ -467,47 +528,33 @@ where
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let (admitted, stopped) = {
-                        let mut q = queue.lock().expect("queue lock");
-                        while wait_for_slot
-                            && q.lines.len() >= cfg.queue_cap
-                            && !stop.load(Ordering::SeqCst)
-                        {
-                            q = space.wait(q).expect("queue wait");
+                    match admit(Entry::Request(line.clone())) {
+                        Admission::Queued => {}
+                        Admission::Stopped => {
+                            // The worker has ended the session and
+                            // answered the queue: this line, read after
+                            // it, is next.
+                            let _ = write_line(
+                                &writer,
+                                &protocol::error_response(
+                                    peek_id(&line),
+                                    ErrorCode::ShuttingDown,
+                                    "session shutting down; request not executed",
+                                ),
+                            );
+                            break;
                         }
-                        if stop.load(Ordering::SeqCst) {
-                            (false, true)
-                        } else if q.lines.len() >= cfg.queue_cap {
-                            (false, false)
-                        } else {
-                            q.lines.push_back((line.clone(), Instant::now()));
-                            ready.notify_one();
-                            (true, false)
+                        Admission::Full => {
+                            stats.overloaded.fetch_add(1, Ordering::Relaxed);
+                            let _ = write_line(
+                                &writer,
+                                &protocol::error_response(
+                                    peek_id(&line),
+                                    ErrorCode::Overloaded,
+                                    "request queue full; retry later",
+                                ),
+                            );
                         }
-                    };
-                    if stopped {
-                        // The worker has ended the session and answered
-                        // the queue: this line, read after it, is next.
-                        let _ = write_line(
-                            &writer,
-                            &protocol::error_response(
-                                peek_id(&line),
-                                ErrorCode::ShuttingDown,
-                                "session shutting down; request not executed",
-                            ),
-                        );
-                        break;
-                    }
-                    if !admitted {
-                        stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_line(
-                            &writer,
-                            &protocol::error_response(
-                                peek_id(&line),
-                                ErrorCode::Overloaded,
-                                "request queue full; retry later",
-                            ),
-                        );
                     }
                 }
             }

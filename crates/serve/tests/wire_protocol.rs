@@ -231,14 +231,16 @@ fn update_and_solve_script(lines: usize, shutdown_at: Option<usize>) -> String {
 /// Run `script` as a stdio session on a thread of its own, failing
 /// instead of hanging if the session does not end within a minute, and
 /// check that the session answered exactly the lines its reader took.
-fn run_stdio_script(script: String, cfg: ServeConfig) -> (Vec<String>, SessionSummary) {
+fn run_stdio_script(script: impl Into<Vec<u8>>, cfg: ServeConfig) -> (Vec<String>, SessionSummary) {
+    let script: Vec<u8> = script.into();
     let (done, wait) = std::sync::mpsc::channel();
     let session = std::thread::spawn(move || {
         let mut out: Vec<u8> = Vec::new();
         let mut input = Cursor::new(script);
         let summary = run_stdio_session(&mut input, &mut out, &cfg).expect("session runs");
         let read = input.get_ref()[..input.position() as usize]
-            .matches('\n')
+            .iter()
+            .filter(|&&b| b == b'\n')
             .count();
         let _ = done.send((out, summary, read));
     });
@@ -305,6 +307,53 @@ fn stdio_shutdown_mid_script_answers_the_queue_and_frees_the_reader() {
     }
     assert_eq!(summary.overloaded, 0);
     assert_eq!(summary.requests, 151);
+}
+
+/// A stdio session answers lines rejected before parsing in line order
+/// too: behind a large `load_graph` and EDCS solves still being worked
+/// through, a line over the byte cap and a line that is not UTF-8 get
+/// their `too_large` and `parse` replies in their places, before the
+/// answer to the `query` after them, not ahead of the queued answers.
+#[test]
+fn stdio_rejected_lines_are_answered_in_line_order() {
+    let mut script = Vec::new();
+    script.extend_from_slice(
+        br#"{"id":0,"cmd":"load_graph","n":2000,"family":"clique-union:2:200","seed":3}"#,
+    );
+    script.push(b'\n');
+    for id in 1..=3 {
+        let solve =
+            format!(r#"{{"id":{id},"cmd":"solve","backend":"edcs","edcs_beta":16,"eps":0.5}}"#);
+        script.extend_from_slice(solve.as_bytes());
+        script.push(b'\n');
+    }
+    script.extend(std::iter::repeat_n(b'x', MAX_REQUEST_BYTES + 100));
+    script.push(b'\n');
+    script.extend_from_slice(b"{\"id\":5,\"cmd\":\"query\xff\"}\n");
+    script.extend_from_slice(br#"{"id":6,"cmd":"query"}"#);
+    script.push(b'\n');
+    let (lines, summary) = run_stdio_script(script, ServeConfig::default());
+    let docs: Vec<Json> = lines.iter().map(|l| parse_response(l)).collect();
+    let answers: Vec<(Option<u64>, Option<String>)> = docs
+        .iter()
+        .map(|d| (d.get("id").unwrap().as_u64(), error_code(d)))
+        .collect();
+    let too_large = Some("too_large".to_string());
+    let parse = Some("parse".to_string());
+    assert_eq!(
+        answers,
+        [
+            (Some(0), None),
+            (Some(1), None),
+            (Some(2), None),
+            (Some(3), None),
+            (None, too_large),
+            (None, parse),
+            (Some(6), None),
+        ],
+        "{lines:#?}"
+    );
+    assert_eq!((summary.requests, summary.wire_errors), (5, 2));
 }
 
 /// A line over the byte cap is rejected as `too_large` without breaking
