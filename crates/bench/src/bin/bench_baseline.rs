@@ -48,7 +48,11 @@
 //! thread, plus a streamed rematch over the spilled `huge` files
 //! (the EDCS fixpoint re-scans the file until convergence, so its
 //! `edges_scanned` is `passes × 2m` against the delta build's fixed
-//! `4m`). `results/RESULTS.md` renders the head-to-head table from this
+//! `4m`). The in-memory EDCS rows also record the fixpoint's `passes`
+//! and `edge_evaluations`, the edges it evaluated: at most
+//! `passes × m`, and far fewer on the dense quick `clique` row, where
+//! the fixpoint skips the edges it proves cannot change.
+//! `results/RESULTS.md` renders the head-to-head table from this
 //! section.
 //!
 //! Usage: `bench_baseline [--full]`; the output path defaults to
@@ -501,6 +505,9 @@ struct BackendRun {
     matching_size: usize,
     sparsifier_edges: usize,
     probes_total: u64,
+    /// EDCS only: the fixpoint's passes and the edges it evaluated,
+    /// which the skip keeps at or below `passes × m`.
+    fixpoint: Option<(u64, u64)>,
 }
 
 /// Race both backends on one family (1 thread, best of `reps`, one warm
@@ -562,6 +569,12 @@ fn bench_backends(f: &Family, reps: usize, violations: &mut Violations) -> Vec<B
             matching_size,
             sparsifier_edges,
             probes_total,
+            fixpoint: (b.name() == edcs.name()).then(|| {
+                (
+                    meter.get(keys::EDCS_PASSES),
+                    meter.get(keys::EDCS_EDGE_EVALUATIONS),
+                )
+            }),
         });
     }
     // Cross-backend conformance: each matching lower-bounds the optimum
@@ -748,6 +761,10 @@ fn backends_family_json(f: &Family, rows: &[BackendRun]) -> Json {
             run.set("matching_size", r.matching_size);
             run.set("sparsifier_edges", r.sparsifier_edges);
             run.set("probes_total", r.probes_total);
+            if let Some((passes, evaluations)) = r.fixpoint {
+                run.set("passes", passes);
+                run.set("edge_evaluations", evaluations);
+            }
             run
         })
         .collect();

@@ -245,6 +245,7 @@ fn bench_baseline_writes_valid_schema() {
     // The backend race (delta vs edcs) carries its conformance fields at
     // every scale — the claims are analytic, only the timings vary.
     assert_backends_schema(&doc);
+    assert_edcs_evaluations(&doc);
 
     // One steady-state row per family, with internally consistent fields.
     // The ≥1.3× warm-speedup acceptance bound is asserted on the committed
@@ -351,6 +352,35 @@ fn assert_huge_tier_schema(doc: &Json, min_edges: u64) {
             (shrink - graph_bytes as f64 / peak as f64).abs() < 1e-9,
             "{name}: resident_shrink inconsistent with its numerator/denominator"
         );
+    }
+}
+
+/// The in-memory race's EDCS rows record the fixpoint's passes and the
+/// edges it evaluated: never more than `passes × edges`, and on the
+/// quick `clique` row, dense enough for the fixpoint to skip the edges
+/// that cannot change, under a quarter of that. The counts are
+/// deterministic, so a skip that silently stops working fails here.
+/// (The committed full-scale baseline predates these fields.)
+fn assert_edcs_evaluations(doc: &Json) {
+    let families = doc.get("backends").unwrap().get("families").unwrap();
+    for f in families.as_array().unwrap() {
+        let name = f.get("family").unwrap().as_str().unwrap();
+        let edges = f.get("edges").unwrap().as_u64().unwrap();
+        let edcs = &f.get("runs").unwrap().as_array().unwrap()[1];
+        let passes = edcs.get("passes").unwrap().as_u64().unwrap();
+        let evaluated = edcs.get("edge_evaluations").unwrap().as_u64().unwrap();
+        assert!(passes >= 1, "{name}: no fixpoint pass recorded");
+        assert!(
+            evaluated <= passes * edges,
+            "{name}: {evaluated} edge evaluations over {passes} passes of {edges} edges"
+        );
+        if name == "clique" {
+            assert!(
+                evaluated * 4 < passes * edges,
+                "{name}: the fixpoint evaluated {evaluated} of {} edges",
+                passes * edges
+            );
+        }
     }
 }
 
