@@ -312,11 +312,37 @@ impl FaultPlan {
         {
             return;
         }
-        let mut state = hash3(self.seed, REORDER_SALT ^ 0xFF, round, node as u64);
-        for i in (1..items.len()).rev() {
-            state = mix(state);
-            let j = (state % (i as u64 + 1)) as usize;
-            items.swap(i, j);
+        fisher_yates(
+            hash3(self.seed, REORDER_SALT ^ 0xFF, round, node as u64),
+            items,
+        );
+    }
+
+    /// One kind's decisions in `round`: the key of a decision hash
+    /// `hash3(seed, salt, round, x)`, whose threshold is 0 past the horizon.
+    fn round_key(&self, salt: u64, round: u64, threshold: u128) -> RoundKey {
+        RoundKey {
+            prefix: mix(mix(self.seed ^ salt) ^ round),
+            threshold: if round <= self.horizon { threshold } else { 0 },
+        }
+    }
+
+    /// [`FaultPlan::message_dropped`] in `round`, keyed by the slot.
+    pub(crate) fn drop_key(&self, round: u64) -> RoundKey {
+        self.round_key(DROP_SALT, round, self.drop)
+    }
+
+    /// [`FaultPlan::message_duplicated`] in `round`, keyed by the slot.
+    pub(crate) fn duplicate_key(&self, round: u64) -> RoundKey {
+        self.round_key(DUP_SALT, round, self.duplicate)
+    }
+
+    /// [`FaultPlan::maybe_shuffle`] for the logical round starting at
+    /// physical round `round`, keyed by the node.
+    pub(crate) fn reorder_key(&self, round: u64) -> ReorderKey {
+        ReorderKey {
+            chance: self.round_key(REORDER_SALT, round, self.reorder),
+            state: mix(mix(self.seed ^ (REORDER_SALT ^ 0xFF)) ^ round),
         }
     }
 }
@@ -325,29 +351,49 @@ impl FaultPlan {
 /// [`Network::with_resilience`].
 pub type FaultyNetwork<'g> = Network<'g>;
 
-pub(crate) struct Pending<M> {
-    pub(crate) sender: VertexId,
-    pub(crate) dest: VertexId,
-    pub(crate) in_port: usize,
-    pub(crate) slot: u64,
-    pub(crate) back_slot: u64,
-    /// `Some` until the payload is moved to its receiver. The resilience
-    /// layer retains the payload (cloning per delivery) so it can
-    /// retransmit; without resilience the single delivery takes it.
-    pub(crate) payload: Option<M>,
-    pub(crate) bits: u64,
-    pub(crate) deliveries: u32,
-    pub(crate) acked: bool,
+/// Shuffle `items` by Fisher–Yates, drawing from splitmix64 steps of
+/// `state`.
+fn fisher_yates<T>(mut state: u64, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        state = mix(state);
+        let j = (state % (i as u64 + 1)) as usize;
+        items.swap(i, j);
+    }
 }
 
-impl<M: Clone> Pending<M> {
-    /// Hand out the payload for one delivery. Retaining transports clone
-    /// (and say so via the returned flag); the final delivery moves.
-    pub(crate) fn payload_for_delivery(&mut self, retain: bool) -> (M, bool) {
-        if retain {
-            (self.payload.clone().expect("payload retained"), true)
-        } else {
-            (self.payload.take().expect("payload delivered once"), false)
+/// One fault kind's decisions in one physical round. A decision hash
+/// `hash3(seed, salt, round, x)` is `mix(prefix ^ x)` with the plan's and
+/// the round's part folded into `prefix` once, so each decision costs one
+/// splitmix round instead of three and is bit-identical to the plan's
+/// query.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RoundKey {
+    prefix: u64,
+    threshold: u128,
+}
+
+impl RoundKey {
+    /// Whether the fault hits `x` (a half-edge slot or a node). A zero
+    /// threshold never hits and `2^64` always does.
+    #[inline]
+    pub(crate) fn hits(self, x: u64) -> bool {
+        (mix(self.prefix ^ x) as u128) < self.threshold
+    }
+}
+
+/// The inbox reorders of one logical round: which nodes shuffle, and the
+/// prefix of their shuffles' seeds.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ReorderKey {
+    chance: RoundKey,
+    state: u64,
+}
+
+impl ReorderKey {
+    /// Shuffle `node`'s inbox as [`FaultPlan::maybe_shuffle`] does.
+    pub(crate) fn shuffle<T>(self, node: u32, items: &mut [T]) {
+        if items.len() >= 2 && self.chance.hits(node as u64) {
+            fisher_yates(mix(self.state ^ node as u64), items);
         }
     }
 }
@@ -611,6 +657,51 @@ mod tests {
         let mut items = vec![1, 2, 3];
         plan.maybe_shuffle(6, 0, &mut items);
         assert_eq!(items, vec![1, 2, 3], "no reordering past the horizon");
+    }
+
+    #[test]
+    fn round_keys_decide_exactly_as_the_plan_queries() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xFA17);
+        let rate = |rng: &mut StdRng| match rng.random_range(0..4u32) {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 0.25,
+            _ => rng.random::<f64>(),
+        };
+        for case in 0..96 {
+            let rates = FaultRates {
+                drop: rate(&mut rng),
+                duplicate: rate(&mut rng),
+                reorder: rate(&mut rng),
+                crash: 0.0,
+            };
+            let bounded = case % 4 != 0;
+            let horizon = if bounded {
+                rng.random_range(0..12u64)
+            } else {
+                u64::MAX
+            };
+            let plan = FaultPlan::new(rng.random(), rates).with_horizon(horizon);
+            let last = if bounded { horizon + 2 } else { 24 };
+            for round in 1..=last {
+                let (drop, dup) = (plan.drop_key(round), plan.duplicate_key(round));
+                let reorder = plan.reorder_key(round);
+                for _ in 0..24 {
+                    let slot = u64::from(rng.random::<u32>() >> rng.random_range(0..32u32));
+                    assert_eq!(drop.hits(slot), plan.message_dropped(round, slot));
+                    assert_eq!(dup.hits(slot), plan.message_duplicated(round, slot));
+                    let node = rng.random::<u32>() >> rng.random_range(0..32u32);
+                    let len = rng.random_range(0..10usize);
+                    let mut by_plan: Vec<usize> = (0..len).collect();
+                    let mut by_key = by_plan.clone();
+                    plan.maybe_shuffle(round, node, &mut by_plan);
+                    reorder.shuffle(node, &mut by_key);
+                    assert_eq!(by_plan, by_key, "case {case}, round {round}, node {node}");
+                }
+            }
+        }
     }
 
     #[test]

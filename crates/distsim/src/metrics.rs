@@ -15,10 +15,12 @@ pub struct Metrics {
     /// Largest single-message payload observed, in bits — the CONGEST
     /// model demands this stays `O(log n)`.
     pub max_message_bits: u64,
-    /// Payload clones the transport performed on the host (broadcast
-    /// fan-out copies, duplicate deliveries, retained retransmit
-    /// buffers). Pure host-side cost accounting — a unicast message on
-    /// a perfect transport moves its payload and clones nothing.
+    /// Payload clones of the message-passing model on the host: the
+    /// broadcast fan-out's copies, one per duplicate delivery, and one per
+    /// delivery while a sender retains its payload for retransmission.
+    /// Pure host-side cost accounting, whatever copies the engine itself
+    /// makes — a unicast message on a perfect transport moves its payload
+    /// and clones nothing.
     pub messages_cloned: u64,
 }
 

@@ -16,28 +16,36 @@
 //!    in half-edge order, and one pass over the edges swaps each edge's
 //!    two messages into place. A receiver's ports ascend by neighbor id,
 //!    so port order is sender order, the order of the unicast loop.
-//! 3. **Faulty.** The resilience layer's attempt loop appends every
-//!    delivery to one buffer, attempt by attempt and in sender order
-//!    within an attempt; one stable counting sort on destination then
-//!    groups them, and the plan reorders each inbox slice.
+//! 3. **Faulty.** Each sender shard runs the resilience layer's attempts
+//!    over its messages and logs every delivery as a `u32` message id,
+//!    attempt by attempt and in sender order within an attempt, a
+//!    duplicate right after its original. One out-of-place counting sort
+//!    on destination reads the logs attempt by attempt, and shard by shard
+//!    within one, so each inbox lists the first attempt's deliveries in
+//!    sender order, then the second's; the plan reorders each inbox's ids,
+//!    and each delivery then clones its payload into the inboxes.
 //!
 //! The vertex set is partitioned into contiguous CSR ranges balanced by
-//! half-edge count, one per worker. Resolving unicast messages, the fault
-//! decisions of each attempt, acks and inbox reorders run per shard; the
-//! sort and the broadcast pass run on the calling thread. Per-worker
-//! [`Metrics`] and [`FaultStats`] are merged in ascending shard order;
-//! every merged field is a sum or a max, so the totals do not depend on
-//! the shard count. One worker is the default, and a lone job runs
-//! inline, so a one-worker network never enters `thread::scope`.
+//! half-edge count, one per worker. Resolving unicast messages, the
+//! faulty loop's attempts and acks, and inbox reorders run per shard; the
+//! sorts, the broadcast pass and the faulty loop's payload clones run on
+//! the calling thread. Per-worker [`Metrics`] and [`FaultStats`] are
+//! merged in ascending shard order; every merged field is a sum or a max,
+//! so the totals do not depend on the shard count. One worker is the
+//! default, and a lone job runs inline, so a one-worker network never
+//! enters `thread::scope`.
 //!
 //! A round takes the faulty loop unless the plan cannot fault and
-//! resilience is off. Faults parallelize because every [`FaultPlan`]
-//! decision is a pure hash of `(seed, kind, round, slot-or-node)`:
-//! workers evaluate drop/duplicate/crash decisions independently, and
-//! per-message retry state lives with the sender's shard. Inbox
+//! resilience is off; one loop serves every such plan, crashes or none.
+//! Faults parallelize because every [`FaultPlan`] decision is a pure hash
+//! of `(seed, kind, round, slot-or-node)`, and every attempt's round is
+//! known in advance: a sender shard runs all of a logical round's attempts
+//! in one job, with its unacked messages in an ascending retry list, and
+//! the round lasts as many attempts as the longest-running shard's. The
+//! per-round part of each hash is taken once per attempt. Inbox
 //! reordering is keyed by `(logical round, destination node)`.
 
-use crate::faults::{crash_aware_ball, FaultPlan, FaultStats, Pending, ResilienceParams};
+use crate::faults::{crash_aware_ball, FaultPlan, FaultStats, ResilienceParams};
 use crate::metrics::Metrics;
 use crate::network::{fan_out, Inboxes, Incoming, Net, Outbox, Outgoing};
 use sparsimatch_graph::csr::CsrGraph;
@@ -128,6 +136,27 @@ fn crashed_count(plan: &FaultPlan, n: u32, round: u64) -> u64 {
     (0..n).filter(|&v| plan.is_down(v, round)).count() as u64
 }
 
+/// The first half of a stable counting sort by destination: count each
+/// destination `d < n` of `dests` into `offsets[d + 1]`, then turn the
+/// counts into group starts shifted by one slot, so that `offsets[d + 1]`
+/// is where group `d` begins. Handing out positions from `offsets[d + 1]`
+/// in input order then leaves `offsets[d]` at group `d`'s start. Returns
+/// the item count.
+fn group_starts(offsets: &mut Vec<usize>, n: usize, dests: impl Iterator<Item = u32>) -> usize {
+    offsets.clear();
+    offsets.resize(n + 1, 0);
+    for d in dests {
+        offsets[d as usize + 1] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut offsets[1..] {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    start
+}
+
 /// Stable counting sort of `items` by destination vertex, in place:
 /// `dest[i] < n` is the destination of `items[i]`. Leaves in `offsets`
 /// the `n + 1` CSR offsets of the sorted groups; `pos` is working space.
@@ -142,19 +171,7 @@ fn sort_by_dest<T>(
         u32::try_from(items.len()).is_ok(),
         "a round carries at most u32::MAX deliveries"
     );
-    // Count into `offsets[d + 1]`, then turn the counts into group starts
-    // shifted by one slot: `offsets[d + 1]` is where group `d` begins.
-    offsets.clear();
-    offsets.resize(n + 1, 0);
-    for &d in dest {
-        offsets[d as usize + 1] += 1;
-    }
-    let mut start = 0;
-    for slot in &mut offsets[1..] {
-        let count = *slot;
-        *slot = start;
-        start += count;
-    }
+    group_starts(offsets, n, dest.iter().copied());
     // Hand out positions in input order (this is what makes the sort
     // stable). Each group's cursor ends at the next group's start, so
     // afterwards `offsets[v]` is where group `v` begins.
@@ -211,6 +228,172 @@ fn peer_ports(graph: &CsrGraph, offsets: &[usize]) -> Vec<u32> {
     peer_port
 }
 
+/// Marks a retry-list entry whose message reached its receiver in an
+/// earlier attempt, so that delivering it again counts as a duplicate.
+/// Message ids stay below it.
+const DELIVERED: u32 = 1 << 31;
+
+/// Message `i`'s way through the network in a faulty round: it leaves
+/// `sender` on half-edge `slot` for `dest`, and its ack returns on the
+/// half-edge `back`.
+#[derive(Clone, Copy)]
+struct Hop {
+    sender: u32,
+    dest: u32,
+    slot: u32,
+    back: u32,
+    bits: u64,
+}
+
+/// One sender shard's buffers in the faulty loop, kept across rounds.
+#[derive(Debug, Default)]
+struct ShardLog {
+    /// The shard's unacked messages, ascending, some marked [`DELIVERED`].
+    retry: Vec<u32>,
+    /// `(message, destination)` of the shard's deliveries, attempt after
+    /// attempt, a duplicate right after its original. Entries past the
+    /// last of `ends` are stale: the buffer keeps its longest length, so
+    /// the loop can write every entry it might need before it knows
+    /// whether the message arrives.
+    sent: Vec<(u32, u32)>,
+    /// Where each attempt's deliveries end in `sent`.
+    ends: Vec<usize>,
+}
+
+impl ShardLog {
+    /// The deliveries of attempt `a`, empty if the shard ran fewer.
+    fn attempt(&self, a: usize) -> &[(u32, u32)] {
+        let Some(&end) = self.ends.get(a) else {
+            return &[];
+        };
+        let start = if a == 0 { 0 } else { self.ends[a - 1] };
+        &self.sent[start..end]
+    }
+
+    /// Every delivery of the round.
+    fn deliveries(&self) -> &[(u32, u32)] {
+        &self.sent[..self.ends.last().copied().unwrap_or(0)]
+    }
+}
+
+/// What the shards' faulty loops share in one logical round.
+#[derive(Clone, Copy)]
+struct Attempts<'a> {
+    plan: &'a FaultPlan,
+    resilience: ResilienceParams,
+    /// The physical round before the first send.
+    base: u64,
+}
+
+impl Attempts<'_> {
+    /// Run one sender shard's send attempts, and the ack round after each
+    /// when resilience is on, over the messages `ids`, recording the
+    /// deliveries in `log`. `hop(i, v)` is message `i`'s hop; the loop
+    /// asks for ascending `i` and keeps `v`, a sender cursor that starts
+    /// at `first_sender`. Returns the shard's counts and the number of
+    /// attempts it ran.
+    ///
+    /// Every decision is a pure plan query of a known round, so a shard
+    /// needs no other shard's state: the round's attempts are as many as
+    /// the longest-running shard's, and a shard that has every message
+    /// acked idles through the rest. The drop, duplicate and ack outcomes
+    /// are counted and written without branching on them.
+    fn run(
+        self,
+        hop: impl Fn(usize, &mut usize) -> Hop,
+        ids: std::ops::Range<usize>,
+        first_sender: usize,
+        log: &mut ShardLog,
+    ) -> (Metrics, FaultStats, u64) {
+        let Attempts {
+            plan,
+            resilience,
+            base,
+        } = self;
+        let crashes = plan.has_crashes();
+        let retain = resilience.enabled();
+        // Counted in u64: `1 + max_retries` does not fit a u32 at u32::MAX.
+        let budget = 1 + u64::from(resilience.max_retries);
+        let (mut m, mut f) = (Metrics::new(), FaultStats::default());
+        let ShardLog { retry, sent, ends } = log;
+        retry.clear();
+        retry.extend(ids.start as u32..ids.end as u32);
+        ends.clear();
+        let (mut delivered, mut dups, mut acks) = (0usize, 0u64, 0u64);
+        let mut attempt = 0;
+        while attempt < budget {
+            if attempt > 0 {
+                if retry.is_empty() {
+                    break;
+                }
+                f.retries += retry.len() as u64;
+            }
+            let round = base + 1 + 2 * attempt;
+            let ack_round = round + 1;
+            let (drop, dup_key) = (plan.drop_key(round), plan.duplicate_key(round));
+            let ack_drop = plan.drop_key(ack_round);
+            if sent.len() < delivered + 2 * retry.len() {
+                sent.resize(delivered + 2 * retry.len(), (0, 0));
+            }
+            let mut v = first_sender;
+            let mut kept = 0;
+            for r in 0..retry.len() {
+                let entry = retry[r];
+                let i = entry & !DELIVERED;
+                let hop = hop(i as usize, &mut v);
+                if crashes && plan.is_down(hop.sender, round) {
+                    // A crashed node sends nothing; the message is lost
+                    // unless a later retry finds the node back up.
+                    f.dropped += 1;
+                    retry[kept] = entry;
+                    kept += 1;
+                    continue;
+                }
+                m.messages += 1;
+                m.bits += hop.bits;
+                m.max_message_bits = m.max_message_bits.max(hop.bits);
+                let lost =
+                    (crashes && plan.is_down(hop.dest, round)) | drop.hits(u64::from(hop.slot));
+                let dup = !lost & dup_key.hits(u64::from(hop.slot));
+                sent[delivered] = (i, hop.dest);
+                sent[delivered + 1] = (i, hop.dest);
+                delivered += usize::from(!lost) + usize::from(dup);
+                f.dropped += u64::from(lost);
+                // An ack-loss retransmit: the receiver sees it twice.
+                let again = !lost & (entry & DELIVERED != 0);
+                f.duplicated += u64::from(again) + u64::from(dup);
+                dups += u64::from(dup);
+                if retain {
+                    // Ack round: each delivery is acked along the reverse
+                    // edge, over the same faulty links; a down acker
+                    // sends no ack at all.
+                    let ack_sent = !lost & !(crashes && plan.is_down(hop.dest, ack_round));
+                    let ack_lost = (crashes && plan.is_down(hop.sender, ack_round))
+                        | ack_drop.hits(u64::from(hop.back));
+                    acks += u64::from(ack_sent);
+                    f.dropped += u64::from(ack_sent & ack_lost);
+                    retry[kept] = entry | (DELIVERED * u32::from(!lost));
+                    kept += usize::from(!(ack_sent & !ack_lost));
+                }
+            }
+            retry.truncate(kept);
+            ends.push(delivered);
+            attempt += 1;
+        }
+        m.messages += acks;
+        m.bits += acks * resilience.ack_bits;
+        if acks > 0 {
+            m.max_message_bits = m.max_message_bits.max(resilience.ack_bits);
+        }
+        // The clones of a sender that hands out its payload per delivery:
+        // one for each while it retains the payload for retransmits, else
+        // one per duplicate, the only delivery that cannot take the
+        // original.
+        m.messages_cloned = if retain { delivered as u64 } else { dups };
+        (m, f, attempt)
+    }
+}
+
 /// The simulated network over a fixed topology, and the one [`Net`]
 /// transport. [`Network::new`] delivers perfectly on one worker;
 /// [`Network::with_resilience`] adds a fault plan and the ack/retry
@@ -250,8 +433,16 @@ pub struct Network<'g> {
     faults: FaultStats,
     /// Destination vertex of each message of the current round.
     dest: Vec<u32>,
-    /// Working space of [`sort_by_dest`].
+    /// Working space of [`sort_by_dest`]; in a faulty round, the ids of
+    /// the delivered messages sorted by destination.
     pos: Vec<u32>,
+    /// A faulty unicast round's half-edge slot and back slot per message.
+    slot: Vec<u32>,
+    back: Vec<u32>,
+    /// A faulty broadcast round's bits per sender.
+    bits: Vec<u64>,
+    /// Each sender shard's faulty-loop buffers.
+    logs: Vec<ShardLog>,
 }
 
 impl<'g> Network<'g> {
@@ -281,6 +472,10 @@ impl<'g> Network<'g> {
             faults: FaultStats::default(),
             dest: Vec::new(),
             pos: Vec::new(),
+            slot: Vec::new(),
+            back: Vec::new(),
+            bits: Vec::new(),
+            logs: Vec::new(),
         }
     }
 
@@ -448,227 +643,203 @@ impl<'g> Network<'g> {
         self.metrics.absorb(m);
     }
 
-    /// A message's retry state for the faulty loop.
+    /// Keep one log per shard for a faulty round of `messages` messages.
     ///
     /// # Panics
-    /// Panics if `v` is not a node or `port >= deg(v)`.
-    fn pending<M>(&self, v: usize, port: usize, payload: M, bits: u64) -> Pending<M> {
-        assert!(v < self.graph.num_vertices(), "outbox sender out of range");
-        let sender = VertexId::new(v);
-        assert!(port < self.graph.degree(sender), "port out of range");
-        let dest = self.graph.neighbor(sender, port);
-        let slot = self.offsets[v] + port;
-        let in_port = self.peer_port[slot] as usize;
-        Pending {
-            sender,
-            dest,
-            in_port,
-            slot: slot as u64,
-            back_slot: (self.offsets[dest.index()] + in_port) as u64,
-            payload: Some(payload),
-            bits,
-            deliveries: 0,
-            acked: false,
-        }
+    /// Panics unless the message ids and half-edge slots fit below
+    /// [`DELIVERED`].
+    fn ready_logs(&mut self, messages: usize) {
+        let half_edges = self.offsets[self.graph.num_vertices()];
+        assert!(
+            messages.max(half_edges) < DELIVERED as usize,
+            "a faulty round carries fewer than 2^31 messages over fewer than 2^31 half-edges"
+        );
+        self.logs
+            .resize_with(self.bounds.len() - 1, ShardLog::default);
     }
 
-    /// Faulty round: the resilience layer's attempt loop, each send and
-    /// ack round run as a shard barrier. Retry state lives with the
-    /// sender's shard; fault decisions are pure plan queries. `pending`
-    /// holds the round's messages in ascending sender order.
-    fn route_faulty<M: Clone + Send>(
+    /// Faulty unicast: each sender shard resolves its messages'
+    /// destination, half-edge slot, in-port and back slot once, then runs
+    /// its attempts ([`Attempts::run`]). The payloads stay in the outbox
+    /// until [`Network::settle`] has sorted the deliveries, and each
+    /// delivery clones its message out of it.
+    fn route_faulty<M: Clone + Send>(&mut self, outbox: &mut Outbox<M>, inboxes: &mut Inboxes<M>) {
+        let n = self.graph.num_vertices();
+        let (msgs, meta) = outbox.columns();
+        assert!(
+            meta.last().is_none_or(|&(v, _)| (v as usize) < n),
+            "outbox sender out of range"
+        );
+        self.ready_logs(msgs.len());
+        let cuts = sender_cuts(meta, |&(v, _)| v as usize, &self.bounds);
+        for column in [&mut self.dest, &mut self.slot, &mut self.back] {
+            column.resize(msgs.len(), 0);
+        }
+        let attempts = Attempts {
+            plan: &self.plan,
+            resilience: self.resilience,
+            base: self.metrics.rounds,
+        };
+        let (graph, offsets, peer_port) = (self.graph, &self.offsets[..], &self.peer_port[..]);
+        let shards = split_ranges(msgs, &cuts)
+            .into_iter()
+            .zip(split_ranges(&mut self.dest, &cuts))
+            .zip(split_ranges(&mut self.slot, &cuts))
+            .zip(split_ranges(&mut self.back, &cuts))
+            .zip(&mut self.logs)
+            .enumerate()
+            .map(|(k, ((((msgs, dest), slot), back), log))| {
+                let ids = cuts[k]..cuts[k + 1];
+                let meta = &meta[ids.clone()];
+                move || {
+                    for (j, (msg, &(v, _))) in msgs.iter_mut().zip(meta).enumerate() {
+                        let (sender, port) = (VertexId(v), msg.0);
+                        assert!(port < graph.degree(sender), "port out of range");
+                        let d = graph.neighbor(sender, port).0;
+                        let s = offsets[v as usize] + port;
+                        msg.0 = peer_port[s] as usize;
+                        dest[j] = d;
+                        slot[j] = s as u32;
+                        back[j] = (offsets[d as usize] + msg.0) as u32;
+                    }
+                    let first = ids.start;
+                    let hop = |i: usize, _: &mut usize| {
+                        let k = i - first;
+                        let (sender, bits) = meta[k];
+                        Hop {
+                            sender,
+                            dest: dest[k],
+                            slot: slot[k],
+                            back: back[k],
+                            bits,
+                        }
+                    };
+                    attempts.run(hop, ids, 0, log)
+                }
+            })
+            .collect();
+        let shards = run_jobs(shards);
+        let (inbox_offsets, items) = inboxes.columns();
+        self.settle(shards, inbox_offsets);
+        items.clear();
+        items.extend(self.pos.iter().map(|&i| msgs[i as usize].clone()));
+        outbox.clear();
+    }
+
+    /// Faulty broadcast: message `i` is half-edge `i`, and each node keeps
+    /// its one payload, which every delivery of it clones once
+    /// [`Network::settle`] has sorted them.
+    fn broadcast_faulty<M: Clone + Send>(
         &mut self,
-        mut pending: Vec<Pending<M>>,
+        payloads: impl IntoIterator<Item = (M, u64)>,
         inboxes: &mut Inboxes<M>,
     ) {
         let n = self.graph.num_vertices();
-        let plan = &self.plan;
-        let resilience = self.resilience;
-        let cuts = sender_cuts(&pending, |p| p.sender.index(), &self.bounds);
-
-        /// One shard's deliveries in send order, and the indices (within
-        /// the shard) of the messages it delivered in the current attempt.
-        struct Sent<M> {
-            items: Vec<Incoming<M>>,
-            dest: Vec<u32>,
-            delivered: Vec<usize>,
+        let mut by_node = Vec::with_capacity(n);
+        self.bits.clear();
+        for (payload, bits) in payloads {
+            assert!(by_node.len() < n, "one broadcast payload per node");
+            by_node.push(payload);
+            self.bits.push(bits);
         }
-        let (inbox_offsets, items) = inboxes.columns();
-        items.clear();
-        self.dest.clear();
-        // Shard 0 appends straight to the round's buffers, and after each
-        // attempt the other shards' deliveries follow it there, so the
-        // buffers grow attempt by attempt and in sender order within an
-        // attempt.
-        let mut sent: Vec<Sent<M>> = (0..cuts.len() - 1)
-            .map(|k| Sent {
-                items: if k == 0 {
-                    std::mem::take(items)
-                } else {
-                    Vec::new()
-                },
-                dest: if k == 0 {
-                    std::mem::take(&mut self.dest)
-                } else {
-                    Vec::new()
-                },
-                delivered: Vec::new(),
+        assert_eq!(by_node.len(), n, "one broadcast payload per node");
+        // The fan-out's clones, as `fan_out` counts them: `deg(v) - 1` for
+        // every node with a port.
+        self.metrics.messages_cloned += (self.offsets[n] - self.graph.num_non_isolated()) as u64;
+        self.ready_logs(self.offsets[n]);
+        let attempts = Attempts {
+            plan: &self.plan,
+            resilience: self.resilience,
+            base: self.metrics.rounds,
+        };
+        let (graph, bounds, offsets) = (self.graph, &self.bounds[..], &self.offsets[..]);
+        let (peer_port, bits) = (&self.peer_port[..], &self.bits[..]);
+        // Message `i` is half-edge `i`: the graph and the back ports hold
+        // everything but its sender's bits.
+        let hop = move |i: usize, v: &mut usize| {
+            while offsets[*v + 1] <= i {
+                *v += 1;
+            }
+            let dest = graph.neighbor(VertexId::new(*v), i - offsets[*v]).0;
+            Hop {
+                sender: *v as u32,
+                dest,
+                slot: i as u32,
+                back: (offsets[dest as usize] + peer_port[i] as usize) as u32,
+                bits: bits[*v],
+            }
+        };
+        let shards = self
+            .logs
+            .iter_mut()
+            .enumerate()
+            .map(|(k, log)| {
+                let ids = offsets[bounds[k]]..offsets[bounds[k + 1]];
+                move || attempts.run(hop, ids, bounds[k], log)
             })
             .collect();
-
-        let logical_round = self.metrics.rounds + 1;
-        // Counted in u64: `1 + max_retries` does not fit a u32 at u32::MAX.
-        let attempts = if resilience.enabled() {
-            1 + u64::from(resilience.max_retries)
-        } else {
-            1
-        };
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let outstanding = pending.iter().filter(|m| !m.acked).count() as u64;
-                if outstanding == 0 {
-                    break;
-                }
-                self.faults.retries += outstanding;
-            }
-            // Send round.
-            self.metrics.rounds += 1;
-            let round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(plan, n as u32, round);
-            let results: Vec<(Metrics, FaultStats)> = run_jobs(
-                split_ranges(&mut pending, &cuts)
-                    .into_iter()
-                    .zip(&mut sent)
-                    .map(|(shard, out)| {
-                        move || {
-                            let mut m = Metrics::new();
-                            let mut f = FaultStats::default();
-                            out.delivered.clear();
-                            for (i, msg) in shard.iter_mut().enumerate() {
-                                if msg.acked {
-                                    continue;
-                                }
-                                if plan.is_down(msg.sender.0, round) {
-                                    // A crashed node sends nothing; the
-                                    // message is lost unless a later retry
-                                    // finds the node back up.
-                                    f.dropped += 1;
-                                    continue;
-                                }
-                                m.messages += 1;
-                                m.bits += msg.bits;
-                                m.max_message_bits = m.max_message_bits.max(msg.bits);
-                                if plan.is_down(msg.dest.0, round)
-                                    || plan.message_dropped(round, msg.slot)
-                                {
-                                    f.dropped += 1;
-                                    continue;
-                                }
-                                let dup = plan.message_duplicated(round, msg.slot);
-                                // Retain the payload whenever another
-                                // delivery may still need it: a retransmit
-                                // (resilience) or the duplicate below.
-                                let (payload, cloned) =
-                                    msg.payload_for_delivery(resilience.enabled() || dup);
-                                m.messages_cloned += cloned as u64;
-                                out.items.push((msg.in_port, payload));
-                                out.dest.push(msg.dest.0);
-                                if msg.deliveries > 0 {
-                                    // Ack-loss retransmit: the receiver
-                                    // sees it twice.
-                                    f.duplicated += 1;
-                                }
-                                msg.deliveries += 1;
-                                if dup {
-                                    let (payload, cloned) =
-                                        msg.payload_for_delivery(resilience.enabled());
-                                    m.messages_cloned += cloned as u64;
-                                    out.items.push((msg.in_port, payload));
-                                    out.dest.push(msg.dest.0);
-                                    msg.deliveries += 1;
-                                    f.duplicated += 1;
-                                }
-                                out.delivered.push(i);
-                            }
-                            (m, f)
-                        }
-                    })
-                    .collect(),
-            );
-            for (m, f) in results {
-                self.metrics.absorb(m);
-                self.faults.absorb(f);
-            }
-            let (first, rest) = sent.split_first_mut().expect("at least one shard");
-            for out in rest {
-                first.items.append(&mut out.items);
-                first.dest.append(&mut out.dest);
-            }
-            if !resilience.enabled() {
-                break;
-            }
-            // Ack round: each delivery is acked along the reverse edge;
-            // acks travel the same faulty links.
-            self.metrics.rounds += 1;
-            let ack_round = self.metrics.rounds;
-            self.faults.crashed_rounds += crashed_count(plan, n as u32, ack_round);
-            let acks: Vec<(Metrics, FaultStats)> = run_jobs(
-                split_ranges(&mut pending, &cuts)
-                    .into_iter()
-                    .zip(sent.iter().map(|out| &out.delivered))
-                    .map(|(shard, delivered)| {
-                        move || {
-                            let mut m = Metrics::new();
-                            let mut f = FaultStats::default();
-                            for &i in delivered {
-                                let msg = &mut shard[i];
-                                if plan.is_down(msg.dest.0, ack_round) {
-                                    continue; // acker is down: no ack sent at all
-                                }
-                                m.messages += 1;
-                                m.bits += resilience.ack_bits;
-                                m.max_message_bits = m.max_message_bits.max(resilience.ack_bits);
-                                if plan.is_down(msg.sender.0, ack_round)
-                                    || plan.message_dropped(ack_round, msg.back_slot)
-                                {
-                                    f.dropped += 1;
-                                    continue;
-                                }
-                                msg.acked = true;
-                            }
-                            (m, f)
-                        }
-                    })
-                    .collect(),
-            );
-            for (m, f) in acks {
-                self.metrics.absorb(m);
-                self.faults.absorb(f);
-            }
-            if pending.iter().all(|p| p.acked) {
-                break;
+        let shards = run_jobs(shards);
+        let (inbox_offsets, items) = inboxes.columns();
+        self.settle(shards, inbox_offsets);
+        items.clear();
+        items.reserve(self.pos.len());
+        for v in 0..n {
+            for &i in &self.pos[inbox_offsets[v]..inbox_offsets[v + 1]] {
+                // The receiver's in-port leads back to the sender.
+                let in_port = self.peer_port[i as usize] as usize;
+                let sender = self.graph.neighbor(VertexId::new(v), in_port);
+                items.push((in_port, by_node[sender.index()].clone()));
             }
         }
-        *items = std::mem::take(&mut sent[0].items);
-        self.dest = std::mem::take(&mut sent[0].dest);
-        sort_by_dest(items, &self.dest, &mut self.pos, inbox_offsets, n);
-        // Within-round reordering, keyed by the logical round so retries
-        // do not change which inboxes get shuffled; applied per
-        // destination shard after the sort.
+    }
+
+    /// A faulty round's tail: charge the rounds of the longest-running
+    /// shard and every shard's counts, counting-sort the deliveries'
+    /// message ids by destination into `pos` (attempt by attempt, and in
+    /// shard order within an attempt, so in sender order), leaving the
+    /// groups' offsets in `inbox_offsets`, and reorder each inbox per
+    /// destination shard, keyed by the logical round.
+    fn settle(&mut self, shards: Vec<(Metrics, FaultStats, u64)>, inbox_offsets: &mut Vec<usize>) {
+        let n = self.graph.num_vertices();
+        let logical_round = self.metrics.rounds + 1;
+        let mut attempts = 0;
+        for (m, f, a) in shards {
+            self.metrics.absorb(m);
+            self.faults.absorb(f);
+            attempts = attempts.max(a);
+        }
+        let rounds_per_attempt = if self.resilience.enabled() { 2 } else { 1 };
+        for _ in 0..rounds_per_attempt * attempts {
+            self.metrics.rounds += 1;
+            self.faults.crashed_rounds += crashed_count(&self.plan, n as u32, self.metrics.rounds);
+        }
+        let deliveries = self.logs.iter().flat_map(|log| log.deliveries());
+        let total = group_starts(inbox_offsets, n, deliveries.map(|&(_, d)| d));
+        self.pos.resize(total, 0);
+        for a in 0..attempts as usize {
+            for log in &self.logs {
+                for &(i, d) in log.attempt(a) {
+                    let cursor = &mut inbox_offsets[d as usize + 1];
+                    self.pos[*cursor] = i;
+                    *cursor += 1;
+                }
+            }
+        }
+        let key = self.plan.reorder_key(logical_round);
         let inbox_offsets = &inbox_offsets[..];
-        let item_cuts: Vec<usize> = self.bounds.iter().map(|&b| inbox_offsets[b]).collect();
+        let cuts: Vec<usize> = self.bounds.iter().map(|&b| inbox_offsets[b]).collect();
         run_jobs(
-            split_ranges(items, &item_cuts)
+            split_ranges(&mut self.pos, &cuts)
                 .into_iter()
                 .enumerate()
-                .map(|(k, slice)| {
+                .map(|(k, ids)| {
                     let vertices = self.bounds[k]..self.bounds[k + 1];
-                    let base = item_cuts[k];
+                    let base = cuts[k];
                     move || {
                         for v in vertices {
                             let inbox =
-                                &mut slice[inbox_offsets[v] - base..inbox_offsets[v + 1] - base];
-                            plan.maybe_shuffle(logical_round, v as u32, inbox);
+                                &mut ids[inbox_offsets[v] - base..inbox_offsets[v + 1] - base];
+                            key.shuffle(v as u32, inbox);
                         }
                     }
                 })
@@ -707,11 +878,7 @@ impl<'g> Net<'g> for Network<'g> {
         if self.perfect() {
             self.route_perfect(outbox, inboxes);
         } else {
-            let pending = outbox
-                .drain()
-                .map(|(v, port, payload, bits)| self.pending(v, port, payload, bits))
-                .collect();
-            self.route_faulty(pending, inboxes);
+            self.route_faulty(outbox, inboxes);
         }
     }
 
@@ -723,12 +890,7 @@ impl<'g> Net<'g> for Network<'g> {
         if self.perfect() {
             self.broadcast_perfect(payloads, inboxes);
         } else {
-            let mut pending = Vec::with_capacity(self.offsets[self.graph.num_vertices()]);
-            let clones = fan_out(self.graph, payloads, |v, port, payload, bits| {
-                pending.push(self.pending(v, port, payload, bits))
-            });
-            self.metrics.messages_cloned += clones;
-            self.route_faulty(pending, inboxes);
+            self.broadcast_faulty(payloads, inboxes);
         }
     }
 
