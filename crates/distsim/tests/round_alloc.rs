@@ -1,14 +1,19 @@
-//! Rounds allocate per round, not per vertex.
+//! Rounds allocate per round, not per vertex or per message.
 //!
 //! Installs the counting global allocator and runs the unicast and
 //! broadcast `G_Δ` protocols, Solomon's one-round sparsifier and
-//! Israeli–Itai maximal matching on a fault-free [`Network`]. The `G_Δ`
-//! protocols mark with one `pos_v` sampler and one index buffer per run,
-//! not a buffer per vertex. An algorithm keeps one [`Outbox`](sparsimatch_distsim::network::Outbox)
+//! Israeli–Itai maximal matching on a [`Network`], fault-free and under
+//! two fault plans with retries. The `G_Δ` protocols mark with one
+//! `pos_v` sampler and one index buffer per run, not a buffer per vertex.
+//! An algorithm keeps one [`Outbox`](sparsimatch_distsim::network::Outbox)
 //! and one set of [`Inboxes`](sparsimatch_distsim::network::Inboxes) per
-//! phase, so the allocator calls it makes stay under a constant per round
-//! plus a constant per run, neither of which grows with the graph. A
-//! per-vertex buffer per round would cost at least `n` calls a round.
+//! phase, and the faulty loop keeps its per-message columns in the
+//! network, so the allocator calls a run makes stay under a constant per
+//! round plus a constant per run, neither of which grows with the graph,
+//! and the bytes it allocates stay under a constant per half-edge however
+//! many rounds it takes. A per-vertex buffer per round would cost at
+//! least `n` calls a round; a per-round record of every message would cost
+//! bytes in proportion to messages times rounds.
 //!
 //! The dynamic distributed model's updates allocate nothing once the
 //! network is stood up: each node's marks live in a fixed slot and every
@@ -24,7 +29,7 @@ use sparsimatch_distsim::algorithms::sparsify::{
     distributed_sparsifier, distributed_sparsifier_broadcast,
 };
 use sparsimatch_distsim::dynamic_net::{DynamicNetwork, TopologyUpdate};
-use sparsimatch_distsim::Network;
+use sparsimatch_distsim::{FaultPlan, FaultRates, Network, ResilienceParams};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::generators::{clique_union, power_law, CliqueUnionConfig};
 use sparsimatch_graph::ids::VertexId;
@@ -50,20 +55,16 @@ const CALLS_PER_ROUND: u64 = 16;
 /// run, 53 to 91 for either `G_Δ` protocol's).
 const CALLS_PER_RUN: u64 = 96;
 
-/// Allocator calls `run` makes on a fresh `threads`-worker network over
-/// `g`, and the rounds it takes. The network is built before counting.
-fn calls_and_rounds(
-    g: &CsrGraph,
-    threads: usize,
-    run: impl FnOnce(&mut Network<'_>),
-) -> (u64, u64) {
-    let mut net = Network::new(g).with_threads(threads);
-    let before = alloc::totals().count;
-    run(&mut net);
-    let calls = alloc::totals().count - before;
-    (calls, net.metrics().rounds)
-}
+/// Heap bytes allowed per run per half-edge of the graph, whatever its
+/// round count: the algorithm's flat buffers and result graph and the
+/// faulty loop's per-message columns, each grown once (measured on these
+/// graphs: at most 148 B fault-free and 178 B under faults, both for the
+/// unicast `G_Δ` protocol at n = 2 000). A 48-byte record of every
+/// message, built afresh each logical round, costs Israeli–Itai 388 to
+/// 573 B under these plans.
+const BYTES_PER_HALF_EDGE: u64 = 256;
 
+/// The graphs: power-law graphs at two sizes, so a per-vertex cost shows.
 fn graphs() -> Vec<CsrGraph> {
     [2_000, 20_000]
         .into_iter()
@@ -71,17 +72,63 @@ fn graphs() -> Vec<CsrGraph> {
         .collect()
 }
 
+/// Fault-free delivery, the benchmark's mixed plan (drops, duplicates and
+/// reorders in the first 60 rounds) and a crash plan, the faulty two with
+/// three retries.
+fn settings() -> [(&'static str, FaultPlan, ResilienceParams); 3] {
+    let mixed = FaultRates {
+        drop: 0.25,
+        duplicate: 0.25,
+        reorder: 0.5,
+        ..Default::default()
+    };
+    let crash = FaultRates {
+        crash: 0.15,
+        ..Default::default()
+    };
+    [
+        ("fault-free", FaultPlan::none(), ResilienceParams::off()),
+        (
+            "mixed",
+            FaultPlan::new(5, mixed).with_horizon(60),
+            ResilienceParams::retry(3),
+        ),
+        (
+            "crash",
+            FaultPlan::new(6, crash)
+                .with_crash_period(4)
+                .with_horizon(48),
+            ResilienceParams::retry(3),
+        ),
+    ]
+}
+
+/// Run `run` on a fresh network over every graph, in every setting, at one
+/// and two workers, and hold its allocator calls and bytes to the bounds.
+/// The network is built before counting.
 fn assert_flat(name: &str, run: impl Fn(&mut Network<'_>)) {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     for g in graphs() {
-        for threads in [1, 2] {
-            let (calls, rounds) = calls_and_rounds(&g, threads, &run);
-            assert!(rounds > 0, "{name} ran no round");
-            assert!(
-                calls <= CALLS_PER_RUN + CALLS_PER_ROUND * rounds,
-                "{name} on n = {} at t = {threads}: {calls} allocator calls over {rounds} rounds",
-                g.num_vertices()
-            );
+        let n = g.num_vertices();
+        for (setting, plan, res) in settings() {
+            for threads in [1, 2] {
+                let mut net = Network::with_resilience(&g, plan.clone(), res).with_threads(threads);
+                let before = alloc::totals();
+                run(&mut net);
+                let after = alloc::totals();
+                let (calls, bytes) = (after.count - before.count, after.bytes - before.bytes);
+                let rounds = net.metrics().rounds;
+                assert!(rounds > 0, "{name} ran no round");
+                assert!(
+                    calls <= CALLS_PER_RUN + CALLS_PER_ROUND * rounds,
+                    "{name} {setting} on n = {n} at t = {threads}: {calls} allocator calls over {rounds} rounds"
+                );
+                let half_edges = 2 * g.num_edges() as u64;
+                assert!(
+                    bytes <= BYTES_PER_HALF_EDGE * half_edges,
+                    "{name} {setting} on n = {n} at t = {threads}: {bytes} bytes over {half_edges} half-edges"
+                );
+            }
         }
     }
 }
