@@ -51,7 +51,10 @@
 //!   *every* backend's self-declared claims hold — the built subgraph
 //!   respects its claimed size bound and local invariants (for EDCS,
 //!   Properties A and B plus in-memory/streamed build identity), and the
-//!   solved matching is within the claimed ratio of exact blossom.
+//!   solved matching is within the claimed ratio of exact blossom. The
+//!   EDCS invariants and build identity are also checked on a dense
+//!   clique union drawn from the trial's seed, where the in-memory
+//!   fixpoint keeps its open-vertex tree.
 //!
 //! A whole seed sweep shares one [`PipelineScratch`] (see
 //! [`OracleKind::check_with_scratch`]), so every oracle's sequential
@@ -64,6 +67,8 @@
 //! sweep.
 
 use crate::instance::{CheckConfig, CheckInstance, DYNAMIC_MIN_STEPS};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sparsimatch_core::backend::{BackendKind, DeltaBackend, EdcsBackend, MatchingSparsifier};
 use sparsimatch_core::edcs::{build_edcs, build_edcs_streamed, edcs_violation, EdcsParams};
 use sparsimatch_core::params::SparsifierParams;
@@ -91,6 +96,7 @@ use sparsimatch_graph::analysis::arboricity::arboricity_bounds;
 use sparsimatch_graph::analysis::independence::neighborhood_independence_at_most;
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::edge_stream::{FaultyEdgeSource, IoFaultPlan, IoFaultRates};
+use sparsimatch_graph::generators::{clique_union, CliqueUnionConfig};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_matching::blossom::maximum_matching;
 use sparsimatch_matching::Matching;
@@ -1107,51 +1113,94 @@ fn check_backend(
             params: edcs_oracle_params(inst),
             eps: inst.eps,
         };
-        // Local invariants of the built subgraph: H ⊆ G, Property A,
-        // Property B — checked directly, not trusted from stats.
-        let (h, _) = build_edcs(&g, &backend.params);
-        if let Some(msg) = edcs_violation(&g, &h, &backend.params) {
-            return Some(Violation::new(
-                "edcs-invariant",
-                format!(
-                    "{msg} (family {}, n = {n}, {})",
-                    inst.family,
-                    backend.params_summary()
-                ),
-            ));
-        }
-        // The out-of-core build must be the identical fixpoint.
-        let mut src = g.clone();
-        match build_edcs_streamed(&mut src, &backend.params) {
-            Ok((h_streamed, ..)) => {
-                let mem: Vec<(u32, u32)> = h.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-                let str_edges: Vec<(u32, u32)> =
-                    h_streamed.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-                if mem != str_edges {
-                    return Some(Violation::new(
-                        "edcs-stream-identity",
-                        format!(
-                            "streamed EDCS build diverged from in-memory: {} vs {} edges \
-                             (family {}, n = {n})",
-                            str_edges.len(),
-                            mem.len(),
-                            inst.family
-                        ),
-                    ));
-                }
-            }
-            Err(e) => {
-                return Some(Violation::new(
-                    "stream-error",
-                    format!("streamed EDCS build rejected its own CSR stream: {e}"),
-                ))
-            }
+        if let Some(v) = check_edcs_fixpoint(&g, &backend, &inst.family) {
+            return Some(v);
         }
         if let Some(v) = certify_claims(&backend, &g, inst, exact) {
             return Some(v);
         }
+        // The drawn instances are too small and their β too large for the
+        // fixpoint's open-vertex tree, so each seed also checks the
+        // fixpoint on a dense graph that takes it.
+        let dense = EdcsBackend {
+            params: dense_edcs_params(),
+            eps: inst.eps,
+        };
+        if let Some(v) = check_edcs_fixpoint(&dense_edcs_graph(inst), &dense, "dense clique-union")
+        {
+            return Some(v);
+        }
     }
     None
+}
+
+/// The EDCS fixpoint's own sub-checks on `g`: the in-memory build's
+/// local invariants, H ⊆ G and Properties A and B, checked directly
+/// rather than trusted from stats, and its identity with the out-of-core
+/// build.
+fn check_edcs_fixpoint(g: &CsrGraph, backend: &EdcsBackend, family: &str) -> Option<Violation> {
+    let n = g.num_vertices();
+    let (h, _) = build_edcs(g, &backend.params);
+    if let Some(msg) = edcs_violation(g, &h, &backend.params) {
+        return Some(Violation::new(
+            "edcs-invariant",
+            format!(
+                "{msg} (family {family}, n = {n}, {})",
+                backend.params_summary()
+            ),
+        ));
+    }
+    let mut src = g.clone();
+    match build_edcs_streamed(&mut src, &backend.params) {
+        Ok((h_streamed, ..)) => {
+            let mem: Vec<(u32, u32)> = h.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+            let str_edges: Vec<(u32, u32)> =
+                h_streamed.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+            if mem != str_edges {
+                return Some(Violation::new(
+                    "edcs-stream-identity",
+                    format!(
+                        "streamed EDCS build diverged from in-memory: {} vs {} edges \
+                         (family {family}, n = {n})",
+                        str_edges.len(),
+                        mem.len(),
+                    ),
+                ));
+            }
+            None
+        }
+        Err(e) => Some(Violation::new(
+            "stream-error",
+            format!("streamed EDCS build rejected its own CSR stream: {e}"),
+        )),
+    }
+}
+
+/// The EDCS parameters of the backend oracle's dense graph: β = 3 and
+/// λ = 1/2, so β⁻ = 2, the lowest floor at which the fixpoint both
+/// inserts and removes edges.
+fn dense_edcs_params() -> EdcsParams {
+    EdcsParams::new(3, 0.5).expect("lambda * beta = 1.5 is valid")
+}
+
+/// A dense clique union drawn from `inst`'s algorithm seed, on which the
+/// in-memory EDCS fixpoint at [`dense_edcs_params`] keeps its open-vertex
+/// tree: n in 120..=150 and two layers of cliques of n/4 vertices give an
+/// average degree near 7n/16, above the `2·β·⌈log₂ n⌉ ≤ 48` the tree
+/// needs. (Against a fixpoint that skips past a stale `z`, cliques of n/2
+/// vertices failed on 3 of 400 seeds and these on 10.) The seed's own
+/// draw is unchanged.
+fn dense_edcs_graph(inst: &CheckInstance) -> CsrGraph {
+    let mut rng = StdRng::seed_from_u64(inst.algo_seed ^ 0xDE5E_EDC5);
+    let n = rng.random_range(120..=150);
+    clique_union(
+        CliqueUnionConfig {
+            n,
+            diversity: 2,
+            clique_size: n / 4,
+        },
+        &mut rng,
+    )
 }
 
 /// The backend-generic half of the oracle: whatever a backend *claims*
@@ -1293,6 +1342,41 @@ mod tests {
                     "seed {seed} filtered to {kind}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn dense_edcs_graph_reaches_the_open_vertex_tree() {
+        // The metered solve evaluates fewer than `passes × m` edges only
+        // when the fixpoint keeps the tree and skips past `z`.
+        let cfg = CheckConfig::default();
+        let mut scratch = PipelineScratch::new();
+        for seed in (6u64..300).step_by(7) {
+            let s = Scenario::generate(seed, &cfg);
+            assert_eq!(s.oracle, OracleKind::Backend, "seed {seed}");
+            let g = dense_edcs_graph(&s.instance);
+            let (n, m) = (g.num_vertices(), g.num_edges() as u64);
+            assert!((120..=150).contains(&n), "seed {seed}: n = {n}");
+            let backend = EdcsBackend {
+                params: dense_edcs_params(),
+                eps: s.instance.eps,
+            };
+            let mut meter = sparsimatch_obs::WorkMeter::new();
+            backend
+                .solve_metered(&g, s.instance.algo_seed, 1, &mut meter, &mut scratch)
+                .expect("one thread is valid");
+            let passes = meter.get(sparsimatch_obs::keys::EDCS_PASSES);
+            let evaluated = meter.get(sparsimatch_obs::keys::EDCS_EDGE_EVALUATIONS);
+            assert!(passes >= 2, "seed {seed}: {passes} passes");
+            assert!(
+                evaluated < passes * m,
+                "seed {seed}: n = {n}, m = {m}: {evaluated} of {passes} x {m} edges evaluated"
+            );
+            assert_eq!(
+                check_edcs_fixpoint(&g, &backend, "dense"),
+                None,
+                "seed {seed}"
+            );
         }
     }
 
