@@ -1153,26 +1153,37 @@ fn check_edcs_fixpoint(g: &CsrGraph, backend: &EdcsBackend, family: &str) -> Opt
     let mut src = g.clone();
     match build_edcs_streamed(&mut src, &backend.params) {
         Ok((h_streamed, ..)) => {
-            let mem: Vec<(u32, u32)> = h.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-            let str_edges: Vec<(u32, u32)> =
-                h_streamed.edges().map(|(_, u, v)| (u.0, v.0)).collect();
-            if mem != str_edges {
-                return Some(Violation::new(
-                    "edcs-stream-identity",
-                    format!(
-                        "streamed EDCS build diverged from in-memory: {} vs {} edges \
-                         (family {family}, n = {n})",
-                        str_edges.len(),
-                        mem.len(),
-                    ),
-                ));
-            }
-            None
+            let (mem, streamed) = (h.endpoint_pairs(), h_streamed.endpoint_pairs());
+            let ((u, v), in_mem) = first_unshared_edge(mem, streamed)?;
+            Some(Violation::new(
+                "edcs-stream-identity",
+                format!(
+                    "streamed EDCS build diverged from in-memory: edge ({u}, {v}) is only \
+                     in the {} build; {} vs {} edges (family {family}, n = {n})",
+                    if in_mem { "in-memory" } else { "streamed" },
+                    streamed.len(),
+                    mem.len(),
+                ),
+            ))
         }
         Err(e) => Some(Violation::new(
             "stream-error",
             format!("streamed EDCS build rejected its own CSR stream: {e}"),
         )),
+    }
+}
+
+/// The first edge, in lex order, that exactly one of the lex-sorted,
+/// distinct edge lists `a` and `b` holds, and whether `a` is the one.
+/// Past their common prefix, the smaller of the two next edges is in its
+/// own list only: the other list's remaining edges are all larger.
+fn first_unshared_edge(a: &[(u32, u32)], b: &[(u32, u32)]) -> Option<((u32, u32), bool)> {
+    let common = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    match (a.get(common), b.get(common)) {
+        (Some(&x), Some(&y)) => Some(if x < y { (x, true) } else { (y, false) }),
+        (Some(&x), None) => Some((x, true)),
+        (None, Some(&y)) => Some((y, false)),
+        (None, None) => None,
     }
 }
 
@@ -1378,6 +1389,20 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn first_unshared_edge_names_the_lex_first_difference_and_its_side() {
+        let a = [(0, 1), (0, 3), (2, 3)];
+        assert_eq!(first_unshared_edge(&a, &a), None);
+        // Equal edge counts, as in a "65 vs 65 edges" divergence.
+        let b = [(0, 1), (1, 2), (2, 3)];
+        assert_eq!(first_unshared_edge(&a, &b), Some(((0, 3), true)));
+        assert_eq!(first_unshared_edge(&b, &a), Some(((0, 3), false)));
+        let c = [(0, 1), (0, 2), (0, 3), (2, 3)];
+        assert_eq!(first_unshared_edge(&a, &c), Some(((0, 2), false)));
+        assert_eq!(first_unshared_edge(&a[..2], &a), Some(((2, 3), false)));
+        assert_eq!(first_unshared_edge(&a, &[]), Some(((0, 1), true)));
     }
 
     #[test]

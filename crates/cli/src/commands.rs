@@ -20,7 +20,7 @@ use sparsimatch_distsim::{FaultPlan, FaultRates, ResilienceParams};
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy};
 use sparsimatch_graph::analysis::independence::neighborhood_independence_exact;
 use sparsimatch_graph::csr::CsrGraph;
-use sparsimatch_graph::generators::{family_from_spec, FamilySpecError};
+use sparsimatch_graph::generators::{check_family_size, family_from_spec, FamilySpecError};
 use sparsimatch_graph::io::{read_edge_list_file, write_edge_list, write_edge_list_file};
 use sparsimatch_matching::blossom::maximum_matching;
 use sparsimatch_matching::greedy::greedy_maximal_matching;
@@ -128,14 +128,18 @@ fn write_metrics_json(
 }
 
 /// Build a graph from a family spec like `clique-union:2:100`. The spec
-/// grammar lives in [`sparsimatch_graph::generators::family_from_spec`]
-/// (shared with the serve daemon's `load_graph` request); this wrapper
-/// only classifies its errors onto CLI exit codes.
+/// grammar and the size check it passes first, against the input caps,
+/// live in [`sparsimatch_graph::generators`] (shared with the serve
+/// daemon's `load_graph` request); this wrapper only classifies their
+/// errors onto CLI exit codes.
 pub fn build_family(spec: &str, n: usize, rng: &mut StdRng) -> Result<CsrGraph, CliError> {
-    family_from_spec(spec, n, rng).map_err(|e| match e {
+    let classify = |e: FamilySpecError| match e {
         FamilySpecError::UnknownFamily(m) => CliError::Usage(m),
         FamilySpecError::BadValue(m) => CliError::InvalidParam(m),
-    })
+        FamilySpecError::TooLarge(m) => CliError::InputTooLarge(m),
+    };
+    check_family_size(spec, n).map_err(classify)?;
+    family_from_spec(spec, n, rng).map_err(classify)
 }
 
 /// `sparsimatch generate`.
@@ -818,6 +822,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(build_family("nonsense", 5, &mut rng).is_err());
         assert!(build_family("clique-union:x:3", 5, &mut rng).is_err());
+    }
+
+    #[test]
+    fn generate_refuses_families_over_the_caps_before_generating() {
+        // ~5·10^9 edges, and 2·10^8 > MAX_VERTICES vertices: generating
+        // either would take minutes and gigabytes, so returning at all
+        // shows the size check ran first.
+        let dir = tmpdir();
+        for (i, family) in ["clique --n 100000", "path --n 200000000"]
+            .iter()
+            .enumerate()
+        {
+            let file = dir.join(format!("too-large-{i}.el"));
+            let line = format!("generate {family} --out {}", file.display());
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let mut buf = Vec::new();
+            let err = crate::run(parse(&argv).unwrap(), &mut buf).unwrap_err();
+            assert!(matches!(err, CliError::InputTooLarge(_)), "{family}: {err}");
+            assert_eq!(err.exit_code(), 5);
+            assert!(buf.is_empty() && !file.exists(), "{family}");
+        }
     }
 
     /// With the counting allocator installed, every metrics document

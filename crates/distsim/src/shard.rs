@@ -78,32 +78,20 @@ where
 /// Returns `shards + 1` nondecreasing boundaries starting at 0 and ending
 /// at `n`; a shard may be empty when vertices are fewer than shards or a
 /// hub vertex swallows several targets.
-pub(crate) fn balanced_bounds(offsets: &[usize], shards: usize) -> Vec<usize> {
+pub(crate) fn balanced_bounds(offsets: &[u32], shards: usize) -> Vec<usize> {
     assert!(shards >= 1, "shard count must be at least 1");
     let n = offsets.len() - 1;
-    let total = offsets[n];
+    let total = offsets[n] as usize;
     let mut bounds = Vec::with_capacity(shards + 1);
     bounds.push(0usize);
     for k in 1..shards {
         let target = total * k / shards;
-        let v = offsets.partition_point(|&o| o < target).min(n);
+        let v = offsets.partition_point(|&o| (o as usize) < target).min(n);
         let prev = *bounds.last().unwrap();
         bounds.push(v.max(prev));
     }
     bounds.push(n);
     bounds
-}
-
-/// CSR-style slot offsets of a graph (`n + 1` entries): the global
-/// half-edge slot at which each vertex's ports start.
-pub(crate) fn csr_offsets(g: &CsrGraph) -> Vec<usize> {
-    let n = g.num_vertices();
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    for v in 0..n {
-        offsets.push(offsets[v] + g.degree(VertexId::new(v)));
-    }
-    offsets
 }
 
 /// Split a slice at the nondecreasing cut points `cuts` (`cuts[0] == 0`)
@@ -202,9 +190,9 @@ fn sort_by_dest<T>(
 /// order meets each lower neighbor `u`'s higher neighbors in ascending
 /// order, which is the order of `u`'s remaining ports, so a per-vertex
 /// cursor finds every back port.
-fn peer_ports(graph: &CsrGraph, offsets: &[usize]) -> Vec<u32> {
-    let n = graph.num_vertices();
-    let mut peer_port = vec![0u32; offsets[n]];
+fn peer_ports(graph: &CsrGraph) -> Vec<u32> {
+    let (n, offsets) = (graph.num_vertices(), graph.offsets());
+    let mut peer_port = vec![0u32; offsets[n] as usize];
     // `cursor[u]`: the port of `u`'s next neighbor above `u`.
     let mut cursor = vec![0u32; n];
     for v in 0..n {
@@ -217,8 +205,8 @@ fn peer_ports(graph: &CsrGraph, offsets: &[usize]) -> Vec<u32> {
             if u.0 < vid.0 {
                 let back = cursor[u.index()];
                 assert_eq!(graph.neighbor(u, back as usize), vid, "back port");
-                peer_port[offsets[v] + i] = back;
-                peer_port[offsets[u.index()] + back as usize] = i as u32;
+                peer_port[offsets[v] as usize + i] = back;
+                peer_port[(offsets[u.index()] + back) as usize] = i as u32;
                 cursor[u.index()] += 1;
                 below += 1;
             }
@@ -419,8 +407,6 @@ impl Attempts<'_> {
 /// ```
 pub struct Network<'g> {
     graph: &'g CsrGraph,
-    /// Global half-edge slot offset of each vertex (`n + 1` entries).
-    offsets: Vec<usize>,
     /// For the half-edge at global slot `s` (vertex `u`, port `i`),
     /// `peer_port[s]` is the port index of the same edge at the other
     /// endpoint.
@@ -458,16 +444,12 @@ impl<'g> Network<'g> {
         plan: FaultPlan,
         resilience: ResilienceParams,
     ) -> Self {
-        let offsets = csr_offsets(graph);
-        let peer_port = peer_ports(graph, &offsets);
-        let bounds = balanced_bounds(&offsets, 1);
         Network {
             graph,
-            offsets,
-            peer_port,
+            peer_port: peer_ports(graph),
             plan,
             resilience,
-            bounds,
+            bounds: balanced_bounds(graph.offsets(), 1),
             metrics: Metrics::new(),
             faults: FaultStats::default(),
             dest: Vec::new(),
@@ -500,7 +482,7 @@ impl<'g> Network<'g> {
     /// Panics if `threads == 0`.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "thread count must be at least 1");
-        self.bounds = balanced_bounds(&self.offsets, threads);
+        self.bounds = balanced_bounds(self.graph.offsets(), threads);
         self
     }
 
@@ -529,7 +511,7 @@ impl<'g> Network<'g> {
     /// Panics if `port >= deg(v)`.
     pub fn in_port(&self, v: VertexId, port: usize) -> usize {
         assert!(port < self.graph.degree(v), "port out of range");
-        self.peer_port[self.offsets[v.index()] + port] as usize
+        self.peer_port[self.graph.offsets()[v.index()] as usize + port] as usize
     }
 
     /// The shard boundaries: `threads + 1` nondecreasing vertex indices;
@@ -565,7 +547,7 @@ impl<'g> Network<'g> {
         let n = self.graph.num_vertices();
         self.metrics.rounds += 1;
         let graph = self.graph;
-        let (offsets, peer_port) = (&self.offsets[..], &self.peer_port[..]);
+        let (offsets, peer_port) = (graph.offsets(), &self.peer_port[..]);
         let (msgs, meta) = outbox.columns();
         assert!(
             meta.last().is_none_or(|&(v, _)| (v as usize) < n),
@@ -587,7 +569,7 @@ impl<'g> Network<'g> {
                         let port = msg.0;
                         assert!(port < graph.degree(vid), "port out of range");
                         *d = graph.neighbor(vid, port).0;
-                        msg.0 = peer_port[offsets[v as usize] + port] as usize;
+                        msg.0 = peer_port[offsets[v as usize] as usize + port] as usize;
                         m.messages += 1;
                         m.bits += bits;
                         m.max_message_bits = m.max_message_bits.max(bits);
@@ -619,13 +601,13 @@ impl<'g> Network<'g> {
         let n = self.graph.num_vertices();
         self.metrics.rounds += 1;
         let graph = self.graph;
-        let (offsets, peer_port) = (&self.offsets[..], &self.peer_port[..]);
+        let (offsets, peer_port) = (graph.offsets(), &self.peer_port[..]);
         let (inbox_offsets, items) = inboxes.columns();
         items.clear();
-        items.reserve(offsets[n]);
+        items.reserve(offsets[n] as usize);
         let mut m = Metrics::new();
         m.messages_cloned = fan_out(graph, payloads, |v, port, payload, bits| {
-            items.push((peer_port[offsets[v] + port] as usize, payload));
+            items.push((peer_port[offsets[v] as usize + port] as usize, payload));
             m.messages += 1;
             m.bits += bits;
             m.max_message_bits = m.max_message_bits.max(bits);
@@ -633,13 +615,13 @@ impl<'g> Network<'g> {
         for v in 0..n {
             for (i, u) in graph.neighbors(VertexId::new(v)).enumerate() {
                 if u.index() > v {
-                    let s = offsets[v] + i;
-                    items.swap(s, offsets[u.index()] + peer_port[s] as usize);
+                    let s = offsets[v] as usize + i;
+                    items.swap(s, (offsets[u.index()] + peer_port[s]) as usize);
                 }
             }
         }
         inbox_offsets.clear();
-        inbox_offsets.extend_from_slice(offsets);
+        inbox_offsets.extend(offsets.iter().map(|&o| o as usize));
         self.metrics.absorb(m);
     }
 
@@ -649,7 +631,7 @@ impl<'g> Network<'g> {
     /// Panics unless the message ids and half-edge slots fit below
     /// [`DELIVERED`].
     fn ready_logs(&mut self, messages: usize) {
-        let half_edges = self.offsets[self.graph.num_vertices()];
+        let half_edges = 2 * self.graph.num_edges();
         assert!(
             messages.max(half_edges) < DELIVERED as usize,
             "a faulty round carries fewer than 2^31 messages over fewer than 2^31 half-edges"
@@ -680,7 +662,8 @@ impl<'g> Network<'g> {
             resilience: self.resilience,
             base: self.metrics.rounds,
         };
-        let (graph, offsets, peer_port) = (self.graph, &self.offsets[..], &self.peer_port[..]);
+        let (graph, peer_port) = (self.graph, &self.peer_port[..]);
+        let offsets = graph.offsets();
         let shards = split_ranges(msgs, &cuts)
             .into_iter()
             .zip(split_ranges(&mut self.dest, &cuts))
@@ -696,11 +679,11 @@ impl<'g> Network<'g> {
                         let (sender, port) = (VertexId(v), msg.0);
                         assert!(port < graph.degree(sender), "port out of range");
                         let d = graph.neighbor(sender, port).0;
-                        let s = offsets[v as usize] + port;
-                        msg.0 = peer_port[s] as usize;
+                        let s = offsets[v as usize] + port as u32;
+                        msg.0 = peer_port[s as usize] as usize;
                         dest[j] = d;
-                        slot[j] = s as u32;
-                        back[j] = (offsets[d as usize] + msg.0) as u32;
+                        slot[j] = s;
+                        back[j] = offsets[d as usize] + peer_port[s as usize];
                     }
                     let first = ids.start;
                     let hop = |i: usize, _: &mut usize| {
@@ -745,27 +728,31 @@ impl<'g> Network<'g> {
         assert_eq!(by_node.len(), n, "one broadcast payload per node");
         // The fan-out's clones, as `fan_out` counts them: `deg(v) - 1` for
         // every node with a port.
-        self.metrics.messages_cloned += (self.offsets[n] - self.graph.num_non_isolated()) as u64;
-        self.ready_logs(self.offsets[n]);
+        let graph = self.graph;
+        let offsets = graph.offsets();
+        let half_edges = offsets[n] as usize;
+        self.metrics.messages_cloned += (half_edges - graph.num_non_isolated()) as u64;
+        self.ready_logs(half_edges);
         let attempts = Attempts {
             plan: &self.plan,
             resilience: self.resilience,
             base: self.metrics.rounds,
         };
-        let (graph, bounds, offsets) = (self.graph, &self.bounds[..], &self.offsets[..]);
+        let bounds = &self.bounds[..];
         let (peer_port, bits) = (&self.peer_port[..], &self.bits[..]);
         // Message `i` is half-edge `i`: the graph and the back ports hold
         // everything but its sender's bits.
         let hop = move |i: usize, v: &mut usize| {
-            while offsets[*v + 1] <= i {
+            while offsets[*v + 1] as usize <= i {
                 *v += 1;
             }
-            let dest = graph.neighbor(VertexId::new(*v), i - offsets[*v]).0;
+            let port = i - offsets[*v] as usize;
+            let dest = graph.neighbor(VertexId::new(*v), port).0;
             Hop {
                 sender: *v as u32,
                 dest,
                 slot: i as u32,
-                back: (offsets[dest as usize] + peer_port[i] as usize) as u32,
+                back: offsets[dest as usize] + peer_port[i],
                 bits: bits[*v],
             }
         };
@@ -774,7 +761,7 @@ impl<'g> Network<'g> {
             .iter_mut()
             .enumerate()
             .map(|(k, log)| {
-                let ids = offsets[bounds[k]]..offsets[bounds[k + 1]];
+                let ids = offsets[bounds[k]] as usize..offsets[bounds[k + 1]] as usize;
                 move || attempts.run(hop, ids, bounds[k], log)
             })
             .collect();

@@ -8,112 +8,6 @@
 
 use crate::ids::{EdgeId, VertexId};
 
-/// Adjacency offsets with a width chosen from the half-edge count.
-///
-/// A CSR offset indexes the half-edge arrays, so its values range over
-/// `0..=2m`. When `2m` fits in a `u32` — every graph under the repo's
-/// `MAX_EDGES` cap, and every sparsifier — 4 bytes per vertex suffice,
-/// halving the dominant per-vertex cost of the old `Vec<usize>` layout.
-/// Graphs with `2m >= 2^32` fall back to full-width offsets
-/// automatically. The repr is a pure function of `m`, so two builds of
-/// the same graph (fresh, scratch-reuse, or streamed) always agree
-/// byte-for-byte.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Offsets {
-    /// `2m < 2^32`: 4 bytes per vertex.
-    Narrow(Vec<u32>),
-    /// Fallback for `2m >= 2^32`.
-    Wide(Vec<usize>),
-}
-
-/// Whether a graph with `two_m` half-edges takes the narrow repr.
-#[inline(always)]
-fn fits_narrow(two_m: usize) -> bool {
-    u32::try_from(two_m).is_ok()
-}
-
-impl Offsets {
-    /// Refill with exclusive prefix sums of `degree`, reusing the held
-    /// buffer when the repr for `two_m` matches (allocation-free when
-    /// warm); switches repr otherwise.
-    fn rebuild_from_degrees(&mut self, degree: &[u32], two_m: usize) {
-        if fits_narrow(two_m) != matches!(self, Offsets::Narrow(_)) {
-            *self = if fits_narrow(two_m) {
-                Offsets::Narrow(Vec::new())
-            } else {
-                Offsets::Wide(Vec::new())
-            };
-        }
-        match self {
-            Offsets::Narrow(offs) => {
-                offs.clear();
-                offs.reserve(degree.len() + 1);
-                let mut running = 0u32;
-                offs.push(0);
-                for &d in degree {
-                    running += d;
-                    offs.push(running);
-                }
-            }
-            Offsets::Wide(offs) => {
-                offs.clear();
-                offs.reserve(degree.len() + 1);
-                let mut running = 0usize;
-                offs.push(0);
-                for &d in degree {
-                    running += d as usize;
-                    offs.push(running);
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn get(&self, i: usize) -> usize {
-        match self {
-            Offsets::Narrow(offs) => offs[i] as usize,
-            Offsets::Wide(offs) => offs[i],
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Offsets::Narrow(offs) => offs.len(),
-            Offsets::Wide(offs) => offs.len(),
-        }
-    }
-
-    /// Bytes held by the populated entries.
-    fn bytes(&self) -> usize {
-        match self {
-            Offsets::Narrow(offs) => offs.len() * std::mem::size_of::<u32>(),
-            Offsets::Wide(offs) => offs.len() * std::mem::size_of::<usize>(),
-        }
-    }
-
-    /// Bytes of backing capacity (for scratch accounting).
-    fn capacity_bytes(&self) -> usize {
-        match self {
-            Offsets::Narrow(offs) => offs.capacity() * std::mem::size_of::<u32>(),
-            Offsets::Wide(offs) => offs.capacity() * std::mem::size_of::<usize>(),
-        }
-    }
-
-    /// Reset to the one-vertex-boundary empty state, keeping capacity.
-    fn clear(&mut self) {
-        match self {
-            Offsets::Narrow(offs) => {
-                offs.clear();
-                offs.push(0);
-            }
-            Offsets::Wide(offs) => {
-                offs.clear();
-                offs.push(0);
-            }
-        }
-    }
-}
-
 /// An immutable undirected graph in CSR form.
 ///
 /// ```
@@ -135,9 +29,9 @@ impl Offsets {
 ///   adjacency queries).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
-    /// `offsets[v]..offsets[v+1]` indexes `v`'s half-edges; width picked
-    /// from the half-edge count (u32 when `2m < 2^32`, usize otherwise).
-    offsets: Offsets,
+    /// `offsets[v]..offsets[v+1]` indexes `v`'s half-edges; `n + 1`
+    /// entries ending at `2m`, which the layout keeps below `2^32`.
+    offsets: Vec<u32>,
     /// Neighbor endpoint of each half-edge.
     targets: Vec<u32>,
     /// Undirected parent edge of each half-edge.
@@ -159,16 +53,25 @@ impl CsrGraph {
         self.endpoints.len()
     }
 
+    /// The adjacency offsets: `n + 1` nondecreasing entries from 0 to
+    /// `2m`, where `offsets()[v]..offsets()[v + 1]` is the global
+    /// half-edge range of `v`'s adjacency window, so `v`'s `i`-th
+    /// half-edge has index `offsets()[v] + i`.
+    #[inline(always)]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// The half-edge index range of `v`'s adjacency window.
     #[inline(always)]
     fn adj_range(&self, v: VertexId) -> std::ops::Range<usize> {
-        self.offsets.get(v.index())..self.offsets.get(v.index() + 1)
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
     }
 
     /// The degree of `v`.
     #[inline(always)]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.offsets.get(v.index() + 1) - self.offsets.get(v.index())
+        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
     }
 
     /// The maximum degree over all vertices.
@@ -192,14 +95,14 @@ impl CsrGraph {
     #[inline(always)]
     pub fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
         debug_assert!(i < self.degree(v));
-        VertexId(self.targets[self.offsets.get(v.index()) + i])
+        VertexId(self.targets[self.offsets[v.index()] as usize + i])
     }
 
     /// The undirected edge id of `v`'s `i`-th half-edge.
     #[inline(always)]
     pub fn incident_edge(&self, v: VertexId, i: usize) -> EdgeId {
         debug_assert!(i < self.degree(v));
-        EdgeId(self.half_edge_ids[self.offsets.get(v.index()) + i])
+        EdgeId(self.half_edge_ids[self.offsets[v.index()] as usize + i])
     }
 
     /// All neighbors of `v`, sorted by id.
@@ -277,12 +180,12 @@ impl CsrGraph {
     }
 
     /// Total memory held by the four internal arrays, in bytes, audited
-    /// against every field: offsets (at their actual width), the two
-    /// half-edge arrays, and the undirected endpoint list. Useful for
-    /// documenting that sparsifiers are small and for the serve daemon's
+    /// against every field: the offsets, the two half-edge arrays, and
+    /// the undirected endpoint list. Useful for documenting that
+    /// sparsifiers are small and for the serve daemon's
     /// resident-footprint metric.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.bytes()
+        self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<u32>()
             + self.half_edge_ids.len() * std::mem::size_of::<u32>()
             + self.endpoints.len() * std::mem::size_of::<(u32, u32)>()
@@ -293,12 +196,7 @@ impl CsrGraph {
     /// cost the out-of-core build avoids for the parent graph, so the
     /// huge-tier bench reports it as `graph_bytes`.
     pub fn projected_memory_bytes(n: usize, m: usize) -> usize {
-        let offset_width = if fits_narrow(2 * m) {
-            std::mem::size_of::<u32>()
-        } else {
-            std::mem::size_of::<usize>()
-        };
-        (n + 1) * offset_width
+        (n + 1) * std::mem::size_of::<u32>()
             + 2 * m * std::mem::size_of::<u32>() * 2
             + m * std::mem::size_of::<(u32, u32)>()
     }
@@ -372,16 +270,22 @@ impl CsrGraph {
     /// neighbor id: for a vertex `v`, all edges `(a, v)` with `a < v`
     /// precede all edges `(v, b)` with `b > v`, each group in ascending
     /// order. Every array is refilled in place, so a warm graph lays out
-    /// allocation-free; `degree` and `cursor` are working space kept by
-    /// the caller for the same reason.
-    fn layout(&mut self, n: usize, degree: &mut Vec<u32>, cursor: &mut Vec<usize>) {
+    /// allocation-free; `degree` is working space kept by the caller for
+    /// the same reason, and serves as the scatter's cursors.
+    ///
+    /// # Panics
+    /// Panics if the graph has `2^32` or more half-edges, which no input
+    /// under the `MAX_EDGES` cap of [`crate::io`] reaches. Below that
+    /// bound every offset and edge id fits a `u32`.
+    fn layout(&mut self, n: usize, degree: &mut Vec<u32>) {
         let CsrGraph {
             offsets,
             targets,
             half_edge_ids,
             endpoints,
         } = self;
-        let m = endpoints.len();
+        let two_m = u32::try_from(2 * endpoints.len())
+            .expect("a CSR graph holds fewer than 2^32 half-edges");
         debug_assert!(
             endpoints.windows(2).all(|w| w[0] < w[1]),
             "edges not sorted"
@@ -393,39 +297,27 @@ impl CsrGraph {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
-        offsets.rebuild_from_degrees(degree, 2 * m);
+        offsets.clear();
+        offsets.reserve(n + 1);
+        offsets.push(0);
+        let mut running = 0u32;
+        for &d in degree.iter() {
+            running += d;
+            offsets.push(running);
+        }
+        debug_assert_eq!(running, two_m);
 
-        scatter_target(targets, 2 * m);
-        scatter_target(half_edge_ids, 2 * m);
-        match offsets {
-            Offsets::Narrow(offs) => {
-                // Cursors fit in the degree array: reuse it instead of a
-                // usize cursor vector (the narrow layout keeps the whole
-                // build at 4 bytes per vertex of working state).
-                degree.copy_from_slice(&offs[..n]);
-                for (eid, &(u, v)) in endpoints.iter().enumerate() {
-                    let eid = eid as u32;
-                    targets[degree[u as usize] as usize] = v;
-                    half_edge_ids[degree[u as usize] as usize] = eid;
-                    degree[u as usize] += 1;
-                    targets[degree[v as usize] as usize] = u;
-                    half_edge_ids[degree[v as usize] as usize] = eid;
-                    degree[v as usize] += 1;
-                }
-            }
-            Offsets::Wide(offs) => {
-                cursor.clear();
-                cursor.extend_from_slice(&offs[..n]);
-                for (eid, &(u, v)) in endpoints.iter().enumerate() {
-                    let eid = eid as u32;
-                    targets[cursor[u as usize]] = v;
-                    half_edge_ids[cursor[u as usize]] = eid;
-                    cursor[u as usize] += 1;
-                    targets[cursor[v as usize]] = u;
-                    half_edge_ids[cursor[v as usize]] = eid;
-                    cursor[v as usize] += 1;
-                }
-            }
+        scatter_target(targets, two_m as usize);
+        scatter_target(half_edge_ids, two_m as usize);
+        degree.copy_from_slice(&offsets[..n]);
+        for (eid, &(u, v)) in endpoints.iter().enumerate() {
+            let eid = eid as u32;
+            targets[degree[u as usize] as usize] = v;
+            half_edge_ids[degree[u as usize] as usize] = eid;
+            degree[u as usize] += 1;
+            targets[degree[v as usize] as usize] = u;
+            half_edge_ids[degree[v as usize] as usize] = eid;
+            degree[v as usize] += 1;
         }
     }
 }
@@ -478,7 +370,7 @@ pub enum EdgeEdit {
 /// Reusable buffers for rebuilding marked-edge subgraphs in place.
 ///
 /// Repeated pipeline runs extract a fresh sparsifier CSR every time; with
-/// a scratch the four graph arrays plus the degree/cursor layout buffers
+/// a scratch the four graph arrays plus the layout's degree buffer
 /// are allocated once and reused with `clear()`-not-drop semantics, so a
 /// warm rebuild performs zero heap allocations when capacities suffice.
 /// Every entry point fills the endpoint array and shares one in-place
@@ -488,7 +380,6 @@ pub enum EdgeEdit {
 pub struct CsrScratch {
     graph: CsrGraph,
     degree: Vec<u32>,
-    cursor: Vec<usize>,
     /// [`CsrScratch::rebuild_edited`]'s edits as `(edge key, position)`,
     /// sorted so the last edit of each edge ends its group.
     edits: Vec<(u64, u32)>,
@@ -507,13 +398,12 @@ impl CsrScratch {
     pub fn new() -> Self {
         CsrScratch {
             graph: CsrGraph {
-                offsets: Offsets::Narrow(vec![0]),
+                offsets: vec![0],
                 targets: Vec::new(),
                 half_edge_ids: Vec::new(),
                 endpoints: Vec::new(),
             },
             degree: Vec::new(),
-            cursor: Vec::new(),
             edits: Vec::new(),
             merged: Vec::new(),
         }
@@ -528,12 +418,11 @@ impl CsrScratch {
     /// scratch's high-water memory footprint).
     pub fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.graph.offsets.capacity_bytes()
+        self.graph.offsets.capacity() * 4
             + self.graph.targets.capacity() * 4
             + self.graph.half_edge_ids.capacity() * 4
             + self.graph.endpoints.capacity() * 8
             + self.degree.capacity() * 4
-            + self.cursor.capacity() * size_of::<usize>()
             + self.edits.capacity() * size_of::<(u64, u32)>()
             + self.merged.capacity() * 8
     }
@@ -541,11 +430,11 @@ impl CsrScratch {
     /// Drop logical contents but keep every buffer's capacity.
     pub fn clear(&mut self) {
         self.graph.offsets.clear();
+        self.graph.offsets.push(0);
         self.graph.targets.clear();
         self.graph.half_edge_ids.clear();
         self.graph.endpoints.clear();
         self.degree.clear();
-        self.cursor.clear();
         self.edits.clear();
         self.merged.clear();
     }
@@ -576,7 +465,7 @@ impl CsrScratch {
             endpoints.iter().all(|&(u, v)| u < v && (v as usize) < n),
             "edges must satisfy u < v with endpoints below n"
         );
-        self.graph.layout(n, &mut self.degree, &mut self.cursor);
+        self.graph.layout(n, &mut self.degree);
         &self.graph
     }
 
@@ -617,7 +506,7 @@ impl CsrScratch {
         }
         merged.extend_from_slice(&held[copied..]);
         std::mem::swap(&mut self.graph.endpoints, merged);
-        self.graph.layout(n, &mut self.degree, &mut self.cursor);
+        self.graph.layout(n, &mut self.degree);
         &self.graph
     }
 }
@@ -633,19 +522,20 @@ impl CsrScratch {
 /// # Panics
 /// Debug builds assert the order and endpoint-range invariants; release
 /// builds trust the caller (a violated invariant produces a graph with
-/// unsorted adjacency windows, never memory unsafety).
+/// unsorted adjacency windows, never memory unsafety). Like every build,
+/// it panics on `2^32` or more half-edges.
 pub fn from_sorted_edges(n: usize, edges: Vec<(u32, u32)>) -> CsrGraph {
     debug_assert!(
         edges.iter().all(|&(u, v)| u < v && (v as usize) < n),
         "edges must satisfy u < v with endpoints below n"
     );
     let mut graph = CsrGraph {
-        offsets: Offsets::Narrow(Vec::new()),
+        offsets: Vec::new(),
         targets: Vec::new(),
         half_edge_ids: Vec::new(),
         endpoints: edges,
     };
-    graph.layout(n, &mut Vec::new(), &mut Vec::new());
+    graph.layout(n, &mut Vec::new());
     graph
 }
 
@@ -761,6 +651,19 @@ mod tests {
         assert_eq!(a.endpoints, b.endpoints);
     }
 
+    /// `offsets()` has `n + 1` entries, starts at 0, steps by each
+    /// vertex's degree and ends at `2m`.
+    fn assert_offsets_contract(g: &CsrGraph) {
+        let offs = g.offsets();
+        assert_eq!(offs.len(), g.num_vertices() + 1);
+        assert_eq!(offs[0], 0);
+        for v in 0..g.num_vertices() {
+            let step = (offs[v + 1] - offs[v]) as usize;
+            assert_eq!(step, g.degree(VertexId::new(v)), "vertex {v}");
+        }
+        assert_eq!(offs[g.num_vertices()] as usize, 2 * g.num_edges());
+    }
+
     /// All-pairs edge list on `n` vertices.
     fn dense_edges(n: usize) -> Vec<(usize, usize)> {
         let mut edges = Vec::new();
@@ -842,15 +745,23 @@ mod tests {
         let mut scratch = CsrScratch::new();
         for ids in [&keep, &smaller, &keep, &smaller] {
             let fresh = from_sorted_edges(g.num_vertices(), pairs(ids));
+            assert_offsets_contract(&fresh);
             let rebuilt = scratch.rebuild_with(g.num_vertices(), |e| e.extend(pairs(ids)));
+            assert_offsets_contract(rebuilt);
             assert_byte_identical(&fresh, rebuilt);
-            assert_byte_identical(&fresh, scratch.rebuild_from_marked(&g, ids));
+            let rebuilt = scratch.rebuild_from_marked(&g, ids);
+            assert_offsets_contract(rebuilt);
+            assert_byte_identical(&fresh, rebuilt);
         }
         // A smaller vertex set after a larger one.
         let tri = triangle_plus_pendant();
         let tri_pairs = tri.edges().map(|(_, u, v)| (u.0, v.0));
-        assert_byte_identical(&tri, scratch.rebuild_with(4, |e| e.extend(tri_pairs)));
-        assert_eq!(scratch.rebuild_with(3, |_| {}).num_vertices(), 3);
+        let rebuilt = scratch.rebuild_with(4, |e| e.extend(tri_pairs));
+        assert_offsets_contract(rebuilt);
+        assert_byte_identical(&tri, rebuilt);
+        let empty = scratch.rebuild_with(3, |_| {});
+        assert_offsets_contract(empty);
+        assert_eq!(empty.num_vertices(), 3);
     }
 
     #[test]
@@ -912,53 +823,13 @@ mod tests {
     }
 
     #[test]
-    fn offsets_are_narrow_below_the_u32_boundary() {
+    fn memory_bytes_audits_every_field() {
+        // 4-byte offsets (n+1), two 4-byte half-edge arrays (2m each),
+        // and 8-byte endpoint pairs (m).
         let g = triangle_plus_pendant();
-        assert!(matches!(g.offsets, Offsets::Narrow(_)));
-        // memory_bytes audits every field at its real width: 4-byte
-        // offsets (n+1), two 4-byte half-edge arrays (2m each), and
-        // 8-byte endpoint pairs (m).
         let (n, m) = (g.num_vertices(), g.num_edges());
         assert_eq!(g.memory_bytes(), 4 * (n + 1) + 4 * 2 * m * 2 + 8 * m);
         assert_eq!(g.memory_bytes(), CsrGraph::projected_memory_bytes(n, m));
-    }
-
-    /// Offsets for `degree` in the repr `two_m` half-edges dictate.
-    fn offsets_for(degree: &[u32], two_m: usize) -> Offsets {
-        let mut offs = Offsets::Narrow(Vec::new());
-        offs.rebuild_from_degrees(degree, two_m);
-        offs
-    }
-
-    #[test]
-    fn offsets_repr_is_a_function_of_half_edge_count() {
-        let degree = [2u32, 1, 1];
-        assert!(matches!(offsets_for(&degree, 4), Offsets::Narrow(_)));
-        // Past the u32 boundary the same degrees take the wide repr.
-        let wide = offsets_for(&degree, usize::MAX);
-        assert!(matches!(wide, Offsets::Wide(_)));
-        assert_eq!(
-            (0..4).map(|i| wide.get(i)).collect::<Vec<_>>(),
-            vec![0, 2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn offsets_rebuild_is_allocation_free_when_warm() {
-        let degree = [2u32, 1, 1];
-        let mut offs = offsets_for(&degree, 4);
-        let cap = offs.capacity_bytes();
-        for _ in 0..3 {
-            offs.rebuild_from_degrees(&degree, 4);
-            assert_eq!(offs.capacity_bytes(), cap, "warm rebuild re-allocated");
-        }
-        // Switching width is allowed to allocate; switching back reuses
-        // nothing but must still produce the right values.
-        offs.rebuild_from_degrees(&degree, usize::MAX);
-        assert!(matches!(offs, Offsets::Wide(_)));
-        offs.rebuild_from_degrees(&degree, 4);
-        assert!(matches!(offs, Offsets::Narrow(_)));
-        assert_eq!(offs.get(3), 4);
     }
 
     #[test]

@@ -278,24 +278,27 @@ impl std::fmt::Display for IoFaultStats {
     }
 }
 
-// splitmix64 finalizer — the same decision hash the distsim fault layer
-// uses, so the two chaos surfaces share one determinism story.
+/// The splitmix64 finalizer: the one decision hash behind both chaos
+/// layers, this module's I/O faults and the distsim network's fault plan,
+/// so every injected fault is a pure function of its plan's seed.
 #[inline]
-fn mix(mut z: u64) -> u64 {
+pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
 }
 
+/// The decision hash of `(seed, salt, a, b)`: [`mix`] chained over the
+/// seed xor a per-decision salt, then each coordinate in turn.
 #[inline]
-fn hash3(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
+pub fn hash3(seed: u64, salt: u64, a: u64, b: u64) -> u64 {
     mix(mix(mix(seed ^ salt) ^ a) ^ b)
 }
 
 /// Convert a probability to a 65-bit threshold so that `hash < threshold`
 /// holds with probability exactly 0 at `p = 0` and exactly 1 at `p = 1`.
-fn threshold(p: f64) -> u128 {
+pub fn threshold(p: f64) -> u128 {
     if p <= 0.0 {
         0
     } else if p >= 1.0 {

@@ -35,4 +35,4 @@ pub use interval::{build_unit_interval_graph, proper_interval, proper_interval_w
 pub use line_graph::line_graph;
 pub use random::{bipartite_gnp, gnp, power_law, random_matching_instance};
 pub use shapes::{complete_bipartite, cycle, path, star};
-pub use spec::{family_from_spec, family_size_estimate, FamilySizeEstimate, FamilySpecError};
+pub use spec::{check_family_size, family_from_spec, FamilySpecError};

@@ -2,23 +2,28 @@
 //!
 //! One parser shared by every frontend that accepts a family by name —
 //! the `sparsimatch generate` subcommand and the serve daemon's
-//! `load_graph` request — so the spec grammar cannot drift between them.
+//! `load_graph` request — so the spec grammar cannot drift between them,
+//! and one size check ([`check_family_size`]) that both run before
+//! generating, so neither can be asked for a graph past the input caps.
 
 use super::{
     clique, clique_union, cycle, gnp, line_graph, path, unit_disk, CliqueUnionConfig,
     UnitDiskConfig,
 };
 use crate::csr::CsrGraph;
+use crate::io::{MAX_EDGES, MAX_VERTICES};
 use rand::Rng;
 
 /// Why a family spec was rejected.
 ///
-/// The two variants matter to frontends: an [`UnknownFamily`] is a usage
-/// error (the user asked for something that does not exist), while a
-/// [`BadValue`] names a family we know but with an unusable parameter.
+/// The variants matter to frontends: an [`UnknownFamily`] is a usage
+/// error (the user asked for something that does not exist), a
+/// [`BadValue`] names a family we know but with an unusable parameter,
+/// and a [`TooLarge`] one whose graph would pass the input caps.
 ///
 /// [`UnknownFamily`]: FamilySpecError::UnknownFamily
 /// [`BadValue`]: FamilySpecError::BadValue
+/// [`TooLarge`]: FamilySpecError::TooLarge
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FamilySpecError {
     /// The leading family name (or its arity) is not one we generate.
@@ -26,12 +31,17 @@ pub enum FamilySpecError {
     /// A parameter failed to parse or is semantically invalid
     /// (non-finite, out-of-range probability, non-positive degree).
     BadValue(String),
+    /// The estimated graph exceeds [`MAX_VERTICES`] or [`MAX_EDGES`]
+    /// (only [`check_family_size`] returns it).
+    TooLarge(String),
 }
 
 impl std::fmt::Display for FamilySpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FamilySpecError::UnknownFamily(m) | FamilySpecError::BadValue(m) => write!(f, "{m}"),
+            FamilySpecError::UnknownFamily(m)
+            | FamilySpecError::BadValue(m)
+            | FamilySpecError::TooLarge(m) => write!(f, "{m}"),
         }
     }
 }
@@ -143,23 +153,20 @@ pub fn family_from_spec(
 /// `vertices` differs from `n` only for `line-gnp`, whose vertex count
 /// is the base graph's edge count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FamilySizeEstimate {
+struct FamilySizeEstimate {
     /// Vertices of the generated graph.
-    pub vertices: u128,
+    vertices: u128,
     /// Edges: exact or expected, per the family.
-    pub edges: u128,
+    edges: u128,
 }
 
 /// Estimate the size of [`family_from_spec`]'s output without building
 /// anything.
 ///
-/// Frontends that take specs from untrusted clients (the serve daemon's
-/// `load_graph`) check this against their input caps *before*
-/// generating, so a hostile `clique` on 10⁶ vertices is rejected up
-/// front instead of materializing ~5·10¹¹ edges. Accepts and rejects
-/// exactly the specs [`family_from_spec`] does (same grammar, same
-/// parameter validation), which a test in this module pins.
-pub fn family_size_estimate(spec: &str, n: usize) -> Result<FamilySizeEstimate, FamilySpecError> {
+/// [`check_family_size`] holds this against the input caps. Accepts and
+/// rejects exactly the specs [`family_from_spec`] does (same grammar,
+/// same parameter validation), which a test in this module pins.
+fn family_size_estimate(spec: &str, n: usize) -> Result<FamilySizeEstimate, FamilySpecError> {
     let bad =
         |e: std::num::ParseIntError| FamilySpecError::BadValue(format!("family {spec:?}: {e}"));
     let bad_f =
@@ -217,6 +224,28 @@ pub fn family_size_estimate(spec: &str, n: usize) -> Result<FamilySizeEstimate, 
         }
     };
     Ok(FamilySizeEstimate { vertices, edges })
+}
+
+/// Refuse a spec whose analytic size estimate (exact for deterministic
+/// shapes, an expectation for randomized ones) exceeds the input caps
+/// ([`MAX_VERTICES`], [`MAX_EDGES`]), or that [`family_from_spec`] would
+/// reject, without generating anything.
+///
+/// Every frontend that generates a family on a caller's `n` runs this
+/// first, so a `clique` on 10⁶ vertices is refused up front instead of
+/// materializing ~5·10¹¹ edges. Randomized estimates are expectations:
+/// a frontend that must hold the caps exactly checks the generated graph
+/// as well.
+pub fn check_family_size(spec: &str, n: usize) -> Result<(), FamilySpecError> {
+    let est = family_size_estimate(spec, n)?;
+    if est.vertices > MAX_VERTICES as u128 || est.edges > MAX_EDGES as u128 {
+        return Err(FamilySpecError::TooLarge(format!(
+            "family {spec:?} on {n} vertices generates ~{} vertices and ~{} edges, \
+             over the caps of {MAX_VERTICES} / {MAX_EDGES}",
+            est.vertices, est.edges
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -315,6 +344,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn size_check_refuses_specs_over_the_caps() {
+        assert_eq!(check_family_size("clique", 1000), Ok(()));
+        for (spec, n) in [("clique", 100_000), ("path", MAX_VERTICES + 1)] {
+            let err = check_family_size(spec, n);
+            assert!(matches!(err, Err(FamilySpecError::TooLarge(_))), "{spec}");
+        }
+        let err = check_family_size("gnp:2", 5);
+        assert!(matches!(err, Err(FamilySpecError::BadValue(_))));
     }
 
     #[test]

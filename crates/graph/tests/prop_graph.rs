@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy, max_density};
-use sparsimatch_graph::csr::{from_edges, CsrScratch, EdgeEdit, GraphBuilder};
+use sparsimatch_graph::csr::{from_edges, CsrGraph, CsrScratch, EdgeEdit, GraphBuilder};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::sparse_array::SparseArray;
 use std::collections::HashSet;
@@ -23,6 +23,19 @@ fn adj_lists(g: &AdjListGraph) -> Vec<Vec<u32>> {
     (0..g.num_vertices())
         .map(|v| g.neighbors(VertexId::new(v)).map(|w| w.0).collect())
         .collect()
+}
+
+/// `offsets()` has `n + 1` entries, starts at 0, steps by each vertex's
+/// degree and ends at `2m`.
+fn check_offsets(g: &CsrGraph) -> TestCaseResult {
+    let offs = g.offsets();
+    prop_assert_eq!(offs.len(), g.num_vertices() + 1);
+    prop_assert_eq!(offs[0], 0);
+    for v in 0..g.num_vertices() {
+        prop_assert_eq!((offs[v + 1] - offs[v]) as usize, g.degree(VertexId::new(v)));
+    }
+    prop_assert_eq!(offs[g.num_vertices()] as usize, 2 * g.num_edges());
+    Ok(())
 }
 
 #[derive(Clone, Debug)]
@@ -184,7 +197,7 @@ proptest! {
             g.insert_edge(VertexId::new(u), VertexId::new(v));
         }
         let mut scratch = CsrScratch::new();
-        g.to_csr_in(&mut scratch);
+        check_offsets(g.to_csr_in(&mut scratch))?;
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(churn.len())).collect();
         cuts.push(churn.len());
         cuts.sort_unstable();
@@ -201,7 +214,11 @@ proptest! {
                     EdgeEdit::Delete(a.0, b.0)
                 });
             }
-            prop_assert_eq!(scratch.rebuild_edited(&batch), &g.to_csr());
+            let fresh = g.to_csr();
+            check_offsets(&fresh)?;
+            let edited = scratch.rebuild_edited(&batch);
+            check_offsets(edited)?;
+            prop_assert_eq!(edited, &fresh);
             start = end;
         }
     }

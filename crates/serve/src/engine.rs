@@ -18,7 +18,7 @@ use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_dynamic::adversary::Update;
 use sparsimatch_dynamic::scheme::DynamicMatcher;
 use sparsimatch_graph::csr::{CsrGraph, CsrScratch, GraphBuilder};
-use sparsimatch_graph::generators::{family_from_spec, family_size_estimate};
+use sparsimatch_graph::generators::{check_family_size, family_from_spec, FamilySpecError};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::io::{MAX_EDGES, MAX_VERTICES};
 use sparsimatch_obs::{keys, Json, WorkMeter};
@@ -198,24 +198,18 @@ impl SessionEngine {
             Some(spec) => {
                 // The parse layer caps only the explicit-edges path; a
                 // family spec can describe a graph astronomically larger
-                // than its request (`clique` on 10^6 vertices is ~5·10^11
-                // edges), so check the analytic size estimate against the
-                // same input caps *before* generating anything.
-                let est = family_size_estimate(spec, n)
-                    .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                if est.vertices > MAX_VERTICES as u128 || est.edges > MAX_EDGES as u128 {
-                    return Err(WireError::new(
-                        ErrorCode::TooLarge,
-                        format!(
-                            "family {spec:?} on {n} vertices generates ~{} vertices and \
-                             ~{} edges, over the caps of {MAX_VERTICES} / {MAX_EDGES}",
-                            est.vertices, est.edges
-                        ),
-                    ));
-                }
+                // than its request, so the shared size check refuses it
+                // against the same input caps *before* generating.
+                let spec_error = |e: FamilySpecError| {
+                    let code = match e {
+                        FamilySpecError::TooLarge(_) => ErrorCode::TooLarge,
+                        _ => ErrorCode::BadRequest,
+                    };
+                    WireError::new(code, e.to_string())
+                };
+                check_family_size(spec, n).map_err(spec_error)?;
                 let mut rng = StdRng::seed_from_u64(seed);
-                let g = family_from_spec(spec, n, &mut rng)
-                    .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
+                let g = family_from_spec(spec, n, &mut rng).map_err(spec_error)?;
                 // Randomized estimates are expectations; catch the
                 // (concentration-defying) tail after the fact too.
                 if g.num_vertices() > MAX_VERTICES || g.num_edges() > MAX_EDGES {
