@@ -249,6 +249,24 @@ const GOLDENS: &[Golden] = &[
         stream: "scan Parse: line 2: vertex out of range (n = 3)",
     },
     Golden {
+        name: "duplicate_after_comment",
+        input: b"4 3\n0 1\n# c\n1 2\n1 2\n",
+        read: "DuplicateEdge: line 5: duplicate edge",
+        stream: "scan DuplicateEdge: line 5: duplicate edge",
+    },
+    Golden {
+        name: "self_loop_after_blank_and_crlf",
+        input: b"4 3\n0 1\n\n1 2\r\n2 2\n",
+        read: "SelfLoop: line 5: self-loop",
+        stream: "scan SelfLoop: line 5: self-loop",
+    },
+    Golden {
+        name: "out_of_range_after_plus_sign",
+        input: b"4 3\n0 1\n+1 2\n2 4\n",
+        read: "Parse: line 4: vertex out of range (n = 4)",
+        stream: "scan Parse: line 4: vertex out of range (n = 4)",
+    },
+    Golden {
         name: "more_than_declared",
         input: b"3 1\n0 1\n1 2\n",
         read: "Parse: line 3: more than the declared 1 edges",
