@@ -267,6 +267,36 @@ const GOLDENS: &[Golden] = &[
         stream: "scan Parse: line 4: vertex out of range (n = 4)",
     },
     Golden {
+        name: "swapped_and_out_of_range",
+        input: b"3 1\n5 0\n",
+        read: "Parse: line 2: vertex out of range (n = 3)",
+        stream: "scan Parse: line 2: vertex out of range (n = 3)",
+    },
+    Golden {
+        name: "self_loop_out_of_range",
+        input: b"3 1\n7 7\n",
+        read: "Parse: line 2: vertex out of range (n = 3)",
+        stream: "scan Parse: line 2: vertex out of range (n = 3)",
+    },
+    Golden {
+        name: "duplicate_past_declared",
+        input: b"3 1\n0 1\n0 1\n",
+        read: "DuplicateEdge: line 3: duplicate edge",
+        stream: "scan DuplicateEdge: line 3: duplicate edge",
+    },
+    Golden {
+        name: "unsorted_past_declared",
+        input: b"4 1\n1 2\n0 1\n",
+        read: "Parse: line 3: more than the declared 1 edges",
+        stream: "scan Parse: line 3: streaming input requires lexicographically sorted edges",
+    },
+    Golden {
+        name: "out_of_range_past_declared",
+        input: b"3 1\n0 1\n0 5\n",
+        read: "Parse: line 3: vertex out of range (n = 3)",
+        stream: "scan Parse: line 3: vertex out of range (n = 3)",
+    },
+    Golden {
         name: "more_than_declared",
         input: b"3 1\n0 1\n1 2\n",
         read: "Parse: line 3: more than the declared 1 edges",
