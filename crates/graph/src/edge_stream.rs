@@ -108,47 +108,21 @@ impl EdgeStreamSource for FileEdgeSource {
                 ),
             });
         }
-        let mut prev: Option<(u32, u32)> = None;
+        let n = n as u64;
+        // The last edge's key `u << 32 | v`; 0 is below every `u < v` key.
+        let mut prev = 0u64;
         let mut edges_seen = 0usize;
-        for line in lines {
-            let (lineno, a, b) = line?;
-            if a >= self.n as u64 || b >= self.n as u64 {
-                return Err(ReadError::Parse {
-                    line: lineno,
-                    message: format!("vertex out of range (n = {})", self.n),
-                });
+        lines.for_each_fields(|lineno, a, b| {
+            let key = a << 32 | b;
+            if a < b && b < n && key > prev && edges_seen < m {
+                prev = key;
+                edges_seen += 1;
+                visit(a as u32, b as u32);
+                Ok(())
+            } else {
+                Err(rejected_edge(lineno, a, b, n, prev, m))
             }
-            if a == b {
-                return Err(ReadError::SelfLoop { line: lineno });
-            }
-            if a > b {
-                return Err(ReadError::Parse {
-                    line: lineno,
-                    message: "streaming input requires u < v per edge".into(),
-                });
-            }
-            let edge = (a as u32, b as u32);
-            if let Some(prev) = prev {
-                if edge == prev {
-                    return Err(ReadError::DuplicateEdge { line: lineno });
-                }
-                if edge < prev {
-                    return Err(ReadError::Parse {
-                        line: lineno,
-                        message: "streaming input requires lexicographically sorted edges".into(),
-                    });
-                }
-            }
-            prev = Some(edge);
-            edges_seen += 1;
-            if edges_seen > self.m {
-                return Err(ReadError::Parse {
-                    line: lineno,
-                    message: format!("more than the declared {} edges", self.m),
-                });
-            }
-            visit(edge.0, edge.1);
-        }
+        })?;
         if edges_seen != self.m {
             // A short body on the first pass is a malformed file; the
             // same short body after a completed pass means the file lost
@@ -167,6 +141,30 @@ impl EdgeStreamSource for FileEdgeSource {
         self.completed_scans += 1;
         Ok(())
     }
+}
+
+/// The error for an edge line that [`FileEdgeSource::scan`] refuses, in
+/// order of precedence: an endpoint out of range, a self-loop, `u > v`, a
+/// repeat of the previous edge (key `prev`), an edge below it, and an
+/// edge past the declared `m`, which is what is left when the line passes
+/// every other check.
+#[cold]
+fn rejected_edge(line: usize, a: u64, b: u64, n: u64, prev: u64, m: usize) -> ReadError {
+    let key = a << 32 | b;
+    let message = if a >= n || b >= n {
+        format!("vertex out of range (n = {n})")
+    } else if a == b {
+        return ReadError::SelfLoop { line };
+    } else if a > b {
+        "streaming input requires u < v per edge".into()
+    } else if key == prev {
+        return ReadError::DuplicateEdge { line };
+    } else if key < prev {
+        "streaming input requires lexicographically sorted edges".into()
+    } else {
+        format!("more than the declared {m} edges")
+    };
+    ReadError::Parse { line, message }
 }
 
 /// An in-memory graph is trivially a stream source: [`CsrGraph::edges`]

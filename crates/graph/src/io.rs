@@ -174,61 +174,62 @@ fn parse_line_fields(line: &str, lineno: usize) -> Result<Option<(u64, u64)>, Re
     Ok(Some((a, b)))
 }
 
-/// Parse the line at the start of `window` if it has the form
-/// `digits [ \t]+ digits [ \t\r]* \n` with at most 19 digits per field, so
-/// that neither field can overflow `u64`. Returns both fields and the
-/// line's length including its newline; `None` for any other line and for
+/// Parse the line that starts at `window[start]` if it has the form
+/// `digits [ \t]+ digits [ \t\r]* \n` with at most 19 digits per field,
+/// so that neither field can overflow `u64`. Returns both fields and the
+/// index just past the line's newline; `None` for any other line and for
 /// a line whose newline lies beyond the window. [`parse_line_fields`]
-/// gives the same two values for every line this accepts.
-#[inline]
-fn parse_plain_line(window: &[u8]) -> Option<(u64, u64, usize)> {
-    let (a, sep) = parse_digits(window, 0)?;
-    let mut i = sep;
-    while matches!(window.get(i), Some(b' ' | b'\t')) {
+/// gives the same two values for every line this accepts. Always
+/// inlined: left alone, the compiler kept it out of line in the window
+/// loop and returned each line's fields through memory.
+#[inline(always)]
+fn parse_plain_line(window: &[u8], start: usize) -> Option<(u64, u64, usize)> {
+    let mut i = start;
+    let mut a = 0u64;
+    while i < window.len() && window[i].is_ascii_digit() {
+        // Wraps only past 19 digits, where the field is refused below.
+        a = a.wrapping_mul(10).wrapping_add(u64::from(window[i] - b'0'));
         i += 1;
     }
-    if i == sep {
+    if !(1..=19).contains(&(i - start)) {
         return None;
     }
-    let (b, mut i) = parse_digits(window, i)?;
-    while matches!(window.get(i), Some(b' ' | b'\t' | b'\r')) {
+    let sep = i;
+    while i < window.len() && matches!(window[i], b' ' | b'\t') {
         i += 1;
     }
-    (window.get(i) == Some(&b'\n')).then_some((a, b, i + 1))
-}
-
-/// Parse 1 to 19 ASCII digits starting at `window[start]`. Returns the
-/// value and the index after the last digit; `None` for no digit or a
-/// 20th one.
-#[inline]
-fn parse_digits(window: &[u8], start: usize) -> Option<(u64, usize)> {
-    let mut value = 0u64;
-    let mut i = start;
-    while let Some(&byte) = window.get(i) {
-        if !byte.is_ascii_digit() {
-            break;
-        }
-        if i - start == 19 {
-            return None;
-        }
-        value = value * 10 + u64::from(byte - b'0');
+    let digits = i;
+    if digits == sep {
+        return None;
+    }
+    let mut b = 0u64;
+    while i < window.len() && window[i].is_ascii_digit() {
+        b = b.wrapping_mul(10).wrapping_add(u64::from(window[i] - b'0'));
         i += 1;
     }
-    (i > start).then_some((value, i))
+    if !(1..=19).contains(&(i - digits)) {
+        return None;
+    }
+    while i < window.len() && matches!(window[i], b' ' | b'\t' | b'\r') {
+        i += 1;
+    }
+    (i < window.len() && window[i] == b'\n').then_some((a, b, i + 1))
 }
 
-/// The data lines of edge-list text: yields `(lineno, a, b)` for every
-/// line that is neither blank nor comment-only, `lineno` counting every
-/// line from 1. The one line reader behind [`read_edge_list`] and
-/// [`crate::edge_stream::FileEdgeSource`].
+/// The data lines of edge-list text, each line that is neither blank nor
+/// comment-only, numbered from 1 over every line. The one line reader
+/// behind [`read_edge_list`] and [`crate::edge_stream::FileEdgeSource`].
 ///
-/// A plain line (see [`parse_plain_line`]) is parsed in place from the
-/// reader's buffer and consumed. Any other line (a comment, a blank, a
-/// sign, a longer field, Unicode whitespace, junk, a line crossing the
-/// buffer's end, a last line without a newline) is copied into one reused
-/// buffer and handed to [`parse_line_fields`], so what is accepted and
-/// every error returned do not depend on which path a line takes. A line
-/// that is not UTF-8 is a [`ReadError::Parse`] with its line number.
+/// [`EdgeLines::for_each_fields`] parses every plain line (see
+/// [`parse_plain_line`]) of the reader's current window in one loop, in
+/// place, and consumes the window once. Any other line at the start of a
+/// window (a comment, a blank, a sign, a longer field, Unicode
+/// whitespace, junk, a line crossing the window's end, a last line
+/// without a newline) is copied into one reused buffer and handed to
+/// [`parse_line_fields`], so what is accepted and every error returned do
+/// not depend on which path a line takes. The header always takes the
+/// second path. A line that is not UTF-8 is a [`ReadError::Parse`] with
+/// its line number.
 pub(crate) struct EdgeLines<R> {
     reader: R,
     lineno: usize,
@@ -247,44 +248,63 @@ impl<R: BufRead> EdgeLines<R> {
     /// Read the header, the first data line, and range-check it. Returns
     /// its line number and the validated `(n, m)`.
     pub(crate) fn read_header(&mut self) -> Result<(usize, usize, usize), ReadError> {
-        let Some((lineno, a, b)) = self.next_fields()? else {
-            return Err(parse_error(0, "empty input (missing header)"));
-        };
-        let (n, m) = validate_header(a, b, lineno)?;
-        Ok((lineno, n, m))
+        while self.read_line()? {
+            if let Some((a, b)) = self.line_fields()? {
+                let (n, m) = validate_header(a, b, self.lineno)?;
+                return Ok((self.lineno, n, m));
+            }
+        }
+        Err(parse_error(0, "empty input (missing header)"))
     }
 
-    fn next_fields(&mut self) -> Result<Option<(usize, u64, u64)>, ReadError> {
+    /// Call `f(lineno, a, b)` for every remaining data line, in order.
+    /// Stops at the first error, `f`'s included.
+    pub(crate) fn for_each_fields(
+        &mut self,
+        mut f: impl FnMut(usize, u64, u64) -> Result<(), ReadError>,
+    ) -> Result<(), ReadError> {
         loop {
             let window = match self.reader.fill_buf() {
                 Ok(window) => window,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             };
-            if window.is_empty() {
-                return Ok(None);
+            // Counted in a local, which stays in a register across `f`;
+            // an error ends the read, so it returns without storing it.
+            let (mut pos, mut lineno) = (0, self.lineno);
+            while let Some((a, b, end)) = parse_plain_line(window, pos) {
+                lineno += 1;
+                f(lineno, a, b)?;
+                pos = end;
             }
-            self.lineno += 1;
-            if let Some((a, b, len)) = parse_plain_line(window) {
-                self.reader.consume(len);
-                return Ok(Some((self.lineno, a, b)));
-            }
-            self.line.clear();
-            self.reader.read_until(b'\n', &mut self.line)?;
-            let line = std::str::from_utf8(&self.line)
-                .map_err(|_| parse_error(self.lineno, "invalid UTF-8"))?;
-            if let Some((a, b)) = parse_line_fields(line, self.lineno)? {
-                return Ok(Some((self.lineno, a, b)));
+            self.lineno = lineno;
+            if pos > 0 {
+                self.reader.consume(pos);
+            } else if !self.read_line()? {
+                return Ok(());
+            } else if let Some((a, b)) = self.line_fields()? {
+                f(self.lineno, a, b)?;
             }
         }
     }
-}
 
-impl<R: BufRead> Iterator for EdgeLines<R> {
-    type Item = Result<(usize, u64, u64), ReadError>;
+    /// Copy the next line into the reused buffer and count it. `false` at
+    /// the end of the input.
+    fn read_line(&mut self) -> Result<bool, ReadError> {
+        self.line.clear();
+        if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+            return Ok(false);
+        }
+        self.lineno += 1;
+        Ok(true)
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_fields().transpose()
+    /// The fields of the line [`EdgeLines::read_line`] copied, through
+    /// the general parser.
+    fn line_fields(&self) -> Result<Option<(u64, u64)>, ReadError> {
+        let line = std::str::from_utf8(&self.line)
+            .map_err(|_| parse_error(self.lineno, "invalid UTF-8"))?;
+        parse_line_fields(line, self.lineno)
     }
 }
 
@@ -307,8 +327,7 @@ pub fn read_edge_list(reader: impl BufRead) -> Result<CsrGraph, ReadError> {
     // edges than the file contains.
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.min(PREALLOC_EDGES));
     let mut sorted = true;
-    for line in lines {
-        let (lineno, a, b) = line?;
+    lines.for_each_fields(|lineno, a, b| {
         if a >= n as u64 || b >= n as u64 {
             return Err(parse_error(
                 lineno,
@@ -337,7 +356,8 @@ pub fn read_edge_list(reader: impl BufRead) -> Result<CsrGraph, ReadError> {
             ));
         }
         edges.push(edge);
-    }
+        Ok(())
+    })?;
     if edges.len() != m {
         return Err(parse_error(
             0,
@@ -505,6 +525,34 @@ mod tests {
         match read_edge_list(std::io::Cursor::new("3 2\n0 1\n1 0\n")) {
             Err(ReadError::DuplicateEdge { line: 3 }) => {}
             other => panic!("expected DuplicateEdge at line 3, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plain_lines_parse_as_the_general_parser_does() {
+        // Every field length up to past the 19-digit cap, odd and even,
+        // in both fields, behind each separator and before each tail.
+        let digits = |len: usize| -> String {
+            (0..len)
+                .map(|k| char::from(b"7130924658"[k % 10]))
+                .collect()
+        };
+        for (sep, tail) in [(" ", "\n"), ("\t \t", " \r\n"), ("  ", "\t\n")] {
+            for la in 1..=21 {
+                for lb in 1..=21 {
+                    let line = format!("{}{sep}{}{tail}", digits(la), digits(lb));
+                    let window = format!("#{line}");
+                    let plain = parse_plain_line(window.as_bytes(), 1);
+                    if la <= 19 && lb <= 19 {
+                        let (a, b) = parse_line_fields(&line, 1).unwrap().unwrap();
+                        assert_eq!(plain, Some((a, b, window.len())), "{line:?}");
+                    } else {
+                        assert_eq!(plain, None, "{line:?}");
+                    }
+                    let cut = &window.as_bytes()[..window.len() - 1];
+                    assert_eq!(parse_plain_line(cut, 1), None, "{line:?} without newline");
+                }
+            }
         }
     }
 

@@ -2,12 +2,15 @@
 //! reading arbitrary bytes never panics. Every failure on a readable input
 //! is a typed [`ReadError`] about its content, never an I/O error, and
 //! whatever the streaming [`FileEdgeSource`] accepts, [`read_edge_list`]
-//! accepts with the same edges.
+//! accepts with the same edges. The size of the reader's window never
+//! changes what a read returns.
 
 use proptest::prelude::*;
-use sparsimatch_graph::csr::from_edges;
+use sparsimatch_graph::csr::{from_edges, CsrGraph};
 use sparsimatch_graph::edge_stream::{EdgeStreamSource, FileEdgeSource};
 use sparsimatch_graph::io::{read_edge_list, write_edge_list, ReadError};
+use std::io::{BufReader, Cursor};
+use std::mem::Discriminant;
 
 const N: usize = 24;
 
@@ -89,6 +92,20 @@ fn stream_file(bytes: &[u8]) -> Result<(usize, Vec<(u32, u32)>), ReadError> {
     scanned
 }
 
+/// What a read returns, in comparable form: `n` and the edges, or the
+/// error's variant and its `Display`, which carries the line.
+type Outcome = Result<(usize, Vec<(u32, u32)>), (Discriminant<ReadError>, String)>;
+
+fn outcome(read: Result<CsrGraph, ReadError>) -> Outcome {
+    match read {
+        Ok(g) => Ok((
+            g.num_vertices(),
+            g.edges().map(|(_, u, v)| (u.0, v.0)).collect(),
+        )),
+        Err(e) => Err((std::mem::discriminant(&e), e.to_string())),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -144,6 +161,18 @@ proptest! {
             prop_assert_eq!(g.num_vertices(), n);
             let read_edges: Vec<_> = g.edges().map(|(_, u, v)| (u.0, v.0)).collect();
             prop_assert_eq!(read_edges, edges);
+        }
+    }
+
+    #[test]
+    fn read_window_size_does_not_change_hostile_outcomes(bytes in arb_hostile_bytes()) {
+        // Every line may land anywhere in a window, so each input crosses
+        // the plain-line loop, the general path and the handoff between
+        // them at different offsets.
+        let expected = outcome(read_edge_list(BufReader::new(Cursor::new(&bytes))));
+        for window in [1, 3, 8, 64] {
+            let read = outcome(read_edge_list(BufReader::with_capacity(window, Cursor::new(&bytes))));
+            prop_assert_eq!(&read, &expected, "{}-byte window", window);
         }
     }
 }
