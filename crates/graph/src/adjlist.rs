@@ -81,13 +81,16 @@ impl AdjListGraph {
         self.adj[v.index()].iter().map(|&t| VertexId(t))
     }
 
-    /// Resident heap footprint of the graph, in bytes.
+    /// Resident heap footprint of the graph, in bytes, as a function of
+    /// the inserts and deletes applied to it.
     ///
-    /// Counts allocated capacity, not live length, like
-    /// [`CsrGraph::memory_bytes`] — but where the CSR figure is exact,
-    /// the hash-map term here is an estimate (entry storage plus one
-    /// control byte per slot; the table's exact layout is a hashbrown
-    /// implementation detail).
+    /// The adjacency lists count allocated capacity, like
+    /// [`CsrGraph::memory_bytes`]. The position index counts one entry
+    /// plus one control byte per live edge, not its table's capacity:
+    /// that capacity depends on where deletes left tombstones, and so on
+    /// the map's random hash keys, and would make two graphs given the
+    /// same updates report different figures. The index term is
+    /// therefore a lower bound.
     pub fn memory_bytes(&self) -> usize {
         let spine = self.adj.capacity() * std::mem::size_of::<Vec<u32>>();
         let lists: usize = self
@@ -96,7 +99,7 @@ impl AdjListGraph {
             .map(|l| l.capacity() * std::mem::size_of::<u32>())
             .sum();
         let entry = std::mem::size_of::<((u32, u32), (u32, u32))>() + 1;
-        spine + lists + self.positions.capacity() * entry
+        spine + lists + self.positions.len() * entry
     }
 
     #[inline]
@@ -269,6 +272,33 @@ mod tests {
         let mut seen: Vec<u32> = (0..2).map(|i| o.neighbor(VertexId(0), i).0).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2]);
+    }
+
+    #[test]
+    fn memory_gauge_is_a_function_of_the_ops() {
+        // Each map draws its own hash keys, so two graphs fed one script
+        // of inserts and deletes leave tombstones in different slots and
+        // may grow their tables at different times. The gauge must not
+        // see that.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        let n = 200;
+        let (mut g, mut h) = (AdjListGraph::new(n), AdjListGraph::new(n));
+        let mut live: Vec<(VertexId, VertexId)> = Vec::new();
+        for op in 0..3000 {
+            if live.is_empty() || rng.random_bool(0.55) {
+                let u = VertexId(rng.random_range(0..n as u32));
+                let v = VertexId(rng.random_range(0..n as u32));
+                if g.insert_edge(u, v) {
+                    live.push((u, v));
+                }
+                h.insert_edge(u, v);
+            } else {
+                let (u, v) = live.swap_remove(rng.random_range(0..live.len()));
+                assert!(g.delete_edge(u, v) && h.delete_edge(u, v));
+            }
+            assert_eq!(g.memory_bytes(), h.memory_bytes(), "after op {op}");
+        }
     }
 
     #[test]
