@@ -241,6 +241,14 @@ fn bench_baseline_writes_valid_schema() {
     // runs per PR. The memory claim is analytic, so unlike the wall-clock
     // gates it must hold at every scale.
     assert_huge_tier_schema(&doc, 0);
+    // Each huge row times one no-op scan of its spill file. The committed
+    // full-scale baseline predates the field, so only a fresh run must
+    // carry it.
+    for h in doc.get("huge").unwrap().as_array().unwrap() {
+        let name = h.get("family").unwrap().as_str().unwrap();
+        let scan = h.get("scan_nanos").and_then(Json::as_u64);
+        assert!(scan.is_some_and(|ns| ns > 0), "{name}: scan_nanos {scan:?}");
+    }
 
     // The backend race (delta vs edcs) carries its conformance fields at
     // every scale — the claims are analytic, only the timings vary.
