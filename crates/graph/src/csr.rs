@@ -373,9 +373,11 @@ pub enum EdgeEdit {
 /// a scratch the four graph arrays plus the layout's degree buffer
 /// are allocated once and reused with `clear()`-not-drop semantics, so a
 /// warm rebuild performs zero heap allocations when capacities suffice.
-/// Every entry point fills the endpoint array and shares one in-place
-/// layout, which is the one [`from_sorted_edges`] runs, so a rebuilt
-/// graph is byte-identical to a freshly built one (pinned by test).
+/// The fresh entry points fill the endpoint array and share one in-place
+/// layout, which is the one [`from_sorted_edges`] runs;
+/// [`CsrScratch::rebuild_edited`] patches the held layout instead. Either
+/// way a rebuilt graph is byte-identical to a freshly built one (pinned
+/// by test).
 #[derive(Clone, Debug)]
 pub struct CsrScratch {
     graph: CsrGraph,
@@ -383,9 +385,19 @@ pub struct CsrScratch {
     /// [`CsrScratch::rebuild_edited`]'s edits as `(edge key, position)`,
     /// sorted so the last edit of each edge ends its group.
     edits: Vec<(u64, u32)>,
-    /// The edited edge list, merged here and swapped in for the held one.
-    merged: Vec<(u32, u32)>,
+    /// The net changes of an edit batch, one entry per half-edge:
+    /// `(x << 32 | y, id)` puts `y` into `x`'s row with the new edge id
+    /// `id`, or takes it out when `id` is [`GONE`]. Sorted, so each
+    /// changed row's entries are contiguous and in neighbour order.
+    changed: Vec<(u64, u32)>,
+    /// The new id of each held edge, [`GONE`] for a deleted one.
+    new_ids: Vec<u32>,
+    /// The patched graph, written here and swapped in for the held one.
+    patched: CsrGraph,
 }
+
+/// The new id [`CsrScratch::rebuild_edited`] gives a deleted edge.
+const GONE: u32 = u32::MAX;
 
 impl Default for CsrScratch {
     fn default() -> Self {
@@ -396,16 +408,19 @@ impl Default for CsrScratch {
 impl CsrScratch {
     /// An empty scratch holding a zero-vertex graph.
     pub fn new() -> Self {
+        let empty = CsrGraph {
+            offsets: vec![0],
+            targets: Vec::new(),
+            half_edge_ids: Vec::new(),
+            endpoints: Vec::new(),
+        };
         CsrScratch {
-            graph: CsrGraph {
-                offsets: vec![0],
-                targets: Vec::new(),
-                half_edge_ids: Vec::new(),
-                endpoints: Vec::new(),
-            },
+            graph: empty.clone(),
             degree: Vec::new(),
             edits: Vec::new(),
-            merged: Vec::new(),
+            changed: Vec::new(),
+            new_ids: Vec::new(),
+            patched: empty,
         }
     }
 
@@ -417,26 +432,33 @@ impl CsrScratch {
     /// Bytes of capacity currently held across all reusable buffers (the
     /// scratch's high-water memory footprint).
     pub fn capacity_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.graph.offsets.capacity() * 4
-            + self.graph.targets.capacity() * 4
-            + self.graph.half_edge_ids.capacity() * 4
-            + self.graph.endpoints.capacity() * 8
-            + self.degree.capacity() * 4
-            + self.edits.capacity() * size_of::<(u64, u32)>()
-            + self.merged.capacity() * 8
+        fn bytes<T>(buf: &Vec<T>) -> usize {
+            buf.capacity() * std::mem::size_of::<T>()
+        }
+        let graph_bytes = |g: &CsrGraph| {
+            bytes(&g.offsets) + bytes(&g.targets) + bytes(&g.half_edge_ids) + bytes(&g.endpoints)
+        };
+        graph_bytes(&self.graph)
+            + graph_bytes(&self.patched)
+            + bytes(&self.degree)
+            + bytes(&self.edits)
+            + bytes(&self.changed)
+            + bytes(&self.new_ids)
     }
 
     /// Drop logical contents but keep every buffer's capacity.
     pub fn clear(&mut self) {
-        self.graph.offsets.clear();
-        self.graph.offsets.push(0);
-        self.graph.targets.clear();
-        self.graph.half_edge_ids.clear();
-        self.graph.endpoints.clear();
+        for g in [&mut self.graph, &mut self.patched] {
+            g.offsets.clear();
+            g.offsets.push(0);
+            g.targets.clear();
+            g.half_edge_ids.clear();
+            g.endpoints.clear();
+        }
         self.degree.clear();
         self.edits.clear();
-        self.merged.clear();
+        self.changed.clear();
+        self.new_ids.clear();
     }
 
     /// In-place equivalent of [`from_marked_edges`]: rebuild the subgraph
@@ -469,16 +491,22 @@ impl CsrScratch {
         &self.graph
     }
 
-    /// Apply `edits`, in order, to the held graph's edge set and lay the
-    /// result out on the same vertices. The last edit of an edge decides
-    /// whether it is present, so repeated edits, inserts of present edges
-    /// and deletes of absent ones behave as on an
-    /// [`AdjListGraph`](crate::adjlist::AdjListGraph). The edits are
-    /// sorted by edge, and one pass merges them into the sorted edge
-    /// list, copying the edges between them. The result is byte-identical
-    /// to a fresh build of the edited edge set, and a warm rebuild is
+    /// Apply `edits`, in order, to the held graph's edge set on the same
+    /// vertices, and return the number of net changes: the edges inserted
+    /// plus the edges deleted. The last edit of an edge decides whether
+    /// it is present, so repeated edits, inserts of present edges and
+    /// deletes of absent ones behave as on an
+    /// [`AdjListGraph`](crate::adjlist::AdjListGraph). With no net change
+    /// the held graph stays as it is. Otherwise one sweep patches it: the
+    /// changes merge into the sorted edge list, every surviving edge's
+    /// new id is recorded, and the rows are rewritten in order. A run of
+    /// unchanged rows copies its targets and maps its edge ids to the new
+    /// ones; a changed row splices its new neighbours in at their sorted
+    /// positions and drops its deleted ones; the offsets shift by the
+    /// degree change of the rows before. The result is byte-identical to
+    /// a fresh build of the edited edge set, and a warm patch is
     /// allocation-free.
-    pub fn rebuild_edited(&mut self, edits: &[EdgeEdit]) -> &CsrGraph {
+    pub fn rebuild_edited(&mut self, edits: &[EdgeEdit]) -> usize {
         let n = self.graph.num_vertices();
         self.edits.clear();
         self.edits.extend((0u32..).zip(edits).map(|(at, edit)| {
@@ -487,28 +515,119 @@ impl CsrScratch {
             ((u64::from(u.min(v)) << 32) | u64::from(u.max(v)), at)
         }));
         self.edits.sort_unstable();
-        let held = &self.graph.endpoints;
-        let merged = &mut self.merged;
+        let held = &self.graph;
+        let (patched, new_ids, changed) = (&mut self.patched, &mut self.new_ids, &mut self.changed);
+        let merged = &mut patched.endpoints;
         merged.clear();
-        merged.reserve(held.len() + self.edits.len());
+        new_ids.clear();
+        changed.clear();
         let mut copied = 0;
         for (i, &(key, at)) in self.edits.iter().enumerate() {
             if self.edits.get(i + 1).is_some_and(|next| next.0 == key) {
                 continue;
             }
-            let edge = ((key >> 32) as u32, key as u32);
-            let below = copied + held[copied..].partition_point(|&e| e < edge);
-            merged.extend_from_slice(&held[copied..below]);
-            copied = below + usize::from(held.get(below) == Some(&edge));
-            if let EdgeEdit::Insert(..) = edits[at as usize] {
-                merged.push(edge);
+            let (u, v) = ((key >> 32) as u32, key as u32);
+            let below = copied + held.endpoints[copied..].partition_point(|&e| e < (u, v));
+            let insert = matches!(edits[at as usize], EdgeEdit::Insert(..));
+            if insert == (held.endpoints.get(below) == Some(&(u, v))) {
+                continue;
             }
+            copy_edges(&held.endpoints, copied..below, merged, new_ids);
+            let id = if insert {
+                merged.push((u, v));
+                merged.len() as u32 - 1
+            } else {
+                new_ids.push(GONE);
+                GONE
+            };
+            copied = below + usize::from(!insert);
+            changed.push((key, id));
+            changed.push(((u64::from(v) << 32) | u64::from(u), id));
         }
-        merged.extend_from_slice(&held[copied..]);
-        std::mem::swap(&mut self.graph.endpoints, merged);
-        self.graph.layout(n, &mut self.degree);
-        &self.graph
+        if changed.is_empty() {
+            return 0;
+        }
+        let m = held.endpoints.len();
+        copy_edges(&held.endpoints, copied..m, merged, new_ids);
+        changed.sort_unstable();
+
+        let CsrGraph {
+            offsets,
+            targets,
+            half_edge_ids,
+            ..
+        } = patched;
+        offsets.clear();
+        offsets.reserve(n + 1);
+        offsets.push(0);
+        targets.clear();
+        targets.reserve(2 * merged.len());
+        half_edge_ids.clear();
+        half_edge_ids.reserve(2 * merged.len());
+        // Rows `row..x` are unchanged, then row `x` takes `changed[at..end]`.
+        let mut row = 0;
+        let mut at = 0;
+        loop {
+            let x = changed.get(at).map_or(n, |&(key, _)| (key >> 32) as usize);
+            let (lo, hi) = (held.offsets[row] as usize, held.offsets[x] as usize);
+            let shift = (targets.len() as u32).wrapping_sub(lo as u32);
+            offsets.extend(
+                held.offsets[row + 1..=x]
+                    .iter()
+                    .map(|&o| o.wrapping_add(shift)),
+            );
+            targets.extend_from_slice(&held.targets[lo..hi]);
+            half_edge_ids.extend(
+                held.half_edge_ids[lo..hi]
+                    .iter()
+                    .map(|&e| new_ids[e as usize]),
+            );
+            if x == n {
+                break;
+            }
+            let end = at + changed[at..].partition_point(|&(key, _)| key >> 32 == x as u64);
+            let mut splice = changed[at..end].iter().peekable();
+            let row_x = held.offsets[x] as usize..held.offsets[x + 1] as usize;
+            for (&t, &e) in held.targets[row_x.clone()]
+                .iter()
+                .zip(&held.half_edge_ids[row_x])
+            {
+                while let Some(&(key, id)) = splice.next_if(|&&(key, _)| (key as u32) < t) {
+                    if id != GONE {
+                        targets.push(key as u32);
+                        half_edge_ids.push(id);
+                    }
+                }
+                let id = new_ids[e as usize];
+                if id != GONE {
+                    targets.push(t);
+                    half_edge_ids.push(id);
+                }
+            }
+            for &(key, id) in splice.filter(|&&(_, id)| id != GONE) {
+                targets.push(key as u32);
+                half_edge_ids.push(id);
+            }
+            offsets.push(targets.len() as u32);
+            (row, at) = (x + 1, end);
+        }
+        debug_assert_eq!(targets.len(), 2 * merged.len());
+        std::mem::swap(&mut self.graph, &mut self.patched);
+        self.changed.len() / 2
     }
+}
+
+/// Append the held edges `held[run]` to `merged`, recording each one's
+/// new id, its position there.
+fn copy_edges(
+    held: &[(u32, u32)],
+    run: std::ops::Range<usize>,
+    merged: &mut Vec<(u32, u32)>,
+    new_ids: &mut Vec<u32>,
+) {
+    let base = merged.len() as u32;
+    new_ids.extend(base..base + run.len() as u32);
+    merged.extend_from_slice(&held[run]);
 }
 
 /// Build a graph from an edge list that is already strictly
@@ -782,17 +901,36 @@ mod tests {
             Delete(2, 3), // twice toggled, ends absent
         ];
         let want = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]);
-        assert_byte_identical(&want, scratch.rebuild_edited(&edits));
+        assert_eq!(scratch.rebuild_edited(&edits), 2);
+        assert_byte_identical(&want, scratch.graph());
+        // Toggles, re-asserts of present edges and deletes of absent ones
+        // change nothing, and the held graph stays as it is.
+        let unchanged = [
+            Delete(0, 1),
+            Insert(1, 0),
+            Insert(3, 0),
+            Insert(2, 1),
+            Delete(1, 3),
+            Insert(3, 1),
+            Delete(3, 1),
+        ];
+        let held = scratch.graph().targets.as_ptr();
+        assert_eq!(scratch.rebuild_edited(&unchanged), 0);
+        assert_eq!(scratch.graph().targets.as_ptr(), held);
+        assert_byte_identical(&want, scratch.graph());
         // More edits than edges, down to nothing and up again.
         let clear: Vec<EdgeEdit> = (0..3)
             .flat_map(|u| (u + 1..4).map(move |v| Delete(v, u)))
             .chain([Delete(0, 1)])
             .collect();
-        assert_byte_identical(&from_edges(4, []), scratch.rebuild_edited(&clear));
-        assert_byte_identical(&from_edges(4, []), scratch.rebuild_edited(&[]));
+        assert_eq!(scratch.rebuild_edited(&clear), 4);
+        assert_byte_identical(&from_edges(4, []), scratch.graph());
+        assert_eq!(scratch.rebuild_edited(&[]), 0);
+        assert_byte_identical(&from_edges(4, []), scratch.graph());
         let edits = [Insert(2, 3), Delete(2, 3), Insert(0, 3), Insert(2, 3)];
         let want = from_edges(4, [(0, 3), (2, 3)]);
-        assert_byte_identical(&want, scratch.rebuild_edited(&edits));
+        assert_eq!(scratch.rebuild_edited(&edits), 2);
+        assert_byte_identical(&want, scratch.graph());
     }
 
     #[test]
@@ -830,6 +968,56 @@ mod tests {
         let (n, m) = (g.num_vertices(), g.num_edges());
         assert_eq!(g.memory_bytes(), 4 * (n + 1) + 4 * 2 * m * 2 + 8 * m);
         assert_eq!(g.memory_bytes(), CsrGraph::projected_memory_bytes(n, m));
+    }
+
+    #[test]
+    fn capacity_bytes_audits_every_buffer() {
+        // Both graphs' 4-byte offsets and half-edge arrays and 8-byte
+        // endpoint pairs, the 4-byte degree buffer, the 16-byte edit and
+        // change entries and the 4-byte id map, each by its capacity.
+        // The destructuring names every field, so a new buffer does not
+        // compile here until it is audited.
+        use EdgeEdit::{Delete, Insert};
+        let (g, keep) = dense_graph_and_marks();
+        let mut scratch = CsrScratch::new();
+        scratch.rebuild_from_marked(&g, &keep);
+        let (u, v) = g.edge_endpoints(keep[0]);
+        assert_eq!(
+            scratch.rebuild_edited(&[Insert(u.0, v.0), Delete(v.0, u.0)]),
+            1
+        );
+        let CsrScratch {
+            graph,
+            degree,
+            edits,
+            changed,
+            new_ids,
+            patched,
+        } = &scratch;
+        let graph_bytes = |g: &CsrGraph| {
+            let CsrGraph {
+                offsets,
+                targets,
+                half_edge_ids,
+                endpoints,
+            } = g;
+            4 * offsets.capacity()
+                + 4 * targets.capacity()
+                + 4 * half_edge_ids.capacity()
+                + 8 * endpoints.capacity()
+        };
+        let want = graph_bytes(graph)
+            + graph_bytes(patched)
+            + 4 * degree.capacity()
+            + 16 * edits.capacity()
+            + 16 * changed.capacity()
+            + 4 * new_ids.capacity();
+        for g in [graph, patched] {
+            assert!(g.targets.capacity() >= 2 * (keep.len() - 1));
+        }
+        assert!(degree.capacity() * edits.capacity() * changed.capacity() > 0);
+        assert!(new_ids.capacity() >= keep.len());
+        assert_eq!(scratch.capacity_bytes(), want);
     }
 
     #[test]

@@ -38,6 +38,30 @@ fn check_offsets(g: &CsrGraph) -> TestCaseResult {
     Ok(())
 }
 
+/// The edges of the complete graph on `n` vertices, lex-sorted.
+fn complete_edges(n: u32) -> Vec<(u32, u32)> {
+    (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect()
+}
+
+/// Lay the graph of the lex-sorted `edges` out in `scratch` and patch
+/// its first edge out, so the scratch's second buffers end up holding
+/// this graph's arrays.
+fn detour_through(scratch: &mut CsrScratch, edges: &[(u32, u32)]) -> TestCaseResult {
+    let n = edges
+        .iter()
+        .map(|&(_, v)| v as usize + 1)
+        .max()
+        .unwrap_or(0);
+    check_offsets(scratch.rebuild_with(n, |e| e.extend_from_slice(edges)))?;
+    let (u, v) = edges[0];
+    prop_assert_eq!(scratch.rebuild_edited(&[EdgeEdit::Delete(v, u)]), 1);
+    let rest = edges[1..].iter().map(|&(u, v)| (u as usize, v as usize));
+    prop_assert_eq!(scratch.graph(), &from_edges(n, rest));
+    Ok(())
+}
+
 #[derive(Clone, Debug)]
 enum ArrayOp {
     Set(usize, u32),
@@ -187,11 +211,15 @@ proptest! {
         edges in arb_edges(),
         churn in arb_churn(),
         cuts in proptest::collection::vec(0..200usize, 0..6),
+        detours in proptest::collection::vec(0..3u8, 7),
     ) {
         // A random graph laid out once, then the churn replayed on the
         // laid-out edge list one batch at a time. On 24 vertices the churn
         // repeats edges, inserts present ones and deletes absent ones, and
-        // a batch may hold more edits than the graph has edges.
+        // a batch may hold more edits than the graph has edges. Each batch
+        // is followed by one that changes nothing, and some by a detour
+        // through a larger and a smaller graph, after which the patch's
+        // second buffers hold one of those graphs' arrays.
         let mut g = AdjListGraph::new(N);
         for (u, v) in edges {
             g.insert_edge(VertexId::new(u), VertexId::new(v));
@@ -202,7 +230,7 @@ proptest! {
         cuts.push(churn.len());
         cuts.sort_unstable();
         let mut start = 0;
-        for end in cuts {
+        for (end, detour) in cuts.into_iter().zip(detours) {
             let mut batch = Vec::new();
             for &(insert, u, v) in churn[start..end].iter().filter(|(_, u, v)| u != v) {
                 let (a, b) = (VertexId::new(u), VertexId::new(v));
@@ -216,9 +244,29 @@ proptest! {
             }
             let fresh = g.to_csr();
             check_offsets(&fresh)?;
-            let edited = scratch.rebuild_edited(&batch);
-            check_offsets(edited)?;
-            prop_assert_eq!(edited, &fresh);
+            scratch.rebuild_edited(&batch);
+            check_offsets(scratch.graph())?;
+            prop_assert_eq!(scratch.graph(), &fresh);
+            // Toggle every edge of the batch and back, and re-assert it.
+            let mut idle = Vec::new();
+            for &edit in &batch {
+                let (EdgeEdit::Insert(u, v) | EdgeEdit::Delete(u, v)) = edit;
+                idle.extend(if g.has_edge(VertexId(u), VertexId(v)) {
+                    [EdgeEdit::Delete(u, v), EdgeEdit::Insert(v, u), EdgeEdit::Insert(u, v)]
+                } else {
+                    [EdgeEdit::Insert(u, v), EdgeEdit::Delete(v, u), EdgeEdit::Delete(u, v)]
+                });
+            }
+            prop_assert_eq!(scratch.rebuild_edited(&idle), 0);
+            prop_assert_eq!(scratch.graph(), &fresh);
+            if detour > 0 {
+                let (large, small) = (complete_edges(40), complete_edges(3));
+                let order = if detour == 1 { [small, large] } else { [large, small] };
+                for edges in order {
+                    detour_through(&mut scratch, &edges)?;
+                }
+                prop_assert_eq!(g.to_csr_in(&mut scratch), &fresh);
+            }
             start = end;
         }
     }

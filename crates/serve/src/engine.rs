@@ -268,18 +268,27 @@ impl SessionEngine {
     ) -> Result<Json, WireError> {
         // Solve reflects dynamic updates: snapshot the matcher's current
         // graph if one exists, else use the resident static graph. The
-        // snapshot is the last one with the updates since merged in, or,
-        // when none is held, laid out from the adjacency list.
+        // snapshot is the last one patched with the net changes of the
+        // updates since, or, when none is held, laid out from the
+        // adjacency list.
         let g: &CsrGraph = match (&self.dynamic, &self.graph) {
             (Some(dm), _) => {
-                let snapshot = if self.snapshot_held {
-                    self.snapshot.rebuild_edited(&self.edits)
+                if self.snapshot_held {
+                    let net = self.snapshot.rebuild_edited(&self.edits);
+                    let path = if net == 0 {
+                        keys::SNAPSHOT_REUSED
+                    } else {
+                        keys::SNAPSHOT_PATCHED
+                    };
+                    self.meter.add(path, 1);
+                    self.meter.add(keys::SNAPSHOT_NET_EDITS, net as u64);
                 } else {
-                    dm.graph().to_csr_in(&mut self.snapshot)
-                };
+                    dm.graph().to_csr_in(&mut self.snapshot);
+                    self.meter.add(keys::SNAPSHOT_LAID_OUT, 1);
+                }
                 self.snapshot_held = true;
                 self.edits.clear();
-                snapshot
+                self.snapshot.graph()
             }
             (None, Some(g)) => g,
             (None, None) => {
@@ -717,6 +726,66 @@ mod tests {
                 let edges = delta.get("sparsifier_edges").unwrap().as_u64();
                 assert_eq!(edges, Some(model.len() as u64), "{spec}: G_Δ = G");
             }
+        }
+    }
+
+    #[test]
+    fn snapshot_counters_split_the_dynamic_solves_by_path() {
+        let mut engine = SessionEngine::new(EngineConfig::default());
+        handle(
+            &mut engine,
+            r#"{"id":1,"cmd":"load_graph","n":6,"family":"path"}"#,
+        )
+        .unwrap();
+        let solve = r#"{"id":2,"cmd":"solve","beta":1,"eps":0.5}"#;
+        let toggles = [r#"["insert",0,5],["delete",0,5]"#; 5].join(",");
+        // (ops before the solve, laid out, patched, reused, net edits)
+        // after each step; a static solve counts on no path.
+        let steps = [
+            ("", 0, 0, 0, 0),
+            (r#"["insert",0,2]"#, 1, 0, 0, 0),
+            ("", 1, 0, 1, 0),
+            (
+                r#"["insert",0,3],["delete",0,3],["insert",1,0]"#,
+                1,
+                0,
+                2,
+                0,
+            ),
+            (
+                r#"["delete",0,2],["insert",0,4],["delete",2,3]"#,
+                1,
+                1,
+                2,
+                3,
+            ),
+            (
+                r#"["insert",1,5],["insert",2,5],["insert",3,5]"#,
+                1,
+                2,
+                2,
+                6,
+            ),
+            // Ten ops outnumber the snapshot's eight edges: laid out afresh.
+            (&toggles, 2, 2, 2, 6),
+        ];
+        for (ops, laid_out, patched, reused, net) in steps {
+            if !ops.is_empty() {
+                let update =
+                    format!(r#"{{"id":3,"cmd":"update","ops":[{ops}],"beta":1,"eps":0.5}}"#);
+                handle(&mut engine, &update).unwrap();
+            }
+            handle(&mut engine, solve).unwrap();
+            let m = handle(&mut engine, r#"{"id":4,"cmd":"metrics"}"#).unwrap();
+            let counters = m.get("meter").unwrap().get("counters").unwrap();
+            let count = |key| counters.get(key).and_then(Json::as_u64).unwrap_or(0);
+            let got = [
+                count(keys::SNAPSHOT_LAID_OUT),
+                count(keys::SNAPSHOT_PATCHED),
+                count(keys::SNAPSHOT_REUSED),
+                count(keys::SNAPSHOT_NET_EDITS),
+            ];
+            assert_eq!(got, [laid_out, patched, reused, net], "after {ops:?}");
         }
     }
 

@@ -4,12 +4,13 @@
 //! Installs the counting global allocator and solves serve's graph
 //! (`clique-union:2:20` on 300 vertices) with both backends, in a static
 //! session and, between single-edge updates, in a dynamic one. The
-//! dynamic session merges the updates into the last solve's edge list
-//! and lays the snapshot out in buffers it keeps, and on this graph
-//! every vertex keeps all its edges, so the delta pipeline matches on
-//! the snapshot itself. Once the buffers have grown, each dynamic solve
-//! makes exactly the allocator calls of a warm static solve, which
-//! builds the same response.
+//! dynamic session patches each update into the last solve's snapshot,
+//! writing the patched arrays into second buffers it keeps and swapping
+//! them in, or reuses the snapshot when a solve follows a solve; on
+//! this graph every vertex keeps all its edges, so the delta pipeline
+//! matches on the snapshot itself. Once both sets of buffers have grown,
+//! each dynamic solve makes exactly the allocator calls of a warm static
+//! solve, which builds the same response.
 
 use sparsimatch_obs::alloc::{self, CountingAllocator};
 use sparsimatch_serve::protocol::parse_request;
