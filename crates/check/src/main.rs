@@ -185,7 +185,7 @@ fn main() {
         // The hook has reported the first panic with its location;
         // candidates that panic while shrinking stay quiet.
         let (small, stats) = shrink_instance(
-            &scenario.instance,
+            violation.witness.as_ref().unwrap_or(&scenario.instance),
             |candidate| quietly(|| oracle.check(candidate, &cfg)).is_some_and(|v| v.check == slug),
             DEFAULT_CALL_BUDGET,
         );

@@ -54,7 +54,10 @@
 //!   solved matching is within the claimed ratio of exact blossom. The
 //!   EDCS invariants and build identity are also checked on a dense
 //!   clique union drawn from the trial's seed, where the in-memory
-//!   fixpoint keeps its open-vertex tree.
+//!   fixpoint keeps its open-vertex tree; a violation there names that
+//!   graph, as an instance of family `dense clique-union`, as its
+//!   witness, and on such an instance the oracle runs those checks
+//!   alone, on its own edges.
 //!
 //! A whole seed sweep shares one [`PipelineScratch`] (see
 //! [`OracleKind::check_with_scratch`]), so every oracle's sequential
@@ -128,12 +131,17 @@ pub const BACKEND_ABS_SLACK: f64 = 2.0;
 const FLOAT_FUDGE: f64 = 1e-9;
 
 /// A failed check: which invariant broke, with a concrete witness.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Violation {
     /// Stable slug naming the invariant (e.g. `thm3.1-ratio`).
     pub check: String,
     /// Human-readable witness with the measured numbers.
     pub message: String,
+    /// The instance the check failed on when the oracle derived it from
+    /// the checked one (the backend oracle's dense clique union), so a
+    /// sweep shrinks and writes that instance instead; `None` when the
+    /// checked instance is the witness.
+    pub witness: Option<CheckInstance>,
 }
 
 impl Violation {
@@ -141,6 +149,7 @@ impl Violation {
         Violation {
             check: check.to_string(),
             message,
+            witness: None,
         }
     }
 }
@@ -1058,6 +1067,13 @@ fn check_backend(
     cfg: &CheckConfig,
     scratch: &mut PipelineScratch,
 ) -> Option<Violation> {
+    if inst.family == DENSE_EDCS_FAMILY {
+        // A dense clique union an earlier trial wrote out: its own edges
+        // take the dense fixpoint checks alone, so a shrink can cut them.
+        return backend_selected(cfg, BackendKind::Edcs)
+            .then(|| check_dense_edcs(inst))
+            .flatten();
+    }
     let g: CsrGraph = inst.graph();
     let n = g.num_vertices();
     let exact = maximum_matching(&g).len();
@@ -1121,17 +1137,31 @@ fn check_backend(
         }
         // The drawn instances are too small and their β too large for the
         // fixpoint's open-vertex tree, so each seed also checks the
-        // fixpoint on a dense graph that takes it.
-        let dense = EdcsBackend {
-            params: dense_edcs_params(),
-            eps: inst.eps,
-        };
-        if let Some(v) = check_edcs_fixpoint(&dense_edcs_graph(inst), &dense, "dense clique-union")
-        {
-            return Some(v);
+        // fixpoint on a dense graph that takes it, and names that graph
+        // as the witness of a violation there.
+        let dense = dense_edcs_instance(inst);
+        if let Some(v) = check_dense_edcs(&dense) {
+            return Some(Violation {
+                witness: Some(dense),
+                ..v
+            });
         }
     }
     None
+}
+
+/// The family name of the backend oracle's dense clique unions, which
+/// the seeded generator never draws.
+const DENSE_EDCS_FAMILY: &str = "dense clique-union";
+
+/// The EDCS fixpoint's checks at [`dense_edcs_params`] on `inst`'s own
+/// graph.
+fn check_dense_edcs(inst: &CheckInstance) -> Option<Violation> {
+    let dense = EdcsBackend {
+        params: dense_edcs_params(),
+        eps: inst.eps,
+    };
+    check_edcs_fixpoint(&inst.graph(), &dense, &inst.family)
 }
 
 /// The EDCS fixpoint's own sub-checks on `g`: the in-memory build's
@@ -1200,18 +1230,30 @@ fn dense_edcs_params() -> EdcsParams {
 /// average degree near 7n/16, above the `2·β·⌈log₂ n⌉ ≤ 48` the tree
 /// needs. (Against a fixpoint that skips past a stale `z`, cliques of n/2
 /// vertices failed on 3 of 400 seeds and these on 10.) The seed's own
-/// draw is unchanged.
-fn dense_edcs_graph(inst: &CheckInstance) -> CsrGraph {
+/// draw is unchanged. It is an instance of its own, with explicit edges,
+/// family [`DENSE_EDCS_FAMILY`], β = 2 (two clique layers), and `inst`'s
+/// ε, Δ and algorithm seed, so a violation on it shrinks and replays.
+fn dense_edcs_instance(inst: &CheckInstance) -> CheckInstance {
     let mut rng = StdRng::seed_from_u64(inst.algo_seed ^ 0xDE5E_EDC5);
     let n = rng.random_range(120..=150);
-    clique_union(
+    let g = clique_union(
         CliqueUnionConfig {
             n,
             diversity: 2,
             clique_size: n / 4,
         },
         &mut rng,
-    )
+    );
+    CheckInstance {
+        family: DENSE_EDCS_FAMILY.to_string(),
+        n: g.num_vertices(),
+        beta: 2,
+        eps: inst.eps,
+        delta: inst.delta,
+        algo_seed: inst.algo_seed,
+        edges: g.endpoint_pairs().to_vec(),
+        updates: Vec::new(),
+    }
 }
 
 /// The backend-generic half of the oracle: whatever a backend *claims*
@@ -1365,7 +1407,7 @@ mod tests {
         for seed in (6u64..300).step_by(7) {
             let s = Scenario::generate(seed, &cfg);
             assert_eq!(s.oracle, OracleKind::Backend, "seed {seed}");
-            let g = dense_edcs_graph(&s.instance);
+            let g = dense_edcs_instance(&s.instance).graph();
             let (n, m) = (g.num_vertices(), g.num_edges() as u64);
             assert!((120..=150).contains(&n), "seed {seed}: n = {n}");
             let backend = EdcsBackend {
@@ -1389,6 +1431,58 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn backend_checks_run_on_each_familys_own_graph() {
+        // A drawn instance's checks run on its own graph, then on the
+        // dense clique union drawn from its seed, which is an instance of
+        // its own; a dense instance's checks run on its edges alone.
+        let cfg = CheckConfig::default();
+        let mut scratch = PipelineScratch::new();
+        let mut families = std::collections::BTreeSet::new();
+        for seed in (6u64..400).step_by(7) {
+            let s = Scenario::generate(seed, &cfg);
+            let family = s.instance.family.split(':').next().unwrap().to_string();
+            if !families.insert(family) {
+                continue;
+            }
+            let dense = dense_edcs_instance(&s.instance);
+            assert_eq!(dense.family, DENSE_EDCS_FAMILY, "seed {seed}");
+            assert_eq!(dense.algo_seed, s.instance.algo_seed, "seed {seed}");
+            assert_eq!(dense.eps, s.instance.eps, "seed {seed}");
+            assert!(dense.updates.is_empty(), "seed {seed}");
+            // The union the seed draws, written out edge for edge.
+            let mut rng = StdRng::seed_from_u64(s.instance.algo_seed ^ 0xDE5E_EDC5);
+            let n = rng.random_range(120..=150);
+            let config = CliqueUnionConfig {
+                n,
+                diversity: 2,
+                clique_size: n / 4,
+            };
+            assert_eq!(dense.graph(), clique_union(config, &mut rng), "seed {seed}");
+            // Only its own edges: a cut instance keeps its cut, and one
+            // whose edge leaves its vertex set fails to build its graph.
+            let cut = CheckInstance {
+                edges: dense.edges[..dense.edges.len() / 3].to_vec(),
+                ..dense.clone()
+            };
+            assert_eq!(
+                OracleKind::Backend.check_with_scratch(&cut, &cfg, &mut scratch),
+                None
+            );
+            let outside = CheckInstance {
+                edges: vec![(0, dense.n as u32)],
+                ..dense
+            };
+            let v = OracleKind::Backend.check_with_scratch(&outside, &cfg, &mut scratch);
+            assert_eq!(
+                v.map(|v| v.check),
+                Some(PANIC_CHECK.to_string()),
+                "seed {seed}"
+            );
+        }
+        assert!(families.len() >= 7, "families drawn: {families:?}");
     }
 
     #[test]

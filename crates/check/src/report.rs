@@ -130,6 +130,7 @@ pub fn replay_str(text: &str) -> Result<ReplayReport, String> {
     let recorded = Violation {
         check: str_field(violation_doc, "check")?.to_string(),
         message: str_field(violation_doc, "message")?.to_string(),
+        witness: None,
     };
     let shrink_doc = field(&doc, "shrink")?;
     let stats = ShrinkStats {
@@ -189,6 +190,7 @@ mod tests {
         let v = Violation {
             check: "stub".to_string(),
             message: "synthetic".to_string(),
+            witness: None,
         };
         let doc = counterexample_doc(
             7,

@@ -510,6 +510,7 @@ fn check_replay_of_a_non_reproducing_file_exits_eight() {
     let v = Violation {
         check: "stale".to_string(),
         message: "recorded against an older build".to_string(),
+        witness: None,
     };
     let doc = counterexample_doc(
         3,
