@@ -27,8 +27,8 @@
 //! 4. Kept edges arrive lex-sorted and feed
 //!    [`sparsimatch_graph::csr::from_sorted_edges`] directly, which is
 //!    the same layout the in-memory path runs — the resulting CSR is
-//!    byte-identical to `from_marked_edges(parent, sorted_ids)`
-//!    (pinned by differential test and a check-harness oracle).
+//!    byte-identical to `parent.edge_subgraph(ids)` (pinned by
+//!    differential test and a check-harness oracle).
 //!
 //! Resident-memory accounting is analytic — the maximum over the phase
 //! working sets of the buffers this module owns (constant-size I/O
@@ -354,8 +354,8 @@ pub fn build_sparsifier_streamed_with_retry(
 
     // Layout: kept edges are a lex-sorted subsequence of the stream, so
     // they feed the sorted layout directly — the same code path
-    // `from_marked_edges(parent, ids)` and the in-memory pipeline bottom
-    // out in, hence the byte identity. The layout holds the kept buffer (becomes the
+    // `CsrGraph::edge_subgraph` and the in-memory pipeline bottom out
+    // in, hence the byte identity. The layout holds the kept buffer (becomes the
     // endpoint array), a 4n-byte degree/cursor array, and the finished
     // offset/target/half-edge arrays.
     let m_sparse = kept.len();

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sparsimatch_graph::adjlist::AdjListGraph;
 use sparsimatch_graph::analysis::arboricity::{arboricity_bounds, degeneracy, max_density};
 use sparsimatch_graph::csr::{from_edges, CsrGraph, CsrScratch, EdgeEdit, GraphBuilder};
-use sparsimatch_graph::ids::VertexId;
+use sparsimatch_graph::ids::{EdgeId, VertexId};
 use sparsimatch_graph::sparse_array::SparseArray;
 use std::collections::HashSet;
 
@@ -128,6 +128,36 @@ proptest! {
         for (_, u, v) in g.edges() {
             prop_assert!(h.has_edge(u, v));
         }
+    }
+
+    #[test]
+    fn edge_subgraph_equals_a_builder_build(
+        edges in arb_edges(),
+        picks in proptest::collection::vec(any::<u32>(), 0..200),
+        shape in 0..4usize,
+    ) {
+        let g = from_edges(N, edges);
+        let m = g.num_edges() as u32;
+        let picked = picks.iter().filter(|_| m > 0).map(|&p| EdgeId(p % m));
+        let all = (0..m).map(EdgeId);
+        // Unsorted with repeats, none, all of them backwards, and all of
+        // them after the unsorted picks.
+        let ids: Vec<EdgeId> = match shape {
+            0 => picked.collect(),
+            1 => Vec::new(),
+            2 => all.rev().collect(),
+            _ => picked.chain(all).collect(),
+        };
+        // The reference: the same endpoints through the builder's sort and
+        // dedup, array for array.
+        let mut b = GraphBuilder::new(N);
+        for &e in &ids {
+            let (u, v) = g.edge_endpoints(e);
+            b.add_edge(v, u);
+        }
+        let h = g.edge_subgraph(ids.into_iter());
+        check_offsets(&h)?;
+        prop_assert_eq!(&h, &b.build());
     }
 
     #[test]
@@ -323,4 +353,13 @@ proptest! {
         prop_assert!(num as u128 * g.num_vertices() as u128 >= g.num_edges() as u128 * den as u128);
         prop_assert!(den >= 1 && den <= g.num_vertices() as u64);
     }
+}
+
+/// An id at `m`, past the last edge but inside the last bitset word, is
+/// rejected rather than read past the edge list.
+#[test]
+#[should_panic(expected = "edge id 2 out of range for 2 edges")]
+fn edge_subgraph_rejects_an_out_of_range_id() {
+    let g = from_edges(4, [(0, 1), (1, 2)]);
+    let _ = g.edge_subgraph([EdgeId(0), EdgeId(2)].into_iter());
 }
