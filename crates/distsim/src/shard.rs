@@ -11,11 +11,11 @@
 //!    position) order, and a stable sort keeps that order among the
 //!    messages of one destination.
 //! 2. **Perfect broadcast.** Node `v` sends on every port, so the inboxes
-//!    have the graph's own CSR shape, and the message on half-edge `s`
-//!    belongs at the reverse half-edge of `s`. The messages are laid out
-//!    in half-edge order, and one pass over the edges swaps each edge's
-//!    two messages into place. A receiver's ports ascend by neighbor id,
-//!    so port order is sender order, the order of the unicast loop.
+//!    have the graph's own CSR shape. Each node keeps its one payload,
+//!    and each receiver's inbox is gathered in port order, port `j`
+//!    taking a clone of neighbour `j`'s payload. A receiver's ports ascend
+//!    by neighbor id, so port order is sender order, the order of the
+//!    unicast loop.
 //! 3. **Faulty.** Each sender shard runs the resilience layer's attempts
 //!    over its messages and logs every delivery as a `u32` message id,
 //!    attempt by attempt and in sender order within an attempt, a
@@ -28,8 +28,8 @@
 //! The vertex set is partitioned into contiguous CSR ranges balanced by
 //! half-edge count, one per worker. Resolving unicast messages, the
 //! faulty loop's attempts and acks, and inbox reorders run per shard; the
-//! sorts, the broadcast pass and the faulty loop's payload clones run on
-//! the calling thread. Per-worker [`Metrics`] and [`FaultStats`] are
+//! sorts, the broadcast gather and the faulty loop's payload clones run
+//! on the calling thread. Per-worker [`Metrics`] and [`FaultStats`] are
 //! merged in ascending shard order; every merged field is a sum or a max,
 //! so the totals do not depend on the shard count. One worker is the
 //! default, and a lone job runs inline, so a one-worker network never
@@ -47,7 +47,7 @@
 
 use crate::faults::{crash_aware_ball, FaultPlan, FaultStats, ResilienceParams};
 use crate::metrics::Metrics;
-use crate::network::{fan_out, Inboxes, Incoming, Net, Outbox, Outgoing};
+use crate::network::{Inboxes, Incoming, Net, Outbox, Outgoing};
 use sparsimatch_graph::csr::CsrGraph;
 use sparsimatch_graph::ids::VertexId;
 
@@ -425,7 +425,7 @@ pub struct Network<'g> {
     /// A faulty unicast round's half-edge slot and back slot per message.
     slot: Vec<u32>,
     back: Vec<u32>,
-    /// A faulty broadcast round's bits per sender.
+    /// A broadcast round's bits per sender.
     bits: Vec<u64>,
     /// Each sender shard's faulty-loop buffers.
     logs: Vec<ShardLog>,
@@ -589,40 +589,52 @@ impl<'g> Network<'g> {
         outbox.clear();
     }
 
-    /// Perfect broadcast: fill the message array in half-edge order, then
-    /// move every message to its reverse half-edge, its slot in the
-    /// receiver's CSR-shaped inbox. Reversal is an involution, so one swap
-    /// per edge, made from its lower endpoint, places both its messages.
+    /// A broadcast's one payload per node, with their bits left in `bits`,
+    /// after charging the fan-out's clones as `fan_out` counts them:
+    /// `deg(v) - 1` for every node with a port.
+    fn payloads_by_node<M>(&mut self, payloads: impl IntoIterator<Item = (M, u64)>) -> Vec<M> {
+        let n = self.graph.num_vertices();
+        let mut by_node = Vec::with_capacity(n);
+        self.bits.clear();
+        for (payload, bits) in payloads {
+            assert!(by_node.len() < n, "one broadcast payload per node");
+            by_node.push(payload);
+            self.bits.push(bits);
+        }
+        assert_eq!(by_node.len(), n, "one broadcast payload per node");
+        let half_edges = self.graph.offsets()[n] as usize;
+        self.metrics.messages_cloned += (half_edges - self.graph.num_non_isolated()) as u64;
+        by_node
+    }
+
+    /// Perfect broadcast: each node keeps its one payload, and each
+    /// receiver's CSR-shaped inbox is filled in port order, port `j`
+    /// taking a clone of neighbour `j`'s payload. A receiver's ports
+    /// ascend by neighbour id, so port order is sender order.
     fn broadcast_perfect<M: Clone>(
         &mut self,
         payloads: impl IntoIterator<Item = (M, u64)>,
         inboxes: &mut Inboxes<M>,
     ) {
-        let n = self.graph.num_vertices();
-        self.metrics.rounds += 1;
-        let graph = self.graph;
-        let (offsets, peer_port) = (graph.offsets(), &self.peer_port[..]);
+        let by_node = self.payloads_by_node(payloads);
+        let (graph, m) = (self.graph, &mut self.metrics);
+        m.rounds += 1;
         let (inbox_offsets, items) = inboxes.columns();
         items.clear();
-        items.reserve(offsets[n] as usize);
-        let mut m = Metrics::new();
-        m.messages_cloned = fan_out(graph, payloads, |v, port, payload, bits| {
-            items.push((peer_port[offsets[v] as usize + port] as usize, payload));
-            m.messages += 1;
-            m.bits += bits;
-            m.max_message_bits = m.max_message_bits.max(bits);
-        });
-        for v in 0..n {
-            for (i, u) in graph.neighbors(VertexId::new(v)).enumerate() {
-                if u.index() > v {
-                    let s = offsets[v] as usize + i;
-                    items.swap(s, (offsets[u.index()] + peer_port[s]) as usize);
-                }
+        // Node `v` sends one message on each of its ports and gets one.
+        for (v, &bits) in self.bits.iter().enumerate() {
+            let v = VertexId::new(v);
+            let ports = graph.neighbors(v).enumerate();
+            items.extend(ports.map(|(j, u)| (j, by_node[u.index()].clone())));
+            let deg = graph.degree(v) as u64;
+            m.messages += deg;
+            m.bits += deg * bits;
+            if deg > 0 {
+                m.max_message_bits = m.max_message_bits.max(bits);
             }
         }
         inbox_offsets.clear();
-        inbox_offsets.extend(offsets.iter().map(|&o| o as usize));
-        self.metrics.absorb(m);
+        inbox_offsets.extend(graph.offsets().iter().map(|&o| o as usize));
     }
 
     /// Keep one log per shard for a faulty round of `messages` messages.
@@ -718,20 +730,10 @@ impl<'g> Network<'g> {
         inboxes: &mut Inboxes<M>,
     ) {
         let n = self.graph.num_vertices();
-        let mut by_node = Vec::with_capacity(n);
-        self.bits.clear();
-        for (payload, bits) in payloads {
-            assert!(by_node.len() < n, "one broadcast payload per node");
-            by_node.push(payload);
-            self.bits.push(bits);
-        }
-        assert_eq!(by_node.len(), n, "one broadcast payload per node");
-        // The fan-out's clones, as `fan_out` counts them: `deg(v) - 1` for
-        // every node with a port.
+        let by_node = self.payloads_by_node(payloads);
         let graph = self.graph;
         let offsets = graph.offsets();
         let half_edges = offsets[n] as usize;
-        self.metrics.messages_cloned += (half_edges - graph.num_non_isolated()) as u64;
         self.ready_logs(half_edges);
         let attempts = Attempts {
             plan: &self.plan,
@@ -924,7 +926,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sparsimatch_graph::csr::from_edges;
-    use sparsimatch_graph::generators::{gnp, path, star};
+    use sparsimatch_graph::generators::{gnp, path, power_law, star};
 
     fn all_broadcast(g: &CsrGraph) -> Vec<Vec<Outgoing<u32>>> {
         (0..g.num_vertices())
@@ -1032,6 +1034,49 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(seq.metrics(), par.metrics());
         assert_eq!(par.metrics().messages_cloned, 3);
+    }
+
+    #[test]
+    fn perfect_broadcast_gathers_what_the_unicast_fan_out_delivers() {
+        let pl = power_law(300, 3, &mut StdRng::seed_from_u64(8));
+        // Every odd vertex isolated, and a tail of isolated vertices.
+        let spread = from_edges(
+            605,
+            pl.edges().map(|(_, u, v)| (2 * u.index(), 2 * v.index())),
+        );
+        for g in [star(40), spread] {
+            let n = g.num_vertices();
+            let deg = |v: usize| g.degree(VertexId::new(v));
+            // The senders' bits vary, and an isolated node's are never sent.
+            let bits = |v: usize| {
+                if deg(v) == 0 {
+                    1 << 20
+                } else {
+                    8 + v as u64 % 5
+                }
+            };
+            let fan_out: u64 = (0..n).map(|v| deg(v).saturating_sub(1) as u64).sum();
+            for t in [1usize, 2, 4] {
+                let mut unicast = Network::new(&g).with_threads(t);
+                let out = (0..n)
+                    .map(|v| (0..deg(v)).map(|p| (p, v as u32, bits(v))).collect())
+                    .collect();
+                let want = unicast.exchange(out);
+                let mut broadcast = Network::new(&g).with_threads(t);
+                let mut inboxes = Inboxes::new();
+                broadcast.broadcast_into((0..n).map(|v| (v as u32, bits(v))), &mut inboxes);
+                for (v, want) in want.iter().enumerate() {
+                    assert_eq!(inboxes.of(v), &want[..], "t = {t}, receiver {v}");
+                }
+                let got = broadcast.metrics();
+                assert_eq!(got.messages_cloned, fan_out, "t = {t}");
+                let got = Metrics {
+                    messages_cloned: 0,
+                    ..got
+                };
+                assert_eq!(got, unicast.metrics(), "t = {t}");
+            }
+        }
     }
 
     #[test]
