@@ -216,17 +216,9 @@ impl WorkMeter {
     /// Deterministic snapshot: counters and maxima only, no timings.
     /// For a fixed seed this is byte-stable across runs.
     pub fn snapshot_counters(&self) -> Json {
-        let mut counters = Json::object();
-        for (k, v) in &self.counters {
-            counters.set(k, *v);
-        }
-        let mut maxima = Json::object();
-        for (k, v) in &self.maxima {
-            maxima.set(k, *v);
-        }
         let mut obj = Json::object();
-        obj.set("counters", counters);
-        obj.set("maxima", maxima);
+        obj.set("counters", members(&self.counters, |&v| v.into()));
+        obj.set("maxima", members(&self.maxima, |&v| v.into()));
         obj
     }
 
@@ -235,16 +227,22 @@ impl WorkMeter {
     /// behind `SPARSIMATCH_METRICS_TIMINGS=1` to keep files byte-stable).
     pub fn snapshot_full(&self) -> Json {
         let mut obj = self.snapshot_counters();
-        let mut spans = Json::object();
-        for (k, s) in &self.spans {
+        let spans = members(&self.spans, |s| {
             let mut span = Json::object();
             span.set("count", s.count);
             span.set("total_nanos", s.total_nanos as u64);
-            spans.set(k, span);
-        }
+            span
+        });
         obj.set("spans", spans);
         obj
     }
+}
+
+/// An object with one member per entry of `map`, in key order: the keys
+/// are distinct, so it skips [`Json::set`]'s scan for an earlier member
+/// of the same key, which would make a snapshot quadratic in its keys.
+fn members<T>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> Json) -> Json {
+    Json::Object(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
 }
 
 #[cfg(test)]
@@ -313,6 +311,52 @@ mod tests {
         assert_eq!(a.get("y"), 3);
         assert_eq!(a.get_max("m"), 5);
         assert_eq!(a.span_stats("t").count, 1);
+    }
+
+    #[test]
+    fn snapshots_equal_the_set_built_objects() {
+        let mut m = WorkMeter::new();
+        for i in 0..40u64 {
+            m.add(&format!("counter.{:02}", (i * 17) % 40), i);
+            m.record_max(&format!("max.{}", i % 7), i);
+            m.add_span(&format!("span.{}", i % 5), 1, u128::from(i) * 1_000);
+        }
+        let by_set = |map: Vec<(String, Json)>| {
+            let mut obj = Json::object();
+            for (k, v) in map {
+                obj.set(&k, v);
+            }
+            obj
+        };
+        let mut want = Json::object();
+        want.set(
+            "counters",
+            by_set(
+                m.counters
+                    .iter()
+                    .map(|(k, &v)| (k.clone(), v.into()))
+                    .collect(),
+            ),
+        );
+        want.set(
+            "maxima",
+            by_set(
+                m.maxima
+                    .iter()
+                    .map(|(k, &v)| (k.clone(), v.into()))
+                    .collect(),
+            ),
+        );
+        assert_eq!(m.snapshot_counters().to_pretty(), want.to_pretty());
+        let spans = m.spans.iter().map(|(k, s)| {
+            let mut span = Json::object();
+            span.set("count", s.count);
+            span.set("total_nanos", s.total_nanos as u64);
+            (k.clone(), span)
+        });
+        want.set("spans", by_set(spans.collect()));
+        assert_eq!(m.snapshot_full().to_pretty(), want.to_pretty());
+        assert_eq!(m.snapshot_full(), want);
     }
 
     #[test]
