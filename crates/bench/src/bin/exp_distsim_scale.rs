@@ -3,17 +3,18 @@
 //!
 //! Runs the randomized distributed pipeline (sparsify → solomon →
 //! Israeli–Itai) on the clique-union and power-law families at a fixed
-//! node count, once per thread count in [1, 2, 4, 8]. Two properties are
-//! recorded:
+//! node count, three times per thread count in [1, 2, 4, 8]. Two
+//! properties are recorded:
 //!
-//! 1. **Byte identity** (a hard bound): at every thread count the
-//!    matching pairs, rounds, messages, and bits must equal the
-//!    `threads = 1` run exactly — the fingerprint column must be `true`
-//!    on every row or the run fails. At quick scale with the default node
-//!    count, the `threads = 1` fingerprints must also equal two frozen
-//!    constants, so a change to the simulator's behaviour fails here.
-//! 2. **Wall time** (measured honestly, not gated): per-row wall-clock
-//!    and speedup vs the `threads = 1` row, alongside the host's actual
+//! 1. **Byte identity** (a hard bound): in every run the matching pairs,
+//!    rounds, messages, and bits must equal the first `threads = 1` run
+//!    exactly — the fingerprint column must be `true` on every row or the
+//!    run fails. At quick scale with the default node count, the
+//!    `threads = 1` fingerprints must also equal two frozen constants, so
+//!    a change to the simulator's behaviour fails here.
+//! 2. **Wall time** (measured honestly, not gated): per-row median and
+//!    samples of the three runs' wall-clock, and the speedup of the
+//!    median vs the `threads = 1` row's, alongside the host's actual
 //!    `available_parallelism`. On a single-core host the sharded rows
 //!    are expected to show speedup ≤ 1 — the experiment pins the
 //!    determinism contract; the parallel win needs real cores.
@@ -78,6 +79,7 @@ struct Row {
     bits: u64,
     matching: usize,
     wall_ms: f64,
+    wall_ms_samples: [f64; 3],
     speedup: f64,
     fingerprint_match: bool,
 }
@@ -93,31 +95,48 @@ fn run_family(
     table: &mut Table,
 ) -> Vec<Row> {
     let mut rows = Vec::new();
-    let mut base: Option<(u64, f64)> = None; // threads = 1 (fingerprint, wall_ms)
+    let mut base_fp = None; // the first threads = 1 run's fingerprint
+    let mut base_ms = 0.0; // the threads = 1 row's median wall time
     for threads in THREAD_COUNTS {
-        let t0 = Instant::now();
-        let out = distributed_randomized_maximal_sharded(g, params, ALGO_SEED, None, threads);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let fp = fingerprint(&out);
-        let (base_fp, base_ms) = *base.get_or_insert((fp, wall_ms));
-        let (want, reference) = match threads {
-            1 => (frozen, "the frozen one"),
-            _ => (Some(base_fp), "the t=1 run's"),
-        };
-        let fingerprint_match = want.is_none_or(|want| fp == want);
-        violations.check(fingerprint_match, || {
-            format!("{family}: t={threads} fingerprint {fp:#018x} differs from {reference}")
-        });
+        let mut wall_ms_samples = [0.0; 3];
+        let mut fingerprint_match = true;
+        let mut shape = (0, 0, 0, 0); // rounds, messages, bits, |M|
+        for sample in &mut wall_ms_samples {
+            let t0 = Instant::now();
+            let out = distributed_randomized_maximal_sharded(g, params, ALGO_SEED, None, threads);
+            *sample = t0.elapsed().as_secs_f64() * 1e3;
+            let fp = fingerprint(&out);
+            let (want, reference) = match base_fp {
+                None => (frozen, "the frozen one"),
+                Some(base) => (Some(base), "the first t=1 run's"),
+            };
+            let matched = want.is_none_or(|want| fp == want);
+            violations.check(matched, || {
+                format!("{family}: t={threads} fingerprint {fp:#018x} differs from {reference}")
+            });
+            fingerprint_match &= matched;
+            base_fp.get_or_insert(fp);
+            let m = &out.metrics;
+            shape = (m.rounds, m.messages, m.bits, out.matching.len());
+        }
+        let mut sorted = wall_ms_samples;
+        sorted.sort_by(f64::total_cmp);
+        let wall_ms = sorted[1];
+        if threads == 1 {
+            base_ms = wall_ms;
+        }
+        let (rounds, messages, bits, matching) = shape;
         let row = Row {
             family,
             n: g.num_vertices(),
             m: g.num_edges(),
             threads,
-            rounds: out.metrics.rounds,
-            messages: out.metrics.messages,
-            bits: out.metrics.bits,
-            matching: out.matching.len(),
+            rounds,
+            messages,
+            bits,
+            matching,
             wall_ms,
+            wall_ms_samples,
             speedup: base_ms / wall_ms,
             fingerprint_match,
         };
@@ -241,6 +260,8 @@ fn main() {
             row.set("bits", r.bits);
             row.set("matching", r.matching);
             row.set("wall_ms", r.wall_ms);
+            let samples = r.wall_ms_samples.iter().map(|&ms| Json::from(ms));
+            row.set("wall_ms_samples", Json::Array(samples.collect()));
             row.set("speedup", r.speedup);
             row.set("fingerprint_match", r.fingerprint_match);
             row

@@ -558,7 +558,23 @@ fn assert_distsim_scale_schema(doc: &Json, min_nodes: u64) {
         assert!(row.get("messages").unwrap().as_u64().unwrap() > 0);
         assert!(row.get("bits").unwrap().as_u64().unwrap() > 0);
         assert!(row.get("matching").unwrap().as_u64().unwrap() > 0);
-        assert!(row.get("wall_ms").unwrap().as_f64().unwrap() > 0.0);
+        let wall_ms = row.get("wall_ms").unwrap().as_f64().unwrap();
+        assert!(wall_ms > 0.0);
+        let mut samples: Vec<f64> = row
+            .get("wall_ms_samples")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|ms| ms.as_f64().unwrap())
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        assert_eq!(samples.len(), 3, "{family} t={threads}: three timed runs");
+        assert!(samples[0] > 0.0);
+        assert_eq!(
+            wall_ms, samples[1],
+            "{family} t={threads}: wall_ms is the median"
+        );
         let speedup = row.get("speedup").unwrap().as_f64().unwrap();
         assert!(speedup > 0.0, "speedup must be present and positive");
         if threads == 1 {

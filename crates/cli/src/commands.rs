@@ -8,7 +8,7 @@ use crate::args::{
 use crate::error::CliError;
 use rand::{rngs::StdRng, SeedableRng};
 use sparsimatch_core::edcs::{approx_mcm_via_edcs_with_scratch_metered, EdcsParams};
-use sparsimatch_core::params::SparsifierParams;
+use sparsimatch_core::params::{check_eps, SparsifierParams};
 use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_with_scratch_metered;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_core::sparsifier::{build_sparsifier, ThreadCountError, MAX_THREADS};
@@ -43,43 +43,6 @@ fn require_probability(name: &str, p: f64) -> Result<(), CliError> {
     } else {
         Err(CliError::InvalidParam(format!(
             "{name} must be a probability in [0, 1], got {p}"
-        )))
-    }
-}
-
-/// Reject a flag value that must be a finite positive number.
-fn require_positive(name: &str, x: f64) -> Result<(), CliError> {
-    if x.is_finite() && x > 0.0 {
-        Ok(())
-    } else {
-        Err(CliError::InvalidParam(format!(
-            "{name} must be a finite positive number, got {x}"
-        )))
-    }
-}
-
-/// Reject an ε outside the open interval (0, 1). The sparsifier's Δ
-/// sizing divides by ε and the augmenting-path length bound needs
-/// ε < 1, so values on or past either endpoint would trip internal
-/// asserts instead of producing a typed exit-7 error.
-fn require_eps(name: &str, eps: f64) -> Result<(), CliError> {
-    if eps.is_finite() && 0.0 < eps && eps < 1.0 {
-        Ok(())
-    } else {
-        Err(CliError::InvalidParam(format!(
-            "{name} must be in the open interval (0, 1), got {eps}"
-        )))
-    }
-}
-
-/// Reject β = 0, which [`SparsifierParams`] asserts against (any graph
-/// with an edge has neighborhood independence at least 1).
-fn require_beta(name: &str, beta: usize) -> Result<(), CliError> {
-    if beta >= 1 {
-        Ok(())
-    } else {
-        Err(CliError::InvalidParam(format!(
-            "{name} must be at least 1, got 0"
         )))
     }
 }
@@ -237,10 +200,7 @@ pub fn analyze(args: AnalyzeArgs, out: Out<'_>) -> Result<(), CliError> {
 /// `sparsimatch sparsify`.
 pub fn sparsify(args: SparsifyArgs, out: Out<'_>) -> Result<(), CliError> {
     let g = read_edge_list_file(&args.input)?;
-    require_beta("--beta", args.beta)?;
-    require_eps("--eps", args.eps)?;
-    require_positive("--scale", args.scale)?;
-    let params = SparsifierParams::scaled(args.beta, args.eps, args.scale);
+    let params = SparsifierParams::try_scaled(args.beta, args.eps, args.scale)?;
     let mut meter = WorkMeter::new();
     // Every thread count (including 1) takes the seeded per-vertex path,
     // so the output depends only on the seed, never on `--threads`.
@@ -287,9 +247,7 @@ pub fn do_match(args: MatchArgs, out: Out<'_>) -> Result<(), CliError> {
             meter.time("match", |_| greedy_maximal_matching(&g)),
         ),
         MatchAlgo::Sparsify { beta, eps } => {
-            require_beta("--beta", beta)?;
-            require_eps("--eps", eps)?;
-            let params = SparsifierParams::practical(beta, eps);
+            let params = SparsifierParams::try_practical(beta, eps)?;
             // One seeded pipeline for every thread count: `--threads`
             // accelerates marking, extraction, and matching without
             // changing a single output byte.
@@ -312,7 +270,7 @@ pub fn do_match(args: MatchArgs, out: Out<'_>) -> Result<(), CliError> {
             ("sparsify+match", r.matching)
         }
         MatchAlgo::Edcs { beta, lambda, eps } => {
-            require_eps("--eps", eps)?;
+            check_eps(eps)?;
             let lambda = lambda.unwrap_or_else(|| EdcsParams::default_lambda(beta));
             let params =
                 EdcsParams::new(beta, lambda).map_err(|e| CliError::InvalidParam(e.to_string()))?;
@@ -366,8 +324,7 @@ pub fn distsim(args: DistsimArgs, out: Out<'_>) -> Result<(), CliError> {
     require_probability("--duplicate", args.duplicate)?;
     require_probability("--reorder", args.reorder)?;
     require_probability("--crash", args.crash)?;
-    require_beta("--beta", args.beta)?;
-    require_eps("--eps", args.eps)?;
+    let params = SparsifierParams::try_practical(args.beta, args.eps)?;
     if args.crash_period == 0 {
         return Err(CliError::InvalidParam(
             "--crash-period must be at least 1".into(),
@@ -397,7 +354,6 @@ pub fn distsim(args: DistsimArgs, out: Out<'_>) -> Result<(), CliError> {
     } else {
         ResilienceParams::off()
     };
-    let params = SparsifierParams::practical(args.beta, args.eps);
     type ShardedRun = fn(
         &CsrGraph,
         &SparsifierParams,

@@ -18,6 +18,7 @@
 //! The codes are part of the CLI contract and pinned by
 //! `tests/bin_smoke.rs`; change them only with a changelog entry.
 
+use sparsimatch_core::params::ParamsError;
 use sparsimatch_core::sparsifier::ThreadCountError;
 use sparsimatch_graph::io::ReadError;
 
@@ -112,6 +113,12 @@ impl From<ReadError> for CliError {
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e.to_string())
+    }
+}
+
+impl From<ParamsError> for CliError {
+    fn from(e: ParamsError) -> Self {
+        CliError::InvalidParam(e.to_string())
     }
 }
 

@@ -336,27 +336,38 @@ fn backend_parameter_bounds_exit_seven() {
     std::fs::write(&file, "4 2\n0 1\n2 3\n").unwrap();
     let f = file.to_str().unwrap();
 
-    // Latent panics in SparsifierParams::scaled are now typed CLI errors.
-    assert_fails(
-        &["match", f, "--beta", "0", "--eps", "0.4"],
-        7,
-        "--beta must be at least 1",
-    );
-    assert_fails(
-        &["match", f, "--beta", "2", "--eps", "1"],
-        7,
-        "open interval (0, 1)",
-    );
-    assert_fails(
-        &["sparsify", f, "--beta", "0", "--eps", "0.4"],
-        7,
-        "--beta must be at least 1",
-    );
-    assert_fails(
-        &["distsim", f, "--beta", "2", "--eps", "NaN"],
-        7,
-        "open interval (0, 1)",
-    );
+    // Latent panics in SparsifierParams::scaled are typed CLI errors, and
+    // the bounds are serve's: no wrapped Δ, and no ε so small that the
+    // augmentation runs millions of phases.
+    let eps_window = "eps must be in [0.000001, 1), got";
+    for (line, needle) in [
+        ("match F --beta 0 --eps 0.4", "beta must be at least 1"),
+        ("match F --beta 2 --eps 1", eps_window),
+        ("sparsify F --beta 0 --eps 0.4", "beta must be at least 1"),
+        ("distsim F --beta 2 --eps NaN", eps_window),
+        (
+            "sparsify F --beta 18446744073709551615 --eps 0.5",
+            "beta = 18446744073709551615 exceeds the cap of 134217728",
+        ),
+        ("distsim F --beta 1 --eps 1e-300", eps_window),
+        ("match F --beta 1 --eps 1e-7", eps_window),
+        ("match F --beta 1 --eps 1e-300", eps_window),
+        (
+            "sparsify F --beta 1 --eps 0.5 --scale 1e300",
+            "over the cap of 134217728",
+        ),
+        ("match F --backend edcs --eps 1e-300", eps_window),
+        (
+            "match F --backend edcs --edcs-beta 134217729 --eps 0.3",
+            "edcs_beta = 134217729 exceeds the cap of 134217728",
+        ),
+    ] {
+        let args: Vec<&str> = line
+            .split(' ')
+            .map(|a| if a == "F" { f } else { a })
+            .collect();
+        assert_fails(&args, 7, needle);
+    }
 
     // EDCS-specific bounds surface the library's own invariant messages.
     assert_fails(

@@ -43,6 +43,7 @@
 //! the average degree `2m/n` is at least `2·β·⌈log₂ n⌉`, and otherwise
 //! each pass evaluates every edge in id order, 64 edges per bitset word.
 
+use crate::params::MAX_BETA;
 use crate::pipeline::PipelineResult;
 use crate::scratch::PipelineScratch;
 use crate::sparsifier::{SparsifierStats, ThreadCountError, MAX_THREADS};
@@ -73,6 +74,12 @@ pub struct EdcsParams {
 /// the same typed treatment the delta backend's bounds get.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EdcsParamsError {
+    /// `β > MAX_BETA`: no admissible graph needs a degree-sum ceiling
+    /// above the vertex cap.
+    BetaTooLarge {
+        /// The rejected value.
+        beta: usize,
+    },
     /// `β < 2`: Property A would forbid every edge (an edge's two
     /// endpoints each contribute at least degree 1, so `β ≥ 2`).
     BetaTooSmall {
@@ -98,6 +105,9 @@ pub enum EdcsParamsError {
 impl std::fmt::Display for EdcsParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EdcsParamsError::BetaTooLarge { beta } => {
+                write!(f, "edcs_beta = {beta} exceeds the cap of {MAX_BETA}")
+            }
             EdcsParamsError::BetaTooSmall { beta } => {
                 write!(f, "EDCS beta must be at least 2, got {beta}")
             }
@@ -116,9 +126,10 @@ impl std::fmt::Display for EdcsParamsError {
 impl std::error::Error for EdcsParamsError {}
 
 impl EdcsParams {
-    /// Validate and construct. Requires `β ≥ 2`, `λ` finite in `(0, 1)`,
-    /// and `λ·β ≥ 1` (equivalently `β⁻ ≤ β − 1`, the slack the fixpoint's
-    /// termination argument and Property A/B compatibility both need).
+    /// Validate and construct. Requires `2 ≤ β ≤ MAX_BETA`, `λ` finite in
+    /// `(0, 1)`, and `λ·β ≥ 1` (equivalently `β⁻ ≤ β − 1`, the slack the
+    /// fixpoint's termination argument and Property A/B compatibility
+    /// both need).
     ///
     /// # Examples
     ///
@@ -131,6 +142,9 @@ impl EdcsParams {
     /// assert!(EdcsParams::new(16, 0.01).is_err()); // lambda * beta < 1
     /// ```
     pub fn new(beta: usize, lambda: f64) -> Result<EdcsParams, EdcsParamsError> {
+        if beta > MAX_BETA {
+            return Err(EdcsParamsError::BetaTooLarge { beta });
+        }
         if beta < 2 {
             return Err(EdcsParamsError::BetaTooSmall { beta });
         }
@@ -296,13 +310,6 @@ pub(crate) struct FixpointScratch {
 }
 
 impl FixpointScratch {
-    pub(crate) fn clear(&mut self) {
-        self.in_h.clear();
-        self.deg.clear();
-        self.row_end.clear();
-        self.tree.nodes.clear();
-    }
-
     pub(crate) fn capacity_bytes(&self) -> usize {
         self.in_h.capacity() * std::mem::size_of::<u64>()
             + (self.deg.capacity() + self.row_end.capacity()) * std::mem::size_of::<u32>()
@@ -879,6 +886,11 @@ mod tests {
         assert_eq!(
             EdcsParams::new(0, 0.5),
             Err(EdcsParamsError::BetaTooSmall { beta: 0 })
+        );
+        assert!(EdcsParams::new(MAX_BETA, 0.5).is_ok());
+        assert_eq!(
+            EdcsParams::new(MAX_BETA + 1, 0.5),
+            Err(EdcsParamsError::BetaTooLarge { beta: MAX_BETA + 1 })
         );
         for bad in [0.0, 1.0, -0.1, f64::NAN, f64::INFINITY] {
             assert!(EdcsParams::new(8, bad).is_err(), "lambda = {bad}");

@@ -6,6 +6,48 @@
 //! (experiment E11 quantifies this), so [`SparsifierParams`] carries an
 //! explicit scale factor with the paper's value as `scale = 1`.
 
+use sparsimatch_graph::io::MAX_VERTICES;
+use std::fmt;
+
+/// Floor on ε. The theorem needs `0 < ε < 1`, and the floor also refuses
+/// subnormal-tiny values: Δ grows as `(β/ε)·ln(24/ε)` and the
+/// augmentation runs a phase per odd path length up to about `2/ε`, so an
+/// un-floored ε lets one request demand unbounded allocation and compute.
+pub const MIN_EPS: f64 = 1e-6;
+
+/// Cap on β. A neighborhood-independence bound above the vertex cap
+/// cannot describe any admissible graph.
+pub const MAX_BETA: usize = MAX_VERTICES;
+
+/// Cap on the derived per-vertex mark count Δ. At `Δ ≥ MAX_VERTICES` the
+/// mark cap exceeds any admissible degree, so every edge is kept and a
+/// larger Δ only inflates buffers (and `2Δ` may wrap).
+pub const MAX_DELTA: usize = MAX_VERTICES;
+
+/// A parameter refused by [`SparsifierParams::try_scaled`] or
+/// [`check_eps`]; the message names it and the bound it broke.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParamsError(String);
+
+impl fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ParamsError {}
+
+/// Check ε against the window `[MIN_EPS, 1)` (NaN fails it too).
+pub fn check_eps(eps: f64) -> Result<(), ParamsError> {
+    if (MIN_EPS..1.0).contains(&eps) {
+        Ok(())
+    } else {
+        Err(ParamsError(format!(
+            "eps must be in [{MIN_EPS}, 1), got {eps}"
+        )))
+    }
+}
+
 /// Parameters of the random sparsifier `G_Δ`.
 ///
 /// ```
@@ -54,6 +96,42 @@ impl SparsifierParams {
             eps,
             delta: delta.max(1),
         }
+    }
+
+    /// [`SparsifierParams::practical`], or why `(β, ε)` is out of bounds
+    /// (see [`SparsifierParams::try_scaled`]).
+    pub fn try_practical(beta: usize, eps: f64) -> Result<Self, ParamsError> {
+        Self::try_scaled(beta, eps, 1.0 / 20.0)
+    }
+
+    /// [`SparsifierParams::scaled`] for parameters from a wire request or
+    /// a command line: when `1 ≤ β ≤ MAX_BETA`, ε passes [`check_eps`],
+    /// the scale is finite and positive and the derived Δ is at most
+    /// [`MAX_DELTA`]; otherwise the first bound broken, instead of a
+    /// panic or unbounded memory and compute.
+    pub fn try_scaled(beta: usize, eps: f64, scale: f64) -> Result<Self, ParamsError> {
+        if beta == 0 {
+            return Err(ParamsError("beta must be at least 1".into()));
+        }
+        if beta > MAX_BETA {
+            return Err(ParamsError(format!(
+                "beta = {beta} exceeds the cap of {MAX_BETA}"
+            )));
+        }
+        check_eps(eps)?;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(ParamsError(format!(
+                "scale must be a finite positive number, got {scale}"
+            )));
+        }
+        let delta = scale * 20.0 * (beta as f64 / eps) * (24.0 / eps).ln();
+        if delta > MAX_DELTA as f64 {
+            return Err(ParamsError(format!(
+                "beta = {beta}, eps = {eps} derive a per-vertex mark count of \
+                 {delta:.0}, over the cap of {MAX_DELTA}"
+            )));
+        }
+        Ok(Self::scaled(beta, eps, scale))
     }
 
     /// Explicit Δ (for ablations).
@@ -130,6 +208,37 @@ mod tests {
     #[should_panic]
     fn rejects_eps_one() {
         SparsifierParams::paper(1, 1.0);
+    }
+
+    #[test]
+    fn checked_params_refuse_what_would_panic_or_wrap() {
+        for (beta, eps, scale) in [
+            (0, 0.5, 0.05),
+            (usize::MAX, 0.5, 0.05),
+            (MAX_BETA + 1, 0.5, 0.05),
+            (1, 1.0, 0.05),
+            (1, 1e-300, 0.05),
+            (1, f64::NAN, 0.05),
+            (1, 0.5, 0.0),
+            (1, 0.5, f64::INFINITY),
+            (1, 0.5, 1e300),
+            (100_000_000, MIN_EPS, 0.05),
+        ] {
+            assert!(
+                SparsifierParams::try_scaled(beta, eps, scale).is_err(),
+                "({beta}, {eps}, {scale})"
+            );
+        }
+        assert_eq!(
+            SparsifierParams::try_practical(3, 0.2),
+            Ok(SparsifierParams::practical(3, 0.2))
+        );
+        assert_eq!(
+            SparsifierParams::try_scaled(MAX_BETA, 0.999, 1e-6).map(|p| p.beta),
+            Ok(MAX_BETA)
+        );
+        assert!(SparsifierParams::try_practical(1, MIN_EPS).is_ok());
+        assert!(check_eps(0.999_999).is_ok() && check_eps(1.0).is_err());
     }
 
     #[test]

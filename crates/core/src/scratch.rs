@@ -88,21 +88,6 @@ impl PipelineScratch {
         }
     }
 
-    /// Logically empty every buffer, keeping capacities (and the
-    /// high-water statistic). Runs never require this — each stage resets
-    /// the state it reads — but it lets a long-lived holder drop stale
-    /// *contents* (e.g. the previous result) without giving up warmth.
-    pub fn clear(&mut self) {
-        self.marks.clear();
-        self.ids.clear();
-        self.csr.clear();
-        self.edcs.clear();
-        self.result.matching.reset(0);
-        self.result.sparsifier = Default::default();
-        self.result.probes = ProbeCounts::default();
-        self.result.aug = AugStats::default();
-    }
-
     /// The result of the most recent pipeline run through this arena.
     pub fn result(&self) -> &PipelineResult {
         &self.result
@@ -175,17 +160,5 @@ mod tests {
         let footprint = s.capacity_bytes();
         s.result.matching = Matching::new(0);
         assert_eq!(footprint - s.capacity_bytes(), mate);
-    }
-
-    #[test]
-    fn clear_keeps_high_water() {
-        let mut s = PipelineScratch::new();
-        s.ids.extend((0..100).map(EdgeId));
-        s.note_high_water();
-        let hw = s.high_water_bytes();
-        assert!(hw >= 400);
-        s.clear();
-        assert!(s.ids.is_empty());
-        assert_eq!(s.high_water_bytes(), hw, "clear drops contents, not stats");
     }
 }

@@ -343,12 +343,6 @@ impl KeepAll {
             Some((start..v, from..at))
         })
     }
-
-    fn clear(&mut self) {
-        self.set.clear_and_resize(0);
-        self.count = 0;
-        self.first_sampled = 0;
-    }
 }
 
 /// The marking stage's reusable state: one worker per thread and the
@@ -470,16 +464,6 @@ impl MarkScratch {
             .sum::<usize>()
             + self.workers.capacity() * std::mem::size_of::<MarkWorker>()
             + self.keep_all.set.capacity_bytes()
-    }
-
-    /// Forget the last run's marks, keeping every buffer's capacity.
-    pub(crate) fn clear(&mut self) {
-        for w in &mut self.workers {
-            w.indices.clear();
-            w.keys.clear();
-        }
-        self.keep_all.clear();
-        self.active = 0;
     }
 }
 

@@ -9,7 +9,7 @@
 //! CSR for solves and exact audits.
 
 use crate::adjacency::AdjacencyOracle;
-use crate::csr::{from_sorted_edges, CsrGraph, CsrScratch};
+use crate::csr::{from_sorted_edges, CsrGraph};
 use crate::ids::VertexId;
 use std::collections::HashMap;
 
@@ -167,27 +167,17 @@ impl AdjListGraph {
     }
 
     /// Snapshot into an immutable CSR graph, byte-identical to a
-    /// [`GraphBuilder`](crate::csr::GraphBuilder) build of the same edges.
+    /// [`GraphBuilder`](crate::csr::GraphBuilder) build of the same edges:
+    /// each vertex's higher-id neighbours, sorted, vertex by vertex, are
+    /// the edges in lex order.
     pub fn to_csr(&self) -> CsrGraph {
         let mut edges = Vec::with_capacity(self.num_edges());
-        self.push_sorted_edges(&mut edges);
-        from_sorted_edges(self.num_vertices(), edges)
-    }
-
-    /// [`AdjListGraph::to_csr`] into `scratch`'s buffers, reusing their
-    /// capacity.
-    pub fn to_csr_in<'s>(&self, scratch: &'s mut CsrScratch) -> &'s CsrGraph {
-        scratch.rebuild_with(self.num_vertices(), |edges| self.push_sorted_edges(edges))
-    }
-
-    /// Push every edge `(u, v)`, `u < v`, in lex order: each vertex's
-    /// higher-id neighbours, sorted, vertex by vertex.
-    fn push_sorted_edges(&self, edges: &mut Vec<(u32, u32)>) {
         for (u, list) in (0u32..).zip(&self.adj) {
             let start = edges.len();
             edges.extend(list.iter().filter(|&&w| w > u).map(|&w| (u, w)));
             edges[start..].sort_unstable_by_key(|&(_, w)| w);
         }
+        from_sorted_edges(self.num_vertices(), edges)
     }
 }
 

@@ -404,6 +404,17 @@ impl Default for CsrScratch {
     }
 }
 
+/// A scratch holding `graph`, to patch with
+/// [`CsrScratch::rebuild_edited`] or to rebuild over.
+impl From<CsrGraph> for CsrScratch {
+    fn from(graph: CsrGraph) -> Self {
+        CsrScratch {
+            graph,
+            ..CsrScratch::new()
+        }
+    }
+}
+
 impl CsrScratch {
     /// An empty scratch holding a zero-vertex graph.
     pub fn new() -> Self {
@@ -443,21 +454,6 @@ impl CsrScratch {
             + bytes(&self.edits)
             + bytes(&self.changed)
             + bytes(&self.new_ids)
-    }
-
-    /// Drop logical contents but keep every buffer's capacity.
-    pub fn clear(&mut self) {
-        for g in [&mut self.graph, &mut self.patched] {
-            g.offsets.clear();
-            g.offsets.push(0);
-            g.targets.clear();
-            g.half_edge_ids.clear();
-            g.endpoints.clear();
-        }
-        self.degree.clear();
-        self.edits.clear();
-        self.changed.clear();
-        self.new_ids.clear();
     }
 
     /// In-place equivalent of [`CsrGraph::edge_subgraph`] for strictly
@@ -946,9 +942,6 @@ mod tests {
         assert_eq!(rebuilt.num_vertices(), 4);
         assert_eq!(rebuilt.num_edges(), 0);
         let all: Vec<EdgeId> = g.edges().map(|(e, _, _)| e).collect();
-        assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all));
-        scratch.clear();
-        assert_eq!(scratch.graph().num_vertices(), 0);
         assert_byte_identical(&g, scratch.rebuild_from_marked(&g, &all));
     }
 

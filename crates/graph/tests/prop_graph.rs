@@ -243,19 +243,20 @@ proptest! {
         cuts in proptest::collection::vec(0..200usize, 0..6),
         detours in proptest::collection::vec(0..3u8, 7),
     ) {
-        // A random graph laid out once, then the churn replayed on the
-        // laid-out edge list one batch at a time. On 24 vertices the churn
+        // A random graph built once and moved into a scratch, then the
+        // churn replayed on it one batch at a time. On 24 vertices the churn
         // repeats edges, inserts present ones and deletes absent ones, and
         // a batch may hold more edits than the graph has edges. Each batch
         // is followed by one that changes nothing, and some by a detour
-        // through a larger and a smaller graph, after which the patch's
-        // second buffers hold one of those graphs' arrays.
+        // through a larger and a smaller graph and a fresh layout of the
+        // current one, after which the patch's second buffers hold one of
+        // those graphs' arrays.
         let mut g = AdjListGraph::new(N);
         for (u, v) in edges {
             g.insert_edge(VertexId::new(u), VertexId::new(v));
         }
-        let mut scratch = CsrScratch::new();
-        check_offsets(g.to_csr_in(&mut scratch))?;
+        let mut scratch = CsrScratch::from(g.to_csr());
+        check_offsets(scratch.graph())?;
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(churn.len())).collect();
         cuts.push(churn.len());
         cuts.sort_unstable();
@@ -295,7 +296,8 @@ proptest! {
                 for edges in order {
                     detour_through(&mut scratch, &edges)?;
                 }
-                prop_assert_eq!(g.to_csr_in(&mut scratch), &fresh);
+                let laid_out = scratch.rebuild_with(N, |e| e.extend_from_slice(fresh.endpoint_pairs()));
+                prop_assert_eq!(laid_out, &fresh);
             }
             start = end;
         }

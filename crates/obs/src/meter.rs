@@ -64,10 +64,6 @@ pub mod keys {
     pub const UPDATE_WORK: &str = "dynamic.work";
     /// Worst single-update work (a maximum, not a sum).
     pub const MAX_UPDATE_WORK: &str = "dynamic.max_update_work";
-    /// Dynamic serve solves whose snapshot was laid out afresh from the
-    /// matcher's adjacency list (the first solve after a load, or after
-    /// the update log outgrew the snapshot).
-    pub const SNAPSHOT_LAID_OUT: &str = "snapshot.laid_out";
     /// Dynamic serve solves whose snapshot was patched with the net
     /// changes of the updates since the last solve.
     pub const SNAPSHOT_PATCHED: &str = "snapshot.patched";

@@ -17,7 +17,7 @@ use sparsimatch_core::pipeline::approx_mcm_via_sparsifier_with_scratch_metered;
 use sparsimatch_core::scratch::PipelineScratch;
 use sparsimatch_dynamic::adversary::Update;
 use sparsimatch_dynamic::scheme::DynamicMatcher;
-use sparsimatch_graph::csr::{CsrGraph, CsrScratch, GraphBuilder};
+use sparsimatch_graph::csr::{CsrScratch, GraphBuilder};
 use sparsimatch_graph::generators::{check_family_size, family_from_spec, FamilySpecError};
 use sparsimatch_graph::ids::VertexId;
 use sparsimatch_graph::io::{MAX_EDGES, MAX_VERTICES};
@@ -84,19 +84,14 @@ const COMMANDS: [&str; 6] = [
 pub struct SessionEngine {
     threads: usize,
     default_backend: BackendKind,
-    graph: Option<CsrGraph>,
+    /// The loaded graph, which in a dynamic session `edits` bring up to
+    /// the matcher's.
+    graph: Option<CsrScratch>,
     scratch: PipelineScratch,
     dynamic: Option<DynamicMatcher>,
-    /// The CSR snapshot a dynamic session's `solve` runs on: the last
-    /// solve's graph, which `edits` bring up to the matcher's, or, when
-    /// `snapshot_held` is false, a stale graph to lay out afresh from the
-    /// matcher's adjacency list.
-    snapshot: CsrScratch,
-    snapshot_held: bool,
-    /// The update ops applied since the snapshot was laid out. The log
-    /// holds at most as many ops as the snapshot has edges: past that it
-    /// is dropped with the snapshot, and the next solve lays the graph
-    /// out afresh.
+    /// The update ops not yet patched into `graph`. A solve patches them
+    /// in, and so does an update that leaves more of them than the graph
+    /// has vertices plus edges, which bounds the log by the graph.
     edits: Vec<UpdateOp>,
     meter: WorkMeter,
     stats: Arc<SharedStats>,
@@ -119,8 +114,6 @@ impl SessionEngine {
             graph: None,
             scratch: PipelineScratch::new(),
             dynamic: None,
-            snapshot: CsrScratch::new(),
-            snapshot_held: false,
             edits: Vec::new(),
             meter: WorkMeter::new(),
             stats: Arc::new(SharedStats::default()),
@@ -246,14 +239,13 @@ impl SessionEngine {
         };
         // A new graph invalidates everything derived from the old one.
         self.dynamic = None;
-        self.snapshot_held = false;
         self.edits.clear();
         self.last_pairs.clear();
         self.last_solve_size = None;
         let mut body = Json::object();
         body.set("n", g.num_vertices());
         body.set("m", g.num_edges());
-        self.graph = Some(g);
+        self.graph = Some(CsrScratch::from(g));
         Ok(body)
     }
 
@@ -266,38 +258,26 @@ impl SessionEngine {
         backend: Option<BackendKind>,
         edcs: &EdcsParams,
     ) -> Result<Json, WireError> {
-        // Solve reflects dynamic updates: snapshot the matcher's current
-        // graph if one exists, else use the resident static graph. The
-        // snapshot is the last one patched with the net changes of the
-        // updates since, or, when none is held, laid out from the
-        // adjacency list.
-        let g: &CsrGraph = match (&self.dynamic, &self.graph) {
-            (Some(dm), _) => {
-                if self.snapshot_held {
-                    let net = self.snapshot.rebuild_edited(&self.edits);
-                    let path = if net == 0 {
-                        keys::SNAPSHOT_REUSED
-                    } else {
-                        keys::SNAPSHOT_PATCHED
-                    };
-                    self.meter.add(path, 1);
-                    self.meter.add(keys::SNAPSHOT_NET_EDITS, net as u64);
-                } else {
-                    dm.graph().to_csr_in(&mut self.snapshot);
-                    self.meter.add(keys::SNAPSHOT_LAID_OUT, 1);
-                }
-                self.snapshot_held = true;
-                self.edits.clear();
-                self.snapshot.graph()
-            }
-            (None, Some(g)) => g,
-            (None, None) => {
-                return Err(WireError::new(
-                    ErrorCode::NoGraph,
-                    "solve before load_graph",
-                ))
-            }
+        let Some(graph) = &mut self.graph else {
+            return Err(WireError::new(
+                ErrorCode::NoGraph,
+                "solve before load_graph",
+            ));
         };
+        // Solve reflects dynamic updates: patch the logged ops' net
+        // changes into the graph, which then equals the matcher's.
+        if self.dynamic.is_some() {
+            let net = graph.rebuild_edited(&self.edits);
+            self.edits.clear();
+            let path = if net == 0 {
+                keys::SNAPSHOT_REUSED
+            } else {
+                keys::SNAPSHOT_PATCHED
+            };
+            self.meter.add(path, 1);
+            self.meter.add(keys::SNAPSHOT_NET_EDITS, net as u64);
+        }
+        let g = graph.graph();
         let backend = backend.unwrap_or(self.default_backend);
         let warm = self.solves > 0;
         let result = match backend {
@@ -348,13 +328,13 @@ impl SessionEngine {
         eps: f64,
         seed: u64,
     ) -> Result<Json, WireError> {
-        let Some(graph) = &self.graph else {
+        let Some(graph) = &mut self.graph else {
             return Err(WireError::new(
                 ErrorCode::NoGraph,
                 "update before load_graph",
             ));
         };
-        let n = graph.num_vertices();
+        let n = graph.graph().num_vertices();
         for (i, op) in ops.iter().enumerate() {
             let (UpdateOp::Insert(u, v) | UpdateOp::Delete(u, v)) = *op;
             if u as usize >= n || v as usize >= n {
@@ -378,16 +358,14 @@ impl SessionEngine {
                 // track only client-requested updates).
                 let params = SparsifierParams::practical(beta, eps);
                 self.dynamic
-                    .insert(DynamicMatcher::from_graph(graph, params, seed))
+                    .insert(DynamicMatcher::from_graph(graph.graph(), params, seed))
             }
         };
-        if self.snapshot_held {
-            if self.edits.len() + ops.len() > self.snapshot.graph().num_edges() {
-                self.snapshot_held = false;
-                self.edits.clear();
-            } else {
-                self.edits.extend_from_slice(ops);
-            }
+        self.edits.extend_from_slice(ops);
+        if self.edits.len() > n + graph.graph().num_edges() {
+            let net = graph.rebuild_edited(&self.edits);
+            self.meter.add(keys::SNAPSHOT_NET_EDITS, net as u64);
+            self.edits.clear();
         }
         let mut work = 0u64;
         let mut swapped = 0u64;
@@ -414,7 +392,7 @@ impl SessionEngine {
                 let mut body = Json::object();
                 let (n, m) = match (&self.dynamic, &self.graph) {
                     (Some(dm), _) => (dm.graph().num_vertices(), dm.graph().num_edges()),
-                    (None, Some(g)) => (g.num_vertices(), g.num_edges()),
+                    (None, Some(g)) => (g.graph().num_vertices(), g.graph().num_edges()),
                     (None, None) => {
                         body.set("loaded", false);
                         return Ok(body);
@@ -489,9 +467,12 @@ impl SessionEngine {
         // Cumulative stream-scan retries recorded by any streamed build
         // metered into this session (0 until one runs).
         body.set("io_retries", self.meter.get(keys::IO_RETRIES));
+        // The pipeline's arena and the session's graph with its patch
+        // buffers.
         body.set(
             "scratch_capacity_bytes",
-            self.scratch.capacity_bytes() + self.snapshot.capacity_bytes(),
+            self.scratch.capacity_bytes()
+                + self.graph.as_ref().map_or(0, CsrScratch::capacity_bytes),
         );
         // Resident footprint of the loaded graph: the dynamic adjacency
         // list when updates have been applied, the static CSR otherwise,
@@ -500,7 +481,7 @@ impl SessionEngine {
             "graph_memory_bytes",
             match (&self.dynamic, &self.graph) {
                 (Some(dm), _) => Json::from(dm.graph().memory_bytes() as u64),
-                (None, Some(g)) => Json::from(g.memory_bytes() as u64),
+                (None, Some(g)) => Json::from(g.graph().memory_bytes() as u64),
                 (None, None) => Json::Null,
             },
         );
@@ -665,9 +646,9 @@ mod tests {
             r#"{"id":2,"cmd":"solve","backend":"edcs","edcs_beta":16,"eps":0.5,"pairs":true}"#,
         ];
         let mut rng = StdRng::seed_from_u64(31);
-        // Serve's graph, whose snapshot is edited from solve to solve,
-        // and a path, whose every third batch outnumbers its edges and so
-        // drops the snapshot for a fresh layout.
+        // Serve's graph, patched from solve to solve, and a path, whose
+        // every third batch outnumbers its vertices plus edges and so is
+        // patched in by the update itself.
         for (spec, n) in [("clique-union:2:20", 300), ("path", 40)] {
             let g = family_from_spec(spec, n, &mut rng).unwrap();
             let mut model: std::collections::BTreeSet<(u32, u32)> =
@@ -676,7 +657,7 @@ mod tests {
             handle(&mut engine, &load_line(n, &model)).unwrap();
             for batch in 0..9 {
                 let size = match (n, batch % 3) {
-                    (40, 2) => model.len() + 2,
+                    (40, 2) => n + model.len() + 1,
                     _ => rng.random_range(1..=6),
                 };
                 // Deletes of present edges, inserts of absent ones, the
@@ -708,12 +689,8 @@ mod tests {
                     ops.join(",")
                 );
                 handle(&mut engine, &update).unwrap();
-                // A batch past the log's bound drops the held snapshot.
-                assert_eq!(
-                    engine.snapshot_held,
-                    batch > 0 && size <= 6,
-                    "{spec} {batch}"
-                );
+                // A batch past the log's bound empties the log.
+                assert_eq!(engine.edits.is_empty(), size > 6, "{spec} {batch}");
                 let mut fresh = SessionEngine::new(EngineConfig::default());
                 handle(&mut fresh, &load_line(n, &model)).unwrap();
                 for solve in solves {
@@ -738,38 +715,24 @@ mod tests {
         )
         .unwrap();
         let solve = r#"{"id":2,"cmd":"solve","beta":1,"eps":0.5}"#;
-        let toggles = [r#"["insert",0,5],["delete",0,5]"#; 5].join(",");
-        // (ops before the solve, laid out, patched, reused, net edits)
-        // after each step; a static solve counts on no path.
+        let toggles = |k| [r#"["insert",0,5],["delete",0,5]"#; 8][..k].join(",");
+        let past_bound = toggles(8) + r#",["insert",0,5]"#;
+        // (ops before the solve, patched, reused, net edits) after each
+        // step; a static solve counts on no path.
         let steps = [
-            ("", 0, 0, 0, 0),
-            (r#"["insert",0,2]"#, 1, 0, 0, 0),
-            ("", 1, 0, 1, 0),
-            (
-                r#"["insert",0,3],["delete",0,3],["insert",1,0]"#,
-                1,
-                0,
-                2,
-                0,
-            ),
-            (
-                r#"["delete",0,2],["insert",0,4],["delete",2,3]"#,
-                1,
-                1,
-                2,
-                3,
-            ),
-            (
-                r#"["insert",1,5],["insert",2,5],["insert",3,5]"#,
-                1,
-                2,
-                2,
-                6,
-            ),
-            // Ten ops outnumber the snapshot's eight edges: laid out afresh.
-            (&toggles, 2, 2, 2, 6),
+            ("", 0, 0, 0),
+            (r#"["insert",0,2]"#, 1, 0, 1),
+            ("", 1, 1, 1),
+            (r#"["insert",0,3],["delete",0,3],["insert",1,0]"#, 1, 2, 1),
+            (r#"["delete",0,2],["insert",0,4],["delete",2,3]"#, 2, 2, 4),
+            (r#"["insert",1,5],["insert",2,5],["insert",3,5]"#, 3, 2, 7),
+            // Ten ops, within the bound of 6 vertices plus 8 edges.
+            (&toggles(5), 3, 3, 7),
+            // Seventeen ops: the update patches its net change in, and the
+            // solve finds nothing left to patch.
+            (&past_bound, 3, 4, 8),
         ];
-        for (ops, laid_out, patched, reused, net) in steps {
+        for (ops, patched, reused, net) in steps {
             if !ops.is_empty() {
                 let update =
                     format!(r#"{{"id":3,"cmd":"update","ops":[{ops}],"beta":1,"eps":0.5}}"#);
@@ -780,12 +743,11 @@ mod tests {
             let counters = m.get("meter").unwrap().get("counters").unwrap();
             let count = |key| counters.get(key).and_then(Json::as_u64).unwrap_or(0);
             let got = [
-                count(keys::SNAPSHOT_LAID_OUT),
                 count(keys::SNAPSHOT_PATCHED),
                 count(keys::SNAPSHOT_REUSED),
                 count(keys::SNAPSHOT_NET_EDITS),
             ];
-            assert_eq!(got, [laid_out, patched, reused, net], "after {ops:?}");
+            assert_eq!(got, [patched, reused, net], "after {ops:?}");
         }
     }
 

@@ -18,6 +18,7 @@
 
 use sparsimatch_core::backend::BackendKind;
 use sparsimatch_core::edcs::EdcsParams;
+use sparsimatch_core::params::{check_eps, SparsifierParams};
 use sparsimatch_graph::io::{MAX_EDGES, MAX_VERTICES};
 use sparsimatch_obs::{wire, Json, ParseErrorKind};
 
@@ -27,73 +28,6 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Hard cap on one request line, in bytes. Longer lines are answered
 /// with a `too_large` error and skipped without buffering them whole.
 pub const MAX_REQUEST_BYTES: usize = 8 << 20;
-
-/// Wire floor on `eps`. The theorem needs `0 < eps < 1`, but the wire
-/// additionally refuses subnormal-tiny values: the derived per-vertex
-/// mark count grows as `(β/ε)·ln(24/ε)`, so an un-floored `eps` lets one
-/// request demand unbounded allocation and compute.
-pub const MIN_EPS: f64 = 1e-6;
-
-/// Wire cap on `beta`. A neighborhood-independence bound above the
-/// vertex cap cannot describe any admissible graph.
-pub const MAX_BETA: usize = MAX_VERTICES;
-
-/// Wire cap on the derived per-vertex mark count Δ. At `Δ ≥ MAX_VERTICES`
-/// the mark cap exceeds any admissible degree, so every edge is kept and
-/// a larger Δ only inflates buffers — reject the request instead.
-pub const MAX_DELTA: usize = MAX_VERTICES;
-
-/// Validate the `(beta, eps)` pair shared by `solve` and `update`
-/// against the theorem's precondition (`0 < eps < 1`, `beta ≥ 1`) *and*
-/// the wire resource caps above, so no accepted request can panic the
-/// engine's `SparsifierParams` assert or drive Δ unbounded.
-fn validate_solver_params(beta: usize, eps: f64) -> Result<(), WireError> {
-    if beta == 0 {
-        return Err(WireError::bad("beta must be at least 1"));
-    }
-    if beta > MAX_BETA {
-        return Err(WireError::bad(format!(
-            "beta = {beta} exceeds the cap of {MAX_BETA}"
-        )));
-    }
-    validate_eps(eps)?;
-    // Mirror SparsifierParams::practical, the scale the engine uses.
-    let delta = (beta as f64 / eps) * (24.0 / eps).ln();
-    if delta > MAX_DELTA as f64 {
-        return Err(WireError::bad(format!(
-            "beta = {beta}, eps = {eps} derive a per-vertex mark count of \
-             {delta:.0}, over the cap of {MAX_DELTA}"
-        )));
-    }
-    Ok(())
-}
-
-/// The ε window shared by every backend (the EDCS path has no derived
-/// Δ, but its augmentation stage still needs `0 < eps < 1`, floored at
-/// [`MIN_EPS`] for the same resource reason).
-fn validate_eps(eps: f64) -> Result<(), WireError> {
-    // `contains` is false for NaN, so this also rejects it.
-    if !(MIN_EPS..1.0).contains(&eps) {
-        return Err(WireError::bad(format!(
-            "eps must be in [{MIN_EPS}, 1), got {eps}"
-        )));
-    }
-    Ok(())
-}
-
-/// Validate and assemble the EDCS knobs of a `solve` request. The typed
-/// [`EdcsParams`] constructor enforces β ≥ 2, λ ∈ (0, 1), and λβ ≥ 1;
-/// the wire additionally caps β so no request can demand an H larger
-/// than any admissible graph.
-fn validate_edcs_params(edcs_beta: usize, lambda: Option<f64>) -> Result<EdcsParams, WireError> {
-    if edcs_beta > MAX_BETA {
-        return Err(WireError::bad(format!(
-            "edcs_beta = {edcs_beta} exceeds the cap of {MAX_BETA}"
-        )));
-    }
-    let lambda = lambda.unwrap_or_else(|| EdcsParams::default_lambda(edcs_beta));
-    EdcsParams::new(edcs_beta, lambda).map_err(|e| WireError::bad(e.to_string()))
-}
 
 /// Machine-readable error codes (the `error.code` response field).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,7 +102,7 @@ impl WireError {
 }
 
 /// One edge-mutation operation inside an `update` request: the edit a
-/// dynamic session's snapshot replays at its next `solve`.
+/// dynamic session patches into its graph by its next `solve`.
 pub use sparsimatch_graph::csr::EdgeEdit as UpdateOp;
 
 /// What a `query` request asks for.
@@ -419,16 +353,16 @@ fn parse_solve(doc: &Json) -> Result<Request, WireError> {
     // needs only the shared eps window; otherwise the session default
     // may be delta, so the delta derivation must stay in bounds too.
     if backend == Some(BackendKind::Edcs) {
-        validate_eps(eps)?;
+        check_eps(eps).map_err(|e| WireError::bad(e.to_string()))?;
     } else {
-        validate_solver_params(beta, eps)?;
+        SparsifierParams::try_practical(beta, eps).map_err(|e| WireError::bad(e.to_string()))?;
     }
     let edcs_beta = wire::opt_u64(doc, "edcs_beta", 16).map_err(field_err)? as usize;
     let lambda = match doc.get("lambda") {
-        None => None,
-        Some(_) => Some(wire::opt_f64(doc, "lambda", 0.0).map_err(field_err)?),
+        None => EdcsParams::default_lambda(edcs_beta),
+        Some(_) => wire::opt_f64(doc, "lambda", 0.0).map_err(field_err)?,
     };
-    let edcs = validate_edcs_params(edcs_beta, lambda)?;
+    let edcs = EdcsParams::new(edcs_beta, lambda).map_err(|e| WireError::bad(e.to_string()))?;
     Ok(Request::Solve {
         beta,
         eps,
@@ -444,7 +378,7 @@ fn parse_update(doc: &Json) -> Result<Request, WireError> {
         .map_err(field_err)?;
     let beta = wire::opt_u64(doc, "beta", 2).map_err(field_err)? as usize;
     let eps = wire::opt_f64(doc, "eps", 0.5).map_err(field_err)?;
-    validate_solver_params(beta, eps)?;
+    SparsifierParams::try_practical(beta, eps).map_err(|e| WireError::bad(e.to_string()))?;
     let raw = wire::req_array(doc, "ops").map_err(field_err)?;
     let mut ops = Vec::with_capacity(raw.len());
     for (i, op) in raw.iter().enumerate() {
