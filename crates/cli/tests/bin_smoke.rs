@@ -153,8 +153,9 @@ fn metrics_timings_env_exposes_stage_spans() {
 }
 
 /// One stderr line, the expected class message, and the class's stable
-/// exit code (see `crates/cli/src/error.rs` for the table).
-fn assert_fails(args: &[&str], code: i32, needle: &str) {
+/// exit code (see `crates/cli/src/error.rs` for the table). Returns the
+/// line.
+fn assert_fails(args: &[&str], code: i32, needle: &str) -> String {
     let out = bin().args(args).output().unwrap();
     assert_eq!(
         out.status.code(),
@@ -170,6 +171,7 @@ fn assert_fails(args: &[&str], code: i32, needle: &str) {
         "stderr must be one line: {err:?}"
     );
     assert!(err.starts_with("error: "), "{err:?}");
+    err
 }
 
 #[test]
@@ -338,7 +340,8 @@ fn backend_parameter_bounds_exit_seven() {
 
     // Latent panics in SparsifierParams::scaled are typed CLI errors, and
     // the bounds are serve's: no wrapped Δ, and no ε so small that the
-    // augmentation runs millions of phases.
+    // augmentation runs millions of phases. Extreme values are quoted in
+    // short form, so every error line stays under 120 bytes.
     let eps_window = "eps must be in [0.000001, 1), got";
     for (line, needle) in [
         ("match F --beta 0 --eps 0.4", "beta must be at least 1"),
@@ -349,14 +352,23 @@ fn backend_parameter_bounds_exit_seven() {
             "sparsify F --beta 18446744073709551615 --eps 0.5",
             "beta = 18446744073709551615 exceeds the cap of 134217728",
         ),
-        ("distsim F --beta 1 --eps 1e-300", eps_window),
-        ("match F --beta 1 --eps 1e-7", eps_window),
-        ("match F --beta 1 --eps 1e-300", eps_window),
+        ("distsim F --beta 1 --eps 1e-300", "got 1e-300"),
+        ("match F --beta 1 --eps 1e-7", "got 0.0000001"),
+        ("match F --beta 1 --eps 1e-300", "got 1e-300"),
         (
             "sparsify F --beta 1 --eps 0.5 --scale 1e300",
-            "over the cap of 134217728",
+            "of 1.5484804043631565e302, over the cap of 134217728",
         ),
-        ("match F --backend edcs --eps 1e-300", eps_window),
+        ("sparsify F --beta 1 --eps 0.5 --scale -1e300", "got -1e300"),
+        ("match F --backend edcs --eps 1e-300", "got 1e-300"),
+        (
+            "match F --backend edcs --lambda 1e300 --eps 0.3",
+            "in (0, 1), got 1e300",
+        ),
+        (
+            "match F --backend edcs --lambda 1e-300 --eps 0.3",
+            "got lambda = 1e-300, beta = 16",
+        ),
         (
             "match F --backend edcs --edcs-beta 134217729 --eps 0.3",
             "edcs_beta = 134217729 exceeds the cap of 134217728",
@@ -366,7 +378,8 @@ fn backend_parameter_bounds_exit_seven() {
             .split(' ')
             .map(|a| if a == "F" { f } else { a })
             .collect();
-        assert_fails(&args, 7, needle);
+        let err = assert_fails(&args, 7, needle);
+        assert!(err.trim_end().len() < 120, "{line}: {err:?}");
     }
 
     // EDCS-specific bounds surface the library's own invariant messages.

@@ -43,7 +43,7 @@
 //! the average degree `2m/n` is at least `2·β·⌈log₂ n⌉`, and otherwise
 //! each pass evaluates every edge in id order, 64 edges per bitset word.
 
-use crate::params::MAX_BETA;
+use crate::params::{Compact, MAX_BETA};
 use crate::pipeline::PipelineResult;
 use crate::scratch::PipelineScratch;
 use crate::sparsifier::{SparsifierStats, ThreadCountError, MAX_THREADS};
@@ -112,12 +112,13 @@ impl std::fmt::Display for EdcsParamsError {
                 write!(f, "EDCS beta must be at least 2, got {beta}")
             }
             EdcsParamsError::LambdaOutOfRange { lambda } => {
-                write!(f, "EDCS lambda must be in (0, 1), got {lambda}")
+                write!(f, "EDCS lambda must be in (0, 1), got {}", Compact(*lambda))
             }
             EdcsParamsError::LambdaBetaTooSmall { beta, lambda } => write!(
                 f,
                 "EDCS needs lambda * beta >= 1 so that beta- <= beta - 1, \
-                 got lambda = {lambda}, beta = {beta}"
+                 got lambda = {}, beta = {beta}",
+                Compact(*lambda)
             ),
         }
     }
@@ -729,6 +730,7 @@ fn approx_mcm_via_edcs_impl(
         meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
         meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
         meter.add(keys::AUGMENTATIONS, result.aug.augmentations as u64);
+        meter.add(keys::CONTRACTIONS, searcher.contractions());
         meter.add_span(keys::STAGE_MARK, 1, mark_nanos);
         meter.add_span(keys::STAGE_EXTRACT, 1, extract_nanos);
         meter.add_span(keys::STAGE_MATCH, 1, match_nanos);

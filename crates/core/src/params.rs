@@ -37,13 +37,31 @@ impl fmt::Display for ParamsError {
 
 impl std::error::Error for ParamsError {}
 
+/// Displays an `f64` as `{}` does, or as `{:e}` does when the plain form
+/// would take more than 24 characters (no `{:e}` form does), so a
+/// parameter error stays one short line whatever the input: `1e-300`
+/// reads `1e-300`, not a 302-character decimal.
+pub(crate) struct Compact(pub(crate) f64);
+
+impl fmt::Display for Compact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let plain = self.0.to_string();
+        if plain.len() <= 24 {
+            f.write_str(&plain)
+        } else {
+            write!(f, "{:e}", self.0)
+        }
+    }
+}
+
 /// Check ε against the window `[MIN_EPS, 1)` (NaN fails it too).
 pub fn check_eps(eps: f64) -> Result<(), ParamsError> {
     if (MIN_EPS..1.0).contains(&eps) {
         Ok(())
     } else {
         Err(ParamsError(format!(
-            "eps must be in [{MIN_EPS}, 1), got {eps}"
+            "eps must be in [{MIN_EPS}, 1), got {}",
+            Compact(eps)
         )))
     }
 }
@@ -121,14 +139,17 @@ impl SparsifierParams {
         check_eps(eps)?;
         if !(scale.is_finite() && scale > 0.0) {
             return Err(ParamsError(format!(
-                "scale must be a finite positive number, got {scale}"
+                "scale must be a finite positive number, got {}",
+                Compact(scale)
             )));
         }
         let delta = scale * 20.0 * (beta as f64 / eps) * (24.0 / eps).ln();
         if delta > MAX_DELTA as f64 {
             return Err(ParamsError(format!(
-                "beta = {beta}, eps = {eps} derive a per-vertex mark count of \
-                 {delta:.0}, over the cap of {MAX_DELTA}"
+                "beta = {beta}, eps = {} derive a per-vertex mark count of \
+                 {}, over the cap of {MAX_DELTA}",
+                Compact(eps),
+                Compact(delta.round())
             )));
         }
         Ok(Self::scaled(beta, eps, scale))
@@ -239,6 +260,40 @@ mod tests {
         );
         assert!(SparsifierParams::try_practical(1, MIN_EPS).is_ok());
         assert!(check_eps(0.999_999).is_ok() && check_eps(1.0).is_err());
+    }
+
+    #[test]
+    fn errors_render_extreme_values_in_short_form() {
+        let eps_error = |eps: f64| check_eps(eps).unwrap_err().to_string();
+        assert_eq!(
+            eps_error(1e-300),
+            "eps must be in [0.000001, 1), got 1e-300"
+        );
+        assert_eq!(
+            eps_error(1e-7),
+            "eps must be in [0.000001, 1), got 0.0000001"
+        );
+        assert_eq!(eps_error(f64::NAN), "eps must be in [0.000001, 1), got NaN");
+        assert_eq!(eps_error(1e300), "eps must be in [0.000001, 1), got 1e300");
+        let scaled_error = |eps, scale| {
+            SparsifierParams::try_scaled(1, eps, scale)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            scaled_error(0.5, -1e300),
+            "scale must be a finite positive number, got -1e300"
+        );
+        let delta = scaled_error(0.5, 1e300);
+        assert!(
+            delta.ends_with(" of 1.5484804043631565e302, over the cap of 134217728"),
+            "{delta}"
+        );
+        assert!(scaled_error(0.5, 1e6).contains(" of 154848040, over"));
+        for eps in [1e-300, f64::MIN_POSITIVE, -f64::MAX, 5e-324] {
+            assert!(eps_error(eps).len() <= 60, "{}", eps_error(eps));
+        }
+        assert!(delta.len() <= 120, "{delta}");
     }
 
     #[test]

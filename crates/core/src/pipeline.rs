@@ -262,6 +262,7 @@ fn approx_mcm_via_sparsifier_impl(
         meter.add(keys::EDGE_VISITS, result.aug.edge_visits);
         meter.add(keys::AUG_SEARCHES, result.aug.searches as u64);
         meter.add(keys::AUGMENTATIONS, result.aug.augmentations as u64);
+        meter.add(keys::CONTRACTIONS, searcher.contractions());
         meter.add_span(keys::STAGE_MARK, 1, mark_nanos);
         meter.add_span(keys::STAGE_EXTRACT, 1, extract_nanos);
         meter.add_span(keys::STAGE_MATCH, 1, match_nanos);
@@ -452,6 +453,52 @@ mod tests {
             assert!(reference.matching.is_valid_for(&g));
             assert!(approx_mcm_via_sparsifier(&g, &p, 13, 0).is_err());
             assert!(approx_mcm_via_sparsifier(&g, &p, 13, 65).is_err());
+        }
+    }
+
+    #[test]
+    fn contractions_are_metered_alike_at_every_thread_count() {
+        use crate::edcs::{approx_mcm_via_edcs_with_scratch_metered, EdcsParams};
+        use sparsimatch_graph::generators::family_from_spec;
+        // Serve's graph, on which both backends' first forest phase
+        // contracts blossoms, and a clique above MARK_PARALLEL_CUTOFF,
+        // whose marking fans out on a multi-core host.
+        let serve =
+            family_from_spec("clique-union:2:20", 300, &mut StdRng::seed_from_u64(1)).unwrap();
+        let delta = SparsifierParams::practical(2, 0.5);
+        let edcs = EdcsParams::new(16, EdcsParams::default_lambda(16)).unwrap();
+        for (i, g) in [serve, clique(520)].iter().enumerate() {
+            let counts: Vec<[u64; 2]> = [1usize, 2, 4]
+                .into_iter()
+                .map(|threads| {
+                    let mut scratch = PipelineScratch::new();
+                    let mut d = WorkMeter::new();
+                    approx_mcm_via_sparsifier_with_scratch_metered(
+                        g,
+                        &delta,
+                        9,
+                        threads,
+                        &mut d,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    let mut e = WorkMeter::new();
+                    approx_mcm_via_edcs_with_scratch_metered(
+                        g,
+                        &edcs,
+                        0.5,
+                        threads,
+                        &mut e,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    [d.get(keys::CONTRACTIONS), e.get(keys::CONTRACTIONS)]
+                })
+                .collect();
+            assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
+            if i == 0 {
+                assert!(counts[0].iter().all(|&c| c > 0), "{counts:?}");
+            }
         }
     }
 

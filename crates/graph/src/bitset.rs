@@ -58,6 +58,13 @@ impl BitSet {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
 
+    /// Remove `i`.
+    #[inline(always)]
+    pub fn remove(&mut self, i: usize) {
+        debug_assert!(i < self.len);
+        self.words[i >> 6] &= !(1u64 << (i & 63));
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -84,6 +91,9 @@ mod tests {
             assert!(s.get(i));
         }
         assert_eq!(s.count_ones(), 8);
+        s.remove(64);
+        assert!(!s.get(64) && s.get(63) && s.get(65));
+        assert_eq!(s.count_ones(), 7);
         s.clear_all();
         assert_eq!(s.count_ones(), 0);
         assert_eq!(s.len(), 130);

@@ -3,8 +3,15 @@
 //! This is the workspace's ground truth — every sparsifier approximation
 //! claim is audited against it. The implementation is the classic
 //! array-based formulation (alternating BFS tree with blossom contraction
-//! by base relabeling), O(n·m) per augmentation in the worst case and
-//! O(n·m·α) overall, comfortably fast at experiment scales.
+//! by base relabeling). A search costs what it touches: the half-edges it
+//! scans, an undo of the previous search's forest linear in that
+//! forest's size (a whole-array fill once the forest holds an eighth of
+//! the vertices, which that share pays for), and per contraction the
+//! members of the blossoms it merges, which each base keeps in a list.
+//! Only [`BlossomSearcher::reset_from`] and the first forest phase after
+//! it, which lists the free vertices, are linear in n. A search that
+//! contracts deeply nested blossoms can still relabel O(n) vertices per
+//! contraction, so the worst case stays O(n·m) per augmentation.
 //!
 //! The search supports a **depth cap**: expansion stops at alternating
 //! distance `cap` from the root, so a search that fails with cap `2k−1`
@@ -22,31 +29,66 @@ use std::collections::VecDeque;
 
 const NONE: u32 = u32::MAX;
 
+/// A search whose forest holds at least `1 / FILL_SHARE` of the vertices
+/// is undone by two sequential fills (`parent`, `even`) instead of vertex
+/// by vertex. Set on the certification sweeps of unbalanced
+/// `bipartite_gnp` 6000×4000 (forests of ~3/4 of the vertices) and
+/// `power_law(20 000, 3)` (~1/5): without the fill they ran up to 4–5%
+/// slower than refilling every array per search, with it no slower;
+/// shares of 1/16 and 1/32 measured within noise of 1/8 (CHANGES.md).
+const FILL_SHARE: usize = 8;
+
 /// Reusable buffers for repeated augmenting-path searches on one graph.
 ///
+/// Every search between two [`BlossomSearcher::reset_from`] calls must
+/// run on the same graph. A search leaves its forest in place and the
+/// next one undoes it first, through the list of vertices it added.
 /// The per-vertex boolean overlays (even-level marks, blossom
-/// membership, LCA marks, retired trees) are bit-packed [`BitSet`]s:
-/// 1 bit per vertex instead of the 1 byte of a `Vec<bool>`, and
-/// whole-overlay clears become word fills. Reuse semantics are
-/// unchanged — a warm [`BlossomSearcher::reset_from`] stays
-/// allocation-free.
+/// membership, LCA marks, retired trees) are bit-packed [`BitSet`]s.
+/// A warm [`BlossomSearcher::reset_from`] stays allocation-free, and so
+/// does every search after it.
 pub struct BlossomSearcher {
     mate: Vec<u32>,
     parent: Vec<u32>,
     base: Vec<u32>,
+    /// The next member of the same blossom, `NONE` at the end; a
+    /// blossom's list starts at its base.
+    link: Vec<u32>,
     even: BitSet,
     in_blossom: BitSet,
     lca_mark: BitSet,
+    /// Alternating depth of each even vertex, written when it turns even.
     depth: Vec<u32>,
-    /// Tree root of each even vertex (multi-source search only).
+    /// Tree root of each even vertex, written when it turns even
+    /// (multi-source search only).
     root: Vec<u32>,
     /// Trees whose root was consumed by an augmentation in the current
-    /// forest phase (multi-source search only), keyed by root vertex.
+    /// forest phase (multi-source search only), keyed by root vertex and
+    /// cleared through the root list when the phase ends.
     retired: BitSet,
     queue: VecDeque<u32>,
+    /// The vertices the last search added to its forest: the only ones
+    /// whose `parent` and `even` entries differ from their reset values.
+    touched: Vec<u32>,
+    /// The vertices whose `base` or `link` the last search's contractions
+    /// changed, each listed once: a singleton blossom's base when its
+    /// list first grows or it is first merged into another.
+    merged: Vec<u32>,
+    /// The bases one contraction marks, in `lca_mark` and then in
+    /// `in_blossom`, whose bits are cleared through this list.
+    marked: Vec<u32>,
+    /// The vertices one contraction turns even, queued in ascending id.
+    fresh: Vec<u32>,
+    /// The free vertices with an edge, in ascending id: built by the
+    /// first forest phase after `reset_from` and filtered by each one
+    /// after it, since a matched vertex never becomes free again.
+    free: Vec<u32>,
+    free_listed: bool,
     /// Half-edges examined across all searches — the machine-independent
     /// work measure used by the dynamic scheme's budget accounting.
     work: u64,
+    /// Blossoms contracted across all searches.
+    contractions: u64,
 }
 
 impl BlossomSearcher {
@@ -56,6 +98,7 @@ impl BlossomSearcher {
             mate: Vec::new(),
             parent: Vec::new(),
             base: Vec::new(),
+            link: Vec::new(),
             even: BitSet::new(),
             in_blossom: BitSet::new(),
             lca_mark: BitSet::new(),
@@ -63,7 +106,14 @@ impl BlossomSearcher {
             root: Vec::new(),
             retired: BitSet::new(),
             queue: VecDeque::new(),
+            touched: Vec::new(),
+            merged: Vec::new(),
+            marked: Vec::new(),
+            fresh: Vec::new(),
+            free: Vec::new(),
+            free_listed: false,
             work: 0,
+            contractions: 0,
         };
         s.reset_from(matching);
         s
@@ -72,8 +122,8 @@ impl BlossomSearcher {
     /// Re-initialize from `matching`, reusing every buffer's capacity.
     /// Equivalent to `*self = BlossomSearcher::new(matching)` but
     /// allocation-free once the buffers have grown to the vertex count —
-    /// `work` restarts at zero, so searches on a recycled searcher report
-    /// exactly the counts a fresh one would.
+    /// `work` and `contractions` restart at zero, so searches on a
+    /// recycled searcher report exactly the counts a fresh one would.
     pub fn reset_from(&mut self, matching: &Matching) {
         let n = matching.num_vertices();
         self.mate.clear();
@@ -86,6 +136,8 @@ impl BlossomSearcher {
         self.parent.resize(n, NONE);
         self.base.clear();
         self.base.extend(0..n as u32);
+        self.link.clear();
+        self.link.resize(n, NONE);
         self.even.clear_and_resize(n);
         self.in_blossom.clear_and_resize(n);
         self.lca_mark.clear_and_resize(n);
@@ -95,12 +147,31 @@ impl BlossomSearcher {
         self.root.resize(n, NONE);
         self.retired.clear_and_resize(n);
         self.queue.clear();
+        // Each list holds a vertex at most once, so capacity n is enough
+        // for every search to come.
+        for list in [
+            &mut self.touched,
+            &mut self.merged,
+            &mut self.marked,
+            &mut self.fresh,
+            &mut self.free,
+        ] {
+            list.clear();
+            list.reserve(n);
+        }
+        self.free_listed = false;
         self.work = 0;
+        self.contractions = 0;
     }
 
     /// Half-edges examined so far (monotone across searches).
     pub fn work(&self) -> u64 {
         self.work
+    }
+
+    /// Blossoms contracted so far (monotone across searches).
+    pub fn contractions(&self) -> u64 {
+        self.contractions
     }
 
     /// Heap bytes of buffer capacity currently held. Feeds the scratch
@@ -111,9 +182,15 @@ impl BlossomSearcher {
         (self.mate.capacity()
             + self.parent.capacity()
             + self.base.capacity()
+            + self.link.capacity()
             + self.depth.capacity()
             + self.root.capacity()
-            + self.queue.capacity())
+            + self.queue.capacity()
+            + self.touched.capacity()
+            + self.merged.capacity()
+            + self.marked.capacity()
+            + self.fresh.capacity()
+            + self.free.capacity())
             * size_of::<u32>()
             + self.even.capacity_bytes()
             + self.in_blossom.capacity_bytes()
@@ -157,22 +234,40 @@ impl BlossomSearcher {
         self.is_free(v.0)
     }
 
+    /// Undo the last search's forest: every vertex it added gets its
+    /// reset `parent` and `even` entries back, one by one, or by
+    /// whole-array fills once the forest holds [`FILL_SHARE`]'s share of
+    /// the vertices; every vertex its contractions merged gets its own
+    /// `base` and an empty `link` back.
+    fn clear_forest(&mut self) {
+        if self.touched.len() * FILL_SHARE >= self.mate.len() {
+            self.parent.fill(NONE);
+            self.even.clear_all();
+        } else {
+            for &v in &self.touched {
+                self.parent[v as usize] = NONE;
+                self.even.remove(v as usize);
+            }
+        }
+        for &v in &self.merged {
+            self.base[v as usize] = v;
+            self.link[v as usize] = NONE;
+        }
+        self.touched.clear();
+        self.merged.clear();
+        self.queue.clear();
+    }
+
     /// Search for an augmenting path from `root` whose *contracted*
     /// alternating length is at most `cap` edges; flip it if found.
     ///
     /// `cap = u32::MAX` gives the unrestricted exact search.
     pub fn try_augment(&mut self, g: &CsrGraph, root: VertexId, cap: u32) -> bool {
-        let n = g.num_vertices();
         debug_assert!(self.is_free(root.0));
-        // Reset per-search state.
-        self.parent.iter_mut().for_each(|p| *p = NONE);
-        self.even.clear_all();
-        for (i, b) in self.base.iter_mut().enumerate() {
-            *b = i as u32;
-        }
-        self.queue.clear();
+        self.clear_forest();
         self.even.set(root.index());
         self.depth[root.index()] = 0;
+        self.touched.push(root.0);
         self.queue.push_back(root.0);
 
         while let Some(v) = self.queue.pop_front() {
@@ -192,25 +287,10 @@ impl BlossomSearcher {
                         && self.parent[self.mate[to as usize] as usize] != NONE);
                 if to_is_even {
                     // Even-even edge closes an odd cycle: contract blossom.
-                    let cur_base = self.lowest_common_ancestor(v, to);
-                    self.in_blossom.clear_all();
-                    self.mark_path(v, cur_base, to);
-                    self.mark_path(to, cur_base, v);
-                    let base_depth = self.depth[cur_base as usize];
-                    for i in 0..n as u32 {
-                        if self.in_blossom.get(self.base[i as usize] as usize) {
-                            self.base[i as usize] = cur_base;
-                            if !self.even.get(i as usize) {
-                                self.even.set(i as usize);
-                                // Conservative depth: contraction shortens
-                                // paths, so inherit the base's depth.
-                                self.depth[i as usize] = base_depth;
-                                self.queue.push_back(i);
-                            }
-                        }
-                    }
+                    self.contract(v, to, root.0);
                 } else if self.parent[to as usize] == NONE {
                     self.parent[to as usize] = v;
+                    self.touched.push(to);
                     if self.mate[to as usize] == NONE {
                         self.augment_to(to);
                         return true;
@@ -218,6 +298,7 @@ impl BlossomSearcher {
                     let w = self.mate[to as usize];
                     self.even.set(w as usize);
                     self.depth[w as usize] = dv + 2;
+                    self.touched.push(w);
                     self.queue.push_back(w);
                 }
             }
@@ -233,25 +314,30 @@ impl BlossomSearcher {
     /// returning how many — so reaching a path-free state costs
     /// O(phases·m) instead of O(augmentations·m). (Retiring a tree can
     /// strand odd vertices it had claimed, so a phase is not guaranteed
-    /// maximal; callers re-run until a phase returns 0.)
+    /// maximal; callers re-run until a phase returns 0.) A phase with no
+    /// free vertex left returns 0 at once.
     pub fn augment_phase(&mut self, g: &CsrGraph, cap: u32) -> usize {
-        let n = g.num_vertices();
-        self.parent.iter_mut().for_each(|p| *p = NONE);
-        self.even.clear_all();
-        self.root.iter_mut().for_each(|r| *r = NONE);
-        self.retired.clear_all();
-        for (i, b) in self.base.iter_mut().enumerate() {
-            *b = i as u32;
+        if self.free_listed {
+            let mate = &self.mate;
+            self.free.retain(|&v| mate[v as usize] == NONE);
+        } else {
+            let mate = &self.mate;
+            let roots = (0..g.num_vertices() as u32)
+                .filter(|&v| mate[v as usize] == NONE && g.degree(VertexId(v)) > 0);
+            self.free.extend(roots);
+            self.free_listed = true;
         }
-        self.queue.clear();
-        for v in 0..n as u32 {
-            if self.is_free(v) && g.degree(VertexId(v)) > 0 {
-                self.even.set(v as usize);
-                self.root[v as usize] = v;
-                self.depth[v as usize] = 0;
-                self.queue.push_back(v);
-            }
+        if self.free.is_empty() {
+            return 0;
         }
+        self.clear_forest();
+        for &v in &self.free {
+            self.even.set(v as usize);
+            self.root[v as usize] = v;
+            self.depth[v as usize] = 0;
+            self.queue.push_back(v);
+        }
+        self.touched.extend_from_slice(&self.free);
         let mut flipped = 0usize;
         'scan: while let Some(v) = self.queue.pop_front() {
             let dv = self.depth[v as usize];
@@ -273,22 +359,7 @@ impl BlossomSearcher {
                     let rto = self.root[to as usize];
                     if rto == rv {
                         // Same tree: odd cycle, contract the blossom.
-                        let cur_base = self.lowest_common_ancestor(v, to);
-                        self.in_blossom.clear_all();
-                        self.mark_path(v, cur_base, to);
-                        self.mark_path(to, cur_base, v);
-                        let base_depth = self.depth[cur_base as usize];
-                        for i in 0..n as u32 {
-                            if self.in_blossom.get(self.base[i as usize] as usize) {
-                                self.base[i as usize] = cur_base;
-                                if !self.even.get(i as usize) {
-                                    self.even.set(i as usize);
-                                    self.root[i as usize] = rv;
-                                    self.depth[i as usize] = base_depth;
-                                    self.queue.push_back(i);
-                                }
-                            }
-                        }
+                        self.contract(v, to, rv);
                     } else if !self.retired.get(rto as usize) {
                         // Cross-tree even–even edge between live trees:
                         // augmenting path root(v) ⇝ v — to ⇝ root(to).
@@ -307,17 +378,69 @@ impl BlossomSearcher {
                     }
                 } else if self.parent[to as usize] == NONE && self.mate[to as usize] != NONE {
                     self.parent[to as usize] = v;
+                    self.touched.push(to);
                     let w = self.mate[to as usize];
                     if !self.even.get(w as usize) {
                         self.even.set(w as usize);
                         self.root[w as usize] = rv;
                         self.depth[w as usize] = dv + 2;
+                        self.touched.push(w);
                         self.queue.push_back(w);
                     }
                 }
             }
         }
+        for &v in &self.free {
+            self.retired.remove(v as usize);
+        }
         flipped
+    }
+
+    /// Contract the blossom that the even–even edge `v`–`to` of tree
+    /// `tree` closes: every member of a blossom on the two tree paths up
+    /// to their lowest common base takes that base, and the members that
+    /// were odd turn even and are queued in ascending id.
+    fn contract(&mut self, v: u32, to: u32, tree: u32) {
+        self.contractions += 1;
+        let cur_base = self.lowest_common_ancestor(v, to);
+        self.mark_path(v, cur_base, to);
+        self.mark_path(to, cur_base, v);
+        let base_depth = self.depth[cur_base as usize];
+        // Only a singleton blossom has an empty list; every other vertex
+        // this merge changes was listed when its blossom first grew.
+        if self.link[cur_base as usize] == NONE {
+            self.merged.push(cur_base);
+        }
+        for k in 0..self.marked.len() {
+            let b = self.marked[k];
+            self.in_blossom.remove(b as usize);
+            // The paths stop below the common base, so its own blossom,
+            // whose members are all even, is never marked.
+            debug_assert_ne!(b, cur_base);
+            if self.link[b as usize] == NONE {
+                self.merged.push(b);
+            }
+            let mut last = b;
+            let mut x = b;
+            while x != NONE {
+                self.base[x as usize] = cur_base;
+                if !self.even.get(x as usize) {
+                    self.even.set(x as usize);
+                    self.root[x as usize] = tree;
+                    // Conservative depth: contraction shortens paths, so
+                    // inherit the base's depth.
+                    self.depth[x as usize] = base_depth;
+                    self.fresh.push(x);
+                }
+                last = x;
+                x = self.link[x as usize];
+            }
+            self.link[last as usize] = self.link[cur_base as usize];
+            self.link[cur_base as usize] = b;
+        }
+        self.marked.clear();
+        self.fresh.sort_unstable();
+        self.queue.extend(self.fresh.drain(..));
     }
 
     /// Flip the alternating tree path from even vertex `x` up to its root,
@@ -337,32 +460,41 @@ impl BlossomSearcher {
     /// installing cross parent-pointers so odd vertices become traversable.
     fn mark_path(&mut self, mut v: u32, b: u32, mut child: u32) {
         while self.base[v as usize] != b {
-            self.in_blossom.set(self.base[v as usize] as usize);
+            self.mark_blossom(self.base[v as usize]);
             let mv = self.mate[v as usize];
-            self.in_blossom.set(self.base[mv as usize] as usize);
+            self.mark_blossom(self.base[mv as usize]);
             self.parent[v as usize] = child;
             child = mv;
             v = self.parent[mv as usize];
         }
     }
 
+    fn mark_blossom(&mut self, b: u32) {
+        if !self.in_blossom.get(b as usize) {
+            self.in_blossom.set(b as usize);
+            self.marked.push(b);
+        }
+    }
+
     fn lowest_common_ancestor(&mut self, a: u32, b: u32) -> u32 {
-        self.lca_mark.clear_all();
         let mut a = self.base[a as usize];
         loop {
             self.lca_mark.set(a as usize);
+            self.marked.push(a);
             if self.mate[a as usize] == NONE {
                 break;
             }
             a = self.base[self.parent[self.mate[a as usize] as usize] as usize];
         }
         let mut b = self.base[b as usize];
-        loop {
-            if self.lca_mark.get(b as usize) {
-                return b;
-            }
+        while !self.lca_mark.get(b as usize) {
             b = self.base[self.parent[self.mate[b as usize] as usize] as usize];
         }
+        for &x in &self.marked {
+            self.lca_mark.remove(x as usize);
+        }
+        self.marked.clear();
+        b
     }
 
     /// Flip the alternating path ending at the free vertex `v` (walking the

@@ -48,6 +48,8 @@ pub mod keys {
     pub const AUG_SEARCHES: &str = "matching.searches";
     /// Augmentations applied.
     pub const AUGMENTATIONS: &str = "matching.augmentations";
+    /// Blossoms contracted by the augmenting-path searches.
+    pub const CONTRACTIONS: &str = "matching.contractions";
     /// CONGEST rounds simulated.
     pub const ROUNDS: &str = "distsim.rounds";
     /// Messages sent in the simulation.
