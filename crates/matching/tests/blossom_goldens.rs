@@ -334,11 +334,15 @@ fn generated_sweep_holds() {
                     aug += s.augmentations;
                     searches += s.searches;
                     visits += s.edge_visits;
-                    for word in [m.len() as u64, pair_hash(&m), s.augmentations as u64] {
+                    for word in [
+                        m.len() as u64,
+                        pair_hash(&m),
+                        s.augmentations as u64,
+                        s.searches as u64,
+                        s.edge_visits,
+                    ] {
                         fnv(&mut h, word);
                     }
-                    fnv(&mut h, s.searches as u64);
-                    fnv(&mut h, s.edge_visits);
                 }
             }
             let m = maximum_matching(&g);
