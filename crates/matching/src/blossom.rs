@@ -2,16 +2,22 @@
 //!
 //! This is the workspace's ground truth — every sparsifier approximation
 //! claim is audited against it. The implementation is the classic
-//! array-based formulation (alternating BFS tree with blossom contraction
-//! by base relabeling). A search costs what it touches: the half-edges it
-//! scans, an undo of the previous search's forest linear in that
-//! forest's size (a whole-array fill once the forest holds an eighth of
-//! the vertices, which that share pays for), and per contraction the
-//! members of the blossoms it merges, which each base keeps in a list.
-//! Only [`BlossomSearcher::reset_from`] and the first forest phase after
-//! it, which lists the free vertices, are linear in n. A search that
+//! array-based formulation (alternating BFS trees with blossom contraction
+//! by base relabeling) in one search loop. The loop plants roots, grows
+//! their alternating trees breadth first, contracts the blossoms a tree
+//! closes and flips each augmenting path it finds, retiring the trees the
+//! path consumed. [`BlossomSearcher::try_augment`] plants one free vertex;
+//! [`BlossomSearcher::augment_phase`] plants every free vertex.
+//!
+//! A search costs what it touches: the half-edges it scans, an undo of
+//! the previous search's forest linear in that forest's size (a
+//! whole-array fill once the forest holds an eighth of the vertices,
+//! which that share pays for), and per contraction the members of the
+//! blossoms it merges, which each base keeps in a list. Only
+//! [`BlossomSearcher::reset_from`] and the first forest phase after it,
+//! which lists the free vertices, are linear in n. A search that
 //! contracts deeply nested blossoms can still relabel O(n) vertices per
-//! contraction, so the worst case stays O(n·m) per augmentation.
+//! contraction, so the worst case stays O(n·m) per search.
 //!
 //! The search supports a **depth cap**: expansion stops at alternating
 //! distance `cap` from the root, so a search that fails with cap `2k−1`
@@ -59,16 +65,16 @@ pub struct BlossomSearcher {
     lca_mark: BitSet,
     /// Alternating depth of each even vertex, written when it turns even.
     depth: Vec<u32>,
-    /// Tree root of each even vertex, written when it turns even
-    /// (multi-source search only).
+    /// Tree root of each even vertex, written when it turns even.
     root: Vec<u32>,
     /// Trees whose root was consumed by an augmentation in the current
-    /// forest phase (multi-source search only), keyed by root vertex and
-    /// cleared through the root list when the phase ends.
+    /// search, keyed by root vertex and cleared through the root list
+    /// when the search ends.
     retired: BitSet,
     queue: VecDeque<u32>,
-    /// The vertices the last search added to its forest: the only ones
-    /// whose `parent` and `even` entries differ from their reset values.
+    /// The vertices the last search added to its forest, its roots first:
+    /// the only ones whose `parent` and `even` entries differ from their
+    /// reset values.
     touched: Vec<u32>,
     /// The vertices whose `base` or `link` the last search's contractions
     /// changed, each listed once: a singleton blossom's base when its
@@ -223,15 +229,10 @@ impl BlossomSearcher {
         self.mate.iter().filter(|&&m| m != NONE).count() / 2
     }
 
-    #[inline]
-    fn is_free(&self, v: u32) -> bool {
-        self.mate[v as usize] == NONE
-    }
-
     /// Whether `v` is free in the searcher's current matching.
     #[inline]
     pub fn is_free_vertex(&self, v: VertexId) -> bool {
-        self.is_free(v.0)
+        self.mate[v.index()] == NONE
     }
 
     /// Undo the last search's forest: every vertex it added gets its
@@ -258,70 +259,32 @@ impl BlossomSearcher {
         self.queue.clear();
     }
 
-    /// Search for an augmenting path from `root` whose *contracted*
-    /// alternating length is at most `cap` edges; flip it if found.
+    /// Search for an augmenting path from the free vertex `root` whose
+    /// *contracted* alternating length is at most `cap` edges; flip it if
+    /// found. This is the search loop with `root` as its only tree, so the
+    /// path ends at the first free vertex the tree reaches.
     ///
-    /// `cap = u32::MAX` gives the unrestricted exact search.
+    /// `cap = u32::MAX` gives the unrestricted single-root search.
     pub fn try_augment(&mut self, g: &CsrGraph, root: VertexId, cap: u32) -> bool {
-        debug_assert!(self.is_free(root.0));
+        debug_assert!(self.is_free_vertex(root));
         self.clear_forest();
-        self.even.set(root.index());
-        self.depth[root.index()] = 0;
         self.touched.push(root.0);
-        self.queue.push_back(root.0);
-
-        while let Some(v) = self.queue.pop_front() {
-            let dv = self.depth[v as usize];
-            if dv + 1 > cap {
-                continue; // cannot extend by even one edge within the cap
-            }
-            let deg = g.degree(VertexId(v));
-            self.work += deg as u64;
-            for i in 0..deg {
-                let to = g.neighbor(VertexId(v), i).0;
-                if self.base[v as usize] == self.base[to as usize] || self.mate[v as usize] == to {
-                    continue;
-                }
-                let to_is_even = to == root.0
-                    || (self.mate[to as usize] != NONE
-                        && self.parent[self.mate[to as usize] as usize] != NONE);
-                if to_is_even {
-                    // Even-even edge closes an odd cycle: contract blossom.
-                    self.contract(v, to, root.0);
-                } else if self.parent[to as usize] == NONE {
-                    self.parent[to as usize] = v;
-                    self.touched.push(to);
-                    if self.mate[to as usize] == NONE {
-                        self.augment_to(to);
-                        return true;
-                    }
-                    let w = self.mate[to as usize];
-                    self.even.set(w as usize);
-                    self.depth[w as usize] = dv + 2;
-                    self.touched.push(w);
-                    self.queue.push_back(w);
-                }
-            }
-        }
-        false
+        self.search(g, cap) > 0
     }
 
-    /// One Hopcroft–Karp-shaped forest *phase*: grow alternating trees
-    /// from all free vertices, and whenever a cross-tree even–even edge
-    /// closes an augmenting path, flip it, retire the two trees it
-    /// consumed, and keep searching the surviving forest. One call costs
-    /// O(m·α) and flips a set of vertex-disjoint augmenting paths —
-    /// returning how many — so reaching a path-free state costs
-    /// O(phases·m) instead of O(augmentations·m). (Retiring a tree can
-    /// strand odd vertices it had claimed, so a phase is not guaranteed
-    /// maximal; callers re-run until a phase returns 0.) A phase with no
-    /// free vertex left returns 0 at once.
+    /// One Hopcroft–Karp-shaped forest *phase*: the search loop with a
+    /// tree at every free vertex that has an edge. It flips a set of
+    /// vertex-disjoint augmenting paths and returns how many, at a cost of
+    /// O(m) plus its contractions, so reaching a path-free state costs
+    /// O(phases·m) instead of O(augmentations·m). Retiring a tree can
+    /// strand odd vertices it had claimed, so a phase that flips paths is
+    /// not guaranteed maximal; callers re-run until a phase returns 0. A
+    /// phase with no free vertex left returns 0 at once.
     pub fn augment_phase(&mut self, g: &CsrGraph, cap: u32) -> usize {
+        let mate = &self.mate;
         if self.free_listed {
-            let mate = &self.mate;
             self.free.retain(|&v| mate[v as usize] == NONE);
         } else {
-            let mate = &self.mate;
             let roots = (0..g.num_vertices() as u32)
                 .filter(|&v| mate[v as usize] == NONE && g.degree(VertexId(v)) > 0);
             self.free.extend(roots);
@@ -331,21 +294,30 @@ impl BlossomSearcher {
             return 0;
         }
         self.clear_forest();
-        for &v in &self.free {
+        self.touched.extend_from_slice(&self.free);
+        self.search(g, cap)
+    }
+
+    /// The search loop: plant a tree at each vertex of the cleared
+    /// forest's `touched` list, grow the trees breadth first up to
+    /// alternating depth `cap`, contract the blossoms they close, and flip
+    /// every augmenting path between two live trees or from a live tree to
+    /// a free vertex outside every tree, retiring the trees it consumed.
+    /// Returns the paths flipped; stops once no planted tree is live.
+    fn search(&mut self, g: &CsrGraph, cap: u32) -> usize {
+        let planted = self.touched.len();
+        for &v in &self.touched {
             self.even.set(v as usize);
             self.root[v as usize] = v;
             self.depth[v as usize] = 0;
             self.queue.push_back(v);
         }
-        self.touched.extend_from_slice(&self.free);
-        let mut flipped = 0usize;
+        let (mut live, mut flipped) = (planted, 0);
         'scan: while let Some(v) = self.queue.pop_front() {
-            let dv = self.depth[v as usize];
-            if dv + 1 > cap {
-                continue;
-            }
-            let rv = self.root[v as usize];
-            if self.retired.get(rv as usize) {
+            let (dv, rv) = (self.depth[v as usize], self.root[v as usize]);
+            // Skip a vertex at the cap, which cannot extend by even one
+            // edge, and the vertices of retired trees.
+            if dv + 1 > cap || self.retired.get(rv as usize) {
                 continue;
             }
             let deg = g.degree(VertexId(v));
@@ -355,42 +327,54 @@ impl BlossomSearcher {
                 if self.base[v as usize] == self.base[to as usize] || self.mate[v as usize] == to {
                     continue;
                 }
-                if self.even.get(to as usize) {
+                let rto = if self.even.get(to as usize) {
                     let rto = self.root[to as usize];
                     if rto == rv {
                         // Same tree: odd cycle, contract the blossom.
                         self.contract(v, to, rv);
-                    } else if !self.retired.get(rto as usize) {
-                        // Cross-tree even–even edge between live trees:
-                        // augmenting path root(v) ⇝ v — to ⇝ root(to).
-                        // Flip both halves and retire both trees; their
-                        // parent structure is now stale, so later pops
-                        // and edges into them are skipped above.
-                        self.flip_to_free(v);
-                        self.flip_to_free(to);
-                        self.mate[v as usize] = to;
-                        self.mate[to as usize] = v;
-                        self.retired.set(rv as usize);
-                        self.retired.set(rto as usize);
-                        flipped += 1;
-                        // v's own tree is retired: stop expanding it.
-                        continue 'scan;
+                        continue;
                     }
-                } else if self.parent[to as usize] == NONE && self.mate[to as usize] != NONE {
-                    self.parent[to as usize] = v;
-                    self.touched.push(to);
-                    let w = self.mate[to as usize];
-                    if !self.even.get(w as usize) {
-                        self.even.set(w as usize);
-                        self.root[w as usize] = rv;
-                        self.depth[w as usize] = dv + 2;
-                        self.touched.push(w);
-                        self.queue.push_back(w);
+                    if self.retired.get(rto as usize) {
+                        continue;
                     }
+                    rto
+                } else if self.mate[to as usize] == NONE {
+                    // A free vertex outside every tree; a phase plants
+                    // them all, so only a single-root search meets one.
+                    rv
+                } else {
+                    if self.parent[to as usize] == NONE {
+                        self.parent[to as usize] = v;
+                        self.touched.push(to);
+                        let w = self.mate[to as usize];
+                        if !self.even.get(w as usize) {
+                            self.even.set(w as usize);
+                            self.root[w as usize] = rv;
+                            self.depth[w as usize] = dv + 2;
+                            self.touched.push(w);
+                            self.queue.push_back(w);
+                        }
+                    }
+                    continue;
+                };
+                // Augmenting path root(v) ⇝ v — to ⇝ root(to): flip it and
+                // retire both trees. Their parent structure is now stale,
+                // so later pops and edges into them are skipped above.
+                self.flip_to_free(v);
+                self.flip_to_free(to);
+                self.mate[v as usize] = to;
+                self.mate[to as usize] = v;
+                self.retired.set(rv as usize);
+                self.retired.set(rto as usize);
+                flipped += 1;
+                live -= 1 + usize::from(rto != rv);
+                if live == 0 {
+                    break 'scan;
                 }
+                continue 'scan;
             }
         }
-        for &v in &self.free {
+        for &v in &self.touched[..planted] {
             self.retired.remove(v as usize);
         }
         flipped
@@ -533,7 +517,7 @@ pub fn maximum_matching_from(g: &CsrGraph, init: Matching) -> Matching {
     // Classic fact: if no augmenting path starts at a free vertex v, later
     // augmentations cannot create one, so a single pass over roots suffices.
     for v in 0..n as u32 {
-        if searcher.is_free(v) && g.degree(VertexId(v)) > 0 {
+        if searcher.is_free_vertex(VertexId(v)) && g.degree(VertexId(v)) > 0 {
             searcher.try_augment(g, VertexId(v), u32::MAX);
         }
     }
