@@ -19,6 +19,12 @@
 //! contracts deeply nested blossoms can still relabel O(n) vertices per
 //! contraction, so the worst case stays O(n·m) per search.
 //!
+//! The exact oracle [`maximum_matching_from`] repeats unbounded phases
+//! until one flips nothing. That phase is a complete Edmonds search, so
+//! the matching is then maximum (its doc gives the argument). The oracle
+//! costs O(phases·m) plus contractions, where one unbounded search per
+//! free vertex cost O(free·m).
+//!
 //! The search supports a **depth cap**: expansion stops at alternating
 //! distance `cap` from the root, so a search that fails with cap `2k−1`
 //! certifies there is no augmenting path of length ≤ 2k−1 from that root
@@ -278,8 +284,10 @@ impl BlossomSearcher {
     /// O(m) plus its contractions, so reaching a path-free state costs
     /// O(phases·m) instead of O(augmentations·m). Retiring a tree can
     /// strand odd vertices it had claimed, so a phase that flips paths is
-    /// not guaranteed maximal; callers re-run until a phase returns 0. A
-    /// phase with no free vertex left returns 0 at once.
+    /// not guaranteed maximal; callers re-run until a phase returns 0. An
+    /// unbounded phase that returns 0 leaves no augmenting path (see
+    /// [`maximum_matching_from`]). A phase with no free vertex left
+    /// returns 0 at once.
     pub fn augment_phase(&mut self, g: &CsrGraph, cap: u32) -> usize {
         let mate = &self.mate;
         if self.free_listed {
@@ -511,16 +519,18 @@ pub fn maximum_matching(g: &CsrGraph) -> Matching {
 }
 
 /// Exact maximum matching, growing a caller-supplied initial matching.
+///
+/// Runs unbounded forest phases until one flips nothing. That phase
+/// retired no tree, so it is a complete multi-tree Edmonds search: it grew
+/// an alternating tree at every free vertex with an edge, contracted every
+/// blossom a tree closed and scanned every edge of every even vertex, and
+/// found no edge joining two trees' even vertices. Then no augmenting path
+/// is left, and by Berge's theorem the matching is maximum. Every other
+/// phase grows the matching, so at most |MCM| − |init| + 1 phases run,
+/// each O(m) plus its contractions.
 pub fn maximum_matching_from(g: &CsrGraph, init: Matching) -> Matching {
-    let n = g.num_vertices();
     let mut searcher = BlossomSearcher::new(&init);
-    // Classic fact: if no augmenting path starts at a free vertex v, later
-    // augmentations cannot create one, so a single pass over roots suffices.
-    for v in 0..n as u32 {
-        if searcher.is_free_vertex(VertexId(v)) && g.degree(VertexId(v)) > 0 {
-            searcher.try_augment(g, VertexId(v), u32::MAX);
-        }
-    }
+    while searcher.augment_phase(g, u32::MAX) > 0 {}
     let m = searcher.into_matching();
     debug_assert!(m.is_valid_for(g));
     m

@@ -368,7 +368,7 @@ const NAMED: &[&str] = &[
     "serve-seed1 empty max_len=3: size=150 pairs=99fcf497d9f4f7cd aug=150 searches=4 visits=5737",
     "serve-seed1 empty max_len=7: size=150 pairs=99fcf497d9f4f7cd aug=150 searches=6 visits=5737",
     "serve-seed1 empty max_len=41: size=150 pairs=99fcf497d9f4f7cd aug=150 searches=23 visits=5737",
-    "serve-seed1 maximum: size=150 pairs=7ae14f4a82355db9",
+    "serve-seed1 maximum: size=150 pairs=99fcf497d9f4f7cd",
     "serve-seed2 greedy max_len=1: size=150 pairs=c9fd3c71e8d7c88d aug=2 searches=2 visits=148",
     "serve-seed2 greedy max_len=3: size=150 pairs=c9fd3c71e8d7c88d aug=2 searches=3 visits=148",
     "serve-seed2 greedy max_len=7: size=150 pairs=c9fd3c71e8d7c88d aug=2 searches=5 visits=148",
@@ -386,7 +386,7 @@ const NAMED: &[&str] = &[
     "inmem-sampled empty max_len=3: size=500 pairs=febbd91a89be69fd aug=500 searches=6 visits=6904",
     "inmem-sampled empty max_len=7: size=500 pairs=febbd91a89be69fd aug=500 searches=8 visits=6904",
     "inmem-sampled empty max_len=41: size=500 pairs=febbd91a89be69fd aug=500 searches=25 visits=6904",
-    "inmem-sampled maximum: size=500 pairs=77caa1fcaf7c73c5",
+    "inmem-sampled maximum: size=500 pairs=ccbb71333b9b6c19",
     "inmem-small greedy max_len=1: size=250 pairs=e640245bbfc80261 aug=1 searches=2 visits=352",
     "inmem-small greedy max_len=3: size=250 pairs=e640245bbfc80261 aug=1 searches=3 visits=352",
     "inmem-small greedy max_len=7: size=250 pairs=e640245bbfc80261 aug=1 searches=5 visits=352",
@@ -440,7 +440,7 @@ const NAMED: &[&str] = &[
     "bipartite-300x200 empty max_len=3: size=190 pairs=902ba56da6bba809 aug=190 searches=69 visits=1903",
     "bipartite-300x200 empty max_len=7: size=190 pairs=902ba56da6bba809 aug=190 searches=71 visits=3576",
     "bipartite-300x200 empty max_len=41: size=190 pairs=902ba56da6bba809 aug=190 searches=88 visits=18351",
-    "bipartite-300x200 maximum: size=190 pairs=27806070d562c26d",
+    "bipartite-300x200 maximum: size=190 pairs=902ba56da6bba809",
     "power-law-1000x3 greedy max_len=1: size=445 pairs=0efd8e314e4561b6 aug=92 searches=114 visits=2418",
     "power-law-1000x3 greedy max_len=3: size=470 pairs=339259850e2996f0 aug=117 searches=68 visits=5594",
     "power-law-1000x3 greedy max_len=7: size=484 pairs=c87f1dcee620ba2b aug=131 searches=45 visits=11193",
@@ -449,7 +449,7 @@ const NAMED: &[&str] = &[
     "power-law-1000x3 empty max_len=3: size=470 pairs=339259850e2996f0 aug=470 searches=69 visits=9339",
     "power-law-1000x3 empty max_len=7: size=484 pairs=c87f1dcee620ba2b aug=484 searches=46 visits=14938",
     "power-law-1000x3 empty max_len=41: size=488 pairs=3fe1665d1ee44a7e aug=488 searches=59 visits=56512",
-    "power-law-1000x3 maximum: size=488 pairs=474182cffce18068",
+    "power-law-1000x3 maximum: size=488 pairs=136413250f06ad44",
     "power-law-1000x1 greedy max_len=1: size=279 pairs=69ac53b99130f182 aug=45 searches=444 visits=1416",
     "power-law-1000x1 greedy max_len=3: size=281 pairs=400587aa26f1770b aug=47 searches=442 visits=3148",
     "power-law-1000x1 greedy max_len=7: size=281 pairs=400587aa26f1770b aug=47 searches=444 visits=4453",
@@ -458,7 +458,7 @@ const NAMED: &[&str] = &[
     "power-law-1000x1 empty max_len=3: size=281 pairs=400587aa26f1770b aug=281 searches=443 visits=4725",
     "power-law-1000x1 empty max_len=7: size=281 pairs=400587aa26f1770b aug=281 searches=445 visits=6030",
     "power-law-1000x1 empty max_len=41: size=281 pairs=400587aa26f1770b aug=281 searches=462 visits=16502",
-    "power-law-1000x1 maximum: size=281 pairs=cc72c0dd58bb6b41",
+    "power-law-1000x1 maximum: size=281 pairs=400587aa26f1770b",
     "gnp-400 greedy max_len=1: size=162 pairs=a64cf692139376ad aug=17 searches=40 visits=328",
     "gnp-400 greedy max_len=3: size=167 pairs=eb5ae2827734b194 aug=22 searches=32 visits=668",
     "gnp-400 greedy max_len=7: size=171 pairs=63bcf8696f5e411c aug=26 searches=27 visits=1229",
@@ -467,7 +467,7 @@ const NAMED: &[&str] = &[
     "gnp-400 empty max_len=3: size=167 pairs=eb5ae2827734b194 aug=167 searches=33 visits=1211",
     "gnp-400 empty max_len=7: size=171 pairs=63bcf8696f5e411c aug=171 searches=28 visits=1772",
     "gnp-400 empty max_len=41: size=173 pairs=9b841ce9d57c49aa aug=173 searches=43 visits=5046",
-    "gnp-400 maximum: size=173 pairs=cca8795f0cb84ad6",
+    "gnp-400 maximum: size=173 pairs=006980be692ee4f1",
     "path-101 greedy max_len=1: size=50 pairs=cc1c0bce4d26d0a5 aug=0 searches=2 visits=2",
     "path-101 greedy max_len=3: size=50 pairs=cc1c0bce4d26d0a5 aug=0 searches=3 visits=7",
     "path-101 greedy max_len=7: size=50 pairs=cc1c0bce4d26d0a5 aug=0 searches=5 visits=23",
@@ -525,14 +525,14 @@ const NAMED: &[&str] = &[
 ];
 
 const SWEEP: &[&str] = &[
-    "serve-shape: graphs=12 edges=36976 size=6180 aug=3138 searches=288 visits=119544 hash=cd3926659e342146 maximum size=1030 pairs=a475dac566fe44d3",
-    "inmem-shape: graphs=12 edges=5950 size=4188 aug=2244 searches=356 visits=25933 hash=b4c7194ed02fddac maximum size=700 pairs=d95f31f00d94d42f",
-    "clique-union: graphs=12 edges=6994 size=2592 aug=1302 searches=366 visits=105055 hash=7f00c156634b8114 maximum size=432 pairs=263eefc28739bad1",
+    "serve-shape: graphs=12 edges=36976 size=6180 aug=3138 searches=288 visits=119544 hash=cd3926659e342146 maximum size=1030 pairs=0f46e063ae289e69",
+    "inmem-shape: graphs=12 edges=5950 size=4188 aug=2244 searches=356 visits=25933 hash=b4c7194ed02fddac maximum size=700 pairs=6eb0997952335d91",
+    "clique-union: graphs=12 edges=6994 size=2592 aug=1302 searches=366 visits=105055 hash=7f00c156634b8114 maximum size=432 pairs=5b682df9f1740fb9",
     "flower-chain: graphs=12 edges=1318 size=3414 aug=1743 searches=444 visits=11190 hash=82b29f4bafd0ed08 maximum size=581 pairs=133e5655c6850d37",
     "bridge: graphs=12 edges=2754 size=1044 aug=558 searches=300 visits=11772 hash=99368ba110d67591 maximum size=174 pairs=c2c4f64dcc43e125",
-    "bipartite: graphs=12 edges=3303 size=4692 aug=2427 searches=3418 visits=156016 hash=2f5269c529f34db0 maximum size=784 pairs=4c7b9f6fc10cf189",
-    "power-law: graphs=12 edges=4641 size=6268 aug=3772 searches=4766 visits=87554 hash=ce4e9a3917dd263a maximum size=1058 pairs=629bbd28efb29a7a",
-    "gnp: graphs=12 edges=1297 size=2718 aug=1482 searches=908 visits=18304 hash=1e9f398f68f098b9 maximum size=460 pairs=b256330bf0c2eb3e",
+    "bipartite: graphs=12 edges=3303 size=4692 aug=2427 searches=3418 visits=156016 hash=2f5269c529f34db0 maximum size=784 pairs=5cc34b8892b559c6",
+    "power-law: graphs=12 edges=4641 size=6268 aug=3772 searches=4766 visits=87554 hash=ce4e9a3917dd263a maximum size=1058 pairs=acfdbbcc89b35c21",
+    "gnp: graphs=12 edges=1297 size=2718 aug=1482 searches=908 visits=18304 hash=1e9f398f68f098b9 maximum size=460 pairs=e9e585a0ef287592",
     "path: graphs=12 edges=489 size=1482 aug=741 searches=261 visits=1933 hash=1dbfa754e78c1dfc maximum size=247 pairs=9f8510c96ec8fed4",
     "cycle: graphs=12 edges=528 size=1572 aug=786 searches=252 visits=2344 hash=7f3904400acf8a29 maximum size=262 pairs=7df0e7875553f9da",
     "star: graphs=12 edges=368 size=72 aug=36 searches=2364 visits=11538 hash=3553304cd37eab3b maximum size=12 pairs=1e6a916f341d3785",
