@@ -542,7 +542,7 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use sparsimatch_graph::csr::from_edges;
     use sparsimatch_graph::generators::{
-        clique, complete_bipartite, cycle, gnp, path, star, two_cliques_bridge,
+        bipartite_gnp, clique, complete_bipartite, cycle, gnp, path, star, two_cliques_bridge,
     };
 
     #[test]
@@ -572,11 +572,36 @@ mod tests {
     fn bipartite_agrees_with_hopcroft_karp() {
         let mut rng = StdRng::seed_from_u64(10);
         for _ in 0..15 {
-            let g = sparsimatch_graph::generators::bipartite_gnp(15, 18, 0.15, &mut rng);
+            let g = bipartite_gnp(15, 18, 0.15, &mut rng);
             let hk = crate::hopcroft_karp::hopcroft_karp_auto(&g).expect("bipartite");
             let bl = maximum_matching(&g);
             assert_eq!(bl.len(), hk.len());
             assert!(bl.is_valid_for(&g));
+        }
+    }
+
+    #[test]
+    fn deficient_bipartite_sizes_agree_with_hopcroft_karp_at_scale() {
+        // Unbalanced sides leave many vertices free, which is where the
+        // exact oracle's phases replace one search per free vertex.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut graphs = vec![bipartite_gnp(6000, 4000, 0.002, &mut rng)];
+        for _ in 0..3 {
+            for p in [0.002, 0.01] {
+                graphs.push(bipartite_gnp(600, 400, p, &mut rng));
+            }
+        }
+        for g in &graphs {
+            let hk = crate::hopcroft_karp::hopcroft_karp_auto(g).expect("bipartite");
+            let bl = maximum_matching(g);
+            assert!(bl.is_valid_for(g));
+            assert_eq!(
+                bl.len(),
+                hk.len(),
+                "n = {}, m = {}",
+                g.num_vertices(),
+                g.num_edges()
+            );
         }
     }
 

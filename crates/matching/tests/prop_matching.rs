@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use sparsimatch_graph::csr::from_edges;
-use sparsimatch_matching::blossom::maximum_matching;
+use sparsimatch_matching::blossom::{maximum_matching, maximum_matching_from, BlossomSearcher};
 use sparsimatch_matching::bounded_aug::approx_maximum_matching;
 use sparsimatch_matching::greedy::greedy_maximal_matching;
 use sparsimatch_matching::hopcroft_karp::{bipartition, hopcroft_karp};
+use sparsimatch_matching::Matching;
 
 const N: usize = 18;
 
@@ -16,6 +17,28 @@ fn arb_edges() -> impl Strategy<Value = Vec<(usize, usize)>> {
 fn arb_bipartite_edges() -> impl Strategy<Value = Vec<(usize, usize)>> {
     // Left 0..9, right 9..18.
     proptest::collection::vec((0..9usize, 9..N), 0..60)
+}
+
+/// Steps coprime to `N`, so `len ≤ N` consecutive multiples of one from a
+/// start are distinct vertices.
+const STRIDES: [usize; 6] = [1, 5, 7, 11, 13, 17];
+
+/// One to four odd cycles (lengths 3, 5 and 7) on vertices spread by a
+/// stride from a start, plus up to twenty random chords: graphs where
+/// blossoms nest and cross.
+fn arb_odd_cycle_edges() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    (
+        proptest::collection::vec((0..3usize, 0..N, 0..STRIDES.len()), 1..5),
+        proptest::collection::vec((0..N, 0..N), 0..20),
+    )
+        .prop_map(|(cycles, mut edges)| {
+            for (k, start, s) in cycles {
+                let len = 2 * k + 3;
+                let at = |i: usize| (start + i * STRIDES[s]) % N;
+                edges.extend((0..len).map(|i| (at(i), at(i + 1))));
+            }
+            edges
+        })
 }
 
 /// Exponential-time exact MCM used as an independent oracle.
@@ -57,6 +80,29 @@ proptest! {
         let fast = maximum_matching(&g);
         prop_assert!(fast.is_valid_for(&g));
         prop_assert_eq!(fast.len(), brute_force_mcm(&edge_list));
+    }
+
+    #[test]
+    fn exact_oracle_from_a_random_matching_is_maximum(
+        edges in arb_odd_cycle_edges(),
+        pick in proptest::collection::vec(any::<bool>(), 0..48),
+    ) {
+        let g = from_edges(N, edges);
+        let edge_list: Vec<(u32, u32)> = g.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+        // A valid, usually not maximal, start: each picked edge whose
+        // ends are both still free.
+        let mut init = Matching::new(N);
+        for (i, (_, u, v)) in g.edges().enumerate() {
+            if pick.get(i) == Some(&true) {
+                init.add_pair(u, v);
+            }
+        }
+        prop_assert!(init.is_valid_for(&g));
+        let m = maximum_matching_from(&g, init);
+        prop_assert!(m.is_valid_for(&g));
+        prop_assert_eq!(m.len(), brute_force_mcm(&edge_list));
+        // The zero-flip phase the oracle ended with, run once more.
+        prop_assert_eq!(BlossomSearcher::new(&m).augment_phase(&g, u32::MAX), 0);
     }
 
     #[test]
