@@ -42,4 +42,4 @@ pub mod shrink;
 pub use instance::{CheckConfig, CheckInstance, Scenario};
 pub use oracles::{OracleKind, Violation};
 pub use report::{counterexample_doc, replay_str, ReplayReport};
-pub use shrink::{shrink_instance, ShrinkStats};
+pub use shrink::{shrink_instance, shrink_violation, ShrinkStats};

@@ -2,8 +2,8 @@
 //! oracles; shrink and persist any violation as a replayable reproducer.
 
 use sparsimatch_check::oracles::PANIC_CHECK;
-use sparsimatch_check::shrink::DEFAULT_CALL_BUDGET;
-use sparsimatch_check::{counterexample_doc, report, shrink_instance, CheckConfig, Scenario};
+use sparsimatch_check::shrink::shrink_violation;
+use sparsimatch_check::{counterexample_doc, report, CheckConfig, Scenario};
 use sparsimatch_core::scratch::PipelineScratch;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -175,19 +175,16 @@ fn main() {
             scratch = PipelineScratch::new();
         }
 
-        // Shrink while the oracle still rejects *for the same check*:
-        // without pinning the slug, removing edges from a dense family can
-        // wander into a stale-β-certificate artifact instead of a smaller
-        // witness of the original violation.
+        // Shrink while the oracle still rejects for the same check. The
+        // hook has reported the first panic with its location; candidates
+        // that panic while shrinking stay quiet.
         let cfg = args.cfg;
         let oracle = scenario.oracle;
-        let slug = violation.check.clone();
-        // The hook has reported the first panic with its location;
-        // candidates that panic while shrinking stay quiet.
-        let (small, stats) = shrink_instance(
+        let (small, stats) = shrink_violation(
+            oracle,
+            &violation.check,
             violation.witness.as_ref().unwrap_or(&scenario.instance),
-            |candidate| quietly(|| oracle.check(candidate, &cfg)).is_some_and(|v| v.check == slug),
-            DEFAULT_CALL_BUDGET,
+            |candidate| quietly(|| oracle.check(candidate, &cfg)),
         );
         let final_violation =
             quietly(|| oracle.check(&small, &cfg)).expect("shrinker must preserve the violation");

@@ -10,9 +10,13 @@
 //!
 //! The shrinker is generic over the predicate so its own contract —
 //! *whatever it returns still violates* — is property-testable against a
-//! stub oracle (see `tests/shrink_property.rs`).
+//! stub oracle (see `tests/shrink_property.rs`). [`shrink_violation`] is
+//! the sweep's predicate around it: the same oracle must still fail the
+//! same check.
 
 use crate::instance::CheckInstance;
+use crate::oracles::{OracleKind, Violation};
+use sparsimatch_graph::analysis::independence::neighborhood_independence_exact;
 
 /// Default cap on predicate evaluations during one shrink.
 pub const DEFAULT_CALL_BUDGET: usize = 2000;
@@ -30,6 +34,46 @@ pub struct ShrinkStats {
     pub updates_before: u64,
     /// Update count after shrinking.
     pub updates_after: u64,
+}
+
+/// The static oracle's checks whose bounds rest on the β certificate.
+const BETA_BOUND_CHECKS: [&str; 3] = ["thm3.1-ratio", "obs2.10-size", "thm2.1-ratio"];
+
+/// Shrink `witness`, on which `oracle` fails check `slug`, keeping a
+/// candidate only while the oracle still fails that check; `run` runs the
+/// oracle on a candidate. Pinning the check keeps the shrink from
+/// wandering into another check's failure instead of a smaller witness
+/// of this one.
+///
+/// For the static checks whose bounds rest on β (`thm3.1-ratio`,
+/// `obs2.10-size` and `thm2.1-ratio`), each candidate runs with β raised
+/// to its own graph's exact neighborhood independence where that is
+/// larger, and with its recorded Δ override. Without that, a clique's
+/// smaller subgraphs, whose β exceeds the family's 1, fail the β
+/// certificate before they reach the pinned check. The returned instance
+/// carries the β it was checked with, so its reproducer replays. Every
+/// other check, `beta-certificate` included, shrinks against the recorded
+/// β.
+pub fn shrink_violation(
+    oracle: OracleKind,
+    slug: &str,
+    witness: &CheckInstance,
+    mut run: impl FnMut(&CheckInstance) -> Option<Violation>,
+) -> (CheckInstance, ShrinkStats) {
+    let recertify = oracle == OracleKind::Static && BETA_BOUND_CHECKS.contains(&slug);
+    let as_checked = |c: &CheckInstance| {
+        let mut c = c.clone();
+        if recertify {
+            c.beta = c.beta.max(neighborhood_independence_exact(&c.graph()));
+        }
+        c
+    };
+    let (small, stats) = shrink_instance(
+        witness,
+        |c| run(&as_checked(c)).is_some_and(|v| v.check == slug),
+        DEFAULT_CALL_BUDGET,
+    );
+    (as_checked(&small), stats)
 }
 
 /// Shrink `inst` — which must already violate, i.e.
@@ -171,6 +215,8 @@ fn ddmin<T: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::{CheckConfig, Scenario};
+    use sparsimatch_graph::analysis::independence::neighborhood_independence_at_most;
 
     fn instance_with_edges(n: usize, edges: Vec<(u32, u32)>) -> CheckInstance {
         CheckInstance {
@@ -228,5 +274,40 @@ mod tests {
         let (small, _) = shrink_instance(&inst, pred, DEFAULT_CALL_BUDGET);
         assert_eq!(small.edges.len(), 2);
         assert!(pred(&small));
+    }
+
+    #[test]
+    fn clique_ratio_witness_shrinks_below_its_family_certificate() {
+        // `--oracle static --delta 1 --bound-eps 0.05`, seed 8: a 210-edge
+        // clique that every edge removal takes past the family's β = 1.
+        let cfg = CheckConfig {
+            bound_eps: Some(0.05),
+            delta: Some(1),
+            backend: None,
+            oracle: Some(OracleKind::Static),
+        };
+        let scenario = Scenario::generate(8, &cfg);
+        let check = |c: &CheckInstance| OracleKind::Static.check(c, &cfg);
+        let violation = check(&scenario.instance).expect("seed 8 violates");
+        assert_eq!(violation.check, "thm2.1-ratio");
+        assert_eq!(
+            (scenario.instance.family.as_str(), scenario.instance.beta),
+            ("clique", 1)
+        );
+        let (small, stats) = shrink_violation(
+            OracleKind::Static,
+            &violation.check,
+            &scenario.instance,
+            check,
+        );
+        assert_eq!(stats.edges_before, 210);
+        assert!(stats.edges_after <= 20, "{stats:?}");
+        assert_eq!(small.delta, Some(1), "the Δ override is kept");
+        assert!(neighborhood_independence_at_most(
+            &small.graph(),
+            small.beta
+        ));
+        let again = check(&small).expect("the shrunk instance still violates");
+        assert_eq!(again.check, "thm2.1-ratio");
     }
 }
