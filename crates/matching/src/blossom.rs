@@ -7,7 +7,11 @@
 //! their alternating trees breadth first, contracts the blossoms a tree
 //! closes and flips each augmenting path it finds, retiring the trees the
 //! path consumed. [`BlossomSearcher::try_augment`] plants one free vertex;
-//! [`BlossomSearcher::augment_phase`] plants every free vertex.
+//! [`BlossomSearcher::augment_phase`] plants every free vertex. The exact
+//! oracle [`maximum_matching_from`] repeats unbounded phases until one
+//! flips nothing, which leaves a maximum matching (its doc gives the
+//! argument), in O(phases·m) plus contractions where one unbounded search
+//! per free vertex cost O(free·m).
 //!
 //! A search costs what it touches: the half-edges it scans, an undo of
 //! the previous search's forest linear in that forest's size (a
@@ -18,12 +22,6 @@
 //! which lists the free vertices, are linear in n. A search that
 //! contracts deeply nested blossoms can still relabel O(n) vertices per
 //! contraction, so the worst case stays O(n·m) per search.
-//!
-//! The exact oracle [`maximum_matching_from`] repeats unbounded phases
-//! until one flips nothing. That phase is a complete Edmonds search, so
-//! the matching is then maximum (its doc gives the argument). The oracle
-//! costs O(phases·m) plus contractions, where one unbounded search per
-//! free vertex cost O(free·m).
 //!
 //! The search supports a **depth cap**: expansion stops at alternating
 //! distance `cap` from the root, so a search that fails with cap `2k−1`
@@ -323,8 +321,7 @@ impl BlossomSearcher {
         let (mut live, mut flipped) = (planted, 0);
         'scan: while let Some(v) = self.queue.pop_front() {
             let (dv, rv) = (self.depth[v as usize], self.root[v as usize]);
-            // Skip a vertex at the cap, which cannot extend by even one
-            // edge, and the vertices of retired trees.
+            // At the cap a vertex cannot extend by even one edge.
             if dv + 1 > cap || self.retired.get(rv as usize) {
                 continue;
             }
@@ -391,7 +388,9 @@ impl BlossomSearcher {
     /// Contract the blossom that the even–even edge `v`–`to` of tree
     /// `tree` closes: every member of a blossom on the two tree paths up
     /// to their lowest common base takes that base, and the members that
-    /// were odd turn even and are queued in ascending id.
+    /// were odd turn even and are queued in ascending id. Out of line, like
+    /// [`Self::flip_to_free`]: inlined, they slowed the search loop ~5%.
+    #[inline(never)]
     fn contract(&mut self, v: u32, to: u32, tree: u32) {
         self.contractions += 1;
         let cur_base = self.lowest_common_ancestor(v, to);
@@ -439,6 +438,7 @@ impl BlossomSearcher {
     /// leaving `x` temporarily free (its caller re-mates it across the
     /// cross edge). Walks the same parent structure as [`Self::augment_to`],
     /// so it is blossom-safe.
+    #[inline(never)]
     fn flip_to_free(&mut self, x: u32) {
         let y = self.mate[x as usize];
         self.mate[x as usize] = NONE;
