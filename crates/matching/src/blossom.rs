@@ -343,22 +343,22 @@ impl BlossomSearcher {
                         continue;
                     }
                     rto
+                } else if self.parent[to as usize] != NONE {
+                    continue; // odd: already claimed by a tree
                 } else if self.mate[to as usize] == NONE {
                     // A free vertex outside every tree; a phase plants
                     // them all, so only a single-root search meets one.
                     rv
                 } else {
-                    if self.parent[to as usize] == NONE {
-                        self.parent[to as usize] = v;
-                        self.touched.push(to);
-                        let w = self.mate[to as usize];
-                        if !self.even.get(w as usize) {
-                            self.even.set(w as usize);
-                            self.root[w as usize] = rv;
-                            self.depth[w as usize] = dv + 2;
-                            self.touched.push(w);
-                            self.queue.push_back(w);
-                        }
+                    self.parent[to as usize] = v;
+                    self.touched.push(to);
+                    let w = self.mate[to as usize];
+                    if !self.even.get(w as usize) {
+                        self.even.set(w as usize);
+                        self.root[w as usize] = rv;
+                        self.depth[w as usize] = dv + 2;
+                        self.touched.push(w);
+                        self.queue.push_back(w);
                     }
                     continue;
                 };
