@@ -67,10 +67,9 @@ pub struct BlossomSearcher {
     even: BitSet,
     in_blossom: BitSet,
     lca_mark: BitSet,
-    /// Alternating depth of each even vertex, written when it turns even.
-    depth: Vec<u32>,
-    /// Tree root of each even vertex, written when it turns even.
-    root: Vec<u32>,
+    /// Tree root and alternating depth of each even vertex, written when
+    /// it turns even; one entry, so a popped vertex reads both at once.
+    tree: Vec<(u32, u32)>,
     /// Trees whose root was consumed by an augmentation in the current
     /// search, keyed by root vertex and cleared through the root list
     /// when the search ends.
@@ -112,8 +111,7 @@ impl BlossomSearcher {
             even: BitSet::new(),
             in_blossom: BitSet::new(),
             lca_mark: BitSet::new(),
-            depth: Vec::new(),
-            root: Vec::new(),
+            tree: Vec::new(),
             retired: BitSet::new(),
             queue: VecDeque::new(),
             touched: Vec::new(),
@@ -151,10 +149,8 @@ impl BlossomSearcher {
         self.even.clear_and_resize(n);
         self.in_blossom.clear_and_resize(n);
         self.lca_mark.clear_and_resize(n);
-        self.depth.clear();
-        self.depth.resize(n, 0);
-        self.root.clear();
-        self.root.resize(n, NONE);
+        self.tree.clear();
+        self.tree.resize(n, (NONE, 0));
         self.retired.clear_and_resize(n);
         self.queue.clear();
         // Each list holds a vertex at most once, so capacity n is enough
@@ -193,8 +189,7 @@ impl BlossomSearcher {
             + self.parent.capacity()
             + self.base.capacity()
             + self.link.capacity()
-            + self.depth.capacity()
-            + self.root.capacity()
+            + 2 * self.tree.capacity()
             + self.queue.capacity()
             + self.touched.capacity()
             + self.merged.capacity()
@@ -314,13 +309,12 @@ impl BlossomSearcher {
         let planted = self.touched.len();
         for &v in &self.touched {
             self.even.set(v as usize);
-            self.root[v as usize] = v;
-            self.depth[v as usize] = 0;
+            self.tree[v as usize] = (v, 0);
             self.queue.push_back(v);
         }
         let (mut live, mut flipped) = (planted, 0);
         'scan: while let Some(v) = self.queue.pop_front() {
-            let (dv, rv) = (self.depth[v as usize], self.root[v as usize]);
+            let (rv, dv) = self.tree[v as usize];
             // At the cap a vertex cannot extend by even one edge.
             if dv + 1 > cap || self.retired.get(rv as usize) {
                 continue;
@@ -333,7 +327,7 @@ impl BlossomSearcher {
                     continue;
                 }
                 let rto = if self.even.get(to as usize) {
-                    let rto = self.root[to as usize];
+                    let rto = self.tree[to as usize].0;
                     if rto == rv {
                         // Same tree: odd cycle, contract the blossom.
                         self.contract(v, to, rv);
@@ -355,8 +349,7 @@ impl BlossomSearcher {
                     let w = self.mate[to as usize];
                     if !self.even.get(w as usize) {
                         self.even.set(w as usize);
-                        self.root[w as usize] = rv;
-                        self.depth[w as usize] = dv + 2;
+                        self.tree[w as usize] = (rv, dv + 2);
                         self.touched.push(w);
                         self.queue.push_back(w);
                     }
@@ -396,7 +389,7 @@ impl BlossomSearcher {
         let cur_base = self.lowest_common_ancestor(v, to);
         self.mark_path(v, cur_base, to);
         self.mark_path(to, cur_base, v);
-        let base_depth = self.depth[cur_base as usize];
+        let base_depth = self.tree[cur_base as usize].1;
         // Only a singleton blossom has an empty list; every other vertex
         // this merge changes was listed when its blossom first grew.
         if self.link[cur_base as usize] == NONE {
@@ -417,10 +410,9 @@ impl BlossomSearcher {
                 self.base[x as usize] = cur_base;
                 if !self.even.get(x as usize) {
                     self.even.set(x as usize);
-                    self.root[x as usize] = tree;
                     // Conservative depth: contraction shortens paths, so
                     // inherit the base's depth.
-                    self.depth[x as usize] = base_depth;
+                    self.tree[x as usize] = (tree, base_depth);
                     self.fresh.push(x);
                 }
                 last = x;
