@@ -9,9 +9,10 @@
 //! path consumed. [`BlossomSearcher::try_augment`] plants one free vertex;
 //! [`BlossomSearcher::augment_phase`] plants every free vertex. The exact
 //! oracle [`maximum_matching_from`] repeats unbounded phases until one
-//! flips nothing, which leaves a maximum matching (its doc gives the
-//! argument), in O(phases·m) plus contractions where one unbounded search
-//! per free vertex cost O(free·m).
+//! flips nothing. That phase retired no tree, so it was a complete Edmonds
+//! search: no augmenting path is left, and the matching is maximum
+//! (Berge). The oracle costs O(phases·m) plus contractions, where one
+//! unbounded search per free vertex cost O(free·m).
 //!
 //! A search costs what it touches: the half-edges it scans, an undo of
 //! the previous search's forest linear in that forest's size (a
