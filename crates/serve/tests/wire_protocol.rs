@@ -636,10 +636,9 @@ fn session_shutdown_sheds_queued_requests_with_shutting_down() {
 /// Every request is admitted as soon as the script is read, so the solve
 /// finishes at least the load's time after its own admission, and the
 /// queries wait for the load and the solve. The deadline is the shortest
-/// one there is, 1 ms, against a load that builds the 352 380 edges of
-/// `clique(840)`. Load and solve took about 10 ms together in a release
-/// build on a 2-vCPU VM, so a 10 ms deadline let the solve answer in
-/// time in about half the runs there.
+/// one there is, 1 ms: building the 352 380 edges of `clique(840)` alone
+/// takes longer, while load and solve together can finish within 10 ms
+/// in a release build.
 #[test]
 fn deadline_sheds_stale_queue_and_discards_late_results() {
     let mut script = String::new();
